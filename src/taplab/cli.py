@@ -2,15 +2,15 @@
 
 Subcommands: potential, amp, ngd, mse-sweep, calibrate, universality,
 hessian, oracle.  Global flags: --config <file> (key = value lines mirroring
-ExperimentConfig), --seed, --out, --threads.  Outputs are versioned CSV files
-plus a JSON run manifest.
+ExperimentConfig), --seed, --out.  Outputs are versioned CSV files plus a
+JSON run manifest.  BLAS threads follow OMP_NUM_THREADS /
+OPENBLAS_NUM_THREADS, which take effect only when set before launch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -35,27 +35,31 @@ from .oracle import enumerate_posterior, gaussian_posterior
 from .potential import solve_gammas
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if "," in text:
-        return tuple(_parse_value(t) for t in text.split(","))
-    return text
-
-
 def load_config(path) -> dict:
-    """Parse a key = value config file; '#' starts a comment."""
+    """Parse a key = value config file; '#' starts a comment.
+
+    Each value is typed by the ExperimentConfig field it sets: a tuple field
+    is split on commas, any other value is cast to the type of the field's
+    default, so a str value is never split.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     out = {}
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = _parse_value(value)
+        key = key.strip().replace("-", "_")
+        if key not in defaults:
+            raise SystemExit(f"unknown config key: {key!r}")
+        default = defaults[key]
+        try:
+            if isinstance(default, tuple):
+                out[key] = tuple(type(default[0])(v.strip()) for v in value.split(","))
+            else:
+                out[key] = type(default)(value.strip())
+        except ValueError as exc:
+            raise SystemExit(f"config key {key!r}: {exc}") from None
     return out
 
 
@@ -67,26 +71,7 @@ def build_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    for key in ("delta_grid", "methods"):
-        if key in overrides and not isinstance(overrides[key], tuple):
-            overrides[key] = (overrides[key],)
     return ExperimentConfig(**overrides)
-
-
-def _set_threads(n):
-    if n is None:
-        return
-    os.environ["OMP_NUM_THREADS"] = str(n)
-    try:
-        import numba
-
-        numba.set_num_threads(n)
-    except (ImportError, ValueError):
-        pass
 
 
 def cmd_potential(cfg, args):
@@ -199,7 +184,6 @@ def main(argv=None):
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("potential", help="replica-symmetric potential profile")
@@ -243,7 +227,6 @@ def main(argv=None):
     sp.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
     cfg = build_config(args)
     t0 = time.time()
     extra = args.func(cfg, args)

@@ -1,51 +1,26 @@
-"""Hot numeric kernels for the scalar exponential-family channel.
+"""Numeric kernels for the scalar exponential-family channel.
 
 Everything here operates on the atomic representation of the prior:
 locations ``locs`` and log-weights ``logw`` (normalized so that the
 weights sum to 1).  The tilted law at natural parameters ``(lam, gam)``
 reweights atom ``a`` by ``exp(-gam*a**2/2 + lam*a)``.
 
-Two interchangeable backends are provided:
-
-* a pure-numpy implementation (always available, used as the reference), and
-* numba ``@njit`` loops, which win on the batched per-coordinate Newton
-  solver where iteration counts differ across coordinates.
-
-Selection: set ``TAPLAB_BACKEND=numpy`` (or ``numba``) in the environment
-before import.  Default is numba when importable.  ``benchmarks/bench_kernels.py``
-compares the two.
+``tilted_stats`` evaluates a batch of rows as one (rows x atoms) numpy
+pass.  ``dual_newton`` inverts the moment map for a batch of rows; each
+Newton step and each line-search candidate of the rows still iterating is
+evaluated by one ``tilted_stats`` call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_BACKEND = os.environ.get("TAPLAB_BACKEND", "").strip().lower()
-if _BACKEND not in ("", "numpy", "numba"):
-    raise ValueError(f"TAPLAB_BACKEND must be 'numpy' or 'numba', got {_BACKEND!r}")
-
-if _BACKEND != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _BACKEND == "numba":
-            raise
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA
+# There is one implementation, in numpy.  The benchmark's run metadata
+# (perfbench/run.py) records this flag, so it stays as a constant.
+USE_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def tilted_stats_np(locs, logw, lam, gam):
+def tilted_stats(locs, logw, lam, gam):
     """Moments of the tilted atomic law for a batch of (lam, gam) pairs.
 
     Returns (m, s, logZ, c11, c12, c22) where logZ is the log-partition
@@ -71,219 +46,55 @@ def tilted_stats_np(locs, logw, lam, gam):
     return m, s, logZ, c11, c12, c22
 
 
-def dual_newton_np(locs, logw, mt, st, lam0, gam0, tol, max_iter, cap):
-    """Damped Newton inversion of the moment map, one row at a time.
+def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6):
+    """Damped Newton inversion of the moment map, vectorised over rows.
 
     Maximizes g(lam, gam) = -gam*st/2 + lam*mt - logZ(lam, gam) for each
-    target pair (mt, st).  Returns (lam, gam, converged, residual).
+    target pair (mt, st).  Every row takes at most ``max_iter`` Newton steps
+    and leaves the batch once its residual is below ``tol``, its Hessian
+    determinant is not positive and finite, or 60 step halvings fail.
+    Returns (lam, gam, converged, residual).
     """
-    n = len(mt)
-    lam = np.array(lam0, dtype=np.float64, copy=True)
-    gam = np.array(gam0, dtype=np.float64, copy=True)
-    conv = np.zeros(n, dtype=np.bool_)
-    res = np.full(n, np.inf)
-    for j in range(n):
-        lam[j], gam[j], conv[j], res[j] = _dual_newton_row_np(
-            locs, logw, mt[j], st[j], lam[j], gam[j], tol, max_iter, cap
-        )
-    return lam, gam, conv, res
-
-
-def _tilt_row_np(locs, logw, lam, gam):
-    ell = logw - 0.5 * gam * locs * locs + lam * locs
-    M = ell.max()
-    w = np.exp(ell - M)
-    Z = w.sum()
-    p = w / Z
-    m = p @ locs
-    s = p @ (locs * locs)
-    t3 = p @ (locs**3)
-    t4 = p @ (locs**4)
-    return m, s, M + np.log(Z), s - m * m, t3 - m * s, t4 - s * s
-
-
-def _dual_newton_row_np(locs, logw, mt, st, lam, gam, tol, max_iter, cap):
-    m, s, logZ, c11, c12, c22 = _tilt_row_np(locs, logw, lam, gam)
-    g = -0.5 * gam * st + lam * mt - logZ
-    resid = np.hypot(m - mt, s - st)
-    for _ in range(max_iter):
-        if resid < tol:
-            return lam, gam, True, resid
-        r1 = mt - m
-        r2 = st - s
-        det = c11 * c22 - c12 * c12
-        if det <= 0 or not np.isfinite(det):
-            break
-        d1 = (c22 * r1 - c12 * r2) / det
-        d2 = (-c12 * r1 + c11 * r2) / det
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            lam_n = np.clip(lam + alpha * d1, -cap, cap)
-            gam_n = np.clip(gam - 2.0 * alpha * d2, -cap, cap)
-            m_n, s_n, logZ_n, a11, a12, a22 = _tilt_row_np(locs, logw, lam_n, gam_n)
-            g_n = -0.5 * gam_n * st + lam_n * mt - logZ_n
-            resid_n = np.hypot(m_n - mt, s_n - st)
-            # accept on objective increase; near the optimum g goes flat at
-            # float precision, so fall back to residual contraction there
-            if g_n >= g or (resid < 1e-6 and resid_n <= 0.5 * resid):
-                lam, gam, m, s, logZ = lam_n, gam_n, m_n, s_n, logZ_n
-                c11, c12, c22 = a11, a12, a22
-                g = g_n
-                resid = resid_n
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-    return lam, gam, resid < tol, resid
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _tilted_stats_nb(locs, logw, lam, gam):  # pragma: no cover - jitted
-        n = lam.shape[0]
-        A = locs.shape[0]
-        m = np.empty(n)
-        s = np.empty(n)
-        logZ = np.empty(n)
-        c11 = np.empty(n)
-        c12 = np.empty(n)
-        c22 = np.empty(n)
-        for j in range(n):
-            M = -np.inf
-            for i in range(A):
-                e = logw[i] - 0.5 * gam[j] * locs[i] * locs[i] + lam[j] * locs[i]
-                if e > M:
-                    M = e
-            Z = 0.0
-            t1 = 0.0
-            t2 = 0.0
-            t3 = 0.0
-            t4 = 0.0
-            for i in range(A):
-                w = np.exp(logw[i] - 0.5 * gam[j] * locs[i] * locs[i] + lam[j] * locs[i] - M)
-                Z += w
-                a = locs[i]
-                t1 += w * a
-                t2 += w * a * a
-                t3 += w * a * a * a
-                t4 += w * a * a * a * a
-            mj = t1 / Z
-            sj = t2 / Z
-            m[j] = mj
-            s[j] = sj
-            logZ[j] = M + np.log(Z)
-            c11[j] = sj - mj * mj
-            c12[j] = t3 / Z - mj * sj
-            c22[j] = t4 / Z - sj * sj
-        return m, s, logZ, c11, c12, c22
-
-    @njit(cache=True)
-    def _tilt_row_nb(locs, logw, lam, gam):  # pragma: no cover - jitted
-        A = locs.shape[0]
-        M = -np.inf
-        for i in range(A):
-            e = logw[i] - 0.5 * gam * locs[i] * locs[i] + lam * locs[i]
-            if e > M:
-                M = e
-        Z = 0.0
-        t1 = 0.0
-        t2 = 0.0
-        t3 = 0.0
-        t4 = 0.0
-        for i in range(A):
-            w = np.exp(logw[i] - 0.5 * gam * locs[i] * locs[i] + lam * locs[i] - M)
-            Z += w
-            a = locs[i]
-            t1 += w * a
-            t2 += w * a * a
-            t3 += w * a * a * a
-            t4 += w * a * a * a * a
-        m = t1 / Z
-        s = t2 / Z
-        return m, s, M + np.log(Z), s - m * m, t3 / Z - m * s, t4 / Z - s * s
-
-    @njit(cache=True)
-    def _dual_newton_nb(locs, logw, mt, st, lam0, gam0, tol, max_iter, cap):  # pragma: no cover
-        n = mt.shape[0]
-        lam = lam0.copy()
-        gam = gam0.copy()
-        conv = np.zeros(n, dtype=np.bool_)
-        res = np.empty(n)
-        for j in range(n):
-            lj = lam[j]
-            gj = gam[j]
-            m, s, logZ, c11, c12, c22 = _tilt_row_nb(locs, logw, lj, gj)
-            g = -0.5 * gj * st[j] + lj * mt[j] - logZ
-            resid = np.hypot(m - mt[j], s - st[j])
-            for _ in range(max_iter):
-                if resid < tol:
-                    break
-                r1 = mt[j] - m
-                r2 = st[j] - s
-                det = c11 * c22 - c12 * c12
-                if det <= 0 or not np.isfinite(det):
-                    break
-                d1 = (c22 * r1 - c12 * r2) / det
-                d2 = (-c12 * r1 + c11 * r2) / det
-                alpha = 1.0
-                accepted = False
-                for _ in range(60):
-                    ln = min(max(lj + alpha * d1, -cap), cap)
-                    gn = min(max(gj - 2.0 * alpha * d2, -cap), cap)
-                    m_n, s_n, logZ_n, a11, a12, a22 = _tilt_row_nb(locs, logw, ln, gn)
-                    g_n = -0.5 * gn * st[j] + ln * mt[j] - logZ_n
-                    resid_n = np.hypot(m_n - mt[j], s_n - st[j])
-                    # accept on objective increase; near the optimum g goes
-                    # flat at float precision, so fall back to residual
-                    # contraction there
-                    if g_n >= g or (resid < 1e-6 and resid_n <= 0.5 * resid):
-                        lj = ln
-                        gj = gn
-                        m = m_n
-                        s = s_n
-                        c11 = a11
-                        c12 = a12
-                        c22 = a22
-                        g = g_n
-                        resid = resid_n
-                        accepted = True
-                        break
-                    alpha *= 0.5
-                if not accepted:
-                    break
-            lam[j] = lj
-            gam[j] = gj
-            conv[j] = resid < tol
-            res[j] = resid
-        return lam, gam, conv, res
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def tilted_stats(locs, logw, lam, gam):
-    """Batched tilted moments + log-partition + (beta, beta^2) covariance."""
-    if USE_NUMBA:
-        lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-        gam = np.atleast_1d(np.asarray(gam, dtype=np.float64))
-        return _tilted_stats_nb(locs, logw, lam, gam)
-    return tilted_stats_np(locs, logw, lam, gam)
-
-
-def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6):
-    """Batched damped-Newton inversion of the moment map."""
     mt = np.atleast_1d(np.asarray(mt, dtype=np.float64))
     st = np.atleast_1d(np.asarray(st, dtype=np.float64))
-    lam0 = np.broadcast_to(np.asarray(lam0, dtype=np.float64), mt.shape).copy()
-    gam0 = np.broadcast_to(np.asarray(gam0, dtype=np.float64), mt.shape).copy()
-    if USE_NUMBA:
-        return _dual_newton_nb(locs, logw, mt, st, lam0, gam0, tol, max_iter, cap)
-    return dual_newton_np(locs, logw, mt, st, lam0, gam0, tol, max_iter, cap)
+    lam = np.broadcast_to(np.asarray(lam0, dtype=np.float64), mt.shape).copy()
+    gam = np.broadcast_to(np.asarray(gam0, dtype=np.float64), mt.shape).copy()
+    m, s, logZ, c11, c12, c22 = tilted_stats(locs, logw, lam, gam)
+    g = -0.5 * gam * st + lam * mt - logZ
+    resid = np.hypot(m - mt, s - st)
+    rows = np.flatnonzero(~(resid < tol))
+    for _ in range(max_iter):
+        det = c11[rows] * c22[rows] - c12[rows] * c12[rows]
+        ok = (det > 0) & np.isfinite(det)
+        rows, det = rows[ok], det[ok]
+        if rows.size == 0:
+            break
+        r1 = mt[rows] - m[rows]
+        r2 = st[rows] - s[rows]
+        d1 = (c22[rows] * r1 - c12[rows] * r2) / det
+        d2 = (-c12[rows] * r1 + c11[rows] * r2) / det
+        # every row still searching has been rejected the same number of
+        # times, so one step length serves them all
+        search = np.arange(rows.size)
+        alpha = 1.0
+        for _ in range(60):
+            j = rows[search]
+            lam_n = np.clip(lam[j] + alpha * d1[search], -cap, cap)
+            gam_n = np.clip(gam[j] - 2.0 * alpha * d2[search], -cap, cap)
+            m_n, s_n, logZ_n, a11, a12, a22 = tilted_stats(locs, logw, lam_n, gam_n)
+            g_n = -0.5 * gam_n * st[j] + lam_n * mt[j] - logZ_n
+            resid_n = np.hypot(m_n - mt[j], s_n - st[j])
+            # accept on objective increase; near the optimum g goes flat at
+            # float precision, so fall back to residual contraction there
+            acc = (g_n >= g[j]) | ((resid[j] < 1e-6) & (resid_n <= 0.5 * resid[j]))
+            k = j[acc]
+            lam[k], gam[k], m[k], s[k] = lam_n[acc], gam_n[acc], m_n[acc], s_n[acc]
+            c11[k], c12[k], c22[k] = a11[acc], a12[acc], a22[acc]
+            g[k], resid[k] = g_n[acc], resid_n[acc]
+            search = search[~acc]
+            if search.size == 0:
+                break
+            alpha *= 0.5
+        rows = np.delete(rows, search)  # 60 halvings failed: the row stalls
+        rows = rows[~(resid[rows] < tol)]
+    return lam, gam, resid < tol, resid

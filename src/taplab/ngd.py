@@ -107,11 +107,3 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
     trace.iterations = len(trace.steps_used)
     return trace
 
-
-def mf_minimize(model: LinearModel, prior: Prior, init: VariationalState,
-                cfg: NGDConfig = NGDConfig()) -> NGDTrace:
-    """NGD applied to the naive mean-field free energy."""
-    mf_cfg = NGDConfig(eta=cfg.eta, max_iters=cfg.max_iters,
-                       grad_tol=cfg.grad_tol, backtracking=cfg.backtracking,
-                       objective=Objective.MF)
-    return ngd_run(model, prior, init, mf_cfg)

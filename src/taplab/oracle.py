@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
+from .exceptions import DomainError
 from .free_energy import LinearModel
 from .priors import Prior
 
@@ -33,6 +34,8 @@ def mp_vstar(tau2: float, sigma2: float, delta: float) -> float:
 
 def gaussian_posterior(model: LinearModel, tau2: float) -> GaussianOracle:
     """Exact posterior and evidence under a N(0, tau2) prior."""
+    if not tau2 > 0:
+        raise DomainError(f"prior variance tau2 must be positive, got {tau2!r}")
     X, y, sigma2 = model.X, model.y, model.sigma2
     n, p = model.n, model.p
     A = X.T @ X / sigma2 + np.eye(p) / tau2
@@ -40,8 +43,8 @@ def gaussian_posterior(model: LinearModel, tau2: float) -> GaussianOracle:
     Sigma = scipy.linalg.cho_solve(cf, np.eye(p))
     mean = scipy.linalg.cho_solve(cf, X.T @ y / sigma2)
     # logdet(tau2*X*X^T + sigma2*I) = n log sigma2 + logdet((tau2/sigma2) X^T X + I)
-    sign, logdet_p = np.linalg.slogdet((tau2 / sigma2) * (X.T @ X) + np.eye(p))
-    assert sign > 0
+    # SPD for tau2 > 0, so the sign is +1
+    _, logdet_p = np.linalg.slogdet((tau2 / sigma2) * (X.T @ X) + np.eye(p))
     logdet = n * np.log(sigma2) + logdet_p
     # y^T (tau2 X X^T + sigma2 I)^{-1} y via the same p x p factorization:
     # (tau2 X X^T + sigma2 I)^{-1} y = (y - X mean * tau2/tau2 ... ) use Woodbury

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from taplab.cli import load_config, main
+from taplab.experiments import ExperimentConfig
 
 CFG = """
 n = 50
@@ -111,3 +113,44 @@ def test_seed_flag_changes_data(cfg_file, tmp_path):
     r1 = (out1 / "mse_sweep.csv").read_text()
     r2 = (out2 / "mse_sweep.csv").read_text()
     assert r1 != r2
+
+
+def _readme_config_example():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Example config file:", 1)[1]
+    return block.split("```", 2)[1]
+
+
+@pytest.mark.parametrize("descriptor", [None, "point-mass:-1,0.25;0,0.5;1,0.25"])
+def test_readme_config_example_runs(tmp_path, descriptor):
+    text = _readme_config_example()
+    assert "prior_descriptor = three-point" in text
+    if descriptor is not None:
+        text += f"prior_descriptor = {descriptor}\n"
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path), "potential"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["prior_descriptor"] == (descriptor or "three-point")
+
+
+def test_config_string_values_are_not_split(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("prior_descriptor = bernoulli-gaussian:0.5,1.0\n"
+                    "methods = TAP\ndelta_grid = 1\n")
+    cfg = load_config(path)
+    assert cfg == {"prior_descriptor": "bernoulli-gaussian:0.5,1.0",
+                   "methods": ("TAP",), "delta_grid": (1.0,)}
+    assert ExperimentConfig(**cfg).prior().zero_spike_weight == 0.5
+    # two atoms give a degenerate (m, s) family; the descriptor reaches the
+    # prior intact and is rejected there
+    path.write_text("prior_descriptor = point-mass:-1,0.5;1,0.5\n")
+    with pytest.raises(ValueError, match="3 distinct support points"):
+        main(["--config", str(path), "--out", str(tmp_path), "potential"])
+
+
+def test_config_bad_value_rejected(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("n = many\n")
+    with pytest.raises(SystemExit, match="'n'"):
+        load_config(path)

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from taplab import kernels
+from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
+from taplab.free_energy import VariationalState
+from taplab.ngd import Objective
 from taplab.priors import three_point
+from taplab.scalar import DUAL_RESIDUAL_TOL
 
 
 @pytest.fixture(scope="module")
@@ -28,27 +32,6 @@ def test_tilted_stats_reference_values(batch):
     assert c22[0] == pytest.approx(2.0 / 9.0)
 
 
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend not active")
-def test_backends_agree_tilted_stats(batch):
-    locs, logw, lam, gam = batch
-    ref = kernels.tilted_stats_np(locs, logw, lam, gam)
-    jit = kernels._tilted_stats_nb(locs, logw, lam, gam)
-    for a, b in zip(ref, jit):
-        assert np.max(np.abs(a - b)) < 1e-12
-
-
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend not active")
-def test_backends_agree_dual_newton(batch):
-    locs, logw, lam, gam = batch
-    m, s, *_ = kernels.tilted_stats_np(locs, logw, lam, gam)
-    z = np.zeros_like(m)
-    ref = kernels.dual_newton_np(locs, logw, m, s, z, z, 1e-10, 200, 1e6)
-    jit = kernels._dual_newton_nb(locs, logw, m, s, z, z, 1e-10, 200, 1e6)
-    assert np.all(ref[2]) and np.all(jit[2])
-    assert np.max(np.abs(ref[0] - jit[0])) < 1e-7
-    assert np.max(np.abs(ref[1] - jit[1])) < 1e-7
-
-
 def test_dual_newton_roundtrip_flags(batch):
     locs, logw, lam, gam = batch
     m, s, *_ = kernels.tilted_stats(locs, logw, lam, gam)
@@ -57,3 +40,110 @@ def test_dual_newton_roundtrip_flags(batch):
     assert np.all(conv)
     assert np.max(res) < 1e-14
     assert np.max(np.abs(lam2 - lam)) < 1e-8
+
+
+# A mixed batch for the vectorised Newton solve: interior targets, targets
+# outside the moment space of {-1, 0, 1} (s < m^2, |m| > 1), and interior
+# targets whose duals lie beyond CAP, so Newton drives gam onto the clip.
+CAP = 30.0
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    tp = three_point()
+    rng = np.random.default_rng(1)
+    lam = rng.uniform(-4, 4, 20)
+    gam = rng.uniform(-4, 4, 20)
+    m, s, *_ = kernels.tilted_stats(tp.locations, tp.log_weights, lam, gam)
+    mt = np.concatenate([m, [0.0], [0.5, 1.2, -0.4], [0.0, 0.5]])
+    st = np.concatenate([s, [2.0 / 3.0], [0.2, 1.5, 0.1], [1e-12, 1.0 - 1e-12]])
+    kinds = np.array(["interior"] * 21 + ["outside"] * 3 + ["clip"] * 2)
+    return tp.locations, tp.log_weights, mt, st, kinds
+
+
+def _dual_newton_row(locs, logw, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=CAP):
+    """One row at a time: the reference the vectorised solve must reproduce."""
+    def tilt(lam, gam):
+        m, s, logZ, c11, c12, c22 = kernels.tilted_stats(locs, logw, [lam], [gam])
+        g = -0.5 * gam * st + lam * mt - logZ[0]
+        return m[0], s[0], g, c11[0], c12[0], c22[0], np.hypot(m[0] - mt, s[0] - st)
+
+    m, s, g, c11, c12, c22, resid = tilt(lam, gam)
+    for _ in range(max_iter):
+        det = c11 * c22 - c12 * c12
+        if resid < tol or not (det > 0 and np.isfinite(det)):
+            break
+        d1 = (c22 * (mt - m) - c12 * (st - s)) / det
+        d2 = (-c12 * (mt - m) + c11 * (st - s)) / det
+        for h in range(60):
+            lam_n = np.clip(lam + 0.5**h * d1, -cap, cap)
+            gam_n = np.clip(gam - 2.0 * 0.5**h * d2, -cap, cap)
+            cand = tilt(lam_n, gam_n)
+            if cand[2] >= g or (resid < 1e-6 and cand[6] <= 0.5 * resid):
+                lam, gam = lam_n, gam_n
+                m, s, g, c11, c12, c22, resid = cand
+                break
+        else:
+            break
+    return lam, gam, resid < tol, resid
+
+
+def test_dual_newton_matches_row_reference(mixed):
+    locs, logw, mt, st, _ = mixed
+    for max_iter in (1, 200):
+        batch = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0,
+                                    max_iter=max_iter, cap=CAP)
+        for i in range(len(mt)):
+            lam, gam, conv, res = _dual_newton_row(locs, logw, mt[i], st[i], 0.0, 0.0,
+                                                   max_iter=max_iter)
+            assert abs(lam - batch[0][i]) <= 1e-12
+            assert abs(gam - batch[1][i]) <= 1e-12
+            assert conv == batch[2][i]
+            assert abs(res - batch[3][i]) <= 1e-12
+
+
+def test_dual_newton_rows_independent(mixed):
+    locs, logw, mt, st, kinds = mixed
+    lam, gam, conv, res = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0, cap=CAP)
+    for i in range(len(mt)):
+        l1, g1, c1, r1 = kernels.dual_newton(locs, logw, mt[i:i + 1], st[i:i + 1],
+                                             0.0, 0.0, cap=CAP)
+        assert abs(l1[0] - lam[i]) <= 1e-12
+        assert abs(g1[0] - gam[i]) <= 1e-12
+        assert c1[0] == conv[i]
+        assert abs(r1[0] - res[i]) <= 1e-12
+    interior = kinds == "interior"
+    assert np.all(conv[interior]) and np.max(res[interior]) < 1e-10
+    assert not np.any(conv[~interior])
+    assert np.all(np.isfinite(res)) and np.all(res[~interior] >= 1e-10)
+    assert np.all(np.abs(gam[kinds == "clip"]) == CAP)
+
+
+def test_dual_newton_iteration_cap(mixed):
+    locs, logw, mt, st, kinds = mixed
+    lam, gam, conv, res = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0,
+                                              max_iter=1, cap=CAP)
+    start = np.hypot(mt - 0.0, st - 2.0 / 3.0)  # residual at the untilted start
+    far = start > 0.1
+    assert np.sum(far & (kinds == "interior")) >= 10
+    assert not np.any(conv[far])
+    assert conv[20]  # the untilted target is solved before any step
+
+
+def test_from_moments_reproduces_converged_tap_states():
+    # at delta=1.4 the state is ill-conditioned: the solved duals differ from
+    # the NGD state's by O(1) in lam while matching its moments, so the check
+    # is on the moment residual, not on recovering lam
+    cfg = ExperimentConfig(n=300, seed=0, replicates=1)
+    prior = cfg.prior()
+    for delta in (0.6, 1.0, 1.4):
+        model, _ = generate_instance(cfg, 0, delta)
+        trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=delta)
+        assert trace.converged
+        state = trace.final
+        solved = VariationalState.from_moments(prior, state.m, state.s)
+        assert np.max(np.abs(solved.m - state.m)) <= 1e-12
+        assert np.max(np.abs(solved.s - state.s)) <= 1e-12
+        m, s, *_ = kernels.tilted_stats(prior.locations, prior.log_weights,
+                                        solved.lam, solved.gam)
+        assert np.max(np.hypot(m - solved.m, s - solved.s)) < DUAL_RESIDUAL_TOL

@@ -9,7 +9,7 @@ from taplab.free_energy import (
     onsager_volume,
     tap_energy,
 )
-from taplab.ngd import NGDConfig, Objective, mf_minimize, ngd_run
+from taplab.ngd import NGDConfig, Objective, ngd_run
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, three_point
 
@@ -82,7 +82,7 @@ def test_mf_minimizer_gaussian_variance():
     p = 300
     model, _ = make_model(rng, p, p, g, sigma2=1.0)
     _, warm = amp_run(model, g, 8, delta=1.0)
-    trace = mf_minimize(model, g, warm, NGDConfig(grad_tol=1e-12))
+    trace = ngd_run(model, g, warm, NGDConfig(grad_tol=1e-12, objective=Objective.MF))
     assert trace.converged
     v = trace.final.s - trace.final.m**2
     expect = 1.0 / (1.0 / 1.0 + model.delta_hat / model.sigma2)  # 1/2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taplab.exceptions import DomainError
 from taplab.free_energy import LinearModel
 from taplab.oracle import (
     enumerate_posterior,
@@ -54,6 +55,14 @@ class TestGaussianOracle:
         quad = float(y @ np.linalg.solve(K, y))
         expect = -0.5 * (n * np.log(2 * np.pi) + logdet + quad)
         assert oracle.log_evidence == pytest.approx(expect, abs=1e-8)
+
+    @pytest.mark.parametrize("tau2", [-1.0, 0.0, -0.001])
+    def test_rejects_nonpositive_tau2(self, tau2):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(12, 7)) / np.sqrt(7)
+        model = LinearModel(X=X, y=rng.normal(size=12), sigma2=0.01)
+        with pytest.raises(DomainError, match="tau2"):
+            gaussian_posterior(model, tau2)
 
 
 class TestEnumeration:
