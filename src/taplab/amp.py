@@ -11,7 +11,7 @@ import numpy as np
 from .free_energy import LinearModel, VariationalState, tap_gradient
 from .potential import se_covariance_blocks
 from .priors import Prior
-from .scalar import QuadratureSpec, denoise, mmse
+from .scalar import QuadratureSpec, mmse
 
 
 @dataclass
@@ -58,8 +58,6 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
     history = []
     m_hist = [m_k.copy()]
     z_hist = []
-    x = None
-    s_k = None
     for k in range(1, T + 1):
         if mmse_prev is None:
             z_k = y - X @ m_k
@@ -68,35 +66,30 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
             b = gamma_prev * mmse_prev / delta
             z_k = y - X @ m_k + b * z_prev
         x = m_k + X.T @ z_k / delta
-        m_next, s_next = denoise(prior, x, gamma_k)
+        # posterior-mean denoiser: the tilted law at (gamma_k*x, gamma_k)
+        var_state = VariationalState.from_duals(prior, gamma_k * x,
+                                                np.full_like(x, gamma_k))
         mmse_k = mmse(prior, gamma_k, quad)
         gamma_next = delta / (sigma2 + mmse_k)
 
         row = {"k": k, "gamma": gamma_k, "mse_se": mmse_k}
         if truth is not None:
-            row["mse_empirical"] = float(np.sum((m_next - truth) ** 2)) / p
+            row["mse_empirical"] = float(np.sum((var_state.m - truth) ** 2)) / p
         if track_gradient:
-            lam = gamma_k * x
-            gam = np.full_like(lam, gamma_k)
-            st = VariationalState(m=m_next, s=s_next, lam=lam, gam=gam)
-            gm, gs = tap_gradient(model, st)
+            gm, gs = tap_gradient(model, var_state)
             row["grad_norm_sq_per_p"] = float(gm @ gm + gs @ gs) / p
         history.append(row)
 
         z_hist.append(z_k.copy())
-        m_hist.append(m_next.copy())
+        m_hist.append(var_state.m.copy())
         z_prev = z_k
-        m_k = m_next
-        s_k = s_next
+        m_k = var_state.m
         gamma_prev = gamma_k
         mmse_prev = mmse_k
         gamma_k = gamma_next
 
-    state = AMPState(k=T, m=m_k, s=s_k, z=z_prev, gamma=gamma_prev,
+    state = AMPState(k=T, m=m_k, s=var_state.s, z=z_prev, gamma=gamma_prev,
                      history=history, m_history=m_hist, z_history=z_hist)
-    lam = gamma_prev * x
-    gam = np.full_like(lam, gamma_prev)
-    var_state = VariationalState(m=m_k, s=s_k, lam=lam, gam=gam)
     return state, var_state
 
 

@@ -19,7 +19,6 @@ from .amp import amp_run
 from .free_energy import LinearModel, VariationalState, min_eigenvalue
 from .ngd import NGDConfig, Objective, ngd_run
 from .priors import Prior, parse_prior
-from .scalar import tilted_moments_vec
 
 CSV_VERSION_HEADER = "# tap-lab v1"
 
@@ -121,8 +120,7 @@ def inclusion_probabilities(prior: Prior, state: VariationalState) -> np.ndarray
     idx = np.flatnonzero(prior.locations == 0.0)
     if len(idx) == 0:
         return np.ones(state.p)
-    _, _, logZ = tilted_moments_vec(prior, state.lam, state.gam)
-    p_zero_atom = np.exp(prior.log_weights[idx[0]] - logZ)
+    p_zero_atom = np.exp(prior.log_weights[idx[0]] - state.logZ)
     frac = prior.zero_spike_fraction_of_atom()
     return 1.0 - p_zero_atom * frac
 

@@ -1,15 +1,15 @@
 """TAP and naive mean-field free energies with gradients and Hessians.
 
 State layout throughout: per-coordinate first/second moments (m, s) with the
-cached dual parameters (lam, gam) of the tilted laws.  The Hessian is handled
-as four structured blocks (X^T X, per-coordinate 2x2, and rank-one terms) and
-is available dense at desk scale or matrix-free for Lanczos probes.
+fresh (lam, gam, logZ) of the tilted laws that produced them.  The Hessian is
+handled as four structured blocks (X^T X, per-coordinate 2x2, and rank-one
+terms) and is available dense at desk scale or matrix-free for Lanczos probes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +20,6 @@ from .priors import Prior
 from .scalar import (
     dual_solve_vec,
     gamma_envelopes,
-    neg_entropy_terms,
     project_interior,
     tilted_cov_vec,
     tilted_moments_vec,
@@ -60,12 +59,13 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class VariationalState:
-    """Moments (m, s) with fresh dual cache (lam, gam)."""
+    """Moments (m, s) with the fresh (lam, gam, logZ) of their tilted laws."""
 
     m: np.ndarray
     s: np.ndarray
     lam: np.ndarray
     gam: np.ndarray
+    logZ: np.ndarray
 
     @property
     def p(self) -> int:
@@ -75,8 +75,8 @@ class VariationalState:
     def from_duals(cls, prior: Prior, lam, gam) -> "VariationalState":
         lam = np.asarray(lam, dtype=np.float64)
         gam = np.asarray(gam, dtype=np.float64)
-        m, s, _ = tilted_moments_vec(prior, lam, gam)
-        return cls(m=m, s=s, lam=lam, gam=gam)
+        m, s, logZ = tilted_moments_vec(prior, lam, gam)
+        return cls(m=m, s=s, lam=lam, gam=gam, logZ=logZ)
 
     @classmethod
     def from_moments(cls, prior: Prior, m, s, project: bool = True,
@@ -100,7 +100,8 @@ class VariationalState:
             worst = float(np.max(res))
             raise DomainError(f"dual solve failed on {np.sum(~conv)} coordinates "
                               f"(worst residual {worst:.3e})")
-        return cls(m=m, s=s, lam=lam, gam=gam)
+        _, _, logZ = tilted_moments_vec(prior, lam, gam)
+        return cls(m=m, s=s, lam=lam, gam=gam, logZ=logZ)
 
     @staticmethod
     def null_state(prior: Prior, p: int) -> "VariationalState":
@@ -120,27 +121,27 @@ def _data_terms(model: LinearModel, state: VariationalState):
     return resid, fit, sq
 
 
-def _entropy_sum(prior: Prior, state: VariationalState) -> float:
-    terms = neg_entropy_terms(prior, state.m, state.s, state.lam, state.gam)
+def _entropy_sum(state: VariationalState) -> float:
+    terms = -0.5 * state.gam * state.s + state.lam * state.m - state.logZ
     # compensated summation: p terms with cancellation near minimizers
     return math.fsum(terms.tolist())
 
 
-def tap_energy(model: LinearModel, state: VariationalState, prior: Prior) -> float:
+def tap_energy(model: LinearModel, state: VariationalState) -> float:
     _, fit, sq = _data_terms(model, state)
     ratio = sq / model.sigma2
     if ratio <= -1.0:
         raise DomainError("Onsager volume is nonpositive")
     n = model.n
     return (0.5 * n * np.log(2.0 * np.pi * model.sigma2)
-            + _entropy_sum(prior, state) + fit + 0.5 * n * np.log1p(ratio))
+            + _entropy_sum(state) + fit + 0.5 * n * np.log1p(ratio))
 
 
-def mf_energy(model: LinearModel, state: VariationalState, prior: Prior) -> float:
+def mf_energy(model: LinearModel, state: VariationalState) -> float:
     _, fit, sq = _data_terms(model, state)
     n = model.n
     return (0.5 * n * np.log(2.0 * np.pi * model.sigma2)
-            + _entropy_sum(prior, state) + fit + 0.5 * n * sq / model.sigma2)
+            + _entropy_sum(state) + fit + 0.5 * n * sq / model.sigma2)
 
 
 def tap_gradient(model: LinearModel, state: VariationalState):
@@ -230,7 +231,8 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     """Smallest eigenvalue of the TAP Hessian.
 
     'lanczos' runs plain Lanczos on c*I - H (largest-eigenvalue mode), with c
-    an upper bound on the spectrum from power iteration.
+    an upper bound on the spectrum from power iteration.  Both start from
+    vectors of a fixed-seed generator, so repeated calls agree bit for bit.
     """
     if method == "dense":
         H = tap_hessian_dense(model, state, prior)
@@ -246,7 +248,6 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     def mv(v):
         return tap_hessian_matvec(model, state, prior, v, _blocks=blocks)
 
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv)
     # spectral-radius bound by power iteration
     rng = np.random.default_rng(0)
     v = rng.standard_normal(dim)
@@ -268,6 +269,7 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     try:
         vals = scipy.sparse.linalg.eigsh(op_shift, k=1, which="LA",
                                          maxiter=5000, tol=0,
+                                         v0=rng.standard_normal(dim),
                                          return_eigenvectors=False)
         return EigResult(value=float(c - vals[0]), method="lanczos",
                          converged=True, iterations=-1)

@@ -52,7 +52,9 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
     Maximizes g(lam, gam) = -gam*st/2 + lam*mt - logZ(lam, gam) for each
     target pair (mt, st).  Every row takes at most ``max_iter`` Newton steps
     and leaves the batch once its residual is below ``tol``, its Hessian
-    determinant is not positive and finite, or 60 step halvings fail.
+    determinant is not positive and finite, 60 step halvings fail, or the
+    step it accepts leaves its (lam, gam) unchanged bit for bit (a row held
+    on the +-cap clip): its next step would repeat that one.
     Returns (lam, gam, converged, residual).
     """
     mt = np.atleast_1d(np.asarray(mt, dtype=np.float64))
@@ -76,6 +78,7 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
         # every row still searching has been rejected the same number of
         # times, so one step length serves them all
         search = np.arange(rows.size)
+        stalled = np.zeros(rows.size, dtype=bool)
         alpha = 1.0
         for _ in range(60):
             j = rows[search]
@@ -88,6 +91,7 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
             # float precision, so fall back to residual contraction there
             acc = (g_n >= g[j]) | ((resid[j] < 1e-6) & (resid_n <= 0.5 * resid[j]))
             k = j[acc]
+            stalled[search[acc]] = (lam_n[acc] == lam[k]) & (gam_n[acc] == gam[k])
             lam[k], gam[k], m[k], s[k] = lam_n[acc], gam_n[acc], m_n[acc], s_n[acc]
             c11[k], c12[k], c22[k] = a11[acc], a12[acc], a22[acc]
             g[k], resid[k] = g_n[acc], resid_n[acc]
@@ -95,6 +99,6 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
             if search.size == 0:
                 break
             alpha *= 0.5
-        rows = np.delete(rows, search)  # 60 halvings failed: the row stalls
-        rows = rows[~(resid[rows] < tol)]
+        stalled[search] = True  # 60 halvings failed
+        rows = rows[~stalled & ~(resid[rows] < tol)]
     return lam, gam, resid < tol, resid

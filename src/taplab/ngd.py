@@ -67,7 +67,7 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
 
     trace = NGDTrace()
     state = init
-    f_cur = energy(model, state, prior)
+    f_cur = energy(model, state)
     p = model.p
     for it in range(cfg.max_iters):
         gm, gs = gradient(model, state)
@@ -89,9 +89,9 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
                 trace.clip_events += 1
                 np.clip(lam_new, -DUAL_CAP, DUAL_CAP, out=lam_new)
                 np.clip(gam_new, -DUAL_CAP, DUAL_CAP, out=gam_new)
-            m_new, s_new, _ = tilted_moments_vec(prior, lam_new, gam_new)
-            cand = VariationalState(m=m_new, s=s_new, lam=lam_new, gam=gam_new)
-            f_new = energy(model, cand, prior)
+            m_new, s_new, logZ_new = tilted_moments_vec(prior, lam_new, gam_new)
+            cand = VariationalState(m_new, s_new, lam_new, gam_new, logZ_new)
+            f_new = energy(model, cand)
             if not cfg.backtracking or f_new <= f_cur:
                 accepted = True
                 break

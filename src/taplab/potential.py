@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .exceptions import DomainError, NoBracketError
 from .priors import Prior
-from .scalar import QuadratureSpec, mmse, tilted_cov_vec, tilted_moments_vec
+from .scalar import QuadratureSpec, channel_terms, mmse
 
 
 class Regime(enum.Enum):
@@ -59,20 +59,12 @@ class PotentialProfile:
 def mutual_information(prior: Prior, gamma: float,
                        quad: QuadratureSpec = QuadratureSpec()) -> float:
     """i(gamma) = E[gamma*beta0^2/2 - log E_beta exp(-gamma*beta^2/2 + lam*beta)]
-    with lam = gamma*beta0 + sqrt(gamma)*z, by exact atom sums and
-    Gauss-Hermite over z."""
+    with lam = gamma*beta0 + sqrt(gamma)*z."""
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
     if gamma == 0.0:
         return 0.0
-    z, wz = quad.nodes_weights
-    b0 = prior.locations
-    lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
-    gam = np.full_like(lam, gamma)
-    _, _, logZ = tilted_moments_vec(prior, lam, gam)
-    logZ = logZ.reshape(len(b0), len(z))
-    inner = 0.5 * gamma * b0**2 - logZ @ wz
-    return float(prior.weights @ inner)
+    return channel_terms(prior, gamma, quad)[0]
 
 
 def phi(prior: Prior, sigma2: float, delta: float, gamma: float,
@@ -97,14 +89,7 @@ def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float,
     """Second derivative: (delta/gamma^2 - E[Var(beta0 | channel)^2]) / 2."""
     if gamma <= 0:
         raise DomainError("phi_second requires gamma > 0")
-    z, wz = quad.nodes_weights
-    b0 = prior.locations
-    lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
-    gam = np.full_like(lam, gamma)
-    c11, _, _ = tilted_cov_vec(prior, lam, gam)
-    var2 = (c11.reshape(len(b0), len(z)) ** 2) @ wz
-    e_var2 = float(prior.weights @ var2)
-    return 0.5 * (delta / gamma**2 - e_var2)
+    return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma, quad)[2])
 
 
 def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int,
@@ -132,9 +117,12 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float,
     gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
     """
     grid = grid_spec.build(sigma2, delta)
-    phi_g = np.array([phi(prior, sigma2, delta, g, quad) for g in grid])
-    dphi_g = np.array([phi_prime(prior, sigma2, delta, g, quad) for g in grid])
-    ddphi_g = np.array([phi_second(prior, sigma2, delta, g, quad) for g in grid])
+    # one channel evaluation per grid point serves phi, phi' and phi''
+    info, mse, e_var2 = np.array([channel_terms(prior, g, quad) for g in grid]).T
+    phi_g = (0.5 * sigma2 * grid
+             - 0.5 * delta * np.log(grid / (2.0 * np.pi * delta)) + info)
+    dphi_g = 0.5 * (sigma2 - delta / grid + mse)
+    ddphi_g = 0.5 * (delta / grid**2 - e_var2)
 
     sign = np.sign(dphi_g)
     flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DomainError
+
 DEFAULT_QUAD_NODES = 101
 
 
@@ -169,20 +171,24 @@ def parse_prior(descriptor: str) -> Prior:
     """Parse the CLI prior descriptors.
 
     Grammar: ``three-point``, ``point-mass:<v1,w1;v2,w2;...>``,
-    ``bernoulli-gaussian:<sparsity>,<variance>``.
+    ``bernoulli-gaussian:<sparsity>,<variance>``.  A bad descriptor raises
+    DomainError naming it and the cause.
     """
     text = descriptor.strip()
-    if text == "three-point":
-        return three_point()
-    if text.startswith("point-mass:"):
-        body = text[len("point-mass:"):]
-        pairs = []
-        for chunk in body.split(";"):
-            v, w = chunk.split(",")
-            pairs.append((float(v), float(w)))
-        return point_mass_prior(pairs, descriptor=text)
-    if text.startswith("bernoulli-gaussian:"):
-        body = text[len("bernoulli-gaussian:"):]
-        sparsity, variance = (float(x) for x in body.split(","))
-        return bernoulli_gaussian(sparsity, variance)
-    raise ValueError(f"unrecognized prior descriptor: {descriptor!r}")
+    try:
+        if text == "three-point":
+            return three_point()
+        if text.startswith("point-mass:"):
+            body = text[len("point-mass:"):]
+            pairs = []
+            for chunk in body.split(";"):
+                v, w = chunk.split(",")
+                pairs.append((float(v), float(w)))
+            return point_mass_prior(pairs, descriptor=text)
+        if text.startswith("bernoulli-gaussian:"):
+            body = text[len("bernoulli-gaussian:"):]
+            sparsity, variance = (float(x) for x in body.split(","))
+            return bernoulli_gaussian(sparsity, variance)
+        raise ValueError("unrecognized prior kind")
+    except ValueError as err:
+        raise DomainError(f"prior descriptor {descriptor!r}: {err}") from err

@@ -3,7 +3,7 @@
 The tilted law at natural parameters (lam, gam) reweights the prior by
 exp(-gam*beta^2/2 + lam*beta).  This module provides the moment map, its
 inverse (dual solve), the negative entropy, the posterior-mean denoiser,
-the scalar-channel MMSE, and membership tests for the moment space.
+the scalar-channel quadrature, and membership tests for the moment space.
 """
 
 from __future__ import annotations
@@ -200,12 +200,6 @@ def neg_entropy(prior: Prior, mp: MomentPair) -> float:
     return float(-0.5 * dual.gamma * mp.s + dual.lam * mp.m - logZ[0])
 
 
-def neg_entropy_terms(prior: Prior, m, s, lam, gam):
-    """Per-coordinate -h given fresh duals (no solve)."""
-    _, _, logZ = tilted_moments_vec(prior, lam, gam)
-    return -0.5 * np.asarray(gam) * np.asarray(s) + np.asarray(lam) * np.asarray(m) - logZ
-
-
 def denoise(prior: Prior, x, gamma: float):
     """Posterior-mean denoiser of the scalar channel: moments at (gamma*x, gamma)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -215,20 +209,29 @@ def denoise(prior: Prior, x, gamma: float):
     return m, s
 
 
-def mmse(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Bayes risk in the channel lam = gamma*beta0 + sqrt(gamma)*z.
-
-    Exact sum over prior atoms, Gauss-Hermite over z.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if gamma == 0.0:
-        return prior.variance
+def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()):
+    """(i(gamma), mmse(gamma), E[Var(beta0 | channel)^2]) of the channel
+    lam = gamma*beta0 + sqrt(gamma)*z from one tilt of the (atoms x nodes)
+    grid: exact sum over prior atoms, Gauss-Hermite over z."""
     z, wz = quad.nodes_weights
     b0 = prior.locations
     lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
     gam = np.full_like(lam, gamma)
-    m, _, _ = tilted_moments_vec(prior, lam, gam)
-    m = m.reshape(len(b0), len(z))
-    sq = (b0[:, None] - m) ** 2
-    return float(prior.weights @ (sq @ wz))
+    m, _, logZ, c11, _, _ = kernels.tilted_stats(b0, prior.log_weights, lam, gam)
+    if not np.all(np.isfinite(logZ)):
+        raise DegenerateTiltError("tilted log-partition overflowed")
+    grid = (len(b0), len(z))
+    info = float(prior.weights @ (0.5 * gamma * b0**2 - logZ.reshape(grid) @ wz))
+    sq = (b0[:, None] - m.reshape(grid)) ** 2
+    mse = float(prior.weights @ (sq @ wz))
+    e_var2 = float(prior.weights @ ((c11.reshape(grid) ** 2) @ wz))
+    return info, mse, e_var2
+
+
+def mmse(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Bayes risk in the channel lam = gamma*beta0 + sqrt(gamma)*z."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    if gamma == 0.0:
+        return prior.variance
+    return channel_terms(prior, gamma, quad)[1]

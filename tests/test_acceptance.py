@@ -69,7 +69,7 @@ def test_1_gaussian_prior_exactness():
     trace = ngd_run(model, prior, warm, NGDConfig(grad_tol=1e-10))
     v = trace.final.s - trace.final.m**2
     dev_v = float(np.max(np.abs(v - v_star)))
-    f = tap_energy(model, trace.final, prior)
+    f = tap_energy(model, trace.final)
     dev_ev = abs(-f / p - oracle.log_evidence / p)
     ok = trace.converged and dev_v < 0.05 and dev_ev < 0.5 / np.sqrt(p)
     report("gaussian-exactness", ok,
@@ -110,7 +110,7 @@ def test_3_gradient_hessian_oracles():
 
         def energy_at(m, s):
             st = VariationalState.from_moments(prior, m, s, project=False)
-            return tap_energy(model, st, prior)
+            return tap_energy(model, st)
 
         def grad_at(m, s):
             st = VariationalState.from_moments(prior, m, s, project=False)
@@ -320,8 +320,8 @@ def test_9_enumeration_oracle():
     z = abs(np.exp(log_ev) - est) / se
 
     state = VariationalState.from_moments(prior, marg_m, marg_s)
-    f_mf = mf_energy(model, state, prior)
-    f_tap = tap_energy(model, state, prior)
+    f_mf = mf_energy(model, state)
+    f_tap = tap_energy(model, state)
     # MF is an exact KL bound: F_MF = -log P(y) + KL(product || posterior);
     # TAP sits an Onsager correction below it
     x = (onsager_volume(model, state) - model.sigma2) / model.sigma2

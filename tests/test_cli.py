@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from taplab.cli import load_config, main
+from taplab.exceptions import DomainError
 from taplab.experiments import ExperimentConfig
 
 CFG = """
@@ -145,7 +146,7 @@ def test_config_string_values_are_not_split(tmp_path):
     # two atoms give a degenerate (m, s) family; the descriptor reaches the
     # prior intact and is rejected there
     path.write_text("prior_descriptor = point-mass:-1,0.5;1,0.5\n")
-    with pytest.raises(ValueError, match="3 distinct support points"):
+    with pytest.raises(DomainError, match="3 distinct support points"):
         main(["--config", str(path), "--out", str(tmp_path), "potential"])
 
 

@@ -45,14 +45,14 @@ class TestEnergies:
         expect = (0.5 * n * np.log(2 * np.pi * s2)
                   + float(model.y @ model.y) / (2 * s2)
                   + 0.5 * n * np.log1p(tp.variance / s2))
-        assert tap_energy(model, state, tp) == pytest.approx(expect, rel=1e-12)
+        assert tap_energy(model, state) == pytest.approx(expect, rel=1e-12)
 
     def test_onsager_gap_formula_and_ordering(self, tp):
         rng = np.random.default_rng(1)
         model, _ = random_model(rng, 25, 18)
         for _ in range(10):
             state = random_state(tp, 18, rng)
-            gap = tap_energy(model, state, tp) - mf_energy(model, state, tp)
+            gap = tap_energy(model, state) - mf_energy(model, state)
             x = (onsager_volume(model, state) - model.sigma2) / model.sigma2
             expect = 0.5 * model.n * (np.log1p(x) - x)
             assert gap == pytest.approx(expect, rel=1e-9, abs=1e-9)
@@ -85,7 +85,7 @@ class TestGradients:
                         else:
                             s[j] += t
                         st = VariationalState.from_moments(tp, m, s, project=False)
-                        return tap_energy(model, st, tp)
+                        return tap_energy(model, st)
                     fd = (f(h) - f(-h)) / (2 * h)
                     assert abs(fd - g) / (1.0 + abs(g)) < 1e-5
 
@@ -100,10 +100,10 @@ class TestGradients:
             m = state.m.copy()
             m[j] += h
             up = mf_energy(model, VariationalState.from_moments(tp, m, state.s,
-                                                               project=False), tp)
+                                                               project=False))
             m[j] -= 2 * h
             dn = mf_energy(model, VariationalState.from_moments(tp, m, state.s,
-                                                               project=False), tp)
+                                                               project=False))
             assert (up - dn) / (2 * h) == pytest.approx(gm[j], rel=1e-4, abs=1e-5)
 
     def test_gaussian_minimizer_is_stationary(self):
@@ -178,6 +178,7 @@ class TestHessian:
         a = min_eigenvalue(model, state, tp, method="dense")
         b = min_eigenvalue(model, state, tp, method="lanczos")
         assert a.value == pytest.approx(b.value, abs=1e-6)
+        assert min_eigenvalue(model, state, tp, method="lanczos").value == b.value
 
     def test_low_snr_global_convexity(self, tp):
         # (n/p)/sigma2 small: the Hessian is positive definite everywhere

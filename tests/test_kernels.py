@@ -102,6 +102,33 @@ def test_dual_newton_matches_row_reference(mixed):
             assert abs(res - batch[3][i]) <= 1e-12
 
 
+def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
+    # a row held on the +-cap clip accepts steps that leave (lam, gam)
+    # unchanged; the batch drops it instead of repeating that step, and
+    # still answers every row as the one-row reference does
+    tp = three_point()
+    rng = np.random.default_rng(0)
+    mt = rng.uniform(-1.2, 1.2, 40)
+    st = rng.uniform(0.0, 1.3, 40)
+    calls = [0]
+    tilt = kernels.tilted_stats
+
+    def counted(*args):
+        calls[0] += 1
+        return tilt(*args)
+
+    monkeypatch.setattr(kernels, "tilted_stats", counted)
+    batch = kernels.dual_newton(tp.locations, tp.log_weights, mt, st, 0.0, 0.0,
+                                max_iter=30, cap=5.0)
+    assert calls[0] <= 600  # 1734 when clipped rows ran every step
+    monkeypatch.undo()
+    assert np.sum(np.abs(batch[1]) == 5.0) >= 10
+    for i in range(len(mt)):
+        row = _dual_newton_row(tp.locations, tp.log_weights, mt[i], st[i], 0.0, 0.0,
+                               max_iter=30, cap=5.0)
+        assert row == tuple(x[i] for x in batch)
+
+
 def test_dual_newton_rows_independent(mixed):
     locs, logw, mt, st, kinds = mixed
     lam, gam, conv, res = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0, cap=CAP)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taplab import kernels, ngd
 from taplab.amp import amp_run
 from taplab.free_energy import (
     LinearModel,
@@ -12,6 +13,7 @@ from taplab.free_energy import (
 from taplab.ngd import NGDConfig, Objective, ngd_run
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, three_point
+from taplab.scalar import tilted_moments_vec
 
 SIGMA2 = 0.09
 
@@ -93,8 +95,8 @@ def test_mf_minimizer_gaussian_variance():
     # exact-KL ordering: MF objective at its own minimizer dominates the TAP
     # objective at the TAP minimizer
     tap_trace = ngd_run(model, g, warm, NGDConfig(grad_tol=1e-12))
-    f_mf = mf_energy(model, trace.final, g)
-    f_tap = tap_energy(model, tap_trace.final, g)
+    f_mf = mf_energy(model, trace.final)
+    f_tap = tap_energy(model, tap_trace.final)
     assert f_mf >= f_tap
 
 
@@ -104,3 +106,39 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NGDConfig(grad_tol=0.0)
     assert NGDConfig(objective=Objective.MF).objective is Objective.MF
+
+
+@pytest.mark.parametrize("objective, energy", [(Objective.TAP, "tap_energy"),
+                                               (Objective.MF, "mf_energy")])
+def test_one_tilt_per_candidate(tp, monkeypatch, objective, energy):
+    # each candidate's tilt yields its moments and its logZ; the energy
+    # reads the logZ from the state instead of tilting again
+    rng = np.random.default_rng(3)
+    model, _ = make_model(rng, 150, 200, tp)
+    _, warm = amp_run(model, tp, 8)
+    tilts, energies = [0], [0]
+
+    def counted(counter, fn):
+        def wrapped(*args):
+            counter[0] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "tilted_stats", counted(tilts, kernels.tilted_stats))
+    monkeypatch.setattr(ngd, energy, counted(energies, getattr(ngd, energy)))
+    trace = ngd_run(model, tp, warm, NGDConfig(max_iters=300, objective=objective))
+    assert trace.iterations > 10
+    assert tilts[0] == energies[0] - 1  # the start point is not tilted again
+
+
+def test_state_logz_is_the_tilt_of_its_duals(tp):
+    rng = np.random.default_rng(4)
+    model, _ = make_model(rng, 120, 150, tp)
+    _, warm = amp_run(model, tp, 8)
+    final = ngd_run(model, tp, warm, NGDConfig(max_iters=50)).final
+    dual = VariationalState.from_duals(tp, rng.uniform(-2, 2, 150),
+                                       rng.uniform(-2, 2, 150))
+    moments = VariationalState.from_moments(tp, dual.m, dual.s)
+    for state in (dual, moments, warm, final):
+        assert np.array_equal(state.logZ,
+                              tilted_moments_vec(tp, state.lam, state.gam)[2])

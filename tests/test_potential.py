@@ -110,6 +110,10 @@ class TestSolveGammas:
         direct = np.array([0.5 * (SIGMA2 - 1.0 / g + mmse(tp, g))
                            for g in profile.gamma_grid])
         assert np.max(np.abs(profile.phi_prime - direct)) < 1e-8
+        # the grid arrays equal the pointwise phi and phi''
+        for g, f, f2 in zip(profile.gamma_grid, profile.phi, profile.phi_second):
+            assert f == phi(tp, SIGMA2, 1.0, g)
+            assert f2 == phi_second(tp, SIGMA2, 1.0, g)
 
     def test_recursion_converges_to_gamma_alg(self, tp):
         profile = solve_gammas(tp, SIGMA2, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taplab.exceptions import DomainError
 from taplab.priors import (
     Prior,
     bernoulli_gaussian,
@@ -71,5 +72,19 @@ def test_parse_prior_descriptors():
     assert np.array_equal(pm.locations, [-2.0, 0.0, 2.0])
     bg = parse_prior("bernoulli-gaussian:0.5,1.0")
     assert bg.zero_spike_weight == pytest.approx(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         parse_prior("cauchy")
+
+
+@pytest.mark.parametrize("descriptor, cause", [
+    ("cauchy", "unrecognized prior kind"),
+    ("point-mass:-1,0.5;1,0.5", "3 distinct support points"),
+    ("point-mass:1", "not enough values"),
+    ("bernoulli-gaussian:x,1", "could not convert"),
+    ("bernoulli-gaussian:0.5", "not enough values"),
+])
+def test_parse_prior_rejects_bad_descriptors(descriptor, cause):
+    with pytest.raises(DomainError, match=cause) as info:
+        parse_prior(descriptor)
+    assert repr(descriptor) in str(info.value)
+    assert isinstance(info.value.__cause__, ValueError)
