@@ -71,7 +71,10 @@ def build_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
-    return ExperimentConfig(**overrides)
+    try:
+        return ExperimentConfig(**overrides)
+    except ValueError as exc:
+        raise SystemExit(f"invalid config: {exc}") from None
 
 
 def cmd_potential(cfg, args):
@@ -121,7 +124,8 @@ def cmd_ngd(cfg, args):
     final = {"m": trace.final.m.tolist(), "s": trace.final.s.tolist(),
              "lambda": trace.final.lam.tolist(), "gamma": trace.final.gam.tolist()}
     (out / "ngd_state.json").write_text(json.dumps(final))
-    return {"converged": trace.converged, "iterations": trace.iterations}
+    return {"converged": trace.converged, "stop_reason": trace.stop_reason.value,
+            "iterations": trace.iterations, "backtracks": trace.backtracks}
 
 
 def cmd_mse_sweep(cfg, args):

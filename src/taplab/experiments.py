@@ -53,6 +53,12 @@ class ExperimentConfig:
             raise ValueError("sigma and n must be positive")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError("eta must be in (0, 1]")
+        if self.max_iters < 1 or self.amp_warm_iters < 1:
+            raise ValueError("max_iters and amp_warm_iters must be >= 1")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
 
     @property
     def sigma2(self) -> float:

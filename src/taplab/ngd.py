@@ -5,6 +5,12 @@ gradient and maps back through the tilted-moment map, which is equivalent to a
 Bregman gradient step for the relative-entropy divergence.  The moment map
 keeps every iterate strictly interior, so no projection is needed along the
 way; backtracking on the step size enforces monotone descent.
+
+The step carries over between iterations.  The first line search tries
+``eta``; each later one starts from the step the previous iteration accepted,
+doubled (capped at 1) when that iteration accepted its first candidate.  A
+candidate whose energy rises is rejected and the step halved, at most 60
+times; when all 60 are rejected the run stops at the step floor.
 """
 
 from __future__ import annotations
@@ -33,10 +39,9 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class NGDConfig:
-    eta: float = 0.2
+    eta: float = 0.2  # first trial step
     max_iters: int = 20000
     grad_tol: float = 1e-10  # stop when ||grad||^2 / p < grad_tol
-    backtracking: bool = True
     objective: Objective = Objective.TAP
 
     def __post_init__(self):
@@ -46,6 +51,12 @@ class NGDConfig:
             raise ValueError("grad_tol must be positive")
 
 
+class StopReason(enum.Enum):
+    CONVERGED = "converged"
+    STEP_FLOOR = "step_floor"  # 60 halvings found no decrease
+    MAX_ITERS = "max_iters"
+
+
 @dataclass
 class NGDTrace:
     f_values: list = field(default_factory=list)
@@ -53,7 +64,9 @@ class NGDTrace:
     steps_used: list = field(default_factory=list)
     final: VariationalState | None = None
     converged: bool = False
+    stop_reason: StopReason = StopReason.MAX_ITERS
     iterations: int = 0
+    backtracks: int = 0  # rejected candidates
     clip_events: int = 0
 
 
@@ -69,18 +82,18 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
     state = init
     f_cur = energy(model, state)
     p = model.p
-    for it in range(cfg.max_iters):
+    step = cfg.eta
+    for _ in range(cfg.max_iters):
         gm, gs = gradient(model, state)
         gn = float(gm @ gm + gs @ gs) / p
         trace.f_values.append(f_cur)
         trace.grad_norm_sq_per_p.append(gn)
         if gn < cfg.grad_tol:
             trace.converged = True
+            trace.stop_reason = StopReason.CONVERGED
             trace.steps_used.append(0.0)
             break
-        step = cfg.eta
-        accepted = False
-        for _ in range(60):
+        for tries in range(60):
             lam_new = state.lam - step * gm
             gam_new = state.gam + 2.0 * step * gs
             clipped = np.any(np.abs(lam_new) > DUAL_CAP) \
@@ -92,17 +105,20 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
             m_new, s_new, logZ_new = tilted_moments_vec(prior, lam_new, gam_new)
             cand = VariationalState(m_new, s_new, lam_new, gam_new, logZ_new)
             f_new = energy(model, cand)
-            if not cfg.backtracking or f_new <= f_cur:
-                accepted = True
+            if f_new <= f_cur:
                 break
+            trace.backtracks += 1
             step *= 0.5
-        if not accepted:
+        else:
             # no decrease even at the smallest step: local numeric floor
+            trace.stop_reason = StopReason.STEP_FLOOR
             trace.steps_used.append(0.0)
             break
         state = cand
         f_cur = f_new
         trace.steps_used.append(step)
+        if tries == 0:
+            step = min(1.0, 2.0 * step)
     trace.final = state
     trace.iterations = len(trace.steps_used)
     return trace

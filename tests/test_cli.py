@@ -67,6 +67,10 @@ def test_ngd_subcommand(cfg_file, tmp_path):
     state = json.loads((tmp_path / "ngd_state.json").read_text())
     assert set(state) == {"m", "s", "lambda", "gamma"}
     assert len(state["m"]) == 50
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stop_reason"] in {"converged", "step_floor", "max_iters"}
+    assert manifest["converged"] == (manifest["stop_reason"] == "converged")
+    assert isinstance(manifest["backtracks"], int) and manifest["backtracks"] >= 0
 
 
 def test_mse_sweep_subcommand(cfg_file, tmp_path):
@@ -155,3 +159,16 @@ def test_config_bad_value_rejected(tmp_path):
     path.write_text("n = many\n")
     with pytest.raises(SystemExit, match="'n'"):
         load_config(path)
+
+
+@pytest.mark.parametrize("line, field", [("eta = 0", "eta"), ("eta = 1.5", "eta"),
+                                         ("max_iters = 0", "max_iters"),
+                                         ("grad_tol = 0", "grad_tol"),
+                                         ("amp_warm_iters = 0", "amp_warm_iters")])
+def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
+    path = tmp_path / "c.txt"
+    path.write_text(CFG + line + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=field):
+        main(["--config", str(path), "--out", str(out), "ngd", "--objective", "mf"])
+    assert not out.exists()  # rejected before the instance is generated

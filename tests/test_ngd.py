@@ -10,7 +10,7 @@ from taplab.free_energy import (
     onsager_volume,
     tap_energy,
 )
-from taplab.ngd import NGDConfig, Objective, ngd_run
+from taplab.ngd import NGDConfig, Objective, StopReason, ngd_run
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, three_point
 from taplab.scalar import tilted_moments_vec
@@ -104,7 +104,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NGDConfig(eta=0.0)
     with pytest.raises(ValueError):
+        NGDConfig(eta=1.5)
+    with pytest.raises(ValueError):
         NGDConfig(grad_tol=0.0)
+    assert NGDConfig(eta=1.0).eta == 1.0
     assert NGDConfig(objective=Objective.MF).objective is Objective.MF
 
 
@@ -142,3 +145,58 @@ def test_state_logz_is_the_tilt_of_its_duals(tp):
     for state in (dual, moments, warm, final):
         assert np.array_equal(state.logZ,
                               tilted_moments_vec(tp, state.lam, state.gam)[2])
+
+
+@pytest.fixture(scope="module")
+def warm3(tp):
+    rng = np.random.default_rng(3)
+    model, _ = make_model(rng, 150, 200, tp)
+    _, warm = amp_run(model, tp, 8)
+    return model, warm
+
+
+def test_step_carries_over_and_doubles_at_most(tp, warm3):
+    # the first line search tries eta; later ones start from the last
+    # accepted step, doubled (capped at 1) after a first-try accept
+    model, warm = warm3
+    for objective in Objective:
+        cfg = NGDConfig(objective=objective)
+        trace = ngd_run(model, tp, warm, cfg)
+        steps = np.array(trace.steps_used[:-1])  # the last entry is the 0.0 stop
+        assert trace.converged and np.all(steps > 0)
+        assert steps[0] <= cfg.eta
+        assert np.all(steps <= 1.0)
+        assert np.all(steps[1:] <= 2.0 * steps[:-1])
+        assert np.max(steps) > cfg.eta  # the step grew
+        assert np.all(np.diff(trace.f_values) <= 0.0)
+        if objective is Objective.MF:
+            # a fixed eta = 0.2 step took 728 iterations here; the carried step 190
+            assert trace.iterations <= 300
+
+
+def test_stop_reason_and_backtracks(tp, warm3, monkeypatch):
+    model, warm = warm3
+    capped = ngd_run(model, tp, warm, NGDConfig(max_iters=3))
+    assert capped.stop_reason is StopReason.MAX_ITERS
+    assert not capped.converged and capped.iterations == 3
+
+    energies = [0]
+
+    def counted(*args):
+        energies[0] += 1
+        return tap_energy(*args)
+
+    monkeypatch.setattr(ngd, "tap_energy", counted)
+    trace = ngd_run(model, tp, warm, NGDConfig())
+    assert trace.stop_reason is StopReason.CONVERGED and trace.converged
+    accepted = sum(1 for s in trace.steps_used if s > 0)
+    assert trace.backtracks == energies[0] - 1 - accepted
+    assert trace.backtracks > 0  # the carried step overshoots now and then
+
+    # every candidate's energy is higher: 60 halvings, then the step floor
+    f0 = tap_energy(model, warm)
+    monkeypatch.setattr(ngd, "tap_energy",
+                        lambda m, state: f0 if state is warm else f0 + 1.0)
+    floor = ngd_run(model, tp, warm, NGDConfig())
+    assert floor.stop_reason is StopReason.STEP_FLOOR and not floor.converged
+    assert floor.steps_used == [0.0] and floor.backtracks == 60
