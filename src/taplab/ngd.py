@@ -47,8 +47,10 @@ class NGDConfig:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:  # also rejects nan
             raise ValueError("grad_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 class StopReason(enum.Enum):

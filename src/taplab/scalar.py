@@ -39,14 +39,6 @@ class MomentPair:
     s: float
 
 
-@dataclass(frozen=True)
-class TiltedSummary:
-    m: float
-    s: float
-    log_partition: float
-    cov_matrix: np.ndarray  # 2x2 covariance of (beta, beta^2)
-
-
 class Region(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -75,8 +67,9 @@ def _hermegauss_cached(n_nodes):
 # ---------------------------------------------------------------------------
 
 def tilted_moments_vec(prior: Prior, lam, gam):
-    """Batched (m, s, logZ) of the tilted laws; logZ relative to the prior."""
-    m, s, logZ, _, _, _ = kernels.tilted_stats(prior.locations, prior.log_weights, lam, gam)
+    """Batched (m, s, logZ) of the tilted laws; logZ relative to the prior.
+    ``gam`` is one value per row or a scalar shared by every row."""
+    m, s, logZ = kernels.tilted_stats(prior.locations, prior.log_weights, lam, gam)
     if not np.all(np.isfinite(logZ)):
         raise DegenerateTiltError("tilted log-partition overflowed")
     return m, s, logZ
@@ -84,19 +77,8 @@ def tilted_moments_vec(prior: Prior, lam, gam):
 
 def tilted_cov_vec(prior: Prior, lam, gam):
     """Batched covariance entries (c11, c12, c22) of (beta, beta^2)."""
-    _, _, _, c11, c12, c22 = kernels.tilted_stats(prior.locations, prior.log_weights, lam, gam)
+    _, _, _, c11, c12, c22 = kernels.tilted_cov(prior.locations, prior.log_weights, lam, gam)
     return c11, c12, c22
-
-
-def tilted_moments(prior: Prior, dual: DualPair) -> TiltedSummary:
-    m, s, logZ, c11, c12, c22 = kernels.tilted_stats(
-        prior.locations, prior.log_weights, dual.lam, dual.gamma
-    )
-    if not np.isfinite(logZ[0]):
-        raise DegenerateTiltError(f"degenerate tilt at {dual}")
-    cov = np.array([[c11[0], c12[0]], [c12[0], c22[0]]])
-    return TiltedSummary(m=float(m[0]), s=float(s[0]), log_partition=float(logZ[0]),
-                         cov_matrix=cov)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +185,7 @@ def neg_entropy(prior: Prior, mp: MomentPair) -> float:
 def denoise(prior: Prior, x, gamma: float):
     """Posterior-mean denoiser of the scalar channel: moments at (gamma*x, gamma)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    lam = gamma * x
-    gam = np.full_like(x, gamma)
-    m, s, _ = tilted_moments_vec(prior, lam, gam)
+    m, s, _ = tilted_moments_vec(prior, gamma * x, gamma)
     return m, s
 
 
@@ -216,15 +196,16 @@ def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureS
     z, wz = quad.nodes_weights
     b0 = prior.locations
     lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
-    gam = np.full_like(lam, gamma)
-    m, _, logZ, c11, _, _ = kernels.tilted_stats(b0, prior.log_weights, lam, gam)
+    m, s, logZ = kernels.tilted_stats(b0, prior.log_weights, lam, gamma)
     if not np.all(np.isfinite(logZ)):
         raise DegenerateTiltError("tilted log-partition overflowed")
     grid = (len(b0), len(z))
     info = float(prior.weights @ (0.5 * gamma * b0**2 - logZ.reshape(grid) @ wz))
-    sq = (b0[:, None] - m.reshape(grid)) ** 2
+    m = m.reshape(grid)
+    sq = (b0[:, None] - m) ** 2
     mse = float(prior.weights @ (sq @ wz))
-    e_var2 = float(prior.weights @ ((c11.reshape(grid) ** 2) @ wz))
+    var = s.reshape(grid) - m * m
+    e_var2 = float(prior.weights @ ((var * var) @ wz))
     return info, mse, e_var2
 
 

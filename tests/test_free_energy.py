@@ -13,8 +13,11 @@ from taplab.free_energy import (
     tap_hessian_dense,
     tap_hessian_matvec,
 )
+from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
+from taplab.ngd import Objective
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, three_point
+from taplab.scalar import tilted_cov_vec
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +192,24 @@ class TestHessian:
             state = random_state(tp, p, rng)
             res = min_eigenvalue(model, state, tp, method="dense")
             assert res.value > 0
+
+    def test_converged_state_with_near_singular_covariance(self, tp):
+        # the converged three-point TAP state at delta=1.4 (n=300, seed 0,
+        # replicate 0) is interior, but some coordinates put almost all mass
+        # on two atoms: c11 ~ 8e-7 and det ~ 1.4e-22.  Covariances formed from
+        # raw moments (s - m^2, ...) cancelled to det = 0 there, and both
+        # min_eigenvalue methods raised DomainError.
+        cfg = ExperimentConfig(n=300, seed=0, replicates=1)
+        model, _ = generate_instance(cfg, 0, 1.4)
+        trace = fit_free_energy(model, tp, cfg, Objective.TAP, delta=1.4)
+        assert trace.converged
+        state = trace.final
+        c11, c12, c22 = tilted_cov_vec(tp, state.lam, state.gam)
+        det = c11 * c22 - c12 * c12
+        assert np.min(det) > 0
+        res = min_eigenvalue(model, state, tp, method="dense")
+        # the 2x2 blocks reach 5.8e15, so the smallest eigenvalue is resolved
+        # only to about eps * ||H||: check the sign at that resolution
+        scale = np.linalg.norm(tap_hessian_dense(model, state, tp), 2)
+        assert res.converged and np.isfinite(res.value)
+        assert res.value > -1e-15 * scale

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from taplab import kernels
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.free_energy import VariationalState
 from taplab.ngd import Objective
-from taplab.priors import three_point
-from taplab.scalar import DUAL_RESIDUAL_TOL
+from taplab.priors import bernoulli_gaussian, gaussian_prior, three_point
+from taplab.scalar import DUAL_RESIDUAL_TOL, QuadratureSpec, channel_terms
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def batch():
 
 def test_tilted_stats_reference_values(batch):
     locs, logw, _, _ = batch
-    m, s, logZ, c11, c12, c22 = kernels.tilted_stats(
+    m, s, logZ, c11, c12, c22 = kernels.tilted_cov(
         locs, logw, np.array([0.0]), np.array([0.0]))
     assert m[0] == pytest.approx(0.0, abs=1e-15)
     assert s[0] == pytest.approx(2.0 / 3.0)
@@ -30,6 +32,79 @@ def test_tilted_stats_reference_values(batch):
     assert c11[0] == pytest.approx(2.0 / 3.0)
     assert c12[0] == pytest.approx(0.0, abs=1e-15)
     assert c22[0] == pytest.approx(2.0 / 9.0)
+
+
+@pytest.mark.parametrize("prior", [three_point(), bernoulli_gaussian(0.5, 1.0)],
+                         ids=["3pt", "bg"])
+def test_blocks_match_rows_tilted_one_at_a_time(prior):
+    # a batch spanning several row blocks, the last one partial
+    n = 3 * kernels.BLOCK_ROWS + 7
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-4, 4, n)
+    gam = rng.uniform(-1, 4, n)
+    locs, logw = prior.locations, prior.log_weights
+    batch = kernels.tilted_cov(locs, logw, lam, gam)
+    assert all(np.array_equal(b, c) for b, c in
+               zip(kernels.tilted_stats(locs, logw, lam, gam), batch))
+    rows = np.array([kernels.tilted_cov(locs, logw, lam[i:i + 1], gam[i:i + 1])
+                     for i in range(n)])[:, :, 0].T
+    # normwise: entries near 0 (m, c12) carry the rounding of the larger terms
+    for b, r in zip(batch, rows):
+        assert np.max(np.abs(b - r)) <= 1e-13 * np.max(np.abs(r))
+
+
+def test_scalar_gam_is_shared_by_every_row(batch):
+    locs, logw, lam, _ = batch
+    for kernel in (kernels.tilted_stats, kernels.tilted_cov):
+        shared = kernel(locs, logw, lam, 0.7)
+        full = kernel(locs, logw, lam, np.full_like(lam, 0.7))
+        assert all(np.array_equal(a, b) for a, b in zip(shared, full))
+
+
+def _channel_reference(prior, gamma, quad):
+    """(i, mmse, E[Var^2]) of the channel, one prior atom beta0 at a time."""
+    z, wz = quad.nodes_weights
+    a, logw = prior.locations, prior.log_weights
+    info = mse = e_var2 = 0.0
+    for b0, w0 in zip(a, prior.weights):
+        lam = gamma * b0 + np.sqrt(gamma) * z
+        ell = logw[None, :] - 0.5 * gamma * a * a + lam[:, None] * a
+        top = ell.max(axis=1)
+        q = np.exp(ell - top[:, None])
+        Z = q.sum(axis=1)
+        q /= Z[:, None]
+        m = q @ a
+        var = np.sum(q * (a[None, :] - m[:, None]) ** 2, axis=1)
+        info += w0 * (wz @ (0.5 * gamma * b0 * b0 - top - np.log(Z)))
+        mse += w0 * (wz @ (b0 - m) ** 2)
+        e_var2 += w0 * (wz @ var**2)
+    return info, mse, e_var2
+
+
+@pytest.mark.parametrize("prior", [gaussian_prior(1.0), three_point()],
+                         ids=["gauss", "3pt"])
+def test_channel_terms_match_reference(prior):
+    quad = QuadratureSpec()
+    for gamma in (0.01, 0.1, 0.5, 1.0, 3.0, 20.0, 150.0):
+        got = channel_terms(prior, gamma, quad)
+        ref = _channel_reference(prior, gamma, quad)
+        for g, r in zip(got, ref):
+            assert g == pytest.approx(r, rel=1e-12, abs=0)
+
+
+def test_tilt_memory_stays_within_the_row_blocks():
+    # 100 000 rows x 101 atoms: 81 MB per (rows x atoms) array if it were formed
+    prior = gaussian_prior(1.0)
+    rng = np.random.default_rng(0)
+    lam = rng.uniform(-3, 3, 100_000)
+    gam = rng.uniform(0, 3, 100_000)
+    tracemalloc.start()
+    try:
+        kernels.tilted_stats(prior.locations, prior.log_weights, lam, gam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_dual_newton_roundtrip_flags(batch):
@@ -64,7 +139,7 @@ def mixed():
 def _dual_newton_row(locs, logw, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=CAP):
     """One row at a time: the reference the vectorised solve must reproduce."""
     def tilt(lam, gam):
-        m, s, logZ, c11, c12, c22 = kernels.tilted_stats(locs, logw, [lam], [gam])
+        m, s, logZ, c11, c12, c22 = kernels.tilted_cov(locs, logw, [lam], [gam])
         g = -0.5 * gam * st + lam * mt - logZ[0]
         return m[0], s[0], g, c11[0], c12[0], c22[0], np.hypot(m[0] - mt, s[0] - st)
 
@@ -111,13 +186,13 @@ def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
     mt = rng.uniform(-1.2, 1.2, 40)
     st = rng.uniform(0.0, 1.3, 40)
     calls = [0]
-    tilt = kernels.tilted_stats
+    tilt = kernels.tilted_cov
 
     def counted(*args):
         calls[0] += 1
         return tilt(*args)
 
-    monkeypatch.setattr(kernels, "tilted_stats", counted)
+    monkeypatch.setattr(kernels, "tilted_cov", counted)
     batch = kernels.dual_newton(tp.locations, tp.log_weights, mt, st, 0.0, 0.0,
                                 max_iter=30, cap=5.0)
     assert calls[0] <= 600  # 1734 when clipped rows ran every step

@@ -107,6 +107,11 @@ def test_config_validation():
         NGDConfig(eta=1.5)
     with pytest.raises(ValueError):
         NGDConfig(grad_tol=0.0)
+    with pytest.raises(ValueError):
+        NGDConfig(grad_tol=float("nan"))
+    with pytest.raises(ValueError):
+        NGDConfig(max_iters=0)
+    assert NGDConfig(max_iters=1).max_iters == 1
     assert NGDConfig(eta=1.0).eta == 1.0
     assert NGDConfig(objective=Objective.MF).objective is Objective.MF
 
