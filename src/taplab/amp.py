@@ -11,7 +11,7 @@ import numpy as np
 from .free_energy import LinearModel, VariationalState, tap_gradient
 from .potential import se_covariance_blocks
 from .priors import Prior
-from .scalar import QuadratureSpec, mmse
+from .scalar import mmse
 
 
 @dataclass
@@ -34,7 +34,6 @@ class AMPState:
 
 
 def amp_run(model: LinearModel, prior: Prior, T: int,
-            quad: QuadratureSpec = QuadratureSpec(),
             truth: np.ndarray | None = None,
             delta: float | None = None,
             track_gradient: bool = False) -> tuple[AMPState, VariationalState]:
@@ -69,7 +68,7 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
         # posterior-mean denoiser: the tilted law at (gamma_k*x, gamma_k)
         var_state = VariationalState.from_duals(prior, gamma_k * x,
                                                 np.full_like(x, gamma_k))
-        mmse_k = mmse(prior, gamma_k, quad)
+        mmse_k = mmse(prior, gamma_k)
         gamma_next = delta / (sigma2 + mmse_k)
 
         row = {"k": k, "gamma": gamma_k, "mse_se": mmse_k}
@@ -95,7 +94,6 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
 
 def se_diagnostics(amp_state: AMPState, model: LinearModel, prior: Prior,
                    truth: np.ndarray, k: int,
-                   quad: QuadratureSpec = QuadratureSpec(),
                    delta: float | None = None) -> dict:
     """Compare empirical covariances of the AMP error/residual trajectories
     with the state-evolution blocks K_h and delta*K_g."""
@@ -106,7 +104,7 @@ def se_diagnostics(amp_state: AMPState, model: LinearModel, prior: Prior,
     p, n = model.p, model.n
     V = np.column_stack([amp_state.m_history[i] - truth for i in range(k)])
     R = np.column_stack([-amp_state.z_history[i] for i in range(k)])
-    se = se_covariance_blocks(prior, model.sigma2, delta, k, quad)
+    se = se_covariance_blocks(prior, model.sigma2, delta, k)
     dev_h = float(np.max(np.abs(V.T @ V / p - se.K_h)))
     dev_g = float(np.max(np.abs(R.T @ R / n - delta * se.K_g)))
     return {"k": k, "max_dev_Kh": dev_h, "max_dev_Kg": dev_g,

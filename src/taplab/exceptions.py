@@ -9,10 +9,6 @@ class DegenerateTiltError(TapLabError):
     """All tilted atom weights underflowed; the tilt is numerically degenerate."""
 
 
-class NotInDomainError(TapLabError):
-    """A requested (m, s) pair lies outside the open moment space."""
-
-
 class NoConvergenceError(TapLabError):
     """An iterative solver exhausted its iteration budget."""
 

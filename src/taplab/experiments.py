@@ -154,10 +154,6 @@ class CalibrationTable:
             })
         return cls(rows=rows)
 
-    @property
-    def total_count(self) -> int:
-        return sum(r["count"] for r in self.rows)
-
 
 def run_mse_sweep(cfg: ExperimentConfig, deltas=None) -> list[dict]:
     """MSE of the TAP and MF posterior-mean estimators per delta and replicate."""

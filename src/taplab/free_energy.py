@@ -1,9 +1,14 @@
 """TAP and naive mean-field free energies with gradients and Hessians.
 
 State layout throughout: per-coordinate first/second moments (m, s) with the
-fresh (lam, gam, logZ) of the tilted laws that produced them.  The Hessian is
-handled as four structured blocks (X^T X, per-coordinate 2x2, and rank-one
-terms) and is available dense at desk scale or matrix-free for Lanczos probes.
+fresh (lam, gam, logZ) of the tilted laws that produced them.  Both energies
+are the data fit plus the entropy sum plus a volume term, and differ only
+there: TAP's is (n/2) log(V/sigma^2) in the Onsager volume
+V = sigma^2 + S(s) - Q(m), and mean-field's is its linearisation
+(n/2) (V - sigma^2)/sigma^2, so its gradient is TAP's with V fixed at sigma^2.
+The TAP Hessian is handled as four structured blocks (X^T X, per-coordinate
+2x2, and rank-one terms) and is available dense at desk scale or matrix-free
+for Lanczos probes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NoConvergenceError
 from .priors import Prior
 from .scalar import (
     dual_solve_vec,
@@ -26,6 +31,7 @@ from .scalar import (
 )
 
 DENSE_HESSIAN_MAX_DIM = 8000
+LANCZOS_MAXITER = 5000
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,7 @@ class VariationalState:
         return cls(m=m, s=s, lam=lam, gam=gam, logZ=logZ)
 
     @classmethod
-    def from_moments(cls, prior: Prior, m, s, project: bool = True,
-                     lam0=0.0, gam0=0.0) -> "VariationalState":
+    def from_moments(cls, prior: Prior, m, s, project: bool = True) -> "VariationalState":
         """Solve the duals for given moments; boundary states are nudged
         interior first (duals diverge on the boundary)."""
         m = np.asarray(m, dtype=np.float64)
@@ -93,7 +98,7 @@ class VariationalState:
                 | (s <= lower) | (s >= upper)
             if np.any(bad):
                 raise DomainError("state has coordinates outside the moment space")
-        lam, gam, conv, res = dual_solve_vec(prior, m, s, lam0, gam0)
+        lam, gam, conv, res = dual_solve_vec(prior, m, s)
         # Newton can stall on a float plateau slightly above its residual
         # target; anything within the dual-cache freshness tolerance is fine
         if not np.all(conv | (res < 1e-8)):
@@ -103,22 +108,10 @@ class VariationalState:
         _, _, logZ = tilted_moments_vec(prior, lam, gam)
         return cls(m=m, s=s, lam=lam, gam=gam, logZ=logZ)
 
-    @staticmethod
-    def null_state(prior: Prior, p: int) -> "VariationalState":
-        """Untilted marginals at every coordinate."""
-        return VariationalState.from_duals(prior, np.zeros(p), np.zeros(p))
-
 
 def onsager_volume(model: LinearModel, state: VariationalState) -> float:
     """V = sigma^2 + S(s) - Q(m)."""
     return model.sigma2 + float(np.mean(state.s) - np.mean(state.m**2))
-
-
-def _data_terms(model: LinearModel, state: VariationalState):
-    resid = model.y - model.X @ state.m
-    fit = float(resid @ resid) / (2.0 * model.sigma2)
-    sq = float(np.mean(state.s) - np.mean(state.m**2))
-    return resid, fit, sq
 
 
 def _entropy_sum(state: VariationalState) -> float:
@@ -127,27 +120,25 @@ def _entropy_sum(state: VariationalState) -> float:
     return math.fsum(terms.tolist())
 
 
-def tap_energy(model: LinearModel, state: VariationalState) -> float:
-    _, fit, sq = _data_terms(model, state)
-    ratio = sq / model.sigma2
-    if ratio <= -1.0:
-        raise DomainError("Onsager volume is nonpositive")
-    n = model.n
-    return (0.5 * n * np.log(2.0 * np.pi * model.sigma2)
-            + _entropy_sum(state) + fit + 0.5 * n * np.log1p(ratio))
-
-
-def mf_energy(model: LinearModel, state: VariationalState) -> float:
-    _, fit, sq = _data_terms(model, state)
-    n = model.n
-    return (0.5 * n * np.log(2.0 * np.pi * model.sigma2)
-            + _entropy_sum(state) + fit + 0.5 * n * sq / model.sigma2)
-
-
-def tap_gradient(model: LinearModel, state: VariationalState):
-    """(grad_m, grad_s) of the TAP free energy at a state with fresh duals."""
+def _energy(model: LinearModel, state: VariationalState, tap: bool) -> float:
     resid = model.y - model.X @ state.m
-    V = onsager_volume(model, state)
+    sq = float(np.mean(state.s) - np.mean(state.m**2))  # V - sigma^2
+    n = model.n
+    if tap:
+        ratio = sq / model.sigma2
+        if ratio <= -1.0:
+            raise DomainError("Onsager volume is nonpositive")
+        volume = 0.5 * n * np.log1p(ratio)
+    else:
+        volume = 0.5 * n * sq / model.sigma2
+    return (0.5 * n * np.log(2.0 * np.pi * model.sigma2) + _entropy_sum(state)
+            + float(resid @ resid) / (2.0 * model.sigma2) + volume)
+
+
+def _gradient(model: LinearModel, state: VariationalState, tap: bool):
+    """(grad_m, grad_s) at a state with fresh duals; mean-field fixes V = sigma^2."""
+    resid = model.y - model.X @ state.m
+    V = onsager_volume(model, state) if tap else model.sigma2
     if V <= 0:
         raise DomainError("Onsager volume is nonpositive")
     ratio = model.n / model.p
@@ -156,14 +147,20 @@ def tap_gradient(model: LinearModel, state: VariationalState):
     return grad_m, grad_s
 
 
+def tap_energy(model: LinearModel, state: VariationalState) -> float:
+    return _energy(model, state, tap=True)
+
+
+def mf_energy(model: LinearModel, state: VariationalState) -> float:
+    return _energy(model, state, tap=False)
+
+
+def tap_gradient(model: LinearModel, state: VariationalState):
+    return _gradient(model, state, tap=True)
+
+
 def mf_gradient(model: LinearModel, state: VariationalState):
-    """Same structure with 1/V replaced by 1/sigma^2 in both blocks."""
-    resid = model.y - model.X @ state.m
-    ratio = model.n / model.p
-    grad_m = state.lam - model.X.T @ resid / model.sigma2 \
-        - ratio * state.m / model.sigma2
-    grad_s = -0.5 * state.gam + 0.5 * ratio / model.sigma2 * np.ones(model.p)
-    return grad_m, grad_s
+    return _gradient(model, state, tap=False)
 
 
 def _entropy_hessian_blocks(prior: Prior, state: VariationalState):
@@ -268,7 +265,7 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     op_shift = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv_shift)
     try:
         vals = scipy.sparse.linalg.eigsh(op_shift, k=1, which="LA",
-                                         maxiter=5000, tol=0,
+                                         maxiter=LANCZOS_MAXITER, tol=0,
                                          v0=rng.standard_normal(dim),
                                          return_eigenvectors=False)
         return EigResult(value=float(c - vals[0]), method="lanczos",
@@ -277,4 +274,5 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
         if len(err.eigenvalues):
             return EigResult(value=float(c - err.eigenvalues[0]),
                              method="lanczos", converged=False, iterations=-1)
-        raise
+        raise NoConvergenceError(f"Lanczos found no eigenvalue of the {dim}-dimensional "
+                                 f"Hessian in {LANCZOS_MAXITER} iterations") from err

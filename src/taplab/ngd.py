@@ -9,8 +9,9 @@ way; backtracking on the step size enforces monotone descent.
 The step carries over between iterations.  The first line search tries
 ``eta``; each later one starts from the step the previous iteration accepted,
 doubled (capped at 1) when that iteration accepted its first candidate.  A
-candidate whose energy rises is rejected and the step halved, at most 60
-times; when all 60 are rejected the run stops at the step floor.
+candidate whose energy does not fall is rejected and the step halved, at most
+60 times; when all 60 are rejected the run stops at the step floor, which is
+also where a run ends once the energy stops changing in float64.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
             m_new, s_new, logZ_new = tilted_moments_vec(prior, lam_new, gam_new)
             cand = VariationalState(m_new, s_new, lam_new, gam_new, logZ_new)
             f_new = energy(model, cand)
-            if f_new <= f_cur:
+            if f_new < f_cur:
                 break
             trace.backtracks += 1
             step *= 0.5

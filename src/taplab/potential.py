@@ -5,7 +5,8 @@ with i(gamma) the mutual information of the scalar channel
 lam = gamma*beta0 + sqrt(gamma)*z.  Its stationary points are the roots of
 mmse(gamma) = delta/gamma - sigma^2; the global minimizer gamma_stat sets the
 asymptotic evidence and Bayes risk, and the smallest local minimizer gamma_alg
-is the limit of the AMP signal-to-noise recursion.
+is the limit of the AMP signal-to-noise recursion.  The state-evolution
+covariances of that recursion are the reference of the AMP diagnostics.
 """
 
 from __future__ import annotations
@@ -20,25 +21,23 @@ from .exceptions import DomainError, NoBracketError
 from .priors import Prior
 from .scalar import QuadratureSpec, channel_terms, mmse
 
+# solve_gammas scans phi' on GRID_POINTS log-spaced values of gamma between
+# GRID_LO and GRID_HI times delta/sigma^2
+GRID_POINTS = 400
+GRID_LO = 1e-4
+GRID_HI = 10.0
+# gamma_alg within this relative distance of gamma_stat counts as the same root
+EASY_REL_TOL = 1e-6
+# phi'' at gamma_stat at or below this is degenerate, and so are two minima
+# whose phi values are closer than DEGENERATE_TIE_TOL
+DEGENERATE_CURV_TOL = 1e-8
+DEGENERATE_TIE_TOL = 1e-9
+
 
 class Regime(enum.Enum):
     EASY = "easy"
     HARD = "hard"
     DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced gamma grid; bounds default relative to delta/sigma^2."""
-
-    n_points: int = 400
-    lo_factor: float = 1e-4
-    hi_factor: float = 10.0
-
-    def build(self, sigma2: float, delta: float) -> np.ndarray:
-        scale = delta / sigma2
-        return np.geomspace(self.lo_factor * scale, self.hi_factor * scale,
-                            self.n_points)
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class PotentialProfile:
     gamma_stat: float
     gamma_alg: float
     regime: Regime
-    prior: Prior
-    sigma2: float
-    delta: float
-    quad: QuadratureSpec
 
 
 def mutual_information(prior: Prior, gamma: float,
@@ -84,41 +79,35 @@ def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float,
     return 0.5 * (sigma2 - delta / gamma + mmse(prior, gamma, quad))
 
 
-def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float,
-               quad: QuadratureSpec = QuadratureSpec()) -> float:
+def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """Second derivative: (delta/gamma^2 - E[Var(beta0 | channel)^2]) / 2."""
     if gamma <= 0:
         raise DomainError("phi_second requires gamma > 0")
-    return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma, quad)[2])
+    return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma)[2])
 
 
-def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int,
-                   quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int) -> np.ndarray:
     """State-evolution recursion gamma_{k+1} = delta/(sigma2 + mmse(gamma_k)),
     started from gamma_1 = delta/(sigma2 + E[beta0^2])."""
     seq = np.empty(k)
     g = delta / (sigma2 + prior.second_moment)
     seq[0] = g
     for i in range(1, k):
-        g = delta / (sigma2 + mmse(prior, g, quad))
+        g = delta / (sigma2 + mmse(prior, g))
         seq[i] = g
     return seq
 
 
-def solve_gammas(prior: Prior, sigma2: float, delta: float,
-                 quad: QuadratureSpec = QuadratureSpec(),
-                 grid_spec: GridSpec = GridSpec(),
-                 easy_rel_tol: float = 1e-6,
-                 degenerate_curv_tol: float = 1e-8,
-                 degenerate_tie_tol: float = 1e-9) -> PotentialProfile:
+def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     """Locate all stationary points of phi on the grid and classify the regime.
 
     Stationary points are found as sign changes of phi' (Brent-refined);
     gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
     """
-    grid = grid_spec.build(sigma2, delta)
+    scale = delta / sigma2
+    grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
     # one channel evaluation per grid point serves phi, phi' and phi''
-    info, mse, e_var2 = np.array([channel_terms(prior, g, quad) for g in grid]).T
+    info, mse, e_var2 = np.array([channel_terms(prior, g) for g in grid]).T
     phi_g = (0.5 * sigma2 * grid
              - 0.5 * delta * np.log(grid / (2.0 * np.pi * delta)) + info)
     dphi_g = 0.5 * (sigma2 - delta / grid + mse)
@@ -128,7 +117,7 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float,
     flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     roots = []
     for i in flips:
-        r = brentq(lambda g: phi_prime(prior, sigma2, delta, g, quad),
+        r = brentq(lambda g: phi_prime(prior, sigma2, delta, g),
                    grid[i], grid[i + 1], xtol=1e-14, rtol=1e-14)
         roots.append((r, dphi_g[i] < 0))  # upward crossing => local minimum
     # grid points that are exact roots
@@ -138,19 +127,19 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float,
     if not minima:
         raise NoBracketError("no local minimum of phi bracketed on the grid")
 
-    vals = [phi(prior, sigma2, delta, g, quad) for g in minima]
+    vals = [phi(prior, sigma2, delta, g) for g in minima]
     order = np.argsort(vals)
     gamma_stat = minima[order[0]]
     gamma_alg = minima[0]
 
-    regime = Regime.EASY if abs(gamma_alg - gamma_stat) < easy_rel_tol * gamma_stat \
+    regime = Regime.EASY if abs(gamma_alg - gamma_stat) < EASY_REL_TOL * gamma_stat \
         else Regime.HARD
-    curv = phi_second(prior, sigma2, delta, gamma_stat, quad)
-    if curv <= degenerate_curv_tol:
+    curv = phi_second(prior, sigma2, delta, gamma_stat)
+    if curv <= DEGENERATE_CURV_TOL:
         regime = Regime.DEGENERATE
     if len(minima) >= 2:
         v = sorted(vals)
-        if v[1] - v[0] < degenerate_tie_tol:
+        if v[1] - v[0] < DEGENERATE_TIE_TOL:
             # near-tied minima: Assumption-2 style genericity fails; report the
             # smaller gamma and flag rather than guess
             gamma_stat = min(minima[order[0]], minima[order[1]])
@@ -159,7 +148,6 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float,
     return PotentialProfile(
         gamma_grid=grid, phi=phi_g, phi_prime=dphi_g, phi_second=ddphi_g,
         gamma_stat=float(gamma_stat), gamma_alg=float(gamma_alg), regime=regime,
-        prior=prior, sigma2=sigma2, delta=delta, quad=quad,
     )
 
 
@@ -170,21 +158,16 @@ class SECovariances:
     gamma_seq: np.ndarray
 
 
-def se_covariance_blocks(prior: Prior, sigma2: float, delta: float, k: int,
-                         quad: QuadratureSpec = QuadratureSpec()) -> SECovariances:
+def se_covariance_blocks(prior: Prior, sigma2: float, delta: float,
+                         k: int) -> SECovariances:
     """Upper-left k x k blocks of the state-evolution covariances.
 
     K_g[i][j] = 1/gamma_{max(i,j)};  K_h[i][j] = delta/gamma_{max(i,j)} - sigma^2.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    seq = gamma_sequence(prior, sigma2, delta, k, quad)
+    seq = gamma_sequence(prior, sigma2, delta, k)
     idx = np.maximum.outer(np.arange(k), np.arange(k))
     K_g = 1.0 / seq[idx]
     K_h = delta / seq[idx] - sigma2
     return SECovariances(K_g=K_g, K_h=K_h, gamma_seq=seq)
-
-
-def se_covariances(profile: PotentialProfile, k: int) -> SECovariances:
-    return se_covariance_blocks(profile.prior, profile.sigma2, profile.delta,
-                                k, profile.quad)

@@ -1,48 +1,25 @@
 """Scalar (per-coordinate) machinery of the two-parameter exponential family.
 
 The tilted law at natural parameters (lam, gam) reweights the prior by
-exp(-gam*beta^2/2 + lam*beta).  This module provides the moment map, its
-inverse (dual solve), the negative entropy, the posterior-mean denoiser,
-the scalar-channel quadrature, and membership tests for the moment space.
+exp(-gam*beta^2/2 + lam*beta).  This module provides the batched moment map
+and its inverse (dual solve), the envelopes of the moment space and the
+projection into its interior, and the scalar-channel quadrature behind the
+MMSE and the mutual information.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .exceptions import DegenerateTiltError, NotInDomainError
+from .exceptions import DegenerateTiltError
 from .priors import Prior
 
 DUAL_CAP = 1e6
 DUAL_RESIDUAL_TOL = 1e-10
-BOUNDARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DualPair:
-    lam: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and np.isfinite(self.gamma)):
-            raise ValueError("dual parameters must be finite")
-
-
-@dataclass(frozen=True)
-class MomentPair:
-    m: float
-    s: float
-
-
-class Region(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    EXTERIOR = "exterior"
 
 
 @dataclass(frozen=True)
@@ -63,7 +40,7 @@ def _hermegauss_cached(n_nodes):
 
 
 # ---------------------------------------------------------------------------
-# tilted moments and entropy
+# tilted moments
 # ---------------------------------------------------------------------------
 
 def tilted_moments_vec(prior: Prior, lam, gam):
@@ -105,22 +82,6 @@ def gamma_envelopes(prior: Prior, m):
     return lower, upper
 
 
-def gamma_region(prior: Prior, mp: MomentPair, tol: float = BOUNDARY_TOL) -> Region:
-    """Classify (m, s) against the moment space of the tilted family."""
-    m, s = mp.m, mp.s
-    lo, hi = prior.support_lo, prior.support_hi
-    if m < lo - tol or m > hi + tol:
-        return Region.EXTERIOR
-    lower, upper = gamma_envelopes(prior, m)
-    lower, upper = float(lower), float(upper)
-    margins = (m - lo, hi - m, s - lower, upper - s)
-    if min(margins) > tol:
-        return Region.INTERIOR
-    if min(margins) >= -tol:
-        return Region.BOUNDARY
-    return Region.EXTERIOR
-
-
 def project_interior(prior: Prior, m, s, eps_frac: float = 1e-9):
     """Project (m, s) vectors onto the interior of the moment space.
 
@@ -143,51 +104,16 @@ def project_interior(prior: Prior, m, s, eps_frac: float = 1e-9):
 # dual solve
 # ---------------------------------------------------------------------------
 
-def dual_solve_vec(prior: Prior, m, s, lam0=0.0, gam0=0.0,
-                   tol: float = DUAL_RESIDUAL_TOL, max_iter: int = 200):
-    """Batched inverse moment map.  Returns (lam, gam, converged, residual)."""
-    return kernels.dual_newton(prior.locations, prior.log_weights, m, s,
-                               lam0, gam0, tol=tol, max_iter=max_iter, cap=DUAL_CAP)
-
-
-def dual_solve(prior: Prior, mp: MomentPair, init: DualPair | None = None,
-               tol: float = DUAL_RESIDUAL_TOL, max_iter: int = 200,
-               full_output: bool = False):
-    """Unique (lam, gamma) with tilted moments (m, s); damped Newton.
-
-    Raises NotInDomainError off the interior.  On iteration exhaustion the
-    best iterate is returned with converged=False in the info dict (ask for
-    full_output to see it).
-    """
-    if gamma_region(prior, mp) is not Region.INTERIOR:
-        raise NotInDomainError(f"({mp.m}, {mp.s}) is not interior to the moment space")
-    lam0 = init.lam if init is not None else 0.0
-    gam0 = init.gamma if init is not None else 0.0
-    lam, gam, conv, res = dual_solve_vec(prior, [mp.m], [mp.s], lam0, gam0,
-                                         tol=tol, max_iter=max_iter)
-    dual = DualPair(float(lam[0]), float(gam[0]))
-    if full_output:
-        return dual, {"converged": bool(conv[0]), "residual": float(res[0])}
-    return dual
+def dual_solve_vec(prior: Prior, m, s, tol: float = DUAL_RESIDUAL_TOL):
+    """Batched inverse moment map, Newton from (lam, gam) = (0, 0).
+    Returns (lam, gam, converged, residual)."""
+    return kernels.dual_newton(prior.locations, prior.log_weights, m, s, 0.0, 0.0,
+                               tol=tol, max_iter=200, cap=DUAL_CAP)
 
 
 # ---------------------------------------------------------------------------
-# entropy, denoiser, mmse
+# scalar channel
 # ---------------------------------------------------------------------------
-
-def neg_entropy(prior: Prior, mp: MomentPair) -> float:
-    """KL divergence from the prior to the tilted law with moments (m, s)."""
-    dual = dual_solve(prior, mp)
-    _, _, logZ = tilted_moments_vec(prior, dual.lam, dual.gamma)
-    return float(-0.5 * dual.gamma * mp.s + dual.lam * mp.m - logZ[0])
-
-
-def denoise(prior: Prior, x, gamma: float):
-    """Posterior-mean denoiser of the scalar channel: moments at (gamma*x, gamma)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    m, s, _ = tilted_moments_vec(prior, gamma * x, gamma)
-    return m, s
-
 
 def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()):
     """(i(gamma), mmse(gamma), E[Var(beta0 | channel)^2]) of the channel

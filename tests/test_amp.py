@@ -5,7 +5,7 @@ from taplab.amp import amp_run, se_diagnostics
 from taplab.free_energy import LinearModel, tap_gradient
 from taplab.potential import gamma_sequence
 from taplab.priors import three_point
-from taplab.scalar import denoise
+from taplab.scalar import tilted_moments_vec
 
 SIGMA2 = 0.09
 
@@ -27,8 +27,10 @@ def test_first_step_unrolled(tp):
     model, _ = make_model(rng, 50, 50, tp)
     state, _ = amp_run(model, tp, 1, delta=1.0)
     gamma1 = 1.0 / (SIGMA2 + tp.second_moment)
-    # m^1 = 0, z^1 = y, so m^2 = denoise(X^T y / delta, gamma_1)
-    m_expect, s_expect = denoise(tp, model.X.T @ model.y / 1.0, gamma1)
+    # m^1 = 0, z^1 = y, so m^2 is the posterior mean of the channel
+    # x = X^T y / delta at gamma_1: the tilted law at (gamma_1*x, gamma_1)
+    x = model.X.T @ model.y / 1.0
+    m_expect, s_expect, _ = tilted_moments_vec(tp, gamma1 * x, gamma1)
     assert np.array_equal(state.m, m_expect)
     assert np.array_equal(state.s, s_expect)
     assert np.array_equal(state.z, model.y)
@@ -58,7 +60,8 @@ def test_variational_state_has_fresh_duals(tp):
     rng = np.random.default_rng(3)
     model, _ = make_model(rng, 40, 40, tp)
     _, vs = amp_run(model, tp, 5)
-    m2, s2 = denoise(tp, vs.lam / vs.gam, float(vs.gam[0]))
+    gamma = float(vs.gam[0])
+    m2, s2, _ = tilted_moments_vec(tp, gamma * (vs.lam / vs.gam), gamma)
     assert np.max(np.abs(m2 - vs.m)) < 1e-12
     assert np.max(np.abs(s2 - vs.s)) < 1e-12
 

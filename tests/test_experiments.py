@@ -108,7 +108,7 @@ class TestCalibration:
         cfg = small_cfg(n=80, replicates=3)
         tables = run_calibration(cfg, delta=1.0)
         for table in tables.values():
-            assert table.total_count == 80 * 3
+            assert sum(r["count"] for r in table.rows) == 80 * 3
 
     def test_symmetric_untilted_pip(self):
         tp = three_point()
@@ -125,7 +125,7 @@ class TestCalibration:
         assert table.rows[1]["count"] == 1
         assert table.rows[9]["count"] == 3
         assert table.rows[9]["freq_nonzero"] == 1.0
-        assert table.total_count == 5
+        assert sum(r["count"] for r in table.rows) == 5
 
     def test_rejects_prior_without_spike(self):
         from taplab.priors import point_mass_prior

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from taplab.free_energy import (
     LinearModel,
@@ -13,6 +14,7 @@ from taplab.free_energy import (
     tap_hessian_dense,
     tap_hessian_matvec,
 )
+from taplab.exceptions import NoConvergenceError
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.ngd import Objective
 from taplab.oracle import gaussian_posterior
@@ -43,7 +45,7 @@ class TestEnergies:
     def test_null_state_closed_form(self, tp):
         rng = np.random.default_rng(0)
         model, _ = random_model(rng, 30, 20)
-        state = VariationalState.null_state(tp, 20)
+        state = VariationalState.from_duals(tp, np.zeros(20), np.zeros(20))  # untilted
         n, s2 = model.n, model.sigma2
         expect = (0.5 * n * np.log(2 * np.pi * s2)
                   + float(model.y @ model.y) / (2 * s2)
@@ -56,10 +58,17 @@ class TestEnergies:
         for _ in range(10):
             state = random_state(tp, 18, rng)
             gap = tap_energy(model, state) - mf_energy(model, state)
-            x = (onsager_volume(model, state) - model.sigma2) / model.sigma2
+            V = onsager_volume(model, state)
+            x = (V - model.sigma2) / model.sigma2
             expect = 0.5 * model.n * (np.log1p(x) - x)
             assert gap == pytest.approx(expect, rel=1e-9, abs=1e-9)
             assert gap <= 1e-12  # mf >= tap always
+            # the gradients differ only through 1/V against 1/sigma^2
+            coef = model.delta_hat * (1.0 / model.sigma2 - 1.0 / V)
+            gap_m, gap_s = (t - f for t, f in zip(tap_gradient(model, state),
+                                                  mf_gradient(model, state)))
+            np.testing.assert_allclose(gap_m, coef * state.m, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(gap_s, -0.5 * coef, rtol=1e-9, atol=1e-9)
 
     def test_state_from_moments_roundtrip(self, tp):
         rng = np.random.default_rng(5)
@@ -182,6 +191,19 @@ class TestHessian:
         b = min_eigenvalue(model, state, tp, method="lanczos")
         assert a.value == pytest.approx(b.value, abs=1e-6)
         assert min_eigenvalue(model, state, tp, method="lanczos").value == b.value
+
+    def test_lanczos_without_an_eigenvalue_raises(self, tp, monkeypatch):
+        rng = np.random.default_rng(8)
+        model, _ = random_model(rng, 30, 20)
+        state = random_state(tp, 20, rng)
+
+        def no_eigenvalue(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigenvalue)
+        with pytest.raises(NoConvergenceError, match="40-dimensional.*5000") as info:
+            min_eigenvalue(model, state, tp, method="lanczos")
+        assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
     def test_low_snr_global_convexity(self, tp):
         # (n/p)/sigma2 small: the Hessian is positive definite everywhere

@@ -205,3 +205,14 @@ def test_stop_reason_and_backtracks(tp, warm3, monkeypatch):
     floor = ngd_run(model, tp, warm, NGDConfig())
     assert floor.stop_reason is StopReason.STEP_FLOOR and not floor.converged
     assert floor.steps_used == [0.0] and floor.backtracks == 60
+
+
+def test_flat_energy_stops_at_the_step_floor(tp, warm3):
+    # past float64 resolution every candidate's energy equals the current one;
+    # such a candidate is rejected, so the run ends at the step floor instead
+    # of taking steps that change nothing until max_iters
+    model, warm = warm3
+    trace = ngd_run(model, tp, warm, NGDConfig(grad_tol=1e-300, max_iters=3000))
+    assert trace.stop_reason is StopReason.STEP_FLOOR and not trace.converged
+    assert trace.iterations < 3000
+    assert np.all(np.diff(trace.f_values) < 0.0)

@@ -10,7 +10,6 @@ from taplab.potential import (
     phi_prime,
     phi_second,
     se_covariance_blocks,
-    se_covariances,
     solve_gammas,
 )
 from taplab.priors import gaussian_prior, three_point
@@ -139,10 +138,3 @@ class TestSECovariances:
         se = se_covariance_blocks(tp, SIGMA2, 1.0, 10)
         np.linalg.cholesky(se.K_g)
         np.linalg.cholesky(se.K_h)
-
-    def test_profile_wrapper_delegates(self, tp):
-        profile = solve_gammas(tp, SIGMA2, 1.0)
-        a = se_covariances(profile, 4)
-        b = se_covariance_blocks(tp, SIGMA2, 1.0, 4)
-        assert np.array_equal(a.K_g, b.K_g)
-        assert np.array_equal(a.K_h, b.K_h)

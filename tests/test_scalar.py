@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from taplab.exceptions import NotInDomainError
+from taplab.exceptions import DomainError
+from taplab.free_energy import VariationalState
 from taplab.priors import bernoulli_gaussian, gaussian_prior, three_point
 from taplab.scalar import (
-    DualPair,
-    MomentPair,
-    Region,
-    dual_solve,
     dual_solve_vec,
-    denoise,
-    gamma_region,
+    gamma_envelopes,
     mmse,
-    neg_entropy,
     project_interior,
     tilted_cov_vec,
     tilted_moments_vec,
@@ -32,6 +27,24 @@ def tilt(prior, lam, gam):
 def cov_matrix(prior, lam, gam):
     c11, c12, c22 = (float(x[0]) for x in tilted_cov_vec(prior, lam, gam))
     return np.array([[c11, c12], [c12, c22]])
+
+
+def dual(prior, m, s):
+    """(lam, gam) of the tilted law with moments (m, s), as floats."""
+    lam, gam, _, _ = dual_solve_vec(prior, [m], [s])
+    return float(lam[0]), float(gam[0])
+
+
+def neg_entropy(prior, m, s):
+    """KL divergence from the prior to the tilted law with moments (m, s)."""
+    lam, gam = dual(prior, m, s)
+    logZ = tilted_moments_vec(prior, lam, gam)[2][0]
+    return float(-0.5 * gam * s + lam * m - logZ)
+
+
+def envelopes(prior, m):
+    lower, upper = gamma_envelopes(prior, m)
+    return float(lower), float(upper)
 
 
 class TestTiltedMoments:
@@ -60,53 +73,57 @@ class TestTiltedMoments:
 
 class TestGammaRegion:
     def test_interior_point(self, tp):
-        assert gamma_region(tp, MomentPair(0.5, 0.7)) is Region.INTERIOR
+        lower, upper = envelopes(tp, 0.5)
+        assert tp.support_lo < 0.5 < tp.support_hi
+        assert lower < 0.7 < upper
 
     def test_upper_envelope_is_boundary(self, tp):
-        assert gamma_region(tp, MomentPair(0.5, 1.0)) is Region.BOUNDARY
+        # the chord through the support endpoints: s = 1 on {-1, 0, 1}
+        assert envelopes(tp, 0.5)[1] == 1.0
 
     def test_mean_outside_support(self, tp):
-        assert gamma_region(tp, MomentPair(1.5, 1.0)) is Region.EXTERIOR
+        # past the support the envelopes cross: no s is admissible at m = 1.5
+        lower, upper = envelopes(tp, 1.5)
+        assert 1.5 > tp.support_hi
+        assert lower > upper
 
     def test_lower_envelope_between_atoms(self, tp):
         # for support {-1,0,1} and m in (0,1) the lower envelope is s = m
-        assert gamma_region(tp, MomentPair(0.5, 0.5)) is Region.BOUNDARY
-        assert gamma_region(tp, MomentPair(0.5, 0.49)) is Region.EXTERIOR
+        lower, _ = envelopes(tp, 0.5)
+        assert lower == 0.5  # (0.5, 0.5) is on the boundary
+        assert 0.49 < lower  # (0.5, 0.49) is outside
 
     def test_project_interior_restores_membership(self, tp):
-        from taplab.scalar import gamma_envelopes
         m, s = project_interior(tp, [0.5, 0.9], [1.3, 0.1])
         lower, upper = gamma_envelopes(tp, m)
         assert np.all((tp.support_lo < m) & (m < tp.support_hi))
         assert np.all((lower < s) & (s < upper))
-        for mj, sj in zip(m, s):
-            assert gamma_region(tp, MomentPair(mj, sj)) is not Region.EXTERIOR
 
 
 class TestDualSolve:
     def test_roundtrip_single(self, tp):
         m, s, _ = tilt(tp, 0.3, 1.2)
-        back = dual_solve(tp, MomentPair(m, s))
-        assert back.lam == pytest.approx(0.3, abs=1e-8)
-        assert back.gamma == pytest.approx(1.2, abs=1e-8)
+        lam, gam = dual(tp, m, s)
+        assert lam == pytest.approx(0.3, abs=1e-8)
+        assert gam == pytest.approx(1.2, abs=1e-8)
 
     def test_untilted_moments_give_zero_duals(self, tp):
-        d = dual_solve(tp, MomentPair(0.0, 2.0 / 3.0))
-        assert abs(d.lam) < 1e-8
-        assert abs(d.gamma) < 1e-8
+        lam, gam = dual(tp, 0.0, 2.0 / 3.0)
+        assert abs(lam) < 1e-8
+        assert abs(gam) < 1e-8
 
     def test_gamma_diverges_toward_upper_envelope(self, tp):
-        g90 = dual_solve(tp, MomentPair(0.0, 0.90)).gamma
-        g99 = dual_solve(tp, MomentPair(0.0, 0.99)).gamma
+        g90 = dual(tp, 0.0, 0.90)[1]
+        g99 = dual(tp, 0.0, 0.99)[1]
         assert g99 < g90 < 0.0
 
     def test_rejects_boundary(self, tp):
-        with pytest.raises(NotInDomainError):
-            dual_solve(tp, MomentPair(0.5, 1.0))
+        with pytest.raises(DomainError):
+            VariationalState.from_moments(tp, [0.5], [1.0], project=False)
 
     def test_rejects_exterior(self, tp):
-        with pytest.raises(NotInDomainError):
-            dual_solve(tp, MomentPair(1.5, 1.0))
+        with pytest.raises(DomainError):
+            VariationalState.from_moments(tp, [1.5], [1.0], project=False)
 
     def test_roundtrip_random_batch(self, tp):
         rng = np.random.default_rng(7)
@@ -141,13 +158,13 @@ class TestDualSolve:
 
     def test_jacobian_matches_covariance(self, tp):
         # d(m,s)/d(lam, -gam/2) is the covariance of (beta, beta^2)
-        d = DualPair(0.7, -0.9)
-        cov = cov_matrix(tp, d.lam, d.gamma)
+        lam, gam = 0.7, -0.9
+        cov = cov_matrix(tp, lam, gam)
         h = 1e-6
         jac = np.empty((2, 2))
         for j, (dl, dg) in enumerate([(h, 0.0), (0.0, -2.0 * h)]):
-            up = tilt(tp, d.lam + dl, d.gamma + dg)
-            dn = tilt(tp, d.lam - dl, d.gamma - dg)
+            up = tilt(tp, lam + dl, gam + dg)
+            dn = tilt(tp, lam - dl, gam - dg)
             jac[0, j] = (up[0] - dn[0]) / (2.0 * h)
             jac[1, j] = (up[1] - dn[1]) / (2.0 * h)
         rel = np.abs(jac - cov) / (1.0 + np.abs(cov))
@@ -156,29 +173,27 @@ class TestDualSolve:
 
 class TestNegEntropy:
     def test_zero_at_prior_moments(self, tp):
-        assert abs(neg_entropy(tp, MomentPair(0.0, 2.0 / 3.0))) < 1e-12
+        assert abs(neg_entropy(tp, 0.0, 2.0 / 3.0)) < 1e-12
 
     def test_positive_and_matches_direct_kl(self, tp):
-        val = neg_entropy(tp, MomentPair(0.5, 0.7))
+        val = neg_entropy(tp, 0.5, 0.7)
         assert val > 0
-        d = dual_solve(tp, MomentPair(0.5, 0.7))
+        lam, gam = dual(tp, 0.5, 0.7)
         # direct KL sum over the three atoms
-        w = np.exp(-0.5 * d.gamma * tp.locations**2 + d.lam * tp.locations)
+        w = np.exp(-0.5 * gam * tp.locations**2 + lam * tp.locations)
         q = tp.weights * w
         q = q / q.sum()
         kl = float(np.sum(q * np.log(q / tp.weights)))
         assert val == pytest.approx(kl, rel=1e-10)
 
     def test_gradient_is_dual_pair(self, tp):
-        mp = MomentPair(0.3, 0.6)
-        d = dual_solve(tp, mp)
+        m, s = 0.3, 0.6
+        lam, gam = dual(tp, m, s)
         h = 1e-6
-        gm = (neg_entropy(tp, MomentPair(mp.m + h, mp.s))
-              - neg_entropy(tp, MomentPair(mp.m - h, mp.s))) / (2 * h)
-        gs = (neg_entropy(tp, MomentPair(mp.m, mp.s + h))
-              - neg_entropy(tp, MomentPair(mp.m, mp.s - h))) / (2 * h)
-        assert gm == pytest.approx(d.lam, rel=1e-5, abs=1e-5)
-        assert gs == pytest.approx(-0.5 * d.gamma, rel=1e-5, abs=1e-5)
+        gm = (neg_entropy(tp, m + h, s) - neg_entropy(tp, m - h, s)) / (2 * h)
+        gs = (neg_entropy(tp, m, s + h) - neg_entropy(tp, m, s - h)) / (2 * h)
+        assert gm == pytest.approx(lam, rel=1e-5, abs=1e-5)
+        assert gs == pytest.approx(-0.5 * gam, rel=1e-5, abs=1e-5)
 
     def test_midpoint_convexity(self, tp):
         rng = np.random.default_rng(11)
@@ -186,29 +201,29 @@ class TestNegEntropy:
         gam = rng.uniform(-5, 5, 80)
         m, s, _ = tilted_moments_vec(tp, lam, gam)
         for i in range(0, 80, 2):
-            x = MomentPair(m[i], s[i])
-            y = MomentPair(m[i + 1], s[i + 1])
-            mid = MomentPair(0.5 * (x.m + y.m), 0.5 * (x.s + y.s))
-            lhs = neg_entropy(tp, mid)
-            rhs = 0.5 * (neg_entropy(tp, x) + neg_entropy(tp, y))
+            lhs = neg_entropy(tp, 0.5 * (m[i] + m[i + 1]), 0.5 * (s[i] + s[i + 1]))
+            rhs = 0.5 * (neg_entropy(tp, m[i], s[i]) + neg_entropy(tp, m[i + 1], s[i + 1]))
             assert lhs <= rhs + 1e-10
 
 
 class TestDenoise:
+    # the posterior-mean denoiser of the channel x = beta + N(0, 1/gamma) is
+    # the tilted law at (gamma*x, gamma)
     def test_symmetric_prior_at_zero(self, tp):
-        m, s = denoise(tp, np.zeros(3), 2.5)
+        m, s, _ = tilted_moments_vec(tp, np.zeros(3), 2.5)
         assert np.max(np.abs(m)) < 1e-14
         expect = tilt(tp, 0.0, 2.5)[1]
         assert np.allclose(s, expect)
 
     def test_monotone_in_x(self, tp):
         x = np.linspace(-5, 5, 41)
-        m, _ = denoise(tp, x, 2.0)
+        m, _, _ = tilted_moments_vec(tp, 2.0 * x, 2.0)
         assert np.all(np.diff(m) > 0)
         assert 0.0 < m[-1] < 1.0
 
     def test_zero_snr_returns_prior_mean(self, tp):
-        m, s = denoise(tp, np.array([-3.0, 0.0, 7.0]), 0.0)
+        x = np.array([-3.0, 0.0, 7.0])
+        m, s, _ = tilted_moments_vec(tp, 0.0 * x, 0.0)
         assert np.allclose(m, tp.mean)
         assert np.allclose(s, tp.second_moment)
 
