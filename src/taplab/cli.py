@@ -112,8 +112,8 @@ def cmd_amp(cfg, args):
 def cmd_ngd(cfg, args):
     prior = cfg.prior()
     model, _ = generate_instance(cfg, args.replicate, args.delta)
-    objective = Objective.MF if args.objective == "mf" else Objective.TAP
-    trace = fit_free_energy(model, prior, cfg, objective, delta=args.delta)
+    trace = fit_free_energy(model, prior, cfg, Objective(args.objective),
+                            delta=args.delta)
     rows = [{"k": k, "f_value": f, "grad_norm_sq_per_p": g, "step": s}
             for k, (f, g, s) in enumerate(zip(trace.f_values,
                                               trace.grad_norm_sq_per_p,
@@ -138,10 +138,10 @@ def cmd_mse_sweep(cfg, args):
 
 def cmd_calibrate(cfg, args):
     tables = run_calibration(cfg, delta=args.delta)
-    for meth, table in tables.items():
+    for meth, rows in tables.items():
         write_csv(Path(cfg.output_dir) / f"calibration_{meth.lower()}.csv",
                   ["bin_lo", "bin_hi", "pip_mean", "freq_nonzero", "count"],
-                  table.rows)
+                  rows)
     return {"methods": sorted(tables)}
 
 
@@ -159,7 +159,7 @@ def cmd_hessian(cfg, args):
     trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=args.delta)
     res = min_eigenvalue(model, trace.final, prior, method=args.method)
     report = {"min_eig": res.value, "method": res.method,
-              "iterations": res.iterations}
+              "converged": res.converged}
     (Path(cfg.output_dir) / "hessian.json").write_text(json.dumps(report))
     print(json.dumps(report))
     return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ class ExperimentConfig:
     design: str = "gaussian"
     replicates: int = 20
     seed: int = 0
-    methods: tuple = ("TAP", "MF")
     output_dir: str = "out"
     amp_warm_iters: int = 8
     eta: float = 0.2
@@ -53,12 +52,9 @@ class ExperimentConfig:
             raise ValueError("sigma and n must be positive")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        if self.max_iters < 1 or self.amp_warm_iters < 1:
-            raise ValueError("max_iters and amp_warm_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if self.amp_warm_iters < 1:
+            raise ValueError("amp_warm_iters must be >= 1")
+        self.ngd_config(Objective.TAP)  # range-checks eta, max_iters, grad_tol
 
     @property
     def sigma2(self) -> float:
@@ -66,6 +62,10 @@ class ExperimentConfig:
 
     def prior(self) -> Prior:
         return parse_prior(self.prior_descriptor)
+
+    def ngd_config(self, objective: Objective) -> NGDConfig:
+        return NGDConfig(eta=self.eta, max_iters=self.max_iters,
+                         grad_tol=self.grad_tol, objective=objective)
 
 
 def stream_rng(master_seed: int, replicate: int, tag: int) -> np.random.Generator:
@@ -111,13 +111,32 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
     return LinearModel(X=X, y=y, sigma2=cfg.sigma2), truth
 
 
+def _fit(model: LinearModel, prior: Prior, cfg: ExperimentConfig,
+         objectives, delta: float | None) -> dict:
+    """One AMP warm start, then NGD on each objective from that start."""
+    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    return {objective: ngd_run(model, prior, warm, cfg.ngd_config(objective))
+            for objective in objectives}
+
+
 def fit_free_energy(model: LinearModel, prior: Prior, cfg: ExperimentConfig,
                     objective: Objective, delta: float | None = None):
     """AMP warm start followed by NGD on the requested objective."""
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
-    ngd_cfg = NGDConfig(eta=cfg.eta, max_iters=cfg.max_iters,
-                        grad_tol=cfg.grad_tol, objective=objective)
-    return ngd_run(model, prior, warm, ngd_cfg)
+    return _fit(model, prior, cfg, (objective,), delta)[objective]
+
+
+def _sweep(cfg: ExperimentConfig, deltas):
+    """(delta, replicate, model, truth, {objective: trace}) for each instance,
+    TAP and MF fitted from one shared AMP warm start."""
+    prior = cfg.prior()
+    for delta in deltas:
+        for rep in range(cfg.replicates):
+            model, truth = generate_instance(cfg, rep, delta)
+            yield delta, rep, model, truth, _fit(model, prior, cfg, tuple(Objective), delta)
+
+
+def _mse(trace, truth) -> float:
+    return float(np.sum((trace.final.m - truth) ** 2)) / len(truth)
 
 
 def inclusion_probabilities(prior: Prior, state: VariationalState) -> np.ndarray:
@@ -131,95 +150,71 @@ def inclusion_probabilities(prior: Prior, state: VariationalState) -> np.ndarray
     return 1.0 - p_zero_atom * frac
 
 
-@dataclass
-class CalibrationTable:
+def calibration_table(pips: np.ndarray, nonzero: np.ndarray) -> list[dict]:
     """Ten equal PIP bins on [0, 1] with pooled empirical nonzero frequencies."""
-
-    rows: list = field(default_factory=list)
-
-    @classmethod
-    def from_pools(cls, pips: np.ndarray, nonzero: np.ndarray) -> "CalibrationTable":
-        edges = np.linspace(0.0, 1.0, 11)
-        rows = []
-        idx = np.clip(np.digitize(pips, edges[1:-1]), 0, 9)
-        for b in range(10):
-            mask = idx == b
-            count = int(mask.sum())
-            rows.append({
-                "bin_lo": float(edges[b]),
-                "bin_hi": float(edges[b + 1]),
-                "pip_mean": float(pips[mask].mean()) if count else float("nan"),
-                "freq_nonzero": float(nonzero[mask].mean()) if count else float("nan"),
-                "count": count,
-            })
-        return cls(rows=rows)
-
-
-def run_mse_sweep(cfg: ExperimentConfig, deltas=None) -> list[dict]:
-    """MSE of the TAP and MF posterior-mean estimators per delta and replicate."""
-    if not {"TAP", "MF"} <= set(cfg.methods):
-        raise ValueError("mse sweep needs both TAP and MF in methods")
-    prior = cfg.prior()
+    edges = np.linspace(0.0, 1.0, 11)
     rows = []
-    for delta in (deltas if deltas is not None else cfg.delta_grid):
-        for rep in range(cfg.replicates):
-            model, truth = generate_instance(cfg, rep, delta)
-            row = {"delta": float(delta),
-                   "seed": replicate_seed(cfg.seed, rep)}
-            for objective, key in ((Objective.TAP, "mse_tap"),
-                                   (Objective.MF, "mse_mf")):
-                trace = fit_free_energy(model, prior, cfg, objective, delta=delta)
-                m = trace.final.m
-                row[key] = float(np.sum((m - truth) ** 2)) / model.p
-                row[f"converged_{key[4:]}"] = int(trace.converged)
-            rows.append(row)
+    idx = np.clip(np.digitize(pips, edges[1:-1]), 0, 9)
+    for b in range(10):
+        mask = idx == b
+        count = int(mask.sum())
+        rows.append({
+            "bin_lo": float(edges[b]),
+            "bin_hi": float(edges[b + 1]),
+            "pip_mean": float(pips[mask].mean()) if count else float("nan"),
+            "freq_nonzero": float(nonzero[mask].mean()) if count else float("nan"),
+            "count": count,
+        })
+    return rows
+
+
+def run_mse_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """MSE of the TAP and MF posterior-mean estimators per delta and replicate."""
+    rows = []
+    for delta, rep, _, truth, traces in _sweep(cfg, cfg.delta_grid):
+        row = {"delta": float(delta), "seed": replicate_seed(cfg.seed, rep)}
+        for objective, trace in traces.items():
+            row[f"mse_{objective.value}"] = _mse(trace, truth)
+            row[f"converged_{objective.value}"] = int(trace.converged)
+        rows.append(row)
     return rows
 
 
 def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> dict:
-    """Calibration tables for each configured method at a single delta.
+    """Calibration rows for TAP and MF at a single delta, keyed by
+    ``Objective.name``.
 
     Pools coordinates across replicates and bins them by estimated PIP.
     """
     prior = cfg.prior()
     if prior.zero_spike_weight == 0.0:
         raise ValueError("calibration needs a prior with an atom at 0")
-    pools = {meth: ([], []) for meth in cfg.methods}
-    for rep in range(cfg.replicates):
-        model, truth = generate_instance(cfg, rep, delta)
-        for meth in cfg.methods:
-            objective = Objective.TAP if meth == "TAP" else Objective.MF
-            trace = fit_free_energy(model, prior, cfg, objective, delta=delta)
-            pips = inclusion_probabilities(prior, trace.final)
-            pools[meth][0].append(pips)
-            pools[meth][1].append(truth != 0.0)
-    return {meth: CalibrationTable.from_pools(np.concatenate(pp),
-                                              np.concatenate(nz))
-            for meth, (pp, nz) in pools.items()}
+    pips = {objective.name: [] for objective in Objective}
+    nonzero = []
+    for _, _, _, truth, traces in _sweep(cfg, (delta,)):
+        nonzero.append(truth != 0.0)
+        for objective, trace in traces.items():
+            pips[objective.name].append(inclusion_probabilities(prior, trace.final))
+    nonzero = np.concatenate(nonzero)
+    return {name: calibration_table(np.concatenate(pp), nonzero)
+            for name, pp in pips.items()}
 
 
-def run_universality(cfg: ExperimentConfig, deltas=None,
-                     designs=DESIGNS) -> list[dict]:
+def run_universality(cfg: ExperimentConfig) -> list[dict]:
     """MSE sweep plus Hessian minimum eigenvalue across design scenarios."""
     prior = cfg.prior()
     rows = []
-    for design in designs:
-        sub = ExperimentConfig(**{**asdict(cfg), "design": design})
-        for delta in (deltas if deltas is not None else cfg.delta_grid):
-            for rep in range(cfg.replicates):
-                model, truth = generate_instance(sub, rep, delta)
-                row = {"scenario": design, "delta": float(delta),
-                       "seed": replicate_seed(cfg.seed, rep)}
-                tap_trace = fit_free_energy(model, prior, sub, Objective.TAP,
-                                            delta=delta)
-                mf_trace = fit_free_energy(model, prior, sub, Objective.MF,
-                                           delta=delta)
-                row["mse_tap"] = float(np.sum((tap_trace.final.m - truth) ** 2)) / model.p
-                row["mse_mf"] = float(np.sum((mf_trace.final.m - truth) ** 2)) / model.p
-                method = "dense" if 2 * model.p <= 4000 else "lanczos"
-                row["min_eig"] = min_eigenvalue(model, tap_trace.final, prior,
-                                                method).value
-                rows.append(row)
+    for design in DESIGNS:
+        sweep = _sweep(replace(cfg, design=design), cfg.delta_grid)
+        for delta, rep, model, truth, traces in sweep:
+            tap = traces[Objective.TAP]
+            method = "dense" if 2 * model.p <= 4000 else "lanczos"
+            rows.append({"scenario": design, "delta": float(delta),
+                         "seed": replicate_seed(cfg.seed, rep),
+                         "mse_tap": _mse(tap, truth),
+                         "mse_mf": _mse(traces[Objective.MF], truth),
+                         "min_eig": min_eigenvalue(model, tap.final, prior,
+                                                   method).value})
     return rows
 
 

@@ -220,7 +220,6 @@ class EigResult:
     value: float
     method: str
     converged: bool
-    iterations: int
 
 
 def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
@@ -234,8 +233,7 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     if method == "dense":
         H = tap_hessian_dense(model, state, prior)
         val = scipy.linalg.eigvalsh(H, subset_by_index=[0, 0])[0]
-        return EigResult(value=float(val), method="dense", converged=True,
-                         iterations=0)
+        return EigResult(value=float(val), method="dense", converged=True)
     if method != "lanczos":
         raise ValueError("method must be 'dense' or 'lanczos'")
     p = model.p
@@ -268,11 +266,10 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
                                          maxiter=LANCZOS_MAXITER, tol=0,
                                          v0=rng.standard_normal(dim),
                                          return_eigenvectors=False)
-        return EigResult(value=float(c - vals[0]), method="lanczos",
-                         converged=True, iterations=-1)
+        return EigResult(value=float(c - vals[0]), method="lanczos", converged=True)
     except scipy.sparse.linalg.ArpackNoConvergence as err:
         if len(err.eigenvalues):
             return EigResult(value=float(c - err.eigenvalues[0]),
-                             method="lanczos", converged=False, iterations=-1)
+                             method="lanczos", converged=False)
         raise NoConvergenceError(f"Lanczos found no eigenvalue of the {dim}-dimensional "
                                  f"Hessian in {LANCZOS_MAXITER} iterations") from err

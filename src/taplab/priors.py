@@ -138,14 +138,13 @@ def point_mass_prior(pairs, descriptor=None) -> Prior:
     )
 
 
-def bernoulli_gaussian(sparsity: float, variance: float,
-                       n_nodes: int = DEFAULT_QUAD_NODES) -> Prior:
+def bernoulli_gaussian(sparsity: float, variance: float) -> Prior:
     """(1 - sparsity) * delta_0 + sparsity * N(0, variance), via quadrature."""
     if not 0.0 < sparsity <= 1.0:
         raise ValueError("sparsity must be in (0, 1]")
     if variance <= 0:
         raise ValueError("variance must be positive")
-    nodes, w = _gauss_hermite_standard_normal(n_nodes)
+    nodes, w = _gauss_hermite_standard_normal(DEFAULT_QUAD_NODES)
     locs = nodes * np.sqrt(variance)
     weights = w * sparsity
     if sparsity < 1.0:
@@ -162,9 +161,9 @@ def bernoulli_gaussian(sparsity: float, variance: float,
     )
 
 
-def gaussian_prior(variance: float, n_nodes: int = DEFAULT_QUAD_NODES) -> Prior:
+def gaussian_prior(variance: float) -> Prior:
     """N(0, variance) as a pure quadrature prior."""
-    return bernoulli_gaussian(1.0, variance, n_nodes=n_nodes)
+    return bernoulli_gaussian(1.0, variance)
 
 
 def parse_prior(descriptor: str) -> Prior:

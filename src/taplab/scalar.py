@@ -15,11 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .exceptions import DegenerateTiltError
+from .exceptions import DegenerateTiltError, DomainError
 from .priors import Prior
 
 DUAL_CAP = 1e6
 DUAL_RESIDUAL_TOL = 1e-10
+INTERIOR_EPS_FRAC = 1e-9  # relative nudge of project_interior
 
 
 @dataclass(frozen=True)
@@ -82,20 +83,20 @@ def gamma_envelopes(prior: Prior, m):
     return lower, upper
 
 
-def project_interior(prior: Prior, m, s, eps_frac: float = 1e-9):
+def project_interior(prior: Prior, m, s):
     """Project (m, s) vectors onto the interior of the moment space.
 
     Moves s inside the envelope gap (and m inside the support) by a relative
-    nudge of eps_frac; used as the optimizer boundary policy.
+    nudge of INTERIOR_EPS_FRAC; used as the optimizer boundary policy.
     """
     m = np.array(m, dtype=np.float64, copy=True)
     s = np.array(s, dtype=np.float64, copy=True)
     lo, hi = prior.support_lo, prior.support_hi
     width = hi - lo
-    np.clip(m, lo + eps_frac * width, hi - eps_frac * width, out=m)
+    np.clip(m, lo + INTERIOR_EPS_FRAC * width, hi - INTERIOR_EPS_FRAC * width, out=m)
     lower, upper = gamma_envelopes(prior, m)
     gap = upper - lower
-    eps = eps_frac * gap
+    eps = INTERIOR_EPS_FRAC * gap
     np.clip(s, lower + eps, upper - eps, out=s)
     return m, s
 
@@ -106,9 +107,29 @@ def project_interior(prior: Prior, m, s, eps_frac: float = 1e-9):
 
 def dual_solve_vec(prior: Prior, m, s, tol: float = DUAL_RESIDUAL_TOL):
     """Batched inverse moment map, Newton from (lam, gam) = (0, 0).
-    Returns (lam, gam, converged, residual)."""
-    return kernels.dual_newton(prior.locations, prior.log_weights, m, s, 0.0, 0.0,
-                               tol=tol, max_iter=200, cap=DUAL_CAP)
+
+    Rows left unconverged are solved again from the Gaussian moment match
+    lam = m/v, gam = 1/v - 1/Var(prior) with v = s - m^2, and keep whichever
+    solve has the smaller residual.  Returns (lam, gam, converged, residual).
+    """
+    def solve(mt, st, lam0, gam0):
+        return kernels.dual_newton(prior.locations, prior.log_weights, mt, st,
+                                   lam0, gam0, tol=tol, max_iter=200, cap=DUAL_CAP)
+
+    lam, gam, conv, res = solve(m, s, 0.0, 0.0)
+    m = np.broadcast_to(np.asarray(m, dtype=np.float64), conv.shape)
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64), conv.shape)
+    v = s - m * m
+    retry = np.flatnonzero(~conv & (v > 0))
+    if retry.size:
+        vr = v[retry]
+        lam0 = np.clip(m[retry] / vr, -DUAL_CAP, DUAL_CAP)
+        gam0 = np.clip(1.0 / vr - 1.0 / prior.variance, -DUAL_CAP, DUAL_CAP)
+        again = solve(m[retry], s[retry], lam0, gam0)
+        better = again[3] < res[retry]
+        for full, part in zip((lam, gam, conv, res), again):
+            full[retry[better]] = part[better]
+    return lam, gam, conv, res
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +159,7 @@ def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureS
 def mmse(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Bayes risk in the channel lam = gamma*beta0 + sqrt(gamma)*z."""
     if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+        raise DomainError("gamma must be nonnegative")
     if gamma == 0.0:
         return prior.variance
     return channel_terms(prior, gamma, quad)[1]

@@ -208,9 +208,9 @@ def test_6_calibration():
     cfg = ExperimentConfig(n=500, replicates=10)
     tables = run_calibration(cfg, delta=1.0)
     tap_devs = [abs(r["pip_mean"] - r["freq_nonzero"])
-                for r in tables["TAP"].rows if r["count"] >= 50]
+                for r in tables["TAP"] if r["count"] >= 50]
     mf_devs = [abs(r["pip_mean"] - r["freq_nonzero"])
-               for r in tables["MF"].rows if r["count"] >= 50]
+               for r in tables["MF"] if r["count"] >= 50]
     tap_ok = max(tap_devs) <= 0.1
     mf_bad = max(mf_devs) > 0.1
     report("calibration", tap_ok and mf_bad,

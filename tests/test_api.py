@@ -1,7 +1,9 @@
-"""Every public name of the package is used by the package or its benchmark.
+"""Every public name of the package is used by the package or its benchmark,
+and so is every parameter default that can be overridden.
 
 A public function, class, method or property that only tests call is API
-kept alive for its tests; this guard finds such names by parsing the sources.
+kept alive for its tests, and so is a parameter that only tests set; these
+guards find both by parsing the sources.
 """
 
 import ast
@@ -15,6 +17,19 @@ USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 EXEMPT_MODULES = {"oracle"}
 # the state-evolution reference that the AMP tests check the iterates against
 EXEMPT_NAMES = {"amp.se_diagnostics"}
+# parameters with a default that only tests set, each kept on purpose
+EXEMPT_PARAMETERS = {
+    # the console entry point: the tests drive it with an argument list
+    "cli.main": {"argv"},
+    # the strict mode (no projection) the finite-difference oracle tests use
+    "free_energy.VariationalState.from_moments": {"project"},
+    # the I-MMSE tests need 201 nodes: their finite-difference error is
+    # 2.1e-6 at the default 61 against a 1e-6 bound, and 4.2e-8 at 201
+    "potential.phi": {"quad"},
+    "potential.phi_prime": {"quad"},
+    # the round-trip tests solve to a 2e-15 residual
+    "scalar.dual_solve_vec": {"tol"},
+}
 
 
 def _public(nodes):
@@ -22,6 +37,57 @@ def _public(nodes):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 and not node.name.startswith("_"):
             yield node
+
+
+def public_functions():
+    """(module.name, def node, is method) of each public top-level function
+    and each public method of a public top-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in EXEMPT_MODULES:
+            continue
+        for node in _public(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node, False
+            else:
+                for member in _public(node.body):
+                    if isinstance(member, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{member.name}", member, True
+
+
+def defaulted_parameters(fn, method):
+    """(name, position) of each parameter with a default; position counts
+    from the first argument a caller passes and is None for keyword-only."""
+    args = fn.args.posonlyargs + fn.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    if method and not static:
+        args = args[1:]  # self or cls
+    first = len(args) - len(fn.args.defaults)
+    for pos, arg in enumerate(args[first:], first):
+        yield arg.arg, pos
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def calls():
+    """Last name of each called expression -> list of (positional count,
+    keyword names); a call with *args or **kwargs passes everything, which
+    reads as (inf, None)."""
+    out = {}
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) \
+                else func.attr if isinstance(func, ast.Attribute) else None
+            spread = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            out.setdefault(name, []).append(
+                (float("inf"), None) if spread
+                else (len(node.args), {k.arg for k in node.keywords}))
+    return out
 
 
 def public_names():
@@ -61,3 +127,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = sorted(full for full, name in found.items()
                     if name not in used and full not in EXEMPT_NAMES)
     assert unused == [], f"public names with no caller outside the tests: {unused}"
+
+
+def test_every_parameter_default_is_overridden_outside_the_tests():
+    found = {full: (fn, method) for full, fn, method in public_functions()}
+    # the scan skips cls in a classmethod and finds calls by their last name
+    assert ("project", 3) in defaulted_parameters(
+        *found["free_energy.VariationalState.from_moments"])
+    made = calls()
+    assert (3, {"delta"}) in made["amp_run"]
+    unset = []
+    for full, (fn, method) in found.items():
+        if full in EXEMPT_NAMES:
+            continue
+        name = full.rsplit(".", 1)[1]
+        for param, pos in defaulted_parameters(fn, method):
+            if param in EXEMPT_PARAMETERS.get(full, ()):
+                continue
+            if not any(keywords is None or param in keywords
+                       or (pos is not None and pos < count)
+                       for count, keywords in made.get(name, [])):
+                unset.append(f"{full}({param})")
+    assert unset == [], f"parameter defaults that only tests override: {unset}"

@@ -5,8 +5,8 @@ import pytest
 
 from taplab.experiments import (
     CSV_VERSION_HEADER,
-    CalibrationTable,
     ExperimentConfig,
+    calibration_table,
     fit_free_energy,
     generate_instance,
     inclusion_probabilities,
@@ -18,6 +18,7 @@ from taplab.experiments import (
     write_csv,
     write_manifest,
 )
+from taplab.amp import amp_run
 from taplab.ngd import Objective
 from taplab.priors import three_point
 
@@ -92,23 +93,47 @@ class TestSweeps:
     def test_universality_gaussian_matches_mse_sweep(self):
         cfg = small_cfg()
         sweep = run_mse_sweep(cfg)
-        uni = run_universality(cfg, designs=("gaussian",))
+        uni = run_universality(cfg)  # gaussian is the first design
         for a, b in zip(sweep, uni):
             assert a["mse_tap"] == b["mse_tap"]
             assert a["mse_mf"] == b["mse_mf"]
             assert b["min_eig"] > 0
 
-    def test_requires_both_methods(self):
-        with pytest.raises(ValueError):
-            run_mse_sweep(small_cfg(methods=("TAP",)))
+    def test_one_amp_warm_start_per_instance(self, monkeypatch):
+        from taplab import experiments
+        cfg = small_cfg()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return amp_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "amp_run", counted)
+        rows = run_mse_sweep(cfg)
+        # one warm start per instance, not one per objective (4 calls)
+        assert len(calls) == cfg.replicates
+        monkeypatch.undo()
+        prior = cfg.prior()
+        expected = []
+        for rep in range(cfg.replicates):
+            model, truth = generate_instance(cfg, rep, 1.0)
+            row = {"delta": 1.0, "seed": replicate_seed(cfg.seed, rep)}
+            for objective in (Objective.TAP, Objective.MF):
+                trace = fit_free_energy(model, prior, cfg, objective, delta=1.0)
+                row[f"mse_{objective.value}"] = \
+                    float(np.sum((trace.final.m - truth) ** 2)) / model.p
+                row[f"converged_{objective.value}"] = int(trace.converged)
+            expected.append(row)
+        assert rows == expected
 
 
 class TestCalibration:
     def test_counts_partition_coordinates(self):
         cfg = small_cfg(n=80, replicates=3)
         tables = run_calibration(cfg, delta=1.0)
-        for table in tables.values():
-            assert sum(r["count"] for r in table.rows) == 80 * 3
+        assert set(tables) == {"TAP", "MF"}
+        for rows in tables.values():
+            assert sum(r["count"] for r in rows) == 80 * 3
 
     def test_symmetric_untilted_pip(self):
         tp = three_point()
@@ -120,12 +145,12 @@ class TestCalibration:
     def test_binning(self):
         pips = np.array([0.05, 0.15, 0.95, 0.999, 1.0])
         nz = np.array([0, 0, 1, 1, 1])
-        table = CalibrationTable.from_pools(pips, nz)
-        assert table.rows[0]["count"] == 1
-        assert table.rows[1]["count"] == 1
-        assert table.rows[9]["count"] == 3
-        assert table.rows[9]["freq_nonzero"] == 1.0
-        assert sum(r["count"] for r in table.rows) == 5
+        rows = calibration_table(pips, nz)
+        assert rows[0]["count"] == 1
+        assert rows[1]["count"] == 1
+        assert rows[9]["count"] == 3
+        assert rows[9]["freq_nonzero"] == 1.0
+        assert sum(r["count"] for r in rows) == 5
 
     def test_rejects_prior_without_spike(self):
         from taplab.priors import point_mass_prior

@@ -150,6 +150,18 @@ class TestDualSolve:
         assert np.all(conv)
         assert np.max(np.abs(lam2 - lam)) < 1e-7
 
+    def test_from_moments_retries_from_the_moment_match(self):
+        # from (0, 0) alone, 13 of these rows end unsolved (gamma near -1,
+        # mass on the outermost quadrature nodes)
+        bg = bernoulli_gaussian(0.5, 1.0)
+        rng = np.random.default_rng(0)
+        lam = rng.normal(0.0, 1.0, 2000)
+        gam = rng.uniform(-1.0, 3.0, 2000)
+        m, s, _ = tilted_moments_vec(bg, lam, gam)
+        state = VariationalState.from_moments(bg, m, s)
+        np.testing.assert_allclose(state.lam, lam, rtol=1e-7, atol=0)
+        np.testing.assert_allclose(state.gam, gam, rtol=1e-7, atol=0)
+
     def test_mean_monotone_in_lambda(self, tp):
         lam = np.linspace(-6.0, 6.0, 101)
         for gamma in (-2.0, 0.0, 3.0):
@@ -231,6 +243,10 @@ class TestDenoise:
 class TestMMSE:
     def test_zero_snr_is_prior_variance(self, tp):
         assert mmse(tp, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
+
+    def test_negative_gamma_is_a_domain_error(self, tp):
+        with pytest.raises(DomainError):
+            mmse(tp, -0.1)
 
     def test_strong_channel_resolves_atoms(self, tp):
         assert mmse(tp, 1e6) < 1e-3
