@@ -35,6 +35,25 @@ from .oracle import enumerate_posterior, gaussian_posterior
 from .potential import solve_gammas
 
 
+def _bounded(cast, ok, what):
+    """argparse type: ``cast`` the text and require ``ok`` of the value, so a
+    bad value stops with a usage error that names the flag."""
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not ok(value):  # nan fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return parse
+
+
+_delta = _bounded(float, lambda v: v > 0, "positive")
+_iters = _bounded(int, lambda v: v >= 1, "at least 1")
+_replicate = _bounded(int, lambda v: v >= 0, "nonnegative")
+
+
 def load_config(path) -> dict:
     """Parse a key = value config file; '#' starts a comment.
 
@@ -125,7 +144,8 @@ def cmd_ngd(cfg, args):
              "lambda": trace.final.lam.tolist(), "gamma": trace.final.gam.tolist()}
     (out / "ngd_state.json").write_text(json.dumps(final))
     return {"converged": trace.converged, "stop_reason": trace.stop_reason.value,
-            "iterations": trace.iterations, "backtracks": trace.backtracks}
+            "iterations": trace.iterations, "backtracks": trace.backtracks,
+            "hessian_matvecs": trace.hessian_matvecs}
 
 
 def cmd_mse_sweep(cfg, args):
@@ -191,18 +211,18 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("potential", help="replica-symmetric potential profile")
-    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--delta", type=_delta, default=1.0)
     sp.set_defaults(func=cmd_potential)
 
     sp = sub.add_parser("amp", help="single AMP trajectory")
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--replicate", type=int, default=0)
-    sp.add_argument("--iters", type=int, default=10)
+    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--replicate", type=_replicate, default=0)
+    sp.add_argument("--iters", type=_iters, default=10)
     sp.set_defaults(func=cmd_amp)
 
-    sp = sub.add_parser("ngd", help="AMP warm start + NGD minimization")
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--replicate", type=int, default=0)
+    sp = sub.add_parser("ngd", help="AMP warm start + TAP (Newton-CG) or MF (NGD) fit")
+    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--objective", choices=["tap", "mf"], default="tap")
     sp.set_defaults(func=cmd_ngd)
 
@@ -210,23 +230,23 @@ def main(argv=None):
     sp.set_defaults(func=cmd_mse_sweep)
 
     sp = sub.add_parser("calibrate", help="PIP calibration tables")
-    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--delta", type=_delta, default=1.0)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("universality", help="MSE + Hessian across designs")
     sp.set_defaults(func=cmd_universality)
 
     sp = sub.add_parser("hessian", help="minimum Hessian eigenvalue at the minimizer")
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--replicate", type=int, default=0)
+    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--method", choices=["dense", "lanczos"], default="dense")
     sp.set_defaults(func=cmd_hessian)
 
     sp = sub.add_parser("oracle", help="exact reference computations")
     sp.add_argument("--mode", choices=["gaussian", "enumerate"],
                     default="enumerate")
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--replicate", type=int, default=0)
+    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--tau2", type=float, default=1.0)
     sp.set_defaults(func=cmd_oracle)
 

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .amp import amp_run
+from .exceptions import DomainError
 from .free_energy import LinearModel, VariationalState, min_eigenvalue
-from .ngd import NGDConfig, Objective, ngd_run
+from .ngd import NGDConfig, Objective, newton_run, ngd_run
 from .priors import Prior, parse_prior
 
 CSV_VERSION_HEADER = "# tap-lab v1"
@@ -54,6 +55,8 @@ class ExperimentConfig:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.amp_warm_iters < 1:
             raise ValueError("amp_warm_iters must be >= 1")
+        if not all(delta > 0 for delta in self.delta_grid):  # also rejects nan
+            raise ValueError("delta_grid entries must be positive")
         self.ngd_config(Objective.TAP)  # range-checks eta, max_iters, grad_tol
 
     @property
@@ -82,6 +85,8 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
 def generate_instance(cfg: ExperimentConfig, replicate_index: int,
                       delta: float) -> tuple[LinearModel, np.ndarray]:
     """Design, signal, and response for one replicate at aspect ratio delta."""
+    if not delta > 0:  # also rejects nan
+        raise DomainError(f"delta must be positive, got {delta!r}")
     n = cfg.n
     p = int(math.floor(n / delta))
     prior = cfg.prior()
@@ -113,15 +118,17 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
 
 def _fit(model: LinearModel, prior: Prior, cfg: ExperimentConfig,
          objectives, delta: float | None) -> dict:
-    """One AMP warm start, then NGD on each objective from that start."""
+    """One AMP warm start, then each objective fitted from that start: TAP by
+    truncated Newton-CG, mean-field by NGD."""
     _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
-    return {objective: ngd_run(model, prior, warm, cfg.ngd_config(objective))
+    solver = {Objective.TAP: newton_run, Objective.MF: ngd_run}
+    return {objective: solver[objective](model, prior, warm, cfg.ngd_config(objective))
             for objective in objectives}
 
 
 def fit_free_energy(model: LinearModel, prior: Prior, cfg: ExperimentConfig,
                     objective: Objective, delta: float | None = None):
-    """AMP warm start followed by NGD on the requested objective."""
+    """AMP warm start followed by the requested objective's fit."""
     return _fit(model, prior, cfg, (objective,), delta)[objective]
 
 

@@ -164,13 +164,14 @@ def mf_gradient(model: LinearModel, state: VariationalState):
 
 
 def _entropy_hessian_blocks(prior: Prior, state: VariationalState):
-    """Per-coordinate 2x2 Hessian of the entropy sum: inverse covariance of
-    (beta, beta^2) under the tilted law."""
+    """Per-coordinate 2x2 Hessian of the entropy sum, (d_mm, d_ms, d_ss), and
+    the covariance (c11, c12, c22) of (beta, beta^2) under the tilted law
+    that it inverts."""
     c11, c12, c22 = tilted_cov_vec(prior, state.lam, state.gam)
     det = c11 * c22 - c12 * c12
     if np.any(det <= 0) or not np.all(np.isfinite(det)):
         raise DomainError("singular per-coordinate covariance (boundary state)")
-    return c22 / det, -c12 / det, c11 / det  # (d_mm, d_ms, d_ss)
+    return (c22 / det, -c12 / det, c11 / det), (c11, c12, c22)
 
 
 def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
@@ -179,7 +180,7 @@ def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior
     p = model.p
     vm, vs = v[:p], v[p:]
     if _blocks is None:
-        _blocks = _entropy_hessian_blocks(prior, state)
+        _blocks = _entropy_hessian_blocks(prior, state)[0]
     d_mm, d_ms, d_ss = _blocks
     V = onsager_volume(model, state)
     ratio = model.n / model.p
@@ -202,7 +203,7 @@ def tap_hessian_dense(model: LinearModel, state: VariationalState,
     p = model.p
     if 2 * p > DENSE_HESSIAN_MAX_DIM:
         raise ValueError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
-    d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)
+    d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)[0]
     V = onsager_volume(model, state)
     ratio = model.n / model.p
     m = state.m
@@ -238,7 +239,7 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
         raise ValueError("method must be 'dense' or 'lanczos'")
     p = model.p
     dim = 2 * p
-    blocks = _entropy_hessian_blocks(prior, state)
+    blocks = _entropy_hessian_blocks(prior, state)[0]
 
     def mv(v):
         return tap_hessian_matvec(model, state, prior, v, _blocks=blocks)

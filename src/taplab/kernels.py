@@ -106,8 +106,9 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
     target pair (mt, st).  Every row takes at most ``max_iter`` Newton steps
     and leaves the batch once its residual is below ``tol``, its Hessian
     determinant is not positive and finite, 60 step halvings fail, or the
-    step it accepts leaves its (lam, gam) unchanged bit for bit (a row held
-    on the +-cap clip): its next step would repeat that one.
+    step it accepts neither raises g nor lowers the residual: such a step
+    (of a row held on the +-cap clip, or one where g is flat at float
+    precision) makes no progress, and the next would make none either.
     Returns (lam, gam, converged, residual).
     """
     mt = np.atleast_1d(np.asarray(mt, dtype=np.float64))
@@ -144,7 +145,7 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
             # float precision, so fall back to residual contraction there
             acc = (g_n >= g[j]) | ((resid[j] < 1e-6) & (resid_n <= 0.5 * resid[j]))
             k = j[acc]
-            stalled[search[acc]] = (lam_n[acc] == lam[k]) & (gam_n[acc] == gam[k])
+            stalled[search[acc]] = (g_n[acc] <= g[k]) & (resid_n[acc] >= resid[k])
             lam[k], gam[k], m[k], s[k] = lam_n[acc], gam_n[acc], m_n[acc], s_n[acc]
             c11[k], c12[k], c22[k] = a11[acc], a12[acc], a22[acc]
             g[k], resid[k] = g_n[acc], resid_n[acc]

@@ -1,17 +1,28 @@
-"""Natural gradient descent on the TAP or mean-field free energy.
+"""Natural gradient descent and truncated Newton-CG on the free energies.
 
-The iteration steps in the dual coordinates (lam, -gam/2) by the moment-space
-gradient and maps back through the tilted-moment map, which is equivalent to a
-Bregman gradient step for the relative-entropy divergence.  The moment map
-keeps every iterate strictly interior, so no projection is needed along the
-way; backtracking on the step size enforces monotone descent.
+Both solvers step in the dual coordinates (lam, -gam/2) and map back through
+the tilted-moment map.  The moment map keeps every iterate strictly interior,
+so no projection is needed along the way; backtracking on the step size
+enforces monotone descent.
 
-The step carries over between iterations.  The first line search tries
-``eta``; each later one starts from the step the previous iteration accepted,
-doubled (capped at 1) when that iteration accepted its first candidate.  A
-candidate whose energy does not fall is rejected and the step halved, at most
-60 times; when all 60 are rejected the run stops at the step floor, which is
-also where a run ends once the energy stops changing in float64.
+``ngd_run`` (TAP or mean-field) steps by the moment-space gradient, which is
+a Bregman gradient step for the relative-entropy divergence.  The step
+carries over between iterations.  The first line search tries ``eta``; each
+later one starts from the step the previous iteration accepted, doubled
+(capped at 1) when that iteration accepted its first candidate.
+
+``newton_run`` (TAP only) steps by D z, where z solves the Newton system
+H z = grad F by conjugate gradients preconditioned by the tilted covariances
+C, and D = C^-1 is the entropy Hessian's block diagonal; CG stops at the
+relative residual min(FORCING_MAX, sqrt(||grad F||)) (Eisenstat & Walker,
+SIAM J. Sci. Comput. 1996).  Each line search starts from the full step.
+When CG meets negative curvature on its first direction, z = C grad F, whose
+dual step is NGD's own.
+
+In both, a candidate whose energy does not fall is rejected and the step
+halved, at most 60 times; when all 60 are rejected the run stops at the step
+floor, which is also where a run ends once the energy stops changing in
+float64.
 """
 
 from __future__ import annotations
@@ -24,13 +35,20 @@ import numpy as np
 from .free_energy import (
     LinearModel,
     VariationalState,
+    _entropy_hessian_blocks,
     mf_energy,
     mf_gradient,
     tap_energy,
     tap_gradient,
+    tap_hessian_matvec,
 )
 from .priors import Prior
 from .scalar import DUAL_CAP, tilted_moments_vec
+
+# CG stops once ||r|| <= min(FORCING_MAX, sqrt(||g||)) * ||g||, or after
+# CG_ITERS_PER_COORDINATE * p iterations (the dimension of the Newton system)
+FORCING_MAX = 0.5
+CG_ITERS_PER_COORDINATE = 2
 
 
 class Objective(enum.Enum):
@@ -40,7 +58,7 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class NGDConfig:
-    eta: float = 0.2  # first trial step
+    eta: float = 0.2  # NGD's first trial step; newton_run starts from 1
     max_iters: int = 20000
     grad_tol: float = 1e-10  # stop when ||grad||^2 / p < grad_tol
     objective: Objective = Objective.TAP
@@ -71,10 +89,53 @@ class NGDTrace:
     iterations: int = 0
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
+    hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
+
+
+def _stationary(trace, f_cur, gm, gs, p, grad_tol) -> bool:
+    """Record the energy and ||grad||^2/p of the current iterate; True (and
+    the run stops converged) when ||grad||^2/p < grad_tol."""
+    gn = float(gm @ gm + gs @ gs) / p
+    trace.f_values.append(f_cur)
+    trace.grad_norm_sq_per_p.append(gn)
+    if gn < grad_tol:
+        trace.converged = True
+        trace.stop_reason = StopReason.CONVERGED
+        trace.steps_used.append(0.0)
+        return True
+    return False
+
+
+def _line_search(model, prior, energy, state, f_cur, dm, ds, step, trace):
+    """Try the duals (lam - step*dm, gam + 2*step*ds), halving the step until
+    the energy falls below ``f_cur``.  Returns (candidate, its energy, the
+    accepted step, rejections), or None (the run stops at the step floor)
+    when 60 halvings found no decrease."""
+    for tries in range(60):
+        lam_new = state.lam - step * dm
+        gam_new = state.gam + 2.0 * step * ds
+        clipped = np.any(np.abs(lam_new) > DUAL_CAP) \
+            or np.any(np.abs(gam_new) > DUAL_CAP)
+        if clipped:
+            trace.clip_events += 1
+            np.clip(lam_new, -DUAL_CAP, DUAL_CAP, out=lam_new)
+            np.clip(gam_new, -DUAL_CAP, DUAL_CAP, out=gam_new)
+        m_new, s_new, logZ_new = tilted_moments_vec(prior, lam_new, gam_new)
+        cand = VariationalState(m_new, s_new, lam_new, gam_new, logZ_new)
+        f_new = energy(model, cand)
+        if f_new < f_cur:
+            trace.steps_used.append(step)
+            return cand, f_new, step, tries
+        trace.backtracks += 1
+        step *= 0.5
+    # no decrease even at the smallest step: local numeric floor
+    trace.stop_reason = StopReason.STEP_FLOOR
+    trace.steps_used.append(0.0)
+    return None
 
 
 def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
-            cfg: NGDConfig = NGDConfig()) -> NGDTrace:
+            cfg: NGDConfig) -> NGDTrace:
     """Minimize the configured free energy starting from an interior state."""
     if cfg.objective is Objective.TAP:
         energy, gradient = tap_energy, tap_gradient
@@ -84,45 +145,78 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
     trace = NGDTrace()
     state = init
     f_cur = energy(model, state)
-    p = model.p
     step = cfg.eta
     for _ in range(cfg.max_iters):
         gm, gs = gradient(model, state)
-        gn = float(gm @ gm + gs @ gs) / p
-        trace.f_values.append(f_cur)
-        trace.grad_norm_sq_per_p.append(gn)
-        if gn < cfg.grad_tol:
-            trace.converged = True
-            trace.stop_reason = StopReason.CONVERGED
-            trace.steps_used.append(0.0)
+        if _stationary(trace, f_cur, gm, gs, model.p, cfg.grad_tol):
             break
-        for tries in range(60):
-            lam_new = state.lam - step * gm
-            gam_new = state.gam + 2.0 * step * gs
-            clipped = np.any(np.abs(lam_new) > DUAL_CAP) \
-                or np.any(np.abs(gam_new) > DUAL_CAP)
-            if clipped:
-                trace.clip_events += 1
-                np.clip(lam_new, -DUAL_CAP, DUAL_CAP, out=lam_new)
-                np.clip(gam_new, -DUAL_CAP, DUAL_CAP, out=gam_new)
-            m_new, s_new, logZ_new = tilted_moments_vec(prior, lam_new, gam_new)
-            cand = VariationalState(m_new, s_new, lam_new, gam_new, logZ_new)
-            f_new = energy(model, cand)
-            if f_new < f_cur:
-                break
-            trace.backtracks += 1
-            step *= 0.5
-        else:
-            # no decrease even at the smallest step: local numeric floor
-            trace.stop_reason = StopReason.STEP_FLOOR
-            trace.steps_used.append(0.0)
+        found = _line_search(model, prior, energy, state, f_cur, gm, gs, step, trace)
+        if found is None:
             break
-        state = cand
-        f_cur = f_new
-        trace.steps_used.append(step)
+        state, f_cur, step, tries = found
         if tries == 0:
             step = min(1.0, 2.0 * step)
     trace.final = state
     trace.iterations = len(trace.steps_used)
     return trace
 
+
+def _newton_direction(model, prior, state, gm, gs, trace):
+    """Dual direction D z, with z an inexact solution of H z = g by CG
+    preconditioned by the tilted covariances C = D^-1."""
+    (d_mm, d_ms, d_ss), (c11, c12, c22) = _entropy_hessian_blocks(prior, state)
+    p = model.p
+
+    def precondition(r):  # C r, one 2x2 block per coordinate
+        rm, rs = r[:p], r[p:]
+        return np.concatenate([c11 * rm + c12 * rs, c12 * rm + c22 * rs])
+
+    g = np.concatenate([gm, gs])
+    g_norm = float(np.linalg.norm(g))
+    tol = min(FORCING_MAX, np.sqrt(g_norm)) * g_norm
+    z = np.zeros(2 * p)
+    r = g.copy()
+    d = precondition(r)
+    ry = float(r @ d)
+    for k in range(CG_ITERS_PER_COORDINATE * p):
+        Hd = tap_hessian_matvec(model, state, prior, d, _blocks=(d_mm, d_ms, d_ss))
+        trace.hessian_matvecs += 1
+        curv = float(d @ Hd)
+        if not curv > 0:
+            if k == 0:
+                return gm, gs  # z = C g: D z is the gradient, NGD's direction
+            break  # keep the iterate built on positive curvature
+        alpha = ry / curv
+        z += alpha * d
+        r -= alpha * Hd
+        if np.linalg.norm(r) <= tol:
+            break
+        y = precondition(r)
+        ry, ry_prev = float(r @ y), ry
+        d = y + (ry / ry_prev) * d
+    zm, zs = z[:p], z[p:]
+    return d_mm * zm + d_ms * zs, d_ms * zm + d_ss * zs
+
+
+def newton_run(model: LinearModel, prior: Prior, init: VariationalState,
+               cfg: NGDConfig) -> NGDTrace:
+    """Minimize the TAP free energy by truncated Newton-CG from an interior
+    state, such as the AMP warm start.  ``cfg.eta`` is not used: every line
+    search starts from the full Newton step."""
+    if cfg.objective is not Objective.TAP:
+        raise ValueError("newton_run minimizes the TAP free energy")
+    trace = NGDTrace()
+    state = init
+    f_cur = tap_energy(model, state)
+    for _ in range(cfg.max_iters):
+        gm, gs = tap_gradient(model, state)
+        if _stationary(trace, f_cur, gm, gs, model.p, cfg.grad_tol):
+            break
+        dm, ds = _newton_direction(model, prior, state, gm, gs, trace)
+        found = _line_search(model, prior, tap_energy, state, f_cur, dm, ds, 1.0, trace)
+        if found is None:
+            break
+        state, f_cur, _, _ = found
+    trace.final = state
+    trace.iterations = len(trace.steps_used)
+    return trace

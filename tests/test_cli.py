@@ -71,6 +71,8 @@ def test_ngd_subcommand(cfg_file, tmp_path):
     assert manifest["stop_reason"] in {"converged", "step_floor", "max_iters"}
     assert manifest["converged"] == (manifest["stop_reason"] == "converged")
     assert isinstance(manifest["backtracks"], int) and manifest["backtracks"] >= 0
+    # the TAP fit is a Newton-CG fit: its CG products are counted
+    assert isinstance(manifest["hessian_matvecs"], int) and manifest["hessian_matvecs"] > 0
 
 
 def test_mse_sweep_subcommand(cfg_file, tmp_path):
@@ -164,7 +166,9 @@ def test_config_bad_value_rejected(tmp_path):
 @pytest.mark.parametrize("line, field", [("eta = 0", "eta"), ("eta = 1.5", "eta"),
                                          ("max_iters = 0", "max_iters"),
                                          ("grad_tol = 0", "grad_tol"),
-                                         ("amp_warm_iters = 0", "amp_warm_iters")])
+                                         ("amp_warm_iters = 0", "amp_warm_iters"),
+                                         ("delta_grid = 1.0, 0", "delta_grid"),
+                                         ("delta_grid = nan", "delta_grid")])
 def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
     path = tmp_path / "c.txt"
     path.write_text(CFG + line + "\n")
@@ -172,3 +176,17 @@ def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
     with pytest.raises(SystemExit, match=field):
         main(["--config", str(path), "--out", str(out), "ngd", "--objective", "mf"])
     assert not out.exists()  # rejected before the instance is generated
+
+
+@pytest.mark.parametrize("argv, flag", [(["ngd", "--delta", "0"], "--delta"),
+                                        (["ngd", "--delta", "-1"], "--delta"),
+                                        (["ngd", "--delta", "nan"], "--delta"),
+                                        (["potential", "--delta", "0"], "--delta"),
+                                        (["amp", "--iters", "0"], "--iters"),
+                                        (["hessian", "--replicate", "-1"], "--replicate")])
+def test_out_of_range_flag_rejected_before_running(cfg_file, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        run(cfg_file, out, *argv)
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()

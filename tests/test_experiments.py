@@ -19,6 +19,7 @@ from taplab.experiments import (
     write_manifest,
 )
 from taplab.amp import amp_run
+from taplab.exceptions import DomainError
 from taplab.ngd import Objective
 from taplab.priors import three_point
 
@@ -31,6 +32,11 @@ def small_cfg(**kw):
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_nonpositive_delta_is_a_domain_error(self, delta):
+        with pytest.raises(DomainError, match="delta must be positive"):
+            generate_instance(small_cfg(), 0, delta)
+
     def test_deterministic_bit_for_bit(self):
         cfg = small_cfg()
         m1, t1 = generate_instance(cfg, 0, 1.0)
@@ -125,6 +131,23 @@ class TestSweeps:
                 row[f"converged_{objective.value}"] = int(trace.converged)
             expected.append(row)
         assert rows == expected
+
+    def test_tap_fits_by_newton_and_mf_by_ngd(self, monkeypatch):
+        from taplab import experiments
+        calls = []
+
+        def recorded(name, solver):
+            def wrapped(model, prior, init, cfg):
+                calls.append((name, cfg.objective))
+                return solver(model, prior, init, cfg)
+            return wrapped
+
+        monkeypatch.setattr(experiments, "newton_run",
+                            recorded("newton", experiments.newton_run))
+        monkeypatch.setattr(experiments, "ngd_run", recorded("ngd", experiments.ngd_run))
+        cfg = small_cfg()
+        run_mse_sweep(cfg)
+        assert calls == [("newton", Objective.TAP), ("ngd", Objective.MF)] * cfg.replicates
 
 
 class TestCalibration:

@@ -155,10 +155,13 @@ def _dual_newton_row(locs, logw, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=
             gam_n = np.clip(gam - 2.0 * 0.5**h * d2, -cap, cap)
             cand = tilt(lam_n, gam_n)
             if cand[2] >= g or (resid < 1e-6 and cand[6] <= 0.5 * resid):
+                progress = cand[2] > g or cand[6] < resid
                 lam, gam = lam_n, gam_n
                 m, s, g, c11, c12, c22, resid = cand
                 break
         else:
+            break
+        if not progress:  # neither g rose nor the residual fell
             break
     return lam, gam, resid < tol, resid
 
@@ -178,9 +181,9 @@ def test_dual_newton_matches_row_reference(mixed):
 
 
 def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
-    # a row held on the +-cap clip accepts steps that leave (lam, gam)
-    # unchanged; the batch drops it instead of repeating that step, and
-    # still answers every row as the one-row reference does
+    # a row held on the +-cap clip accepts steps that neither raise g nor
+    # lower its residual; the batch drops it instead of repeating such
+    # steps, and still answers every row as the one-row reference does
     tp = three_point()
     rng = np.random.default_rng(0)
     mt = rng.uniform(-1.2, 1.2, 40)

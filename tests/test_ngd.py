@@ -3,14 +3,16 @@ import pytest
 
 from taplab import kernels, ngd
 from taplab.amp import amp_run
+from taplab.experiments import ExperimentConfig, generate_instance
 from taplab.free_energy import (
     LinearModel,
     VariationalState,
     mf_energy,
     onsager_volume,
     tap_energy,
+    tap_gradient,
 )
-from taplab.ngd import NGDConfig, Objective, StopReason, ngd_run
+from taplab.ngd import NGDConfig, Objective, StopReason, newton_run, ngd_run
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, three_point
 from taplab.scalar import tilted_moments_vec
@@ -216,3 +218,42 @@ def test_flat_energy_stops_at_the_step_floor(tp, warm3):
     assert trace.stop_reason is StopReason.STEP_FLOOR and not trace.converged
     assert trace.iterations < 3000
     assert np.all(np.diff(trace.f_values) < 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.6, 1.0, 1.4])
+@pytest.mark.parametrize("desc", ["three-point", "bernoulli-gaussian:0.5,1.0"])
+def test_newton_reaches_the_ngd_minimizer(desc, delta):
+    cfg = ExperimentConfig(prior_descriptor=desc, n=300, seed=0, replicates=1)
+    prior = cfg.prior()
+    model, _ = generate_instance(cfg, 0, delta)
+    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
+    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
+    assert newton.converged and reference.converged
+    assert newton.iterations <= 20  # NGD takes 74-175 on these six
+    assert np.all(np.diff(newton.f_values) <= 0.0)
+    assert np.max(np.abs(newton.final.m - reference.final.m)) <= 1e-4
+    assert newton.hessian_matvecs > 0 and reference.hessian_matvecs == 0
+
+
+def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
+    # CG meets d'Hd <= 0 on its first direction, so z = C g and the dual step
+    # is NGD's own, tried from the full step
+    model, warm = warm3
+    monkeypatch.setattr(ngd, "tap_hessian_matvec",
+                        lambda model, state, prior, v, _blocks=None: -v)
+    first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
+    step = first.steps_used[0]
+    gm, gs = tap_gradient(model, warm)
+    assert step > 0 and first.hessian_matvecs == 1
+    assert np.array_equal(first.final.lam, warm.lam - step * gm)
+    assert np.array_equal(first.final.gam, warm.gam + 2.0 * step * gs)
+    trace = newton_run(model, tp, warm, NGDConfig(max_iters=30))
+    assert trace.hessian_matvecs == trace.iterations == 30
+    assert np.all(np.diff(trace.f_values) < 0.0)
+
+
+def test_newton_fits_tap_only(tp, warm3):
+    model, warm = warm3
+    with pytest.raises(ValueError, match="TAP"):
+        newton_run(model, tp, warm, NGDConfig(objective=Objective.MF))

@@ -48,6 +48,11 @@ class TestPhiDerivatives:
         with pytest.raises(DomainError):
             phi_prime(tp, SIGMA2, 1.0, -1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_solve_gammas_rejects_nonpositive_delta(self, tp, delta):
+        with pytest.raises(DomainError, match="delta must be positive"):
+            solve_gammas(tp, SIGMA2, delta)
+
     def test_phi_prime_two_ways(self, tp):
         # numerical derivative of phi vs the closed I-MMSE formula; the FD
         # step scales with gamma since phi''' ~ delta/gamma^3, and the finer
