@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -52,6 +53,7 @@ def _bounded(cast, ok, what):
 _delta = _bounded(float, lambda v: v > 0, "positive")
 _iters = _bounded(int, lambda v: v >= 1, "at least 1")
 _replicate = _bounded(int, lambda v: v >= 0, "nonnegative")
+_seed = _bounded(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
 def load_config(path) -> dict:
@@ -145,6 +147,7 @@ def cmd_ngd(cfg, args):
     (out / "ngd_state.json").write_text(json.dumps(final))
     return {"converged": trace.converged, "stop_reason": trace.stop_reason.value,
             "iterations": trace.iterations, "backtracks": trace.backtracks,
+            "ngd_iterations": trace.ngd_iterations,
             "hessian_matvecs": trace.hessian_matvecs}
 
 
@@ -206,7 +209,7 @@ def cmd_oracle(cfg, args):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="taplab")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_seed, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -220,7 +223,7 @@ def main(argv=None):
     sp.add_argument("--iters", type=_iters, default=10)
     sp.set_defaults(func=cmd_amp)
 
-    sp = sub.add_parser("ngd", help="AMP warm start + TAP (Newton-CG) or MF (NGD) fit")
+    sp = sub.add_parser("ngd", help="AMP warm start + TAP (Newton-CG) or MF (NGD, then Newton-CG) fit")
     sp.add_argument("--delta", type=_delta, default=1.0)
     sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--objective", choices=["tap", "mf"], default="tap")
@@ -252,6 +255,10 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     cfg = build_config(args)
+    # every subcommand with --delta but potential draws an n x floor(n/delta) design
+    if args.command != "potential" and getattr(args, "delta", None) is not None \
+            and math.floor(cfg.n / args.delta) < 1:
+        parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
     t0 = time.time()
     extra = args.func(cfg, args)
     write_manifest(cfg.output_dir, cfg, time.time() - t0,

@@ -18,7 +18,7 @@ import numpy as np
 from .amp import amp_run
 from .exceptions import DomainError
 from .free_energy import LinearModel, VariationalState, min_eigenvalue
-from .ngd import NGDConfig, Objective, newton_run, ngd_run
+from .ngd import NGDConfig, Objective, newton_run
 from .priors import Prior, parse_prior
 
 CSV_VERSION_HEADER = "# tap-lab v1"
@@ -47,6 +47,8 @@ class ExperimentConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:  # the high 64 bits of a Philox key
+            raise ValueError("seed must be in [0, 2**64)")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.sigma <= 0 or self.n < 1:
@@ -89,6 +91,8 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
         raise DomainError(f"delta must be positive, got {delta!r}")
     n = cfg.n
     p = int(math.floor(n / delta))
+    if p < 1:
+        raise DomainError(f"delta = {delta!r} leaves no features at n = {n} (n / delta < 1)")
     prior = cfg.prior()
     rng_x = stream_rng(cfg.seed, replicate_index, _STREAM_DESIGN)
     rng_b = stream_rng(cfg.seed, replicate_index, _STREAM_TRUTH)
@@ -118,11 +122,10 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
 
 def _fit(model: LinearModel, prior: Prior, cfg: ExperimentConfig,
          objectives, delta: float | None) -> dict:
-    """One AMP warm start, then each objective fitted from that start: TAP by
-    truncated Newton-CG, mean-field by NGD."""
+    """One AMP warm start, then each objective fitted from that start by
+    ``newton_run`` (mean-field: NGD, then Newton)."""
     _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
-    solver = {Objective.TAP: newton_run, Objective.MF: ngd_run}
-    return {objective: solver[objective](model, prior, warm, cfg.ngd_config(objective))
+    return {objective: newton_run(model, prior, warm, cfg.ngd_config(objective))
             for objective in objectives}
 
 

@@ -8,7 +8,8 @@ V = sigma^2 + S(s) - Q(m), and mean-field's is its linearisation
 (n/2) (V - sigma^2)/sigma^2, so its gradient is TAP's with V fixed at sigma^2.
 The TAP Hessian is handled as four structured blocks (X^T X, per-coordinate
 2x2, and rank-one terms) and is available dense at desk scale or matrix-free
-for Lanczos probes.
+for Lanczos probes; the matrix-free product serves mean-field too, whose
+Hessian lacks the rank-one terms.
 """
 
 from __future__ import annotations
@@ -174,28 +175,37 @@ def _entropy_hessian_blocks(prior: Prior, state: VariationalState):
     return (c22 / det, -c12 / det, c11 / det), (c11, c12, c22)
 
 
-def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
-                       v: np.ndarray, _blocks=None) -> np.ndarray:
-    """Hessian-vector product; rank-one terms never materialized."""
+def _hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
+                    v: np.ndarray, tap: bool, blocks=None) -> np.ndarray:
+    """Hessian-vector product.  TAP's rank-one volume terms are never
+    materialized; mean-field fixes V at sigma^2, so it has none."""
     p = model.p
     vm, vs = v[:p], v[p:]
-    if _blocks is None:
-        _blocks = _entropy_hessian_blocks(prior, state)[0]
-    d_mm, d_ms, d_ss = _blocks
-    V = onsager_volume(model, state)
+    if blocks is None:
+        blocks = _entropy_hessian_blocks(prior, state)[0]
+    d_mm, d_ms, d_ss = blocks
+    V = onsager_volume(model, state) if tap else model.sigma2
     ratio = model.n / model.p
-    m = state.m
-    mdot = float(m @ vm)
-    ssum = float(np.sum(vs))
-    out_m = (model.X.T @ (model.X @ vm)) / model.sigma2 \
-        - (ratio / V) * vm \
-        - (2.0 * ratio / (p * V * V)) * mdot * m \
-        + (ratio / (p * V * V)) * ssum * m \
-        + d_mm * vm + d_ms * vs
-    out_s = (ratio / (p * V * V)) * mdot * np.ones(p) \
-        - (0.5 * ratio / (p * V * V)) * ssum * np.ones(p) \
-        + d_ms * vm + d_ss * vs
+    out_m = (model.X.T @ (model.X @ vm)) / model.sigma2 - (ratio / V) * vm
+    out_s = np.zeros(p)
+    if tap:
+        m = state.m
+        w = ratio / (p * V * V)
+        mdot = float(m @ vm)
+        ssum = float(np.sum(vs))
+        out_m -= 2.0 * w * mdot * m
+        out_m += w * ssum * m
+        out_s += w * mdot - 0.5 * w * ssum
+    out_m += d_mm * vm
+    out_m += d_ms * vs
+    out_s += d_ms * vm
+    out_s += d_ss * vs
     return np.concatenate([out_m, out_s])
+
+
+def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
+                       v: np.ndarray, _blocks=None) -> np.ndarray:
+    return _hessian_matvec(model, state, prior, v, True, _blocks)
 
 
 def tap_hessian_dense(model: LinearModel, state: VariationalState,

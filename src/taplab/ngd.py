@@ -11,13 +11,17 @@ carries over between iterations.  The first line search tries ``eta``; each
 later one starts from the step the previous iteration accepted, doubled
 (capped at 1) when that iteration accepted its first candidate.
 
-``newton_run`` (TAP only) steps by D z, where z solves the Newton system
-H z = grad F by conjugate gradients preconditioned by the tilted covariances
-C, and D = C^-1 is the entropy Hessian's block diagonal; CG stops at the
-relative residual min(FORCING_MAX, sqrt(||grad F||)) (Eisenstat & Walker,
-SIAM J. Sci. Comput. 1996).  Each line search starts from the full step.
-When CG meets negative curvature on its first direction, z = C grad F, whose
-dual step is NGD's own.
+``newton_run`` steps by D z, where z solves the Newton system H z = grad F
+by conjugate gradients preconditioned by the tilted covariances C, and
+D = C^-1 is the entropy Hessian's block diagonal; CG stops at the relative
+residual min(FORCING_MAX, sqrt(||grad F||)) (Eisenstat & Walker, SIAM J. Sci.
+Comput. 1996).  Each line search starts from the full step.  When CG meets
+negative curvature on its first direction, z = C grad F, whose dual step is
+NGD's own.  TAP is strongly convex near the AMP warm start, so a TAP fit is
+Newton from the start.  Mean-field has no such guarantee, and Newton from
+the warm start can reach another minimizer: a mean-field fit runs NGD until
+||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where NGD has chosen the basin, and
+Newton finishes it, in one trace.
 
 In both, a candidate whose energy does not fall is rejected and the step
 halved, at most 60 times; when all 60 are rejected the run stops at the step
@@ -28,7 +32,7 @@ float64.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,11 +40,11 @@ from .free_energy import (
     LinearModel,
     VariationalState,
     _entropy_hessian_blocks,
+    _hessian_matvec,
     mf_energy,
     mf_gradient,
     tap_energy,
     tap_gradient,
-    tap_hessian_matvec,
 )
 from .priors import Prior
 from .scalar import DUAL_CAP, tilted_moments_vec
@@ -49,6 +53,9 @@ from .scalar import DUAL_CAP, tilted_moments_vec
 # CG_ITERS_PER_COORDINATE * p iterations (the dimension of the Newton system)
 FORCING_MAX = 0.5
 CG_ITERS_PER_COORDINATE = 2
+# a mean-field fit hands over from NGD to Newton once ||g||^2 / p falls below
+# this; entering at 1e-3 or 1e-4 moved some fits to another minimizer
+MF_NEWTON_ENTRY_GRAD = 1e-6
 
 
 class Objective(enum.Enum):
@@ -58,7 +65,7 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class NGDConfig:
-    eta: float = 0.2  # NGD's first trial step; newton_run starts from 1
+    eta: float = 0.2  # NGD's first trial step; Newton steps start from 1
     max_iters: int = 20000
     grad_tol: float = 1e-10  # stop when ||grad||^2 / p < grad_tol
     objective: Objective = Objective.TAP
@@ -90,6 +97,7 @@ class NGDTrace:
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
     hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
+    ngd_iterations: int = 0  # of ``iterations``, those of NGD; 0 for a TAP newton_run
 
 
 def _stationary(trace, f_cur, gm, gs, p, grad_tol) -> bool:
@@ -157,11 +165,11 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
         if tries == 0:
             step = min(1.0, 2.0 * step)
     trace.final = state
-    trace.iterations = len(trace.steps_used)
+    trace.iterations = trace.ngd_iterations = len(trace.steps_used)
     return trace
 
 
-def _newton_direction(model, prior, state, gm, gs, trace):
+def _newton_direction(model, prior, state, gm, gs, tap, trace):
     """Dual direction D z, with z an inexact solution of H z = g by CG
     preconditioned by the tilted covariances C = D^-1."""
     (d_mm, d_ms, d_ss), (c11, c12, c22) = _entropy_hessian_blocks(prior, state)
@@ -179,7 +187,7 @@ def _newton_direction(model, prior, state, gm, gs, trace):
     d = precondition(r)
     ry = float(r @ d)
     for k in range(CG_ITERS_PER_COORDINATE * p):
-        Hd = tap_hessian_matvec(model, state, prior, d, _blocks=(d_mm, d_ms, d_ss))
+        Hd = _hessian_matvec(model, state, prior, d, tap, (d_mm, d_ms, d_ss))
         trace.hessian_matvecs += 1
         curv = float(d @ Hd)
         if not curv > 0:
@@ -200,20 +208,32 @@ def _newton_direction(model, prior, state, gm, gs, trace):
 
 def newton_run(model: LinearModel, prior: Prior, init: VariationalState,
                cfg: NGDConfig) -> NGDTrace:
-    """Minimize the TAP free energy by truncated Newton-CG from an interior
-    state, such as the AMP warm start.  ``cfg.eta`` is not used: every line
-    search starts from the full Newton step."""
-    if cfg.objective is not Objective.TAP:
-        raise ValueError("newton_run minimizes the TAP free energy")
-    trace = NGDTrace()
-    state = init
-    f_cur = tap_energy(model, state)
-    for _ in range(cfg.max_iters):
-        gm, gs = tap_gradient(model, state)
+    """Minimize the configured free energy by truncated Newton-CG from an
+    interior state, such as the AMP warm start; a mean-field fit runs NGD
+    first (``ngd_run``, which alone uses ``cfg.eta``) and stops where that
+    phase stops unless it converged."""
+    tap = cfg.objective is Objective.TAP
+    energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
+    if tap:
+        trace = NGDTrace()
+        state = init
+        f_cur = energy(model, state)
+    else:
+        entry = replace(cfg, grad_tol=max(cfg.grad_tol, MF_NEWTON_ENTRY_GRAD))
+        trace = ngd_run(model, prior, init, entry)
+        if not trace.converged:
+            return trace
+        # reopen the run at the handover state, which the loop records again
+        state, f_cur = trace.final, trace.f_values.pop()
+        trace.grad_norm_sq_per_p.pop()
+        trace.steps_used.pop()
+        trace.converged, trace.stop_reason = False, StopReason.MAX_ITERS
+    for _ in range(cfg.max_iters - len(trace.steps_used)):
+        gm, gs = gradient(model, state)
         if _stationary(trace, f_cur, gm, gs, model.p, cfg.grad_tol):
             break
-        dm, ds = _newton_direction(model, prior, state, gm, gs, trace)
-        found = _line_search(model, prior, tap_energy, state, f_cur, dm, ds, 1.0, trace)
+        dm, ds = _newton_direction(model, prior, state, gm, gs, tap, trace)
+        found = _line_search(model, prior, energy, state, f_cur, dm, ds, 1.0, trace)
         if found is None:
             break
         state, f_cur, _, _ = found

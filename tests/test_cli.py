@@ -73,6 +73,15 @@ def test_ngd_subcommand(cfg_file, tmp_path):
     assert isinstance(manifest["backtracks"], int) and manifest["backtracks"] >= 0
     # the TAP fit is a Newton-CG fit: its CG products are counted
     assert isinstance(manifest["hessian_matvecs"], int) and manifest["hessian_matvecs"] > 0
+    assert manifest["ngd_iterations"] == 0
+    # the MF fit is NGD, then Newton-CG: it counts both
+    mf_out = tmp_path / "mf"
+    assert run(cfg_file, mf_out, "ngd", "--objective", "mf") == 0
+    manifest = json.loads((mf_out / "manifest.json").read_text())
+    assert manifest["converged"]
+    assert isinstance(manifest["ngd_iterations"], int)
+    assert 0 < manifest["ngd_iterations"] < manifest["iterations"]
+    assert manifest["hessian_matvecs"] > 0
 
 
 def test_mse_sweep_subcommand(cfg_file, tmp_path):
@@ -168,7 +177,9 @@ def test_config_bad_value_rejected(tmp_path):
                                          ("grad_tol = 0", "grad_tol"),
                                          ("amp_warm_iters = 0", "amp_warm_iters"),
                                          ("delta_grid = 1.0, 0", "delta_grid"),
-                                         ("delta_grid = nan", "delta_grid")])
+                                         ("delta_grid = nan", "delta_grid"),
+                                         ("seed = -1", "seed"),
+                                         ("seed = 18446744073709551616", "seed")])
 def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
     path = tmp_path / "c.txt"
     path.write_text(CFG + line + "\n")
@@ -183,7 +194,10 @@ def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
                                         (["ngd", "--delta", "nan"], "--delta"),
                                         (["potential", "--delta", "0"], "--delta"),
                                         (["amp", "--iters", "0"], "--iters"),
-                                        (["hessian", "--replicate", "-1"], "--replicate")])
+                                        (["hessian", "--replicate", "-1"], "--replicate"),
+                                        (["ngd", "--delta", "1000"], "--delta"),
+                                        (["--seed", "-1", "amp"], "--seed"),
+                                        (["--seed", str(2**64), "amp"], "--seed")])
 def test_out_of_range_flag_rejected_before_running(cfg_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit):

@@ -37,6 +37,11 @@ class TestGeneration:
         with pytest.raises(DomainError, match="delta must be positive"):
             generate_instance(small_cfg(), 0, delta)
 
+    def test_delta_above_n_is_a_domain_error(self):
+        # n = 300, delta = 1000 would draw a 300 x 0 design
+        with pytest.raises(DomainError, match="no features"):
+            generate_instance(ExperimentConfig(n=300), 0, 1000.0)
+
     def test_deterministic_bit_for_bit(self):
         cfg = small_cfg()
         m1, t1 = generate_instance(cfg, 0, 1.0)
@@ -132,22 +137,25 @@ class TestSweeps:
             expected.append(row)
         assert rows == expected
 
-    def test_tap_fits_by_newton_and_mf_by_ngd(self, monkeypatch):
-        from taplab import experiments
+    def test_fits_by_newton_and_mf_by_ngd_first(self, monkeypatch):
+        from taplab import experiments, ngd
         calls = []
 
         def recorded(name, solver):
             def wrapped(model, prior, init, cfg):
-                calls.append((name, cfg.objective))
+                calls.append((name, cfg.objective, cfg.grad_tol))
                 return solver(model, prior, init, cfg)
             return wrapped
 
         monkeypatch.setattr(experiments, "newton_run",
                             recorded("newton", experiments.newton_run))
-        monkeypatch.setattr(experiments, "ngd_run", recorded("ngd", experiments.ngd_run))
+        monkeypatch.setattr(ngd, "ngd_run", recorded("ngd", ngd.ngd_run))
         cfg = small_cfg()
         run_mse_sweep(cfg)
-        assert calls == [("newton", Objective.TAP), ("ngd", Objective.MF)] * cfg.replicates
+        # the mean-field fit's NGD phase stops at the Newton entry gradient
+        assert calls == [("newton", Objective.TAP, cfg.grad_tol),
+                         ("newton", Objective.MF, cfg.grad_tol),
+                         ("ngd", Objective.MF, ngd.MF_NEWTON_ENTRY_GRAD)] * cfg.replicates
 
 
 class TestCalibration:

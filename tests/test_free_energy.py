@@ -4,6 +4,7 @@ import scipy.sparse.linalg
 
 from taplab.free_energy import (
     LinearModel,
+    _hessian_matvec,
     VariationalState,
     mf_energy,
     mf_gradient,
@@ -181,6 +182,37 @@ class TestHessian:
         Hfd = np.column_stack(cols)
         rel = np.abs(Hfd - H) / (1.0 + np.abs(H))
         assert rel.max() < 1e-4
+
+    def test_mf_matvec_matches_gradient_finite_difference(self, tp):
+        # mean-field fixes V at sigma^2: no rank-one terms, -(n/p)/sigma^2 on m
+        rng = np.random.default_rng(6)
+        p, n = 10, 15
+        model, _ = random_model(rng, n, p)
+        state = random_state(tp, p, rng, scale=1.0)
+        H = np.column_stack([_hessian_matvec(model, state, tp, e, False)
+                             for e in np.eye(2 * p)])
+        h = 1e-5
+
+        def grad_at(m, s):
+            st = VariationalState.from_moments(tp, m, s, project=False)
+            gm, gs = mf_gradient(model, st)
+            return np.concatenate([gm, gs])
+
+        cols = []
+        for j in range(2 * p):
+            dm = np.zeros(p)
+            ds = np.zeros(p)
+            if j < p:
+                dm[j] = h
+            else:
+                ds[j - p] = h
+            up = grad_at(state.m + dm, state.s + ds)
+            dn = grad_at(state.m - dm, state.s - ds)
+            cols.append((up - dn) / (2 * h))
+        Hfd = np.column_stack(cols)
+        rel = np.abs(Hfd - H) / (1.0 + np.abs(H))
+        assert rel.max() < 1e-4
+        assert np.max(np.abs(H - H.T)) < 1e-10
 
     def test_dense_and_lanczos_agree(self, tp):
         rng = np.random.default_rng(8)

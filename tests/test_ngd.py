@@ -240,8 +240,8 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     # CG meets d'Hd <= 0 on its first direction, so z = C g and the dual step
     # is NGD's own, tried from the full step
     model, warm = warm3
-    monkeypatch.setattr(ngd, "tap_hessian_matvec",
-                        lambda model, state, prior, v, _blocks=None: -v)
+    monkeypatch.setattr(ngd, "_hessian_matvec",
+                        lambda model, state, prior, v, tap, blocks=None: -v)
     first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
     step = first.steps_used[0]
     gm, gs = tap_gradient(model, warm)
@@ -253,7 +253,73 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     assert np.all(np.diff(trace.f_values) < 0.0)
 
 
-def test_newton_fits_tap_only(tp, warm3):
+def test_newton_runs_ngd_first_on_mf_only(tp, warm3, monkeypatch):
+    # a TAP fit is Newton from the start; a mean-field fit is NGD until
+    # ||g||^2/p < MF_NEWTON_ENTRY_GRAD, then Newton from where NGD stopped
     model, warm = warm3
-    with pytest.raises(ValueError, match="TAP"):
-        newton_run(model, tp, warm, NGDConfig(objective=Objective.MF))
+    calls = []
+
+    def recorded(model, prior, init, cfg):
+        calls.append(cfg)
+        return ngd_run(model, prior, init, cfg)
+
+    monkeypatch.setattr(ngd, "ngd_run", recorded)
+    tap = newton_run(model, tp, warm, NGDConfig())
+    assert calls == [] and tap.ngd_iterations == 0 and tap.hessian_matvecs > 0
+    cfg = NGDConfig(objective=Objective.MF)
+    mf = newton_run(model, tp, warm, cfg)
+    assert calls == [NGDConfig(grad_tol=ngd.MF_NEWTON_ENTRY_GRAD, objective=Objective.MF)]
+    phase = ngd_run(model, tp, warm, calls[0])
+    k = phase.iterations  # the handover state is recorded once
+    assert mf.ngd_iterations == k and mf.iterations > k and mf.hessian_matvecs > 0
+    assert mf.f_values[:k] == phase.f_values
+    assert mf.steps_used[:k - 1] == phase.steps_used[:-1]
+    assert mf.converged and mf.grad_norm_sq_per_p[-1] < cfg.grad_tol
+    assert np.all(np.diff(mf.f_values) < 0.0)
+
+
+def test_mf_newton_within_max_iters_and_ngd_stops_as_is(tp, warm3):
+    model, warm = warm3
+    full = newton_run(model, tp, warm, NGDConfig(objective=Objective.MF))
+    capped = newton_run(model, tp, warm,
+                        NGDConfig(objective=Objective.MF, max_iters=full.ngd_iterations + 1))
+    assert capped.stop_reason is StopReason.MAX_ITERS and not capped.converged
+    assert capped.iterations == full.ngd_iterations + 1
+    assert capped.f_values == full.f_values[:len(capped.f_values)]
+    # NGD's phase hits the cap: its trace is the fit's, Newton never runs
+    early = NGDConfig(objective=Objective.MF, max_iters=5)
+    stopped = newton_run(model, tp, warm, early)
+    reference = ngd_run(model, tp, warm, early)
+    assert stopped.stop_reason is StopReason.MAX_ITERS and stopped.hessian_matvecs == 0
+    assert stopped.f_values == reference.f_values and stopped.iterations == 5
+
+
+@pytest.mark.parametrize("grad_tol", [1e-6, 1e-4])
+def test_mf_newton_is_ngd_above_the_entry_gradient(tp, warm3, grad_tol):
+    model, warm = warm3
+    cfg = NGDConfig(objective=Objective.MF, grad_tol=grad_tol)
+    newton = newton_run(model, tp, warm, cfg)
+    reference = ngd_run(model, tp, warm, cfg)
+    assert newton.converged and newton.hessian_matvecs == 0
+    for name in ("f_values", "grad_norm_sq_per_p", "steps_used", "iterations",
+                 "ngd_iterations", "backtracks", "clip_events", "stop_reason"):
+        assert getattr(newton, name) == getattr(reference, name)
+    for name in ("m", "s", "lam", "gam", "logZ"):
+        assert np.array_equal(getattr(newton.final, name), getattr(reference.final, name))
+
+
+@pytest.mark.parametrize("delta", [0.6, 1.0, 1.4])
+@pytest.mark.parametrize("desc", ["three-point", "bernoulli-gaussian:0.5,1.0"])
+def test_mf_newton_finish_keeps_the_ngd_minimizer(desc, delta):
+    # NGD chooses the mean-field basin; Newton only finishes the fit there
+    cfg = ExperimentConfig(prior_descriptor=desc, n=300, seed=0, replicates=1)
+    prior = cfg.prior()
+    model, _ = generate_instance(cfg, 0, delta)
+    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    assert newton.converged and reference.converged
+    assert np.all(np.diff(newton.f_values) < 0.0)
+    assert newton.f_values[-1] <= reference.f_values[-1]
+    assert np.max(np.abs(newton.final.m - reference.final.m)) <= 1e-2
+    assert newton.iterations < reference.iterations
