@@ -30,6 +30,7 @@ from .experiments import (
     write_csv,
     write_manifest,
 )
+from .exceptions import TapLabError
 from .free_energy import min_eigenvalue
 from .ngd import Objective
 from .oracle import enumerate_posterior, gaussian_posterior
@@ -50,7 +51,7 @@ def _bounded(cast, ok, what):
     return parse
 
 
-_delta = _bounded(float, lambda v: v > 0, "positive")
+_positive = _bounded(float, lambda v: v > 0, "positive")
 _iters = _bounded(int, lambda v: v >= 1, "at least 1")
 _replicate = _bounded(int, lambda v: v >= 0, "nonnegative")
 _seed = _bounded(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
@@ -214,17 +215,17 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("potential", help="replica-symmetric potential profile")
-    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.set_defaults(func=cmd_potential)
 
     sp = sub.add_parser("amp", help="single AMP trajectory")
-    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--iters", type=_iters, default=10)
     sp.set_defaults(func=cmd_amp)
 
     sp = sub.add_parser("ngd", help="AMP warm start + TAP (Newton-CG) or MF (NGD, then Newton-CG) fit")
-    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--objective", choices=["tap", "mf"], default="tap")
     sp.set_defaults(func=cmd_ngd)
@@ -233,14 +234,14 @@ def main(argv=None):
     sp.set_defaults(func=cmd_mse_sweep)
 
     sp = sub.add_parser("calibrate", help="PIP calibration tables")
-    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("universality", help="MSE + Hessian across designs")
     sp.set_defaults(func=cmd_universality)
 
     sp = sub.add_parser("hessian", help="minimum Hessian eigenvalue at the minimizer")
-    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--method", choices=["dense", "lanczos"], default="dense")
     sp.set_defaults(func=cmd_hessian)
@@ -248,9 +249,9 @@ def main(argv=None):
     sp = sub.add_parser("oracle", help="exact reference computations")
     sp.add_argument("--mode", choices=["gaussian", "enumerate"],
                     default="enumerate")
-    sp.add_argument("--delta", type=_delta, default=1.0)
+    sp.add_argument("--delta", type=_positive, default=1.0)
     sp.add_argument("--replicate", type=_replicate, default=0)
-    sp.add_argument("--tau2", type=float, default=1.0)
+    sp.add_argument("--tau2", type=_positive, default=1.0)
     sp.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
@@ -260,7 +261,10 @@ def main(argv=None):
             and math.floor(cfg.n / args.delta) < 1:
         parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
     t0 = time.time()
-    extra = args.func(cfg, args)
+    try:
+        extra = args.func(cfg, args)
+    except TapLabError as exc:
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
     write_manifest(cfg.output_dir, cfg, time.time() - t0,
                    extra={"command": args.command, **(extra or {})})
     return 0

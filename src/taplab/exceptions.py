@@ -17,5 +17,5 @@ class NoBracketError(TapLabError):
     """A root finder found no sign change on the supplied grid."""
 
 
-class DomainError(TapLabError):
+class DomainError(TapLabError, ValueError):
     """An input violates a domain precondition (e.g. gamma <= 0)."""

@@ -103,7 +103,7 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
     elif cfg.design == "rademacher":
         X = rng_x.choice([-1.0, 1.0], size=(n, p)) / np.sqrt(p)
     else:  # bernoulli_hetero
-        q = 0.1 + 0.8 * np.arange(p) / (p - 1)
+        q = 0.1 + 0.8 * np.arange(p) / max(p - 1, 1)
         X = (rng_x.random((n, p)) < q[None, :]).astype(np.float64)
         mu = X.mean(axis=0, keepdims=True)
         sd = X.std(axis=0, keepdims=True)
@@ -198,7 +198,7 @@ def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> dict:
     """
     prior = cfg.prior()
     if prior.zero_spike_weight == 0.0:
-        raise ValueError("calibration needs a prior with an atom at 0")
+        raise DomainError("calibration needs a prior with an atom at 0")
     pips = {objective.name: [] for objective in Objective}
     nonzero = []
     for _, _, _, truth, traces in _sweep(cfg, (delta,)):

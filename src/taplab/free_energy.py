@@ -7,14 +7,16 @@ there: TAP's is (n/2) log(V/sigma^2) in the Onsager volume
 V = sigma^2 + S(s) - Q(m), and mean-field's is its linearisation
 (n/2) (V - sigma^2)/sigma^2, so its gradient is TAP's with V fixed at sigma^2.
 The TAP Hessian is handled as four structured blocks (X^T X, per-coordinate
-2x2, and rank-one terms) and is available dense at desk scale or matrix-free
-for Lanczos probes; the matrix-free product serves mean-field too, whose
-Hessian lacks the rank-one terms.
+2x2, and rank-one terms), dense at desk scale or matrix-free; the matrix-free
+product serves mean-field too, whose Hessian lacks the rank-one terms.  Its
+scale sits in the 2x2 entropy blocks D, so the tilted covariances C = D^-1
+precondition both Newton-CG and the LOBPCG eigenvalue probe.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,8 @@ from .scalar import (
 )
 
 DENSE_HESSIAN_MAX_DIM = 8000
-LANCZOS_MAXITER = 5000
+EIG_RESIDUAL_MAX = 1e-8  # bound on ||Hx - theta x|| for the unit x LOBPCG returns
+EIG_MAXITER = 2000
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,15 @@ def _entropy_hessian_blocks(prior: Prior, state: VariationalState):
     return (c22 / det, -c12 / det, c11 / det), (c11, c12, c22)
 
 
+def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
+    """Apply per-coordinate symmetric 2x2 blocks (a, b, c), [[a_i, b_i],
+    [b_i, c_i]] at coordinate i, to the 2p-vector v = (v_m, v_s)."""
+    a, b, c = blocks
+    p = len(a)
+    vm, vs = v[:p], v[p:]
+    return np.concatenate([a * vm + b * vs, b * vm + c * vs])
+
+
 def _hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
                     v: np.ndarray, tap: bool, blocks=None) -> np.ndarray:
     """Hessian-vector product.  TAP's rank-one volume terms are never
@@ -237,9 +249,11 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
                    method: str = "dense") -> EigResult:
     """Smallest eigenvalue of the TAP Hessian.
 
-    'lanczos' runs plain Lanczos on c*I - H (largest-eigenvalue mode), with c
-    an upper bound on the spectrum from power iteration.  Both start from
-    vectors of a fixed-seed generator, so repeated calls agree bit for bit.
+    'lanczos' runs LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001) on the
+    matrix-free Hessian, preconditioned by the tilted covariances, from a
+    fixed-seed vector, so repeated calls agree bit for bit.  It returns the
+    Rayleigh quotient theta of a unit x with ||Hx - theta x|| <=
+    EIG_RESIDUAL_MAX, within that of an eigenvalue, or raises NoConvergenceError.
     """
     if method == "dense":
         H = tap_hessian_dense(model, state, prior)
@@ -247,40 +261,27 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
         return EigResult(value=float(val), method="dense", converged=True)
     if method != "lanczos":
         raise ValueError("method must be 'dense' or 'lanczos'")
-    p = model.p
-    dim = 2 * p
-    blocks = _entropy_hessian_blocks(prior, state)[0]
+    dim = 2 * model.p
+    blocks, cov = _entropy_hessian_blocks(prior, state)
 
     def mv(v):
-        return tap_hessian_matvec(model, state, prior, v, _blocks=blocks)
+        return tap_hessian_matvec(model, state, prior, np.ravel(v), _blocks=blocks)
 
-    # spectral-radius bound by power iteration
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam_big = 0.0
-    for _ in range(60):
-        w = mv(v)
-        lam_big = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        v = w / nw
-    c = 1.1 * abs(lam_big) + 1.0
+    def operator(f):  # LinearOperator hands f (dim, 1) columns
+        return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=f, dtype=np.float64)
 
-    def mv_shift(v):
-        return c * v - mv(v)
-
-    op_shift = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv_shift)
-    try:
-        vals = scipy.sparse.linalg.eigsh(op_shift, k=1, which="LA",
-                                         maxiter=LANCZOS_MAXITER, tol=0,
-                                         v0=rng.standard_normal(dim),
-                                         return_eigenvectors=False)
-        return EigResult(value=float(c - vals[0]), method="lanczos", converged=True)
-    except scipy.sparse.linalg.ArpackNoConvergence as err:
-        if len(err.eigenvalues):
-            return EigResult(value=float(c - err.eigenvalues[0]),
-                             method="lanczos", converged=False)
-        raise NoConvergenceError(f"Lanczos found no eigenvalue of the {dim}-dimensional "
-                                 f"Hessian in {LANCZOS_MAXITER} iterations") from err
+    x0 = np.random.default_rng(0).standard_normal((dim, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a miss raises below
+        _, vecs = scipy.sparse.linalg.lobpcg(
+            operator(mv), x0, M=operator(lambda r: _apply_blocks(cov, np.ravel(r))),
+            tol=EIG_RESIDUAL_MAX, maxiter=EIG_MAXITER, largest=False)
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    Hx = mv(x)
+    theta = float(x @ Hx)
+    residual = float(np.linalg.norm(Hx - theta * x))
+    if not residual <= EIG_RESIDUAL_MAX:
+        raise NoConvergenceError(f"LOBPCG found no eigenpair of the {dim}-dimensional "
+                                 f"Hessian in {EIG_MAXITER} iterations "
+                                 f"(residual {residual:.1e})")
+    return EigResult(value=theta, method="lanczos", converged=True)

@@ -39,6 +39,7 @@ import numpy as np
 from .free_energy import (
     LinearModel,
     VariationalState,
+    _apply_blocks,
     _entropy_hessian_blocks,
     _hessian_matvec,
     mf_energy,
@@ -172,22 +173,17 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
 def _newton_direction(model, prior, state, gm, gs, tap, trace):
     """Dual direction D z, with z an inexact solution of H z = g by CG
     preconditioned by the tilted covariances C = D^-1."""
-    (d_mm, d_ms, d_ss), (c11, c12, c22) = _entropy_hessian_blocks(prior, state)
+    blocks, cov = _entropy_hessian_blocks(prior, state)
     p = model.p
-
-    def precondition(r):  # C r, one 2x2 block per coordinate
-        rm, rs = r[:p], r[p:]
-        return np.concatenate([c11 * rm + c12 * rs, c12 * rm + c22 * rs])
-
     g = np.concatenate([gm, gs])
     g_norm = float(np.linalg.norm(g))
     tol = min(FORCING_MAX, np.sqrt(g_norm)) * g_norm
     z = np.zeros(2 * p)
     r = g.copy()
-    d = precondition(r)
+    d = _apply_blocks(cov, r)
     ry = float(r @ d)
     for k in range(CG_ITERS_PER_COORDINATE * p):
-        Hd = _hessian_matvec(model, state, prior, d, tap, (d_mm, d_ms, d_ss))
+        Hd = _hessian_matvec(model, state, prior, d, tap, blocks)
         trace.hessian_matvecs += 1
         curv = float(d @ Hd)
         if not curv > 0:
@@ -199,11 +195,11 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace):
         r -= alpha * Hd
         if np.linalg.norm(r) <= tol:
             break
-        y = precondition(r)
+        y = _apply_blocks(cov, r)
         ry, ry_prev = float(r @ y), ry
         d = y + (ry / ry_prev) * d
-    zm, zs = z[:p], z[p:]
-    return d_mm * zm + d_ms * zs, d_ms * zm + d_ss * zs
+    dz = _apply_blocks(blocks, z)
+    return dz[:p], dz[p:]
 
 
 def newton_run(model: LinearModel, prior: Prior, init: VariationalState,

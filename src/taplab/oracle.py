@@ -64,12 +64,12 @@ def enumerate_posterior(model: LinearModel, prior: Prior,
     Returns (log_evidence, marginal_m, marginal_s).
     """
     if prior.kind != "explicit-discrete":
-        raise ValueError("enumeration needs an explicit discrete prior")
+        raise DomainError("enumeration needs an explicit discrete prior")
     n, p = model.n, model.p
     A = len(prior.locations)
     total = A**p
     if p > p_max_guard or total > 10**8:
-        raise ValueError(f"enumeration guard exceeded: {A}^{p} states")
+        raise DomainError(f"enumeration guard exceeded: {A}^{p} states")
     locs = prior.locations
     logw = prior.log_weights
     X, y, sigma2 = model.X, model.y, model.sigma2

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from taplab.cli import load_config, main
-from taplab.exceptions import DomainError
 from taplab.experiments import ExperimentConfig
 
 CFG = """
@@ -99,11 +98,31 @@ def test_calibrate_subcommand(cfg_file, tmp_path):
         assert len(lines) == 12
 
 
-def test_hessian_subcommand(cfg_file, tmp_path, capsys):
-    assert run(cfg_file, tmp_path, "hessian", "--method", "dense") == 0
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
+    assert run(cfg_file, tmp_path, "hessian", "--method", method) == 0
     report = json.loads((tmp_path / "hessian.json").read_text())
     assert set(report) == {"min_eig", "method", "converged"}
-    assert report["method"] == "dense"
+    assert report["method"] == method
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle"], "enumeration guard exceeded: 3^300 states"),
+    (["--config", "{spikeless}", "calibrate"], "calibration needs a prior with an atom at 0"),
+    (["hessian", "--delta", "1.4", "--method", "lanczos"],
+     "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
+], ids=["oracle", "calibrate", "hessian"])
+def test_library_error_is_one_line(tmp_path, capsys, argv, message):
+    spikeless = tmp_path / "spikeless.txt"
+    spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
+    out = tmp_path / "out"
+    argv = [a.format(spikeless=spikeless) for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(out), *argv])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"taplab: error: {message}") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_oracle_gaussian_subcommand(cfg_file, tmp_path):
@@ -150,7 +169,7 @@ def test_readme_config_example_runs(tmp_path, descriptor):
     assert manifest["config"]["prior_descriptor"] == (descriptor or "three-point")
 
 
-def test_config_string_values_are_not_split(tmp_path):
+def test_config_string_values_are_not_split(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("prior_descriptor = bernoulli-gaussian:0.5,1.0\n"
                     "delta_grid = 1\n")
@@ -161,8 +180,9 @@ def test_config_string_values_are_not_split(tmp_path):
     # two atoms give a degenerate (m, s) family; the descriptor reaches the
     # prior intact and is rejected there
     path.write_text("prior_descriptor = point-mass:-1,0.5;1,0.5\n")
-    with pytest.raises(DomainError, match="3 distinct support points"):
+    with pytest.raises(SystemExit):
         main(["--config", str(path), "--out", str(tmp_path), "potential"])
+    assert "3 distinct support points" in capsys.readouterr().err
 
 
 def test_config_bad_value_rejected(tmp_path):
@@ -197,7 +217,9 @@ def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
                                         (["hessian", "--replicate", "-1"], "--replicate"),
                                         (["ngd", "--delta", "1000"], "--delta"),
                                         (["--seed", "-1", "amp"], "--seed"),
-                                        (["--seed", str(2**64), "amp"], "--seed")])
+                                        (["--seed", str(2**64), "amp"], "--seed"),
+                                        (["oracle", "--mode", "gaussian", "--tau2", "-1"],
+                                         "--tau2")])
 def test_out_of_range_flag_rejected_before_running(cfg_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit):

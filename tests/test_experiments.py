@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestGeneration:
         var = model.X.var(axis=0)
         assert np.max(np.abs(var - 1.0 / model.p)) < 1e-14
         assert np.max(np.abs(model.X.mean(axis=0))) < 1e-14
+
+    def test_bernoulli_design_with_one_column(self):
+        # the column rates 0.1 + 0.8 j / (p - 1) are 0/0 at p = 1, which
+        # gave an all-zero design and a RuntimeWarning
+        cfg = small_cfg(design="bernoulli_hetero", n=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = generate_instance(cfg, 0, 50.0)
+        assert model.p == 1
+        assert model.X.var() == pytest.approx(1.0)
 
     def test_gaussian_opnorm_in_mp_band(self):
         cfg = small_cfg(n=500)

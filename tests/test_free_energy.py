@@ -36,6 +36,15 @@ def random_model(rng, n, p, sigma2=0.09, prior=None):
     return LinearModel(X=X, y=y, sigma2=sigma2), beta
 
 
+def converged_tap_state(prior, delta):
+    """The model (n=300, seed 0, replicate 0) and its converged TAP state."""
+    cfg = ExperimentConfig(n=300, seed=0, replicates=1)
+    model, _ = generate_instance(cfg, 0, delta)
+    trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=delta)
+    assert trace.converged
+    return model, trace.final
+
+
 def random_state(prior, p, rng, scale=2.0):
     lam = rng.uniform(-scale, scale, p)
     gam = rng.uniform(-scale, scale, p)
@@ -229,13 +238,22 @@ class TestHessian:
         model, _ = random_model(rng, 30, 20)
         state = random_state(tp, 20, rng)
 
-        def no_eigenvalue(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+        def no_eigenpair(A, X, **kwargs):  # returns its start vector
+            return np.ones(1), X
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigenvalue)
-        with pytest.raises(NoConvergenceError, match="40-dimensional.*5000") as info:
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", no_eigenpair)
+        with pytest.raises(NoConvergenceError,
+                           match=r"40-dimensional Hessian in 2000 iterations \(residual"):
             min_eigenvalue(model, state, tp, method="lanczos")
-        assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+
+    def test_lanczos_at_converged_ill_conditioned_state(self, tp):
+        # the converged three-point TAP state at delta=1.0 (n=300, seed 0,
+        # replicate 0): cond(H) ~ 4e8, all of it in the 2x2 entropy blocks
+        model, state = converged_tap_state(tp, 1.0)
+        ref = np.linalg.eigvalsh(tap_hessian_dense(model, state, tp))[0]
+        res = min_eigenvalue(model, state, tp, method="lanczos")
+        assert res.converged and abs(res.value - ref) <= 1e-7
+        assert min_eigenvalue(model, state, tp, method="lanczos").value == res.value
 
     def test_low_snr_global_convexity(self, tp):
         # (n/p)/sigma2 small: the Hessian is positive definite everywhere
@@ -253,11 +271,7 @@ class TestHessian:
         # on two atoms: c11 ~ 8e-7 and det ~ 1.4e-22.  Covariances formed from
         # raw moments (s - m^2, ...) cancelled to det = 0 there, and both
         # min_eigenvalue methods raised DomainError.
-        cfg = ExperimentConfig(n=300, seed=0, replicates=1)
-        model, _ = generate_instance(cfg, 0, 1.4)
-        trace = fit_free_energy(model, tp, cfg, Objective.TAP, delta=1.4)
-        assert trace.converged
-        state = trace.final
+        model, state = converged_tap_state(tp, 1.4)
         c11, c12, c22 = tilted_cov_vec(tp, state.lam, state.gam)
         det = c11 * c22 - c12 * c12
         assert np.min(det) > 0
@@ -267,3 +281,7 @@ class TestHessian:
         scale = np.linalg.norm(tap_hessian_dense(model, state, tp), 2)
         assert res.converged and np.isfinite(res.value)
         assert res.value > -1e-15 * scale
+        # rounding in the products, about eps * ||H||, keeps LOBPCG's residual
+        # above its bound, and the probe says so
+        with pytest.raises(NoConvergenceError, match="428-dimensional"):
+            min_eigenvalue(model, state, tp, method="lanczos")
