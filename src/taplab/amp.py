@@ -1,6 +1,11 @@
 """Approximate message passing with Onsager correction, plus state-evolution
 diagnostics comparing empirical iterate covariances with their deterministic
-predictions."""
+predictions.
+
+The Onsager coefficients and denoiser strengths come from the
+state-evolution schedule of ``potential``, which is computed once per
+(prior, sigma^2, delta, T) and kept on the prior, so every replicate fitted
+under one prior object shares it."""
 
 from __future__ import annotations
 
@@ -9,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .free_energy import LinearModel, VariationalState, tap_gradient
-from .potential import se_covariance_blocks
+from .potential import _se_schedule, se_covariance_blocks
 from .priors import Prior
-from .scalar import mmse
 
 
 @dataclass
@@ -50,28 +54,27 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
     X, y, sigma2 = model.X, model.y, model.sigma2
     n, p = model.n, model.p
 
+    # gamma_1..gamma_{T+1} and mmse(gamma_1)..mmse(gamma_T)
+    gammas, mmses = _se_schedule(prior, sigma2, delta, T + 1)
     z_prev = np.zeros(n)
     m_k = np.zeros(p)
-    gamma_k = delta / (sigma2 + prior.second_moment)
-    mmse_prev = None  # mmse(gamma_{k-1}); Onsager term vanishes at k=1
     history = []
     m_hist = [m_k.copy()]
     z_hist = []
     for k in range(1, T + 1):
-        if mmse_prev is None:
-            z_k = y - X @ m_k
+        gamma_k = float(gammas[k - 1])
+        if k == 1:
+            z_k = y - X @ m_k  # the Onsager term vanishes
         else:
             # Onsager coefficient from deterministic state evolution
-            b = gamma_prev * mmse_prev / delta
+            b = gammas[k - 2] * mmses[k - 2] / delta
             z_k = y - X @ m_k + b * z_prev
         x = m_k + X.T @ z_k / delta
         # posterior-mean denoiser: the tilted law at (gamma_k*x, gamma_k)
         var_state = VariationalState.from_duals(prior, gamma_k * x,
                                                 np.full_like(x, gamma_k))
-        mmse_k = mmse(prior, gamma_k)
-        gamma_next = delta / (sigma2 + mmse_k)
 
-        row = {"k": k, "gamma": gamma_k, "mse_se": mmse_k}
+        row = {"k": k, "gamma": gamma_k, "mse_se": float(mmses[k - 1])}
         if truth is not None:
             row["mse_empirical"] = float(np.sum((var_state.m - truth) ** 2)) / p
         if track_gradient:
@@ -83,11 +86,8 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
         m_hist.append(var_state.m.copy())
         z_prev = z_k
         m_k = var_state.m
-        gamma_prev = gamma_k
-        mmse_prev = mmse_k
-        gamma_k = gamma_next
 
-    state = AMPState(k=T, m=m_k, s=var_state.s, z=z_prev, gamma=gamma_prev,
+    state = AMPState(k=T, m=m_k, s=var_state.s, z=z_prev, gamma=gamma_k,
                      history=history, m_history=m_hist, z_history=z_hist)
     return state, var_state
 

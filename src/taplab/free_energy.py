@@ -115,7 +115,8 @@ class VariationalState:
 
 def onsager_volume(model: LinearModel, state: VariationalState) -> float:
     """V = sigma^2 + S(s) - Q(m)."""
-    return model.sigma2 + float(np.mean(state.s) - np.mean(state.m**2))
+    p = model.p
+    return model.sigma2 + float(np.add.reduce(state.s) / p - np.add.reduce(state.m**2) / p)
 
 
 def _entropy_sum(state: VariationalState) -> float:
@@ -126,8 +127,8 @@ def _entropy_sum(state: VariationalState) -> float:
 
 def _energy(model: LinearModel, state: VariationalState, tap: bool) -> float:
     resid = model.y - model.X @ state.m
-    sq = float(np.mean(state.s) - np.mean(state.m**2))  # V - sigma^2
-    n = model.n
+    n, p = model.n, model.p
+    sq = float(np.add.reduce(state.s) / p - np.add.reduce(state.m**2) / p)  # V - sigma^2
     if tap:
         ratio = sq / model.sigma2
         if ratio <= -1.0:
@@ -147,7 +148,7 @@ def _gradient(model: LinearModel, state: VariationalState, tap: bool):
         raise DomainError("Onsager volume is nonpositive")
     ratio = model.n / model.p
     grad_m = state.lam - model.X.T @ resid / model.sigma2 - ratio * state.m / V
-    grad_s = -0.5 * state.gam + 0.5 * ratio / V * np.ones(model.p)
+    grad_s = -0.5 * state.gam + np.full(model.p, 0.5 * ratio / V)
     return grad_m, grad_s
 
 

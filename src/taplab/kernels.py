@@ -1,20 +1,21 @@
 """Numeric kernels for the scalar exponential-family channel.
 
-Everything here operates on the atomic representation of the prior:
-locations ``locs`` and log-weights ``logw`` (normalized so that the
-weights sum to 1).  The tilted law at natural parameters ``(lam, gam)``
-reweights atom ``a`` by ``exp(-gam*a**2/2 + lam*a)``.
+Everything here operates on the atomic representation of the prior through
+two small matrices that ``Prior`` builds once: the (atoms x 3) basis
+``[logw, -a^2/2, a]`` (log-weights normalized so that the weights sum to 1)
+and the (3 x atoms) powers ``[1, a, a^2]``.  The tilted law at natural
+parameters ``(lam, gam)`` reweights atom ``a`` by ``exp(-gam*a**2/2 + lam*a)``.
 
 There are two tilt kernels.  ``tilted_stats`` gives the moments (m, s) and
 the log-partition, which is all NGD, AMP and the channel quadrature read;
 ``tilted_cov`` adds the covariance of (beta, beta^2), which the dual solve
 and the Hessian blocks need.  Both walk the rows in blocks of ``BLOCK_ROWS``,
 so a batch of any size works in one cache-sized (atoms x block) buffer: one
-BLAS product forms the log-weights of a block there, they are shifted by
-their row maximum and exponentiated in place, and one more product against
-``[1, a, a^2]`` gives Z, sum(w*a) and sum(w*a^2).  Only per-row vectors are
-divided by Z; no normalised (rows x atoms) matrix is formed on the moments
-path.
+BLAS product of the basis forms the log-weights of a block there, they are
+shifted by their row maximum and exponentiated in place, and one more
+product against the powers gives Z, sum(w*a) and sum(w*a^2).  Only per-row
+vectors are divided by Z; no normalised (rows x atoms) matrix is formed on
+the moments path.
 
 ``dual_newton`` inverts the moment map for a batch of rows; each Newton step
 and each line-search candidate of the rows still iterating is evaluated by
@@ -41,7 +42,7 @@ BLOCK_ROWS = 512
 LOG_WEIGHT_FLOOR = -700.0
 
 
-def _tilt_blocks(locs, logw, lam, gam):
+def _tilt_blocks(basis, powers, lam, gam):
     """Yield (rows, w, Z, m, s, logZ) for each block of rows, where ``w[j, i]``
     is the weight of atom j in row i of the block relative to the row's
     largest, Z = sum_j w[j, i], and (m, s, logZ) are the block's moments and
@@ -49,19 +50,17 @@ def _tilt_blocks(locs, logw, lam, gam):
     overwrites."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     gam = np.asarray(gam, dtype=np.float64)
-    powers = np.array([np.ones_like(locs), locs, locs * locs])
-    # ell = logw - gam*a^2/2 + lam*a as one product [logw, -a^2/2, a] @ [1; gam; lam]
-    coef = np.array([logw, -0.5 * powers[2], locs]).T
     width = min(lam.size, BLOCK_ROWS)
     duals = np.ones((3, width))
-    buf = np.empty((len(locs), width))
+    buf = np.empty((len(basis), width))
     for lo in range(0, lam.size, BLOCK_ROWS):
         rows = slice(lo, min(lo + BLOCK_ROWS, lam.size))
         r = rows.stop - lo
         duals[1, :r] = gam[rows] if gam.ndim else gam
         duals[2, :r] = lam[rows]
         w = buf[:, :r]
-        np.matmul(coef, duals[:, :r], out=w)
+        # ell = logw - gam*a^2/2 + lam*a as one product basis @ [1; gam; lam]
+        np.matmul(basis, duals[:, :r], out=w)
         M = w.max(axis=0)
         w -= M
         np.maximum(w, LOG_WEIGHT_FLOOR, out=w)
@@ -70,28 +69,29 @@ def _tilt_blocks(locs, logw, lam, gam):
         yield rows, w, Z, s1 / Z, s2 / Z, M + np.log(Z)
 
 
-def tilted_stats(locs, logw, lam, gam):
+def tilted_stats(basis, powers, lam, gam):
     """(m, s, logZ) of the tilted atomic law for a batch of (lam, gam) rows.
 
-    ``gam`` holds one value per row or is a scalar shared by every row.
-    logZ is the log-partition relative to the untilted prior.
+    ``basis`` and ``powers`` are the prior's tilt matrices.  ``gam`` holds
+    one value per row or is a scalar shared by every row.  logZ is the
+    log-partition relative to the untilted prior.
     """
     out = np.empty((3, np.size(lam)))
-    for rows, _, _, *moments in _tilt_blocks(locs, logw, lam, gam):
+    for rows, _, _, *moments in _tilt_blocks(basis, powers, lam, gam):
         out[:, rows] = moments
     m, s, logZ = out
     return m, s, logZ
 
 
-def tilted_cov(locs, logw, lam, gam):
+def tilted_cov(basis, powers, lam, gam):
     """(m, s, logZ, c11, c12, c22): ``tilted_stats`` plus the covariance
     matrix of (beta, beta^2) under the tilted law, from centred moments
     sum p*(a-m)^2, sum p*(a-m)*(a^2-s) and sum p*(a^2-s)^2."""
     out = np.empty((6, np.size(lam)))
-    for rows, w, Z, m, s, logZ in _tilt_blocks(locs, logw, lam, gam):
+    for rows, w, Z, m, s, logZ in _tilt_blocks(basis, powers, lam, gam):
         w /= Z
-        da = locs[:, None] - m
-        dq = (locs * locs)[:, None] - s
+        da = powers[1][:, None] - m
+        dq = powers[2][:, None] - s
         pa = w * da
         w *= dq
         out[:, rows] = m, s, logZ, (pa * da).sum(axis=0), (pa * dq).sum(axis=0), \
@@ -99,7 +99,7 @@ def tilted_cov(locs, logw, lam, gam):
     return tuple(out)
 
 
-def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6):
+def dual_newton(basis, powers, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6):
     """Damped Newton inversion of the moment map, vectorised over rows.
 
     Maximizes g(lam, gam) = -gam*st/2 + lam*mt - logZ(lam, gam) for each
@@ -115,7 +115,7 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
     st = np.atleast_1d(np.asarray(st, dtype=np.float64))
     lam = np.broadcast_to(np.asarray(lam0, dtype=np.float64), mt.shape).copy()
     gam = np.broadcast_to(np.asarray(gam0, dtype=np.float64), mt.shape).copy()
-    m, s, logZ, c11, c12, c22 = tilted_cov(locs, logw, lam, gam)
+    m, s, logZ, c11, c12, c22 = tilted_cov(basis, powers, lam, gam)
     g = -0.5 * gam * st + lam * mt - logZ
     resid = np.hypot(m - mt, s - st)
     rows = np.flatnonzero(~(resid < tol))
@@ -138,7 +138,7 @@ def dual_newton(locs, logw, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6
             j = rows[search]
             lam_n = np.clip(lam[j] + alpha * d1[search], -cap, cap)
             gam_n = np.clip(gam[j] - 2.0 * alpha * d2[search], -cap, cap)
-            m_n, s_n, logZ_n, a11, a12, a22 = tilted_cov(locs, logw, lam_n, gam_n)
+            m_n, s_n, logZ_n, a11, a12, a22 = tilted_cov(basis, powers, lam_n, gam_n)
             g_n = -0.5 * gam_n * st[j] + lam_n * mt[j] - logZ_n
             resid_n = np.hypot(m_n - mt[j], s_n - st[j])
             # accept on objective increase; near the optimum g goes flat at

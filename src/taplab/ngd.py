@@ -17,11 +17,13 @@ D = C^-1 is the entropy Hessian's block diagonal; CG stops at the relative
 residual min(FORCING_MAX, sqrt(||grad F||)) (Eisenstat & Walker, SIAM J. Sci.
 Comput. 1996).  Each line search starts from the full step.  When CG meets
 negative curvature on its first direction, z = C grad F, whose dual step is
-NGD's own.  TAP is strongly convex near the AMP warm start, so a TAP fit is
-Newton from the start.  Mean-field has no such guarantee, and Newton from
-the warm start can reach another minimizer: a mean-field fit runs NGD until
-||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where NGD has chosen the basin, and
-Newton finishes it, in one trace.
+NGD's own.  Where a tilted law has collapsed onto one or two atoms, its C is
+singular in float64 and D does not exist; the step then takes NGD's
+direction too, and counts as an NGD iteration.  TAP is strongly convex near
+the AMP warm start, so a TAP fit is Newton from the start.  Mean-field has no
+such guarantee, and Newton from the warm start can reach another minimizer:
+a mean-field fit runs NGD until ||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where
+NGD has chosen the basin, and Newton finishes it, in one trace.
 
 In both, a candidate whose energy does not fall is rejected and the step
 halved, at most 60 times; when all 60 are rejected the run stops at the step
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .exceptions import DomainError
 from .free_energy import (
     LinearModel,
     VariationalState,
@@ -98,7 +101,9 @@ class NGDTrace:
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
     hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
-    ngd_iterations: int = 0  # of ``iterations``, those of NGD; 0 for a TAP newton_run
+    # of ``iterations``, those of NGD: a mean-field fit's NGD phase, and the
+    # Newton steps that took NGD's direction on a singular covariance
+    ngd_iterations: int = 0
 
 
 def _stationary(trace, f_cur, gm, gs, p, grad_tol) -> bool:
@@ -123,9 +128,7 @@ def _line_search(model, prior, energy, state, f_cur, dm, ds, step, trace):
     for tries in range(60):
         lam_new = state.lam - step * dm
         gam_new = state.gam + 2.0 * step * ds
-        clipped = np.any(np.abs(lam_new) > DUAL_CAP) \
-            or np.any(np.abs(gam_new) > DUAL_CAP)
-        if clipped:
+        if max(np.abs(lam_new).max(), np.abs(gam_new).max()) > DUAL_CAP:
             trace.clip_events += 1
             np.clip(lam_new, -DUAL_CAP, DUAL_CAP, out=lam_new)
             np.clip(gam_new, -DUAL_CAP, DUAL_CAP, out=gam_new)
@@ -172,8 +175,14 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
 
 def _newton_direction(model, prior, state, gm, gs, tap, trace):
     """Dual direction D z, with z an inexact solution of H z = g by CG
-    preconditioned by the tilted covariances C = D^-1."""
-    blocks, cov = _entropy_hessian_blocks(prior, state)
+    preconditioned by the tilted covariances C = D^-1; NGD's direction where
+    some C is singular."""
+    try:
+        blocks, cov = _entropy_hessian_blocks(prior, state)
+    except DomainError:
+        # a tilted law on one or two atoms: D does not exist in float64
+        trace.ngd_iterations += 1
+        return gm, gs
     p = model.p
     g = np.concatenate([gm, gs])
     g_norm = float(np.linalg.norm(g))

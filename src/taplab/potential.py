@@ -5,8 +5,11 @@ with i(gamma) the mutual information of the scalar channel
 lam = gamma*beta0 + sqrt(gamma)*z.  Its stationary points are the roots of
 mmse(gamma) = delta/gamma - sigma^2; the global minimizer gamma_stat sets the
 asymptotic evidence and Bayes risk, and the smallest local minimizer gamma_alg
-is the limit of the AMP signal-to-noise recursion.  The state-evolution
-covariances of that recursion are the reference of the AMP diagnostics.
+is the limit of the AMP signal-to-noise recursion.  That recursion is
+deterministic in (prior, sigma^2, delta): its schedule is computed once per
+(sigma^2, delta, length) and kept on the prior, and AMP reads its Onsager
+coefficients and denoiser strengths from it.  The state-evolution
+covariances of the recursion are the reference of the AMP diagnostics.
 """
 
 from __future__ import annotations
@@ -86,16 +89,31 @@ def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float) -> float
     return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma)[2])
 
 
+def _se_schedule(prior: Prior, sigma2: float, delta: float, k: int):
+    """Read-only (gamma_1..gamma_k, mmse(gamma_1)..mmse(gamma_{k-1})) of the
+    state-evolution recursion, computed on the first call for (sigma2, delta,
+    k) and kept on the prior: it depends on neither the data nor the
+    replicate."""
+    key = (sigma2, delta, k)
+    schedule = prior._se_schedules.get(key)
+    if schedule is None:
+        gammas, mmses = np.empty(k), np.empty(k - 1)
+        g = delta / (sigma2 + prior.second_moment)
+        gammas[0] = g
+        for i in range(1, k):
+            mmses[i - 1] = mmse(prior, g)
+            g = delta / (sigma2 + mmses[i - 1])
+            gammas[i] = g
+        gammas.setflags(write=False)
+        mmses.setflags(write=False)
+        schedule = prior._se_schedules[key] = (gammas, mmses)
+    return schedule
+
+
 def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int) -> np.ndarray:
     """State-evolution recursion gamma_{k+1} = delta/(sigma2 + mmse(gamma_k)),
     started from gamma_1 = delta/(sigma2 + E[beta0^2])."""
-    seq = np.empty(k)
-    g = delta / (sigma2 + prior.second_moment)
-    seq[0] = g
-    for i in range(1, k):
-        g = delta / (sigma2 + mmse(prior, g))
-        seq[i] = g
-    return seq
+    return _se_schedule(prior, sigma2, delta, k)[0].copy()
 
 
 def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:

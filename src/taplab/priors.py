@@ -4,6 +4,10 @@ Continuous priors are discretized once, up front, by Gauss-Hermite quadrature
 of their continuous component; after that every scalar expectation in the
 package is an exact finite sum over atoms.  The only approximation is the
 quadrature itself, which is testable against Gaussian closed forms.
+
+A prior also holds what every fit under it shares: the two small matrices of
+the tilt kernels, built once here, and the state-evolution schedules that
+``potential`` computes on first use and keeps on the prior.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ class Prior:
     # ("atoms",) or ("bernoulli-gaussian", sparsity, variance)
     sampler: tuple = ("atoms",)
     log_weights: np.ndarray = field(init=False, repr=False)
+    # the tilt kernels' (atoms x 3) basis [logw, -a^2/2, a] and (3 x atoms)
+    # powers [1, a, a^2]; see kernels
+    _tilt_basis: np.ndarray = field(init=False, repr=False, compare=False)
+    _tilt_powers: np.ndarray = field(init=False, repr=False, compare=False)
+    # state-evolution schedules by (sigma2, delta, k); see potential
+    _se_schedules: dict = field(init=False, repr=False, compare=False,
+                                default_factory=dict)
 
     def __post_init__(self):
         locs = np.asarray(self.locations, dtype=np.float64)
@@ -70,10 +81,13 @@ class Prior:
             raise ValueError("prior needs at least 3 distinct support points")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "log_weights", np.log(w))
-        locs.setflags(write=False)
-        w.setflags(write=False)
-        self.log_weights.setflags(write=False)
+        logw = np.log(w)
+        powers = np.array([np.ones_like(locs), locs, locs * locs])
+        basis = np.array([logw, -0.5 * powers[2], locs]).T
+        for name, arr in (("locations", locs), ("weights", w), ("log_weights", logw),
+                          ("_tilt_basis", basis), ("_tilt_powers", powers)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def support_lo(self) -> float:

@@ -47,7 +47,7 @@ def _hermegauss_cached(n_nodes):
 def tilted_moments_vec(prior: Prior, lam, gam):
     """Batched (m, s, logZ) of the tilted laws; logZ relative to the prior.
     ``gam`` is one value per row or a scalar shared by every row."""
-    m, s, logZ = kernels.tilted_stats(prior.locations, prior.log_weights, lam, gam)
+    m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
     if not np.all(np.isfinite(logZ)):
         raise DegenerateTiltError("tilted log-partition overflowed")
     return m, s, logZ
@@ -55,7 +55,8 @@ def tilted_moments_vec(prior: Prior, lam, gam):
 
 def tilted_cov_vec(prior: Prior, lam, gam):
     """Batched covariance entries (c11, c12, c22) of (beta, beta^2)."""
-    _, _, _, c11, c12, c22 = kernels.tilted_cov(prior.locations, prior.log_weights, lam, gam)
+    _, _, _, c11, c12, c22 = kernels.tilted_cov(prior._tilt_basis, prior._tilt_powers,
+                                               lam, gam)
     return c11, c12, c22
 
 
@@ -113,7 +114,7 @@ def dual_solve_vec(prior: Prior, m, s, tol: float = DUAL_RESIDUAL_TOL):
     solve has the smaller residual.  Returns (lam, gam, converged, residual).
     """
     def solve(mt, st, lam0, gam0):
-        return kernels.dual_newton(prior.locations, prior.log_weights, mt, st,
+        return kernels.dual_newton(prior._tilt_basis, prior._tilt_powers, mt, st,
                                    lam0, gam0, tol=tol, max_iter=200, cap=DUAL_CAP)
 
     lam, gam, conv, res = solve(m, s, 0.0, 0.0)
@@ -143,7 +144,7 @@ def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureS
     z, wz = quad.nodes_weights
     b0 = prior.locations
     lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
-    m, s, logZ = kernels.tilted_stats(b0, prior.log_weights, lam, gamma)
+    m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gamma)
     if not np.all(np.isfinite(logZ)):
         raise DegenerateTiltError("tilted log-partition overflowed")
     grid = (len(b0), len(z))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taplab import potential
 from taplab.amp import amp_run, se_diagnostics
 from taplab.free_energy import LinearModel, tap_gradient
 from taplab.potential import gamma_sequence
@@ -42,7 +43,31 @@ def test_gamma_sequence_shared_with_recursion(tp):
     state, _ = amp_run(model, tp, 6, delta=1.0)
     seq = gamma_sequence(tp, SIGMA2, 1.0, 6)
     got = np.array([row["gamma"] for row in state.history])
-    assert np.max(np.abs(got - seq)) < 1e-14
+    assert np.array_equal(got, seq)
+
+
+def test_state_evolution_schedule_is_computed_once(monkeypatch):
+    prior = three_point()
+    rng = np.random.default_rng(6)
+    model, truth = make_model(rng, 60, 60, prior)
+    calls = []
+    mmse = potential.mmse
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return mmse(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "mmse", counted)
+    first = amp_run(model, prior, 6, truth=truth, delta=1.0)
+    assert len(calls) == 6
+    again = amp_run(model, prior, 6, truth=truth, delta=1.0)
+    assert len(calls) == 6
+    (s1, v1), (s2, v2) = first, again
+    assert s1.history == s2.history
+    for name in ("m", "s", "z"):
+        assert np.array_equal(getattr(s1, name), getattr(s2, name))
+    for name in ("m", "s", "lam", "gam", "logZ"):
+        assert np.array_equal(getattr(v1, name), getattr(v2, name))
 
 
 def test_gamma_monotone_and_determinism(tp):

@@ -17,13 +17,13 @@ def batch():
     rng = np.random.default_rng(0)
     lam = rng.uniform(-6, 6, 500)
     gam = rng.uniform(-6, 6, 500)
-    return tp.locations, tp.log_weights, lam, gam
+    return tp._tilt_basis, tp._tilt_powers, lam, gam
 
 
 def test_tilted_stats_reference_values(batch):
-    locs, logw, _, _ = batch
+    basis, powers, _, _ = batch
     m, s, logZ, c11, c12, c22 = kernels.tilted_cov(
-        locs, logw, np.array([0.0]), np.array([0.0]))
+        basis, powers, np.array([0.0]), np.array([0.0]))
     assert m[0] == pytest.approx(0.0, abs=1e-15)
     assert s[0] == pytest.approx(2.0 / 3.0)
     assert logZ[0] == pytest.approx(0.0, abs=1e-15)
@@ -42,22 +42,41 @@ def test_blocks_match_rows_tilted_one_at_a_time(prior):
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)
-    locs, logw = prior.locations, prior.log_weights
-    batch = kernels.tilted_cov(locs, logw, lam, gam)
+    basis, powers = prior._tilt_basis, prior._tilt_powers
+    batch = kernels.tilted_cov(basis, powers, lam, gam)
     assert all(np.array_equal(b, c) for b, c in
-               zip(kernels.tilted_stats(locs, logw, lam, gam), batch))
-    rows = np.array([kernels.tilted_cov(locs, logw, lam[i:i + 1], gam[i:i + 1])
+               zip(kernels.tilted_stats(basis, powers, lam, gam), batch))
+    rows = np.array([kernels.tilted_cov(basis, powers, lam[i:i + 1], gam[i:i + 1])
                      for i in range(n)])[:, :, 0].T
     # normwise: entries near 0 (m, c12) carry the rounding of the larger terms
     for b, r in zip(batch, rows):
         assert np.max(np.abs(b - r)) <= 1e-13 * np.max(np.abs(r))
 
 
-def test_scalar_gam_is_shared_by_every_row(batch):
-    locs, logw, lam, _ = batch
+@pytest.mark.parametrize("prior", [three_point(), bernoulli_gaussian(0.5, 1.0)],
+                         ids=["3pt", "bg"])
+def test_prior_tilt_matrices_are_read_only_and_exact(prior):
+    basis, powers = prior._tilt_basis, prior._tilt_powers
+    assert not basis.flags.writeable and not powers.flags.writeable
+    # the matrices built per call, from the locations and log-weights
+    a = prior.locations
+    ref_powers = np.array([np.ones_like(a), a, a * a])
+    ref_basis = np.array([prior.log_weights, -0.5 * ref_powers[2], a]).T
+    n = 3 * kernels.BLOCK_ROWS + 7
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-4, 4, n)
+    gam = rng.uniform(-1, 4, n)
     for kernel in (kernels.tilted_stats, kernels.tilted_cov):
-        shared = kernel(locs, logw, lam, 0.7)
-        full = kernel(locs, logw, lam, np.full_like(lam, 0.7))
+        got = kernel(basis, powers, lam, gam)
+        ref = kernel(ref_basis, ref_powers, lam, gam)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def test_scalar_gam_is_shared_by_every_row(batch):
+    basis, powers, lam, _ = batch
+    for kernel in (kernels.tilted_stats, kernels.tilted_cov):
+        shared = kernel(basis, powers, lam, 0.7)
+        full = kernel(basis, powers, lam, np.full_like(lam, 0.7))
         assert all(np.array_equal(a, b) for a, b in zip(shared, full))
 
 
@@ -100,7 +119,7 @@ def test_tilt_memory_stays_within_the_row_blocks():
     gam = rng.uniform(0, 3, 100_000)
     tracemalloc.start()
     try:
-        kernels.tilted_stats(prior.locations, prior.log_weights, lam, gam)
+        kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -108,9 +127,9 @@ def test_tilt_memory_stays_within_the_row_blocks():
 
 
 def test_dual_newton_roundtrip_flags(batch):
-    locs, logw, lam, gam = batch
-    m, s, *_ = kernels.tilted_stats(locs, logw, lam, gam)
-    lam2, gam2, conv, res = kernels.dual_newton(locs, logw, m, s, 0.0, 0.0,
+    basis, powers, lam, gam = batch
+    m, s, *_ = kernels.tilted_stats(basis, powers, lam, gam)
+    lam2, gam2, conv, res = kernels.dual_newton(basis, powers, m, s, 0.0, 0.0,
                                                 tol=1e-14)
     assert np.all(conv)
     assert np.max(res) < 1e-14
@@ -129,17 +148,17 @@ def mixed():
     rng = np.random.default_rng(1)
     lam = rng.uniform(-4, 4, 20)
     gam = rng.uniform(-4, 4, 20)
-    m, s, *_ = kernels.tilted_stats(tp.locations, tp.log_weights, lam, gam)
+    m, s, *_ = kernels.tilted_stats(tp._tilt_basis, tp._tilt_powers, lam, gam)
     mt = np.concatenate([m, [0.0], [0.5, 1.2, -0.4], [0.0, 0.5]])
     st = np.concatenate([s, [2.0 / 3.0], [0.2, 1.5, 0.1], [1e-12, 1.0 - 1e-12]])
     kinds = np.array(["interior"] * 21 + ["outside"] * 3 + ["clip"] * 2)
-    return tp.locations, tp.log_weights, mt, st, kinds
+    return tp._tilt_basis, tp._tilt_powers, mt, st, kinds
 
 
-def _dual_newton_row(locs, logw, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=CAP):
+def _dual_newton_row(basis, powers, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=CAP):
     """One row at a time: the reference the vectorised solve must reproduce."""
     def tilt(lam, gam):
-        m, s, logZ, c11, c12, c22 = kernels.tilted_cov(locs, logw, [lam], [gam])
+        m, s, logZ, c11, c12, c22 = kernels.tilted_cov(basis, powers, [lam], [gam])
         g = -0.5 * gam * st + lam * mt - logZ[0]
         return m[0], s[0], g, c11[0], c12[0], c22[0], np.hypot(m[0] - mt, s[0] - st)
 
@@ -167,12 +186,12 @@ def _dual_newton_row(locs, logw, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=
 
 
 def test_dual_newton_matches_row_reference(mixed):
-    locs, logw, mt, st, _ = mixed
+    basis, powers, mt, st, _ = mixed
     for max_iter in (1, 200):
-        batch = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0,
+        batch = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
                                     max_iter=max_iter, cap=CAP)
         for i in range(len(mt)):
-            lam, gam, conv, res = _dual_newton_row(locs, logw, mt[i], st[i], 0.0, 0.0,
+            lam, gam, conv, res = _dual_newton_row(basis, powers, mt[i], st[i], 0.0, 0.0,
                                                    max_iter=max_iter)
             assert abs(lam - batch[0][i]) <= 1e-12
             assert abs(gam - batch[1][i]) <= 1e-12
@@ -196,22 +215,22 @@ def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
         return tilt(*args)
 
     monkeypatch.setattr(kernels, "tilted_cov", counted)
-    batch = kernels.dual_newton(tp.locations, tp.log_weights, mt, st, 0.0, 0.0,
+    batch = kernels.dual_newton(tp._tilt_basis, tp._tilt_powers, mt, st, 0.0, 0.0,
                                 max_iter=30, cap=5.0)
     assert calls[0] <= 600  # 1734 when clipped rows ran every step
     monkeypatch.undo()
     assert np.sum(np.abs(batch[1]) == 5.0) >= 10
     for i in range(len(mt)):
-        row = _dual_newton_row(tp.locations, tp.log_weights, mt[i], st[i], 0.0, 0.0,
+        row = _dual_newton_row(tp._tilt_basis, tp._tilt_powers, mt[i], st[i], 0.0, 0.0,
                                max_iter=30, cap=5.0)
         assert row == tuple(x[i] for x in batch)
 
 
 def test_dual_newton_rows_independent(mixed):
-    locs, logw, mt, st, kinds = mixed
-    lam, gam, conv, res = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0, cap=CAP)
+    basis, powers, mt, st, kinds = mixed
+    lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0, cap=CAP)
     for i in range(len(mt)):
-        l1, g1, c1, r1 = kernels.dual_newton(locs, logw, mt[i:i + 1], st[i:i + 1],
+        l1, g1, c1, r1 = kernels.dual_newton(basis, powers, mt[i:i + 1], st[i:i + 1],
                                              0.0, 0.0, cap=CAP)
         assert abs(l1[0] - lam[i]) <= 1e-12
         assert abs(g1[0] - gam[i]) <= 1e-12
@@ -225,8 +244,8 @@ def test_dual_newton_rows_independent(mixed):
 
 
 def test_dual_newton_iteration_cap(mixed):
-    locs, logw, mt, st, kinds = mixed
-    lam, gam, conv, res = kernels.dual_newton(locs, logw, mt, st, 0.0, 0.0,
+    basis, powers, mt, st, kinds = mixed
+    lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
                                               max_iter=1, cap=CAP)
     start = np.hypot(mt - 0.0, st - 2.0 / 3.0)  # residual at the untilted start
     far = start > 0.1
@@ -249,6 +268,6 @@ def test_from_moments_reproduces_converged_tap_states():
         solved = VariationalState.from_moments(prior, state.m, state.s)
         assert np.max(np.abs(solved.m - state.m)) <= 1e-12
         assert np.max(np.abs(solved.s - state.s)) <= 1e-12
-        m, s, *_ = kernels.tilted_stats(prior.locations, prior.log_weights,
+        m, s, *_ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers,
                                         solved.lam, solved.gam)
         assert np.max(np.hypot(m - solved.m, s - solved.s)) < DUAL_RESIDUAL_TOL

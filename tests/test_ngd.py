@@ -3,6 +3,7 @@ import pytest
 
 from taplab import kernels, ngd
 from taplab.amp import amp_run
+from taplab.exceptions import DomainError
 from taplab.experiments import ExperimentConfig, generate_instance
 from taplab.free_energy import (
     LinearModel,
@@ -250,6 +251,25 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     assert np.array_equal(first.final.gam, warm.gam + 2.0 * step * gs)
     trace = newton_run(model, tp, warm, NGDConfig(max_iters=30))
     assert trace.hessian_matvecs == trace.iterations == 30
+    assert np.all(np.diff(trace.f_values) < 0.0)
+
+
+def test_singular_covariance_takes_the_ngd_direction(tp, warm3, monkeypatch):
+    # D = C^-1 does not exist: the step is NGD's, counted as an NGD iteration
+    model, warm = warm3
+
+    def singular(prior, state):
+        raise DomainError("singular per-coordinate covariance (boundary state)")
+
+    monkeypatch.setattr(ngd, "_entropy_hessian_blocks", singular)
+    first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
+    step = first.steps_used[0]
+    gm, gs = tap_gradient(model, warm)
+    assert step > 0 and first.hessian_matvecs == 0 and first.ngd_iterations == 1
+    assert np.array_equal(first.final.lam, warm.lam - step * gm)
+    assert np.array_equal(first.final.gam, warm.gam + 2.0 * step * gs)
+    trace = newton_run(model, tp, warm, NGDConfig(max_iters=30))
+    assert trace.ngd_iterations == trace.iterations == 30
     assert np.all(np.diff(trace.f_values) < 0.0)
 
 

@@ -12,7 +12,7 @@ from taplab.potential import (
     se_covariance_blocks,
     solve_gammas,
 )
-from taplab.priors import gaussian_prior, three_point
+from taplab.priors import gaussian_prior, point_mass_prior, three_point
 from taplab.scalar import mmse
 
 SIGMA2 = 0.09  # sigma = 0.3
@@ -118,6 +118,15 @@ class TestSolveGammas:
         for g, f, f2 in zip(profile.gamma_grid, profile.phi, profile.phi_second):
             assert f == phi(tp, SIGMA2, 1.0, g)
             assert f2 == phi_second(tp, SIGMA2, 1.0, g)
+
+    def test_schedule_is_kept_per_prior(self):
+        # equal locations, different weights: each prior has its own schedule
+        a, b = point_mass_prior([(-1, 0.25), (0, 0.5), (1, 0.25)]), three_point()
+        seq_a = gamma_sequence(a, SIGMA2, 1.0, 5)
+        seq_b = gamma_sequence(b, SIGMA2, 1.0, 5)
+        assert not np.array_equal(seq_a, seq_b)
+        assert np.array_equal(seq_a, gamma_sequence(a, SIGMA2, 1.0, 5))
+        assert np.array_equal(seq_b, gamma_sequence(three_point(), SIGMA2, 1.0, 5))
 
     def test_recursion_converges_to_gamma_alg(self, tp):
         profile = solve_gammas(tp, SIGMA2, 1.0)
