@@ -17,7 +17,12 @@ import numpy as np
 
 from .amp import amp_run
 from .exceptions import DomainError
-from .free_energy import LinearModel, VariationalState, min_eigenvalue
+from .free_energy import (
+    DENSE_HESSIAN_MAX_DIM,
+    LinearModel,
+    VariationalState,
+    min_eigenvalue,
+)
 from .ngd import NGDConfig, Objective, newton_run
 from .priors import Prior, parse_prior
 
@@ -218,7 +223,7 @@ def run_universality(cfg: ExperimentConfig) -> list[dict]:
         sweep = _sweep(replace(cfg, design=design), cfg.delta_grid)
         for delta, rep, model, truth, traces in sweep:
             tap = traces[Objective.TAP]
-            method = "dense" if 2 * model.p <= 4000 else "lanczos"
+            method = "dense" if 2 * model.p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
             rows.append({"scenario": design, "delta": float(delta),
                          "seed": replicate_seed(cfg.seed, rep),
                          "mse_tap": _mse(tap, truth),

@@ -6,11 +6,13 @@ are the data fit plus the entropy sum plus a volume term, and differ only
 there: TAP's is (n/2) log(V/sigma^2) in the Onsager volume
 V = sigma^2 + S(s) - Q(m), and mean-field's is its linearisation
 (n/2) (V - sigma^2)/sigma^2, so its gradient is TAP's with V fixed at sigma^2.
-The TAP Hessian is handled as four structured blocks (X^T X, per-coordinate
-2x2, and rank-one terms), dense at desk scale or matrix-free; the matrix-free
-product serves mean-field too, whose Hessian lacks the rank-one terms.  Its
-scale sits in the 2x2 entropy blocks D, so the tilted covariances C = D^-1
-precondition both Newton-CG and the LOBPCG eigenvalue probe.
+The Hessian is H = D + K: D the entropy's per-coordinate 2x2 blocks, K the
+data fit X^T X / sigma^2 and the volume terms (TAP's include rank-one terms).
+The matrix-free K product serves mean-field too, whose K lacks the rank-one
+terms; D enters only where a Hessian is asked for (``tap_hessian_matvec``,
+``tap_hessian_dense`` and the eigenvalue probe).  H's scale sits in D, so the
+tilted covariances C = D^-1 precondition the LOBPCG probe, and Newton-CG
+works with C and K alone (see ``ngd``), so it never inverts a 2x2 block.
 """
 
 from __future__ import annotations
@@ -188,15 +190,13 @@ def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
     return np.concatenate([a * vm + b * vs, b * vm + c * vs])
 
 
-def _hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
-                    v: np.ndarray, tap: bool, blocks=None) -> np.ndarray:
-    """Hessian-vector product.  TAP's rank-one volume terms are never
-    materialized; mean-field fixes V at sigma^2, so it has none."""
+def _hessian_matvec(model: LinearModel, state: VariationalState, v: np.ndarray,
+                    tap: bool) -> np.ndarray:
+    """K v, with K the Hessian's data-fit and volume part (H = D + K).  TAP's
+    rank-one volume terms are never materialized; mean-field fixes V at
+    sigma^2, so it has none."""
     p = model.p
     vm, vs = v[:p], v[p:]
-    if blocks is None:
-        blocks = _entropy_hessian_blocks(prior, state)[0]
-    d_mm, d_ms, d_ss = blocks
     V = onsager_volume(model, state) if tap else model.sigma2
     ratio = model.n / model.p
     out_m = (model.X.T @ (model.X @ vm)) / model.sigma2 - (ratio / V) * vm
@@ -209,16 +209,14 @@ def _hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
         out_m -= 2.0 * w * mdot * m
         out_m += w * ssum * m
         out_s += w * mdot - 0.5 * w * ssum
-    out_m += d_mm * vm
-    out_m += d_ms * vs
-    out_s += d_ms * vm
-    out_s += d_ss * vs
     return np.concatenate([out_m, out_s])
 
 
 def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
                        v: np.ndarray, _blocks=None) -> np.ndarray:
-    return _hessian_matvec(model, state, prior, v, True, _blocks)
+    if _blocks is None:
+        _blocks = _entropy_hessian_blocks(prior, state)[0]
+    return _hessian_matvec(model, state, v, True) + _apply_blocks(_blocks, v)
 
 
 def tap_hessian_dense(model: LinearModel, state: VariationalState,

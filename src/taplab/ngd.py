@@ -11,19 +11,27 @@ carries over between iterations.  The first line search tries ``eta``; each
 later one starts from the step the previous iteration accepted, doubled
 (capped at 1) when that iteration accepted its first candidate.
 
-``newton_run`` steps by D z, where z solves the Newton system H z = grad F
-by conjugate gradients preconditioned by the tilted covariances C, and
-D = C^-1 is the entropy Hessian's block diagonal; CG stops at the relative
-residual min(FORCING_MAX, sqrt(||grad F||)) (Eisenstat & Walker, SIAM J. Sci.
-Comput. 1996).  Each line search starts from the full step.  When CG meets
-negative curvature on its first direction, z = C grad F, whose dual step is
-NGD's own.  Where a tilted law has collapsed onto one or two atoms, its C is
-singular in float64 and D does not exist; the step then takes NGD's
-direction too, and counts as an NGD iteration.  TAP is strongly convex near
-the AMP warm start, so a TAP fit is Newton from the start.  Mean-field has no
-such guarantee, and Newton from the warm start can reach another minimizer:
-a mean-field fit runs NGD until ||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where
-NGD has chosen the basin, and Newton finishes it, in one trace.
+``newton_run`` steps by the dual Newton direction.  Write the Hessian as
+H = D + K, with D the entropy's 2x2 blocks and K the data-fit and volume part;
+the tilted covariances are C = D^-1.  The dual step u = D z of the Newton
+system H z = grad F solves (I + K C) u = grad F, which is self-adjoint in the
+inner product <x, y>_C = x' C y, so CG in that inner product needs products
+with C and K only and builds the iterates of CG on H z = grad F preconditioned
+by C (Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 9.2).  CG
+stops at the relative residual min(FORCING_MAX, sqrt(||grad F||)) (Eisenstat
+& Walker, SIAM J. Sci. Comput. 1996).  Each line search starts from the full
+step.  When CG meets negative curvature on its first direction, u = grad F,
+NGD's own direction.  Where a tilted law has collapsed onto one or two atoms,
+C is singular in float64 and D does not exist.  CG in the C inner product
+does not see C's null directions, on which I + K C acts as the identity, so
+the step adds the residual on exactly those coordinates (det C <= 0); where
+C = 0 this solves their equations.
+
+TAP is strongly convex near the AMP warm start, so a TAP fit is Newton from
+the start.  Mean-field has no such guarantee, and Newton from the warm start
+can reach another minimizer: a mean-field fit runs NGD until
+||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where NGD has chosen the basin, and
+Newton finishes it, in one trace.
 
 In both, a candidate whose energy does not fall is rejected and the step
 halved, at most 60 times; when all 60 are rejected the run stops at the step
@@ -38,12 +46,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import DomainError
 from .free_energy import (
     LinearModel,
     VariationalState,
     _apply_blocks,
-    _entropy_hessian_blocks,
     _hessian_matvec,
     mf_energy,
     mf_gradient,
@@ -51,7 +57,7 @@ from .free_energy import (
     tap_gradient,
 )
 from .priors import Prior
-from .scalar import DUAL_CAP, tilted_moments_vec
+from .scalar import DUAL_CAP, tilted_cov_vec, tilted_moments_vec
 
 # CG stops once ||r|| <= min(FORCING_MAX, sqrt(||g||)) * ||g||, or after
 # CG_ITERS_PER_COORDINATE * p iterations (the dimension of the Newton system)
@@ -101,9 +107,7 @@ class NGDTrace:
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
     hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
-    # of ``iterations``, those of NGD: a mean-field fit's NGD phase, and the
-    # Newton steps that took NGD's direction on a singular covariance
-    ngd_iterations: int = 0
+    ngd_iterations: int = 0  # of ``iterations``, those of a mean-field fit's NGD phase
 
 
 def _stationary(trace, f_cur, gm, gs, p, grad_tol) -> bool:
@@ -174,41 +178,42 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
 
 
 def _newton_direction(model, prior, state, gm, gs, tap, trace):
-    """Dual direction D z, with z an inexact solution of H z = g by CG
-    preconditioned by the tilted covariances C = D^-1; NGD's direction where
-    some C is singular."""
-    try:
-        blocks, cov = _entropy_hessian_blocks(prior, state)
-    except DomainError:
-        # a tilted law on one or two atoms: D does not exist in float64
-        trace.ngd_iterations += 1
-        return gm, gs
+    """Dual direction u, an inexact solution of (I + K C) u = g by CG in the
+    inner product of the tilted covariances C, completed on the coordinates
+    whose C is singular."""
+    cov = tilted_cov_vec(prior, state.lam, state.gam)
     p = model.p
     g = np.concatenate([gm, gs])
     g_norm = float(np.linalg.norm(g))
     tol = min(FORCING_MAX, np.sqrt(g_norm)) * g_norm
-    z = np.zeros(2 * p)
-    r = g.copy()
-    d = _apply_blocks(cov, r)
-    ry = float(r @ d)
+    u = np.zeros(2 * p)
+    r, q = g.copy(), g
+    Cr = Cq = _apply_blocks(cov, r)
+    rCr = float(r @ Cr)
     for k in range(CG_ITERS_PER_COORDINATE * p):
-        Hd = _hessian_matvec(model, state, prior, d, tap, blocks)
+        Aq = q + _hessian_matvec(model, state, Cq, tap)
         trace.hessian_matvecs += 1
-        curv = float(d @ Hd)
+        curv = float(Cq @ Aq)
         if not curv > 0:
             if k == 0:
-                return gm, gs  # z = C g: D z is the gradient, NGD's direction
+                return gm, gs  # u = g: NGD's direction
             break  # keep the iterate built on positive curvature
-        alpha = ry / curv
-        z += alpha * d
-        r -= alpha * Hd
+        alpha = rCr / curv
+        u += alpha * q
+        r -= alpha * Aq
         if np.linalg.norm(r) <= tol:
             break
-        y = _apply_blocks(cov, r)
-        ry, ry_prev = float(r @ y), ry
-        d = y + (ry / ry_prev) * d
-    dz = _apply_blocks(blocks, z)
-    return dz[:p], dz[p:]
+        Cr = _apply_blocks(cov, r)
+        rCr, rCr_prev = float(r @ Cr), rCr
+        beta = rCr / rCr_prev
+        q = r + beta * q
+        Cq = Cr + beta * Cq
+    # where det C <= 0, CG cannot see C's null direction, on which I + K C is
+    # the identity: add the residual there (exact where C = 0)
+    c11, c12, c22 = cov
+    collapsed = np.tile(c11 * c22 - c12 * c12 <= 0, 2)
+    u[collapsed] += r[collapsed]
+    return u[:p], u[p:]
 
 
 def newton_run(model: LinearModel, prior: Prior, init: VariationalState,

@@ -14,7 +14,9 @@ from taplab.amp import amp_run
 from taplab.experiments import (
     ExperimentConfig,
     fit_free_energy,
+    calibration_table,
     generate_instance,
+    inclusion_probabilities,
     run_calibration,
     run_mse_sweep,
     run_universality,
@@ -31,7 +33,14 @@ from taplab.free_energy import (
 )
 from taplab.ngd import NGDConfig, Objective, ngd_run
 from taplab.oracle import enumerate_posterior, gaussian_posterior, mc_evidence
-from taplab.potential import phi, phi_prime, phi_second, gamma_sequence, solve_gammas
+from taplab.potential import (
+    Regime,
+    gamma_sequence,
+    phi,
+    phi_prime,
+    phi_second,
+    solve_gammas,
+)
 from taplab.priors import bernoulli_gaussian, gaussian_prior, three_point
 from taplab.scalar import mmse, tilted_moments_vec, dual_solve_vec
 
@@ -337,3 +346,51 @@ def test_9_enumeration_oracle():
     report("enumeration-oracle", ok,
            f"MC z-score {z:.2f} (<3), F_MF - (-logP) = {f_mf + log_ev:.3f} "
            f"(>=0), TAP = MF + Onsager gap ({gap:.3f})", t0, 60)
+
+
+def test_10_hard_regime():
+    """Three-point, sigma=0.1, delta=0.6, where AMP is conjectured not to reach
+    the Bayes-optimal neighbourhood (gamma_alg << gamma_stat): TAP fitted from
+    AMP attains mmse(gamma_alg), dominates MF, gives calibrated PIPs, and its
+    minimizers are locally strongly convex."""
+    t0 = time.time()
+    cfg = ExperimentConfig(sigma=0.1, n=500, replicates=6)
+    delta = 0.6
+    prior = cfg.prior()
+    profile = solve_gammas(prior, cfg.sigma2, delta)
+    mmse_alg = mmse(prior, profile.gamma_alg)
+    mmse_stat = mmse(prior, profile.gamma_stat)
+    mse = {objective: [] for objective in Objective}
+    pips = {objective: [] for objective in Objective}
+    nonzero, eigs, converged = [], [], []
+    for rep in range(cfg.replicates):
+        model, truth = generate_instance(cfg, rep, delta)
+        nonzero.append(truth != 0.0)
+        for objective in Objective:
+            trace = fit_free_energy(model, prior, cfg, objective, delta=delta)
+            converged.append(trace.converged)
+            mse[objective].append(float(np.mean((trace.final.m - truth) ** 2)))
+            pips[objective].append(inclusion_probabilities(prior, trace.final))
+            if objective is Objective.TAP and rep < 3:
+                eigs.append(min_eigenvalue(model, trace.final, prior, "dense").value)
+    nonzero = np.concatenate(nonzero)
+    worst = {}
+    for objective in Objective:
+        table = calibration_table(np.concatenate(pips[objective]), nonzero)
+        worst[objective] = max(abs(r["pip_mean"] - r["freq_nonzero"])
+                               for r in table if r["count"] >= 50)
+    tap, mf = np.mean(mse[Objective.TAP]), np.mean(mse[Objective.MF])
+    # the TAP MSE's replicate sd was 0.027, so three standard errors of the
+    # mean over 6 replicates are 0.033, 14.5% of mmse(gamma_alg)
+    rel = abs(tap - mmse_alg) / mmse_alg
+    ok = (all(converged) and profile.regime is Regime.HARD and rel < 0.15
+          and mmse_stat < 0.01 * mmse_alg and tap <= mf
+          and worst[Objective.TAP] <= 0.1 and min(eigs) > 0)
+    report("hard-regime", ok,
+           f"regime {profile.regime.value} (gamma_alg {profile.gamma_alg:.3f}, "
+           f"gamma_stat {profile.gamma_stat:.2f}), TAP mse {tap:.4f} vs "
+           f"mmse(gamma_alg) {mmse_alg:.4f} (rel {rel:.3f} < 0.15; mmse(gamma_stat) "
+           f"{mmse_stat:.1e}), MF mse {mf:.4f} (>= TAP), PIP worst bin TAP "
+           f"{worst[Objective.TAP]:.3f} (<=0.1) MF {worst[Objective.MF]:.3f}, "
+           f"min eig {min(eigs):.3f} (>0), {sum(converged)}/{len(converged)} fits "
+           "converged", t0, 120)

@@ -83,6 +83,18 @@ def test_ngd_subcommand(cfg_file, tmp_path):
     assert manifest["hessian_matvecs"] > 0
 
 
+def test_ngd_mf_at_low_noise_takes_newton_steps(tmp_path):
+    # at sigma = 0.1 most tilted covariances are singular at the handover
+    # state; the mean-field fit still finishes by Newton
+    path = tmp_path / "low.txt"
+    path.write_text("sigma = 0.1\n")
+    out = tmp_path / "out"
+    assert run(str(path), out, "ngd", "--objective", "mf", "--delta", "0.6") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] and manifest["hessian_matvecs"] > 0
+    assert 0 < manifest["ngd_iterations"] < manifest["iterations"]
+
+
 def test_mse_sweep_subcommand(cfg_file, tmp_path):
     assert run(cfg_file, tmp_path, "mse-sweep") == 0
     lines = (tmp_path / "mse_sweep.csv").read_text().splitlines()

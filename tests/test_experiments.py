@@ -114,7 +114,8 @@ class TestSweeps:
 
     def test_low_noise_sweep_returns_rows(self):
         # at sigma = 0.1 tilted laws collapse onto one or two atoms, where
-        # the entropy blocks are singular; the fits step along NGD there
+        # the entropy blocks are singular; Newton steps in the covariance
+        # metric need no inverse of them
         cfg = ExperimentConfig(sigma=0.1, delta_grid=(0.6,), replicates=2)
         rows = run_mse_sweep(cfg)
         assert len(rows) == 2
@@ -129,6 +130,24 @@ class TestSweeps:
             assert a["mse_tap"] == b["mse_tap"]
             assert a["mse_mf"] == b["mse_mf"]
             assert b["min_eig"] > 0
+
+    def test_universality_probe_is_dense_up_to_its_limit(self, monkeypatch):
+        # the dense probe's own size limit decides when the iterative one runs
+        from taplab import experiments
+        cfg = small_cfg(replicates=1)
+        methods, probe = [], experiments.min_eigenvalue
+
+        def recorded(model, state, prior, method):
+            methods.append(method)
+            return probe(model, state, prior, method)
+
+        monkeypatch.setattr(experiments, "min_eigenvalue", recorded)
+        p = generate_instance(cfg, 0, 1.0)[0].p
+        monkeypatch.setattr(experiments, "DENSE_HESSIAN_MAX_DIM", 2 * p)
+        run_universality(cfg)
+        monkeypatch.setattr(experiments, "DENSE_HESSIAN_MAX_DIM", 2 * p - 1)
+        run_universality(cfg)
+        assert methods == ["dense"] * 4 + ["lanczos"] * 4
 
     def test_one_amp_warm_start_per_instance(self, monkeypatch):
         from taplab import experiments

@@ -4,6 +4,8 @@ import scipy.sparse.linalg
 
 from taplab.free_energy import (
     LinearModel,
+    _apply_blocks,
+    _entropy_hessian_blocks,
     _hessian_matvec,
     VariationalState,
     mf_energy,
@@ -193,12 +195,14 @@ class TestHessian:
         assert rel.max() < 1e-4
 
     def test_mf_matvec_matches_gradient_finite_difference(self, tp):
-        # mean-field fixes V at sigma^2: no rank-one terms, -(n/p)/sigma^2 on m
+        # mean-field fixes V at sigma^2: no rank-one terms, -(n/p)/sigma^2 on m;
+        # the Hessian is K + D, the data-and-volume product plus the entropy blocks
         rng = np.random.default_rng(6)
         p, n = 10, 15
         model, _ = random_model(rng, n, p)
         state = random_state(tp, p, rng, scale=1.0)
-        H = np.column_stack([_hessian_matvec(model, state, tp, e, False)
+        D = _entropy_hessian_blocks(tp, state)[0]
+        H = np.column_stack([_hessian_matvec(model, state, e, False) + _apply_blocks(D, e)
                              for e in np.eye(2 * p)])
         h = 1e-5
 

@@ -3,20 +3,23 @@ import pytest
 
 from taplab import kernels, ngd
 from taplab.amp import amp_run
-from taplab.exceptions import DomainError
 from taplab.experiments import ExperimentConfig, generate_instance
 from taplab.free_energy import (
     LinearModel,
     VariationalState,
+    _apply_blocks,
+    _entropy_hessian_blocks,
+    _hessian_matvec,
     mf_energy,
     onsager_volume,
     tap_energy,
     tap_gradient,
+    tap_hessian_matvec,
 )
 from taplab.ngd import NGDConfig, Objective, StopReason, newton_run, ngd_run
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, three_point
-from taplab.scalar import tilted_moments_vec
+from taplab.scalar import tilted_cov_vec, tilted_moments_vec
 
 SIGMA2 = 0.09
 
@@ -238,11 +241,11 @@ def test_newton_reaches_the_ngd_minimizer(desc, delta):
 
 
 def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
-    # CG meets d'Hd <= 0 on its first direction, so z = C g and the dual step
-    # is NGD's own, tried from the full step
+    # with K = -2D, (I + K C) q = -q: CG meets (Cq)'Aq = -q'Cq <= 0 on its
+    # first direction, so the dual step is NGD's own, tried from the full step
     model, warm = warm3
-    monkeypatch.setattr(ngd, "_hessian_matvec",
-                        lambda model, state, prior, v, tap, blocks=None: -v)
+    monkeypatch.setattr(ngd, "_hessian_matvec", lambda model, state, v, tap:
+                        -2.0 * _apply_blocks(_entropy_hessian_blocks(tp, state)[0], v))
     first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
     step = first.steps_used[0]
     gm, gs = tap_gradient(model, warm)
@@ -254,23 +257,87 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     assert np.all(np.diff(trace.f_values) < 0.0)
 
 
-def test_singular_covariance_takes_the_ngd_direction(tp, warm3, monkeypatch):
-    # D = C^-1 does not exist: the step is NGD's, counted as an NGD iteration
-    model, warm = warm3
+def warm_start(sigma, delta):
+    """Three-point model (n=300, seed 0, replicate 0) and its AMP warm start."""
+    cfg = ExperimentConfig(sigma=sigma, n=300, seed=0, replicates=1)
+    prior = cfg.prior()
+    model, _ = generate_instance(cfg, 0, delta)
+    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    return model, prior, warm
 
-    def singular(prior, state):
-        raise DomainError("singular per-coordinate covariance (boundary state)")
 
-    monkeypatch.setattr(ngd, "_entropy_hessian_blocks", singular)
-    first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
-    step = first.steps_used[0]
-    gm, gs = tap_gradient(model, warm)
-    assert step > 0 and first.hessian_matvecs == 0 and first.ngd_iterations == 1
-    assert np.array_equal(first.final.lam, warm.lam - step * gm)
-    assert np.array_equal(first.final.gam, warm.gam + 2.0 * step * gs)
-    trace = newton_run(model, tp, warm, NGDConfig(max_iters=30))
-    assert trace.ngd_iterations == trace.iterations == 30
-    assert np.all(np.diff(trace.f_values) < 0.0)
+def d_form_newton_step(model, prior, state, g):
+    """D z, with z from CG on H z = g preconditioned by C = D^-1, stopped as
+    ``_newton_direction`` stops; and the number of products with H."""
+    blocks, cov = _entropy_hessian_blocks(prior, state)
+    tol = min(ngd.FORCING_MAX, np.sqrt(np.linalg.norm(g))) * np.linalg.norm(g)
+    z, r = np.zeros_like(g), g.copy()
+    d = _apply_blocks(cov, r)
+    ry = r @ d
+    for k in range(1, ngd.CG_ITERS_PER_COORDINATE * model.p + 1):
+        Hd = tap_hessian_matvec(model, state, prior, d)
+        alpha = ry / (d @ Hd)
+        z += alpha * d
+        r -= alpha * Hd
+        if np.linalg.norm(r) <= tol:
+            break
+        y = _apply_blocks(cov, r)
+        ry, ry_prev = r @ y, ry
+        d = y + (ry / ry_prev) * d
+    return _apply_blocks(blocks, z), k
+
+
+@pytest.mark.parametrize("steps", [0, 4])
+@pytest.mark.parametrize("delta", [0.6, 1.0])
+def test_covariance_metric_step_is_the_d_form_newton_step(delta, steps):
+    # (I + K C) u = g in the C inner product builds the Krylov iterates of
+    # C-preconditioned CG on H z = g, with u = D z: at the warm start CG takes
+    # one product, after 4 Newton steps 4 or 5
+    model, prior, state = warm_start(0.3, delta)
+    if steps:
+        state = newton_run(model, prior, state, NGDConfig(max_iters=steps)).final
+    gm, gs = tap_gradient(model, state)
+    trace = ngd.NGDTrace()
+    u = np.concatenate(ngd._newton_direction(model, prior, state, gm, gs, True, trace))
+    reference, matvecs = d_form_newton_step(model, prior, state, np.concatenate([gm, gs]))
+    assert np.linalg.norm(u - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert trace.hessian_matvecs == matvecs
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.4])
+def test_newton_step_where_the_covariance_is_singular(delta):
+    # at sigma = 0.1 most tilted laws sit on one or two atoms, so D = C^-1 does
+    # not exist there; on those coordinates I + K C is the identity plus
+    # coupling, and the completed step solves their equations
+    model, prior, warm = warm_start(0.1, delta)
+    g = np.concatenate(tap_gradient(model, warm))
+    c11, c12, c22 = cov = tilted_cov_vec(prior, warm.lam, warm.gam)
+    collapsed = c11 * c22 - c12 * c12 <= 0
+    assert collapsed.sum() > model.p // 2
+    collapsed = np.tile(collapsed, 2)
+    trace = ngd.NGDTrace()
+    u = np.concatenate(ngd._newton_direction(model, prior, warm, g[:model.p], g[model.p:],
+                                             True, trace))
+    residual = u + _hessian_matvec(model, warm, _apply_blocks(cov, u), True) - g
+    assert trace.hessian_matvecs > 0
+    assert g @ _apply_blocks(cov, u) > 0  # a descent direction
+    assert np.linalg.norm(residual[collapsed]) <= 1e-10 * np.linalg.norm(g)
+
+
+def test_low_noise_mf_fit_takes_newton_steps():
+    # sigma = 0.1, delta = 0.6: C is singular on most coordinates at the
+    # handover state, and Newton still finishes the fit in NGD's basin
+    cfg = ExperimentConfig(sigma=0.1, n=300, seed=0, replicates=1)
+    prior = cfg.prior()
+    model, _ = generate_instance(cfg, 0, 0.6)
+    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=0.6)
+    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    assert newton.converged and reference.converged
+    assert newton.hessian_matvecs > 0 and newton.ngd_iterations < newton.iterations
+    assert np.all(np.diff(newton.f_values) < 0.0)
+    assert newton.f_values[-1] <= reference.f_values[-1]
+    assert np.max(np.abs(newton.final.m - reference.final.m)) <= 1e-2
 
 
 def test_newton_runs_ngd_first_on_mf_only(tp, warm3, monkeypatch):
