@@ -176,8 +176,11 @@ def _entropy_hessian_blocks(prior: Prior, state: VariationalState):
     that it inverts."""
     c11, c12, c22 = tilted_cov_vec(prior, state.lam, state.gam)
     det = c11 * c22 - c12 * c12
-    if np.any(det <= 0) or not np.all(np.isfinite(det)):
-        raise DomainError("singular per-coordinate covariance (boundary state)")
+    singular = ~(np.isfinite(det) & (det > 0))
+    if singular.any():
+        raise DomainError(f"per-coordinate covariance singular in float64 on "
+                          f"{singular.sum()} of {len(det)} coordinates (tilted laws "
+                          "collapsed onto one or two atoms)")
     return (c22 / det, -c12 / det, c11 / det), (c11, c12, c22)
 
 

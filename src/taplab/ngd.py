@@ -1,9 +1,13 @@
 """Natural gradient descent and truncated Newton-CG on the free energies.
 
-Both solvers step in the dual coordinates (lam, -gam/2) and map back through
-the tilted-moment map.  The moment map keeps every iterate strictly interior,
-so no projection is needed along the way; backtracking on the step size
-enforces monotone descent.
+Both solvers are one line-search loop that differs only in its search
+direction (Nocedal & Wright, Numerical Optimization, 2006, ch. 3).  Each
+iteration records the energy and ||grad F||^2/p of the current iterate and
+stops there once that is below ``grad_tol``; otherwise it takes a direction
+and backtracks along it.  The loop steps in the dual coordinates
+(lam, -gam/2) and maps back through the tilted-moment map, which keeps every
+iterate strictly interior, so no projection is needed along the way;
+backtracking on the step size enforces monotone descent.
 
 ``ngd_run`` (TAP or mean-field) steps by the moment-space gradient, which is
 a Bregman gradient step for the relative-entropy divergence.  The step
@@ -29,14 +33,19 @@ C = 0 this solves their equations.
 
 TAP is strongly convex near the AMP warm start, so a TAP fit is Newton from
 the start.  Mean-field has no such guarantee, and Newton from the warm start
-can reach another minimizer: a mean-field fit runs NGD until
-||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where NGD has chosen the basin, and
-Newton finishes it, in one trace.
+can reach another minimizer: a mean-field fit runs ``ngd_run`` until
+||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where NGD has chosen the basin.  If
+that phase converged, ``newton_run`` reopens its trace (the handover state's
+record is dropped, and the loop records that state again as its first
+iteration) and continues it in the same loop with Newton directions, so the
+fit has one trace.
 
 In both, a candidate whose energy does not fall is rejected and the step
 halved, at most 60 times; when all 60 are rejected the run stops at the step
 floor, which is also where a run ends once the energy stops changing in
-float64.
+float64.  Every iterate whose energy is recorded counts as an iteration,
+including the last, which takes no step.  A candidate that leaves the dual
+box |lam|, |gam| <= DUAL_CAP is clipped onto it and counted as a clip event.
 """
 
 from __future__ import annotations
@@ -99,81 +108,80 @@ class StopReason(enum.Enum):
 class NGDTrace:
     f_values: list = field(default_factory=list)
     grad_norm_sq_per_p: list = field(default_factory=list)
-    steps_used: list = field(default_factory=list)
+    steps_used: list = field(default_factory=list)  # 0.0 for a record with no step
     final: VariationalState | None = None
-    converged: bool = False
     stop_reason: StopReason = StopReason.MAX_ITERS
-    iterations: int = 0
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
     hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
     ngd_iterations: int = 0  # of ``iterations``, those of a mean-field fit's NGD phase
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason is StopReason.CONVERGED
 
-def _stationary(trace, f_cur, gm, gs, p, grad_tol) -> bool:
-    """Record the energy and ||grad||^2/p of the current iterate; True (and
-    the run stops converged) when ||grad||^2/p < grad_tol."""
-    gn = float(gm @ gm + gs @ gs) / p
-    trace.f_values.append(f_cur)
-    trace.grad_norm_sq_per_p.append(gn)
-    if gn < grad_tol:
-        trace.converged = True
-        trace.stop_reason = StopReason.CONVERGED
-        trace.steps_used.append(0.0)
-        return True
-    return False
+    @property
+    def iterations(self) -> int:
+        return len(self.steps_used)
 
 
-def _line_search(model, prior, energy, state, f_cur, dm, ds, step, trace):
-    """Try the duals (lam - step*dm, gam + 2*step*ds), halving the step until
-    the energy falls below ``f_cur``.  Returns (candidate, its energy, the
-    accepted step, rejections), or None (the run stops at the step floor)
-    when 60 halvings found no decrease."""
-    for tries in range(60):
-        lam_new = state.lam - step * dm
-        gam_new = state.gam + 2.0 * step * ds
-        if max(np.abs(lam_new).max(), np.abs(gam_new).max()) > DUAL_CAP:
-            trace.clip_events += 1
-            np.clip(lam_new, -DUAL_CAP, DUAL_CAP, out=lam_new)
-            np.clip(gam_new, -DUAL_CAP, DUAL_CAP, out=gam_new)
-        m_new, s_new, logZ_new = tilted_moments_vec(prior, lam_new, gam_new)
-        cand = VariationalState(m_new, s_new, lam_new, gam_new, logZ_new)
-        f_new = energy(model, cand)
-        if f_new < f_cur:
-            trace.steps_used.append(step)
-            return cand, f_new, step, tries
-        trace.backtracks += 1
-        step *= 0.5
-    # no decrease even at the smallest step: local numeric floor
-    trace.stop_reason = StopReason.STEP_FLOOR
-    trace.steps_used.append(0.0)
-    return None
+def _descend(model, prior, cfg, trace, state, newton, f_cur=None):
+    """Continue ``trace`` from ``state``, whose energy is ``f_cur`` (computed
+    when None), until ``trace`` holds ``cfg.max_iters`` iterations: NGD
+    directions with the step carried over, or Newton directions from the full
+    step, each followed by a backtracking line search."""
+    tap = cfg.objective is Objective.TAP
+    energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
+    if f_cur is None:
+        f_cur = energy(model, state)
+    step = cfg.eta
+    for _ in range(cfg.max_iters - len(trace.steps_used)):
+        gm, gs = gradient(model, state)
+        gn = float(gm @ gm + gs @ gs) / model.p
+        trace.f_values.append(f_cur)
+        trace.grad_norm_sq_per_p.append(gn)
+        if gn < cfg.grad_tol:
+            trace.stop_reason = StopReason.CONVERGED
+            trace.steps_used.append(0.0)
+            break
+        if newton:
+            dm, ds = _newton_direction(model, prior, state, gm, gs, tap, trace)
+            step = 1.0
+        else:
+            dm, ds = gm, gs
+        # try the duals (lam - step*dm, gam + 2*step*ds), halving the step
+        # until the energy falls
+        for tries in range(60):
+            lam = state.lam - step * dm
+            gam = state.gam + 2.0 * step * ds
+            if max(np.abs(lam).max(), np.abs(gam).max()) > DUAL_CAP:
+                trace.clip_events += 1
+                np.clip(lam, -DUAL_CAP, DUAL_CAP, out=lam)
+                np.clip(gam, -DUAL_CAP, DUAL_CAP, out=gam)
+            m, s, logZ = tilted_moments_vec(prior, lam, gam)
+            cand = VariationalState(m, s, lam, gam, logZ)
+            f_new = energy(model, cand)
+            if f_new < f_cur:
+                break
+            trace.backtracks += 1
+            step *= 0.5
+        else:  # no decrease even at the smallest step: local numeric floor
+            trace.stop_reason = StopReason.STEP_FLOOR
+            trace.steps_used.append(0.0)
+            break
+        trace.steps_used.append(step)
+        state, f_cur = cand, f_new
+        if tries == 0:
+            step = min(1.0, 2.0 * step)
+    trace.final = state
+    return trace
 
 
 def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
             cfg: NGDConfig) -> NGDTrace:
     """Minimize the configured free energy starting from an interior state."""
-    if cfg.objective is Objective.TAP:
-        energy, gradient = tap_energy, tap_gradient
-    else:
-        energy, gradient = mf_energy, mf_gradient
-
-    trace = NGDTrace()
-    state = init
-    f_cur = energy(model, state)
-    step = cfg.eta
-    for _ in range(cfg.max_iters):
-        gm, gs = gradient(model, state)
-        if _stationary(trace, f_cur, gm, gs, model.p, cfg.grad_tol):
-            break
-        found = _line_search(model, prior, energy, state, f_cur, gm, gs, step, trace)
-        if found is None:
-            break
-        state, f_cur, step, tries = found
-        if tries == 0:
-            step = min(1.0, 2.0 * step)
-    trace.final = state
-    trace.iterations = trace.ngd_iterations = len(trace.steps_used)
+    trace = _descend(model, prior, cfg, NGDTrace(), init, newton=False)
+    trace.ngd_iterations = trace.iterations
     return trace
 
 
@@ -222,31 +230,15 @@ def newton_run(model: LinearModel, prior: Prior, init: VariationalState,
     interior state, such as the AMP warm start; a mean-field fit runs NGD
     first (``ngd_run``, which alone uses ``cfg.eta``) and stops where that
     phase stops unless it converged."""
-    tap = cfg.objective is Objective.TAP
-    energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
-    if tap:
-        trace = NGDTrace()
-        state = init
-        f_cur = energy(model, state)
-    else:
-        entry = replace(cfg, grad_tol=max(cfg.grad_tol, MF_NEWTON_ENTRY_GRAD))
-        trace = ngd_run(model, prior, init, entry)
-        if not trace.converged:
-            return trace
-        # reopen the run at the handover state, which the loop records again
-        state, f_cur = trace.final, trace.f_values.pop()
-        trace.grad_norm_sq_per_p.pop()
-        trace.steps_used.pop()
-        trace.converged, trace.stop_reason = False, StopReason.MAX_ITERS
-    for _ in range(cfg.max_iters - len(trace.steps_used)):
-        gm, gs = gradient(model, state)
-        if _stationary(trace, f_cur, gm, gs, model.p, cfg.grad_tol):
-            break
-        dm, ds = _newton_direction(model, prior, state, gm, gs, tap, trace)
-        found = _line_search(model, prior, energy, state, f_cur, dm, ds, 1.0, trace)
-        if found is None:
-            break
-        state, f_cur, _, _ = found
-    trace.final = state
-    trace.iterations = len(trace.steps_used)
-    return trace
+    if cfg.objective is Objective.TAP:
+        return _descend(model, prior, cfg, NGDTrace(), init, newton=True)
+    entry = replace(cfg, grad_tol=max(cfg.grad_tol, MF_NEWTON_ENTRY_GRAD))
+    trace = ngd_run(model, prior, init, entry)
+    if not trace.converged:
+        return trace
+    # reopen the run at the handover state, which the loop records again
+    f_cur = trace.f_values.pop()
+    trace.grad_norm_sq_per_p.pop()
+    trace.steps_used.pop()
+    trace.stop_reason = StopReason.MAX_ITERS
+    return _descend(model, prior, cfg, trace, trace.final, newton=True, f_cur=f_cur)

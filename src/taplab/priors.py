@@ -13,6 +13,7 @@ the tilt kernels, built once here, and the state-evolution schedules that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .exceptions import DomainError
 DEFAULT_QUAD_NODES = 101
 
 
+@lru_cache(maxsize=32)
 def _gauss_hermite_standard_normal(n_nodes: int):
     """Nodes and weights for E_{z~N(0,1)}[f(z)] ~= sum_i w_i f(z_i)."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)

@@ -10,13 +10,12 @@ MMSE and the mutual information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
 from .exceptions import DegenerateTiltError, DomainError
-from .priors import Prior
+from .priors import Prior, _gauss_hermite_standard_normal
 
 DUAL_CAP = 1e6
 DUAL_RESIDUAL_TOL = 1e-10
@@ -31,13 +30,7 @@ class QuadratureSpec:
 
     @property
     def nodes_weights(self):
-        return _hermegauss_cached(self.n_nodes)
-
-
-@lru_cache(maxsize=32)
-def _hermegauss_cached(n_nodes):
-    z, w = np.polynomial.hermite_e.hermegauss(n_nodes)
-    return z, w / np.sqrt(2.0 * np.pi)
+        return _gauss_hermite_standard_normal(self.n_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Every public name of the package is used by the package or its benchmark,
-and so is every parameter default that can be overridden.
+and so is every private helper and every parameter default that can be
+overridden.
 
 A public function, class, method or property that only tests call is API
-kept alive for its tests, and so is a parameter that only tests set; these
-guards find both by parsing the sources.
+kept alive for its tests, and so is a parameter that only tests set; a
+private helper whose last caller was deleted is dead code.  These guards find
+all three by parsing the sources.
 """
 
 import ast
@@ -104,6 +106,15 @@ def public_names():
                         yield f"{path.stem}.{node.name}.{member.name}", member.name
 
 
+def private_names():
+    """(module.name, name) of each private top-level function and class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+
+
 def referenced_names():
     names = set()
     for path in USERS:
@@ -127,6 +138,16 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = sorted(full for full, name in found.items()
                     if name not in used and full not in EXEMPT_NAMES)
     assert unused == [], f"public names with no caller outside the tests: {unused}"
+
+
+def test_every_private_helper_has_a_caller_outside_the_tests():
+    found = dict(private_names())
+    used = referenced_names()
+    # the scan sees helpers called within their module and imported by others
+    assert found["ngd._newton_direction"] == "_newton_direction"
+    assert {"_newton_direction", "_apply_blocks"} <= used
+    orphans = sorted(full for full, name in found.items() if name not in used)
+    assert orphans == [], f"private helpers with no caller outside the tests: {orphans}"
 
 
 def test_every_parameter_default_is_overridden_outside_the_tests():

@@ -123,12 +123,16 @@ def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
     (["--config", "{spikeless}", "calibrate"], "calibration needs a prior with an atom at 0"),
     (["hessian", "--delta", "1.4", "--method", "lanczos"],
      "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
-], ids=["oracle", "calibrate", "hessian"])
+    (["--config", "{low_noise}", "hessian", "--delta", "1.0"],
+     "per-coordinate covariance singular in float64 on 204 of 300 coordinates"),
+], ids=["oracle", "calibrate", "hessian", "hessian-collapsed"])
 def test_library_error_is_one_line(tmp_path, capsys, argv, message):
     spikeless = tmp_path / "spikeless.txt"
     spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
+    low_noise = tmp_path / "low_noise.txt"
+    low_noise.write_text("sigma = 0.1\n")
     out = tmp_path / "out"
-    argv = [a.format(spikeless=spikeless) for a in argv]
+    argv = [a.format(spikeless=spikeless, low_noise=low_noise) for a in argv]
     with pytest.raises(SystemExit) as info:
         main(["--out", str(out), *argv])
     assert info.value.code == 1

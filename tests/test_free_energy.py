@@ -17,7 +17,7 @@ from taplab.free_energy import (
     tap_hessian_dense,
     tap_hessian_matvec,
 )
-from taplab.exceptions import NoConvergenceError
+from taplab.exceptions import DomainError, NoConvergenceError
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.ngd import Objective
 from taplab.oracle import gaussian_posterior
@@ -289,3 +289,16 @@ class TestHessian:
         # above its bound, and the probe says so
         with pytest.raises(NoConvergenceError, match="428-dimensional"):
             min_eigenvalue(model, state, tp, method="lanczos")
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_collapsed_tilted_laws_are_named(self, tp, method):
+        # sigma = 0.1, delta = 1.0 (n=300, seed 0, replicate 0): the final TAP
+        # state is interior, but most tilted laws sit on one or two atoms, so
+        # det C is 0 in float64 and D = C^-1, which both probes form, does not
+        # exist; the error counts those coordinates and names the cause
+        cfg = ExperimentConfig(sigma=0.1, n=300, seed=0, replicates=1)
+        model, _ = generate_instance(cfg, 0, 1.0)
+        state = fit_free_energy(model, tp, cfg, Objective.TAP, delta=1.0).final
+        with pytest.raises(DomainError, match=r"singular in float64 on 204 of 300 "
+                           r"coordinates \(tilted laws collapsed onto one or two atoms\)"):
+            min_eigenvalue(model, state, tp, method=method)

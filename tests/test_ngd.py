@@ -266,6 +266,19 @@ def warm_start(sigma, delta):
     return model, prior, warm
 
 
+def test_candidates_outside_the_dual_cap_are_clipped(monkeypatch):
+    # with the cap just above the warm start's largest dual, the mean-field
+    # descent pushes candidates past it: each is clipped onto the cap and
+    # still has to lower the energy to be accepted
+    model, prior, warm = warm_start(0.3, 1.0)
+    cap = 1.05 * max(np.abs(warm.lam).max(), np.abs(warm.gam).max())
+    monkeypatch.setattr(ngd, "DUAL_CAP", cap)
+    trace = newton_run(model, prior, warm, NGDConfig(objective=Objective.MF, max_iters=200))
+    assert trace.clip_events > 0
+    assert np.abs(trace.final.lam).max() <= cap and np.abs(trace.final.gam).max() <= cap
+    assert np.all(np.diff(trace.f_values) < 0.0)
+
+
 def d_form_newton_step(model, prior, state, g):
     """D z, with z from CG on H z = g preconditioned by C = D^-1, stopped as
     ``_newton_direction`` stops; and the number of products with H."""
