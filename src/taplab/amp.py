@@ -20,18 +20,17 @@ from .priors import Prior
 
 @dataclass
 class AMPState:
-    """Trajectory record of an AMP run.
+    """Trajectory record of an AMP run of k = T iterations.
 
-    After T iterations: m/s hold the (T+1)-th moment iterates, z the T-th
-    residual, gamma the signal-to-noise used in the last denoise.  The
-    histories keep every m^k (k=1..T+1) and z^k (k=1..T) for diagnostics.
+    ``history`` holds one row per iteration k = 1..T: the signal-to-noise
+    ``gamma`` of its denoise, the state-evolution MSE ``mse_se`` and, when
+    asked for, ``mse_empirical`` and ``grad_norm_sq_per_p``.  ``m_history``
+    holds the first-moment iterates m^1 = 0, m^2, ..., m^{T+1} and
+    ``z_history`` the residuals z^1..z^T.  The last iterate's second moments
+    are those of the VariationalState that ``amp_run`` returns beside this.
     """
 
     k: int
-    m: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
-    gamma: float
     history: list = field(default_factory=list)
     m_history: list = field(default_factory=list)
     z_history: list = field(default_factory=list)
@@ -87,8 +86,7 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
         z_prev = z_k
         m_k = var_state.m
 
-    state = AMPState(k=T, m=m_k, s=var_state.s, z=z_prev, gamma=gamma_k,
-                     history=history, m_history=m_hist, z_history=z_hist)
+    state = AMPState(k=T, history=history, m_history=m_hist, z_history=z_hist)
     return state, var_state
 
 

@@ -64,9 +64,14 @@ def load_config(path) -> dict:
     is split on commas, any other value is cast to the type of the field's
     default, so a str value is never split.
     """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise SystemExit(f"cannot read config file {str(path)!r}: {reason}") from None
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -269,12 +271,14 @@ def write_manifest(out_dir, cfg: ExperimentConfig, wall_time_s: float,
 
 
 def _git_describe():
-    import subprocess
-
+    """``git describe`` of the taplab checkout this module runs from, whatever
+    the working directory; None outside a checkout."""
+    root = Path(__file__).resolve().parents[2]
+    # never look above the checkout for a repository
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
     try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5, check=False,
-        ).stdout.strip() or None
-    except OSError:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=5,
+                              check=True).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):  # a nonzero exit included
         return None

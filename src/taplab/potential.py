@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 from .exceptions import DomainError, NoBracketError
 from .priors import Prior
-from .scalar import QuadratureSpec, channel_terms, mmse
+from .scalar import channel_terms, mmse
 
 # solve_gammas scans phi' on GRID_POINTS log-spaced values of gamma between
 # GRID_LO and GRID_HI times delta/sigma^2
@@ -54,32 +54,29 @@ class PotentialProfile:
     regime: Regime
 
 
-def mutual_information(prior: Prior, gamma: float,
-                       quad: QuadratureSpec = QuadratureSpec()) -> float:
+def mutual_information(prior: Prior, gamma: float) -> float:
     """i(gamma) = E[gamma*beta0^2/2 - log E_beta exp(-gamma*beta^2/2 + lam*beta)]
     with lam = gamma*beta0 + sqrt(gamma)*z."""
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
     if gamma == 0.0:
         return 0.0
-    return channel_terms(prior, gamma, quad)[0]
+    return channel_terms(prior, gamma)[0]
 
 
-def phi(prior: Prior, sigma2: float, delta: float, gamma: float,
-        quad: QuadratureSpec = QuadratureSpec()) -> float:
+def phi(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     if gamma <= 0:
         raise DomainError("phi requires gamma > 0")
     return (0.5 * sigma2 * gamma
             - 0.5 * delta * np.log(gamma / (2.0 * np.pi * delta))
-            + mutual_information(prior, gamma, quad))
+            + mutual_information(prior, gamma))
 
 
-def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float,
-              quad: QuadratureSpec = QuadratureSpec()) -> float:
+def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """First derivative via the I-MMSE relation."""
     if gamma <= 0:
         raise DomainError("phi_prime requires gamma > 0")
-    return 0.5 * (sigma2 - delta / gamma + mmse(prior, gamma, quad))
+    return 0.5 * (sigma2 - delta / gamma + mmse(prior, gamma))
 
 
 def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
@@ -175,7 +172,6 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
 class SECovariances:
     K_g: np.ndarray
     K_h: np.ndarray
-    gamma_seq: np.ndarray
 
 
 def se_covariance_blocks(prior: Prior, sigma2: float, delta: float,
@@ -190,4 +186,4 @@ def se_covariance_blocks(prior: Prior, sigma2: float, delta: float,
     idx = np.maximum.outer(np.arange(k), np.arange(k))
     K_g = 1.0 / seq[idx]
     K_h = delta / seq[idx] - sigma2
-    return SECovariances(K_g=K_g, K_h=K_h, gamma_seq=seq)
+    return SECovariances(K_g=K_g, K_h=K_h)

@@ -42,7 +42,6 @@ class Prior:
     locations: np.ndarray
     weights: np.ndarray
     kind: str  # "explicit-discrete" | "quadrature-of-continuous"
-    source_descriptor: str
     zero_spike_weight: float = 0.0
     # sampling recipe for drawing exact (non-quadrature) signals:
     # ("atoms",) or ("bernoulli-gaussian", sparsity, variance)
@@ -135,21 +134,18 @@ def three_point() -> Prior:
         locations=np.array([-1.0, 0.0, 1.0]),
         weights=np.array([1.0, 1.0, 1.0]) / 3.0,
         kind="explicit-discrete",
-        source_descriptor="three-point",
         zero_spike_weight=1.0 / 3.0,
     )
 
 
-def point_mass_prior(pairs, descriptor=None) -> Prior:
+def point_mass_prior(pairs) -> Prior:
     locs = np.array([v for v, _ in pairs], dtype=np.float64)
     w = np.array([wt for _, wt in pairs], dtype=np.float64)
     spike0 = float(w[locs == 0.0].sum())
-    desc = descriptor or "point-mass:" + ";".join(f"{v:g},{wt:g}" for v, wt in pairs)
     return Prior(
         locations=locs,
         weights=w,
         kind="explicit-discrete",
-        source_descriptor=desc,
         zero_spike_weight=spike0,
     )
 
@@ -171,7 +167,6 @@ def bernoulli_gaussian(sparsity: float, variance: float) -> Prior:
         locations=locs,
         weights=weights,
         kind="quadrature-of-continuous",
-        source_descriptor=f"bernoulli-gaussian({sparsity:g}, {variance:g})",
         zero_spike_weight=(1.0 - sparsity),
         sampler=("bernoulli-gaussian", sparsity, variance),
     )
@@ -199,7 +194,7 @@ def parse_prior(descriptor: str) -> Prior:
             for chunk in body.split(";"):
                 v, w = chunk.split(",")
                 pairs.append((float(v), float(w)))
-            return point_mass_prior(pairs, descriptor=text)
+            return point_mass_prior(pairs)
         if text.startswith("bernoulli-gaussian:"):
             body = text[len("bernoulli-gaussian:"):]
             sparsity, variance = (float(x) for x in body.split(","))

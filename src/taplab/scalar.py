@@ -5,11 +5,15 @@ exp(-gam*beta^2/2 + lam*beta).  This module provides the batched moment map
 and its inverse (dual solve), the envelopes of the moment space and the
 projection into its interior, and the scalar-channel quadrature behind the
 MMSE and the mutual information.
+
+Two accuracies are fixed here and read at call time: the channel noise is
+integrated by the QUAD_NODES-point Gauss-Hermite rule, and a dual solve has
+converged once its moment residual is below DUAL_RESIDUAL_TOL.  The
+state-evolution schedules a prior keeps (see ``potential``) are computed
+with the rule in force at the time and are not keyed by it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +24,7 @@ from .priors import Prior, _gauss_hermite_standard_normal
 DUAL_CAP = 1e6
 DUAL_RESIDUAL_TOL = 1e-10
 INTERIOR_EPS_FRAC = 1e-9  # relative nudge of project_interior
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Hermite rule for expectations over the channel noise z ~ N(0,1)."""
-
-    n_nodes: int = 61
-
-    @property
-    def nodes_weights(self):
-        return _gauss_hermite_standard_normal(self.n_nodes)
+QUAD_NODES = 61  # Gauss-Hermite nodes over the channel noise z ~ N(0,1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def project_interior(prior: Prior, m, s):
 # dual solve
 # ---------------------------------------------------------------------------
 
-def dual_solve_vec(prior: Prior, m, s, tol: float = DUAL_RESIDUAL_TOL):
+def dual_solve_vec(prior: Prior, m, s):
     """Batched inverse moment map, Newton from (lam, gam) = (0, 0).
 
     Rows left unconverged are solved again from the Gaussian moment match
@@ -108,7 +102,8 @@ def dual_solve_vec(prior: Prior, m, s, tol: float = DUAL_RESIDUAL_TOL):
     """
     def solve(mt, st, lam0, gam0):
         return kernels.dual_newton(prior._tilt_basis, prior._tilt_powers, mt, st,
-                                   lam0, gam0, tol=tol, max_iter=200, cap=DUAL_CAP)
+                                   lam0, gam0, tol=DUAL_RESIDUAL_TOL, max_iter=200,
+                                   cap=DUAL_CAP)
 
     lam, gam, conv, res = solve(m, s, 0.0, 0.0)
     m = np.broadcast_to(np.asarray(m, dtype=np.float64), conv.shape)
@@ -130,11 +125,11 @@ def dual_solve_vec(prior: Prior, m, s, tol: float = DUAL_RESIDUAL_TOL):
 # scalar channel
 # ---------------------------------------------------------------------------
 
-def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()):
+def channel_terms(prior: Prior, gamma: float):
     """(i(gamma), mmse(gamma), E[Var(beta0 | channel)^2]) of the channel
     lam = gamma*beta0 + sqrt(gamma)*z from one tilt of the (atoms x nodes)
     grid: exact sum over prior atoms, Gauss-Hermite over z."""
-    z, wz = quad.nodes_weights
+    z, wz = _gauss_hermite_standard_normal(QUAD_NODES)
     b0 = prior.locations
     lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
     m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gamma)
@@ -150,10 +145,10 @@ def channel_terms(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureS
     return info, mse, e_var2
 
 
-def mmse(prior: Prior, gamma: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def mmse(prior: Prior, gamma: float) -> float:
     """Bayes risk in the channel lam = gamma*beta0 + sqrt(gamma)*z."""
     if gamma < 0:
         raise DomainError("gamma must be nonnegative")
     if gamma == 0.0:
         return prior.variance
-    return channel_terms(prior, gamma, quad)[1]
+    return channel_terms(prior, gamma)[1]

@@ -278,7 +278,9 @@ def test_8_scalar_property_suite():
     m, s, _ = tilted_moments_vec(prior, lam, gam)
     # near machine-precision moment residual: extreme tilts are poorly
     # conditioned, 1e-8 accuracy in dual space needs ~1e-14 in moments
-    lam2, gam2, conv, _ = dual_solve_vec(prior, m, s, tol=2e-15)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("taplab.scalar.DUAL_RESIDUAL_TOL", 2e-15)
+        lam2, gam2, conv, _ = dual_solve_vec(prior, m, s)
     roundtrip = float(max(np.max(np.abs(lam2 - lam)), np.max(np.abs(gam2 - gam))))
 
     convex_ok = True
@@ -291,14 +293,14 @@ def test_8_scalar_property_suite():
     mm = np.array([mmse(prior, g) for g in grid])
     mono_ok = bool(np.all(np.diff(mm) <= 1e-12))
 
-    from taplab.scalar import QuadratureSpec
-    quad = QuadratureSpec(201)
     imms = 0.0
-    for g in np.geomspace(1e-2, 1e2, 10):
-        h = 5e-5 * g
-        fd = (phi(prior, SIGMA2, 1.0, g + h, quad)
-              - phi(prior, SIGMA2, 1.0, g - h, quad)) / (2 * h)
-        imms = max(imms, abs(fd - phi_prime(prior, SIGMA2, 1.0, g, quad)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("taplab.scalar.QUAD_NODES", 201)
+        for g in np.geomspace(1e-2, 1e2, 10):
+            h = 5e-5 * g
+            fd = (phi(prior, SIGMA2, 1.0, g + h)
+                  - phi(prior, SIGMA2, 1.0, g - h)) / (2 * h)
+            imms = max(imms, abs(fd - phi_prime(prior, SIGMA2, 1.0, g)))
 
     h = 1e-5
     fd2 = (phi_prime(prior, SIGMA2, 1.0, 1.0 + h)

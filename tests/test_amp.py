@@ -26,15 +26,15 @@ def make_model(rng, n, p, prior):
 def test_first_step_unrolled(tp):
     rng = np.random.default_rng(0)
     model, _ = make_model(rng, 50, 50, tp)
-    state, _ = amp_run(model, tp, 1, delta=1.0)
+    state, vs = amp_run(model, tp, 1, delta=1.0)
     gamma1 = 1.0 / (SIGMA2 + tp.second_moment)
     # m^1 = 0, z^1 = y, so m^2 is the posterior mean of the channel
     # x = X^T y / delta at gamma_1: the tilted law at (gamma_1*x, gamma_1)
     x = model.X.T @ model.y / 1.0
     m_expect, s_expect, _ = tilted_moments_vec(tp, gamma1 * x, gamma1)
-    assert np.array_equal(state.m, m_expect)
-    assert np.array_equal(state.s, s_expect)
-    assert np.array_equal(state.z, model.y)
+    assert np.array_equal(state.m_history[-1], m_expect)
+    assert np.array_equal(vs.s, s_expect)
+    assert np.array_equal(state.z_history[-1], model.y)
 
 
 def test_gamma_sequence_shared_with_recursion(tp):
@@ -64,7 +64,7 @@ def test_state_evolution_schedule_is_computed_once(monkeypatch):
     assert len(calls) == 6
     (s1, v1), (s2, v2) = first, again
     assert s1.history == s2.history
-    for name in ("m", "s", "z"):
+    for name in ("m_history", "z_history"):
         assert np.array_equal(getattr(s1, name), getattr(s2, name))
     for name in ("m", "s", "lam", "gam", "logZ"):
         assert np.array_equal(getattr(v1, name), getattr(v2, name))
@@ -77,7 +77,7 @@ def test_gamma_monotone_and_determinism(tp):
     s2, v2 = amp_run(model, tp, 8, truth=truth)
     gammas = [row["gamma"] for row in s1.history]
     assert np.all(np.diff(gammas) > -1e-10)
-    assert np.array_equal(s1.m, s2.m)
+    assert np.array_equal(s1.m_history[-1], s2.m_history[-1])
     assert np.array_equal(v1.lam, v2.lam)
 
 

@@ -1,11 +1,11 @@
 """Every public name of the package is used by the package or its benchmark,
-and so is every private helper and every parameter default that can be
-overridden.
+and so is every private helper, every parameter default that can be
+overridden and every public dataclass field.
 
 A public function, class, method or property that only tests call is API
-kept alive for its tests, and so is a parameter that only tests set; a
-private helper whose last caller was deleted is dead code.  These guards find
-all three by parsing the sources.
+kept alive for its tests, and so is a parameter that only tests set or a
+field that only tests read; a private helper whose last caller was deleted is
+dead code.  These guards find all four by parsing the sources.
 """
 
 import ast
@@ -25,12 +25,6 @@ EXEMPT_PARAMETERS = {
     "cli.main": {"argv"},
     # the strict mode (no projection) the finite-difference oracle tests use
     "free_energy.VariationalState.from_moments": {"project"},
-    # the I-MMSE tests need 201 nodes: their finite-difference error is
-    # 2.1e-6 at the default 61 against a 1e-6 bound, and 4.2e-8 at 201
-    "potential.phi": {"quad"},
-    "potential.phi_prime": {"quad"},
-    # the round-trip tests solve to a 2e-15 residual
-    "scalar.dual_solve_vec": {"tol"},
 }
 
 
@@ -115,6 +109,36 @@ def private_names():
                 yield f"{path.stem}.{node.name}", node.name
 
 
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields():
+    """(module.Class.field, field) of each public field of each public
+    dataclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in EXEMPT_MODULES:
+            continue
+        for node in _public(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign):
+                        name = member.target.id
+                        if not name.startswith("_"):
+                            yield f"{path.stem}.{node.name}.{name}", name
+
+
+def read_attributes():
+    """Each name read as an attribute, ``x.name``."""
+    return {node.attr for path in USERS
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def referenced_names():
     names = set()
     for path in USERS:
@@ -170,3 +194,16 @@ def test_every_parameter_default_is_overridden_outside_the_tests():
                        for count, keywords in made.get(name, [])):
                 unset.append(f"{full}({param})")
     assert unset == [], f"parameter defaults that only tests override: {unset}"
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    found = dict(dataclass_fields())
+    read = read_attributes()
+    # the scan sees fields of frozen dataclasses, and reads but not writes
+    assert found["ngd.NGDTrace.stop_reason"] == "stop_reason"
+    assert found["priors.Prior.sampler"] == "sampler"
+    assert {"stop_reason", "sampler"} <= read
+    # matching by name cannot see a field whose name another class also
+    # reads: AMPState.m and .s would pass on VariationalState's m and s
+    unread = sorted(full for full, name in found.items() if name not in read)
+    assert unread == [], f"dataclass fields read only by the tests: {unread}"

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import taplab
 from taplab.cli import load_config, main
 from taplab.experiments import ExperimentConfig
 
@@ -199,6 +203,23 @@ def test_config_string_values_are_not_split(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["--config", str(path), "--out", str(tmp_path), "potential"])
     assert "3 distinct support points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir(),
+                                  lambda p: p.write_bytes(b"n = \xff\n")],
+                         ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_stops_with_one_line(tmp_path, make):
+    path = tmp_path / "cfg"
+    make(path)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
+                          "--out", str(out), "potential"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"cannot read config file {str(path)!r}: ")
+    assert res.stderr.count("\n") == 1  # no traceback
+    assert not out.exists()
 
 
 def test_config_bad_value_rejected(tmp_path):

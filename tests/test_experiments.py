@@ -1,4 +1,5 @@
 import json
+import subprocess
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from taplab.experiments import (
     write_manifest,
 )
 from taplab.amp import amp_run
+from taplab.cli import main
 from taplab.exceptions import DomainError
 from taplab.ngd import Objective
 from taplab.priors import three_point
@@ -223,9 +225,7 @@ class TestCalibration:
         assert sum(r["count"] for r in rows) == 5
 
     def test_rejects_prior_without_spike(self):
-        from taplab.priors import point_mass_prior
-        pr = point_mass_prior([(-1.0, 0.5), (1.0, 0.25), (2.0, 0.25)])
-        cfg = small_cfg(prior_descriptor=pr.source_descriptor)
+        cfg = small_cfg(prior_descriptor="point-mass:-1,0.5;1,0.25;2,0.25")
         with pytest.raises(ValueError):
             run_calibration(cfg)
 
@@ -246,6 +246,30 @@ class TestPersistence:
         assert data["config"]["n"] == 60
         assert data["wall_time_s"] == 1.5
         assert data["command"] == "x"
+
+    def test_git_describe_names_the_checkout_not_the_working_directory(
+            self, tmp_path, monkeypatch):
+        repo = tmp_path / "other"
+        repo.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "x"], check=True)
+        other = subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                               capture_output=True, text=True).stdout.strip()
+        monkeypatch.chdir(repo)
+        write_manifest(tmp_path / "out", small_cfg(), 0.0)
+        data = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        described = data["git_describe"]
+        assert described is None or not other.startswith(described.split("-")[0])
+
+    def test_git_timeout_records_null(self, tmp_path, monkeypatch):
+        def timeout(*args, **kwargs):
+            raise subprocess.TimeoutExpired(args[0], 5)
+
+        monkeypatch.setattr(subprocess, "run", timeout)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "potential"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["git_describe"] is None
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_cfg(output_dir=str(tmp_path))

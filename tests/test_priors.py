@@ -25,7 +25,7 @@ def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         Prior(locations=np.array([-1.0, 0.0, 1.0]),
               weights=np.array([0.3, 0.3, 0.3]),
-              kind="explicit-discrete", source_descriptor="bad")
+              kind="explicit-discrete")
 
 
 def test_needs_three_distinct_atoms():
@@ -67,7 +67,9 @@ def test_bg_sampling_is_exact_not_quadrature():
 
 
 def test_parse_prior_descriptors():
-    assert parse_prior("three-point").source_descriptor == "three-point"
+    tp = parse_prior("three-point")
+    assert np.array_equal(tp.locations, three_point().locations)
+    assert np.array_equal(tp.weights, three_point().weights)
     pm = parse_prior("point-mass:-2,0.25;0,0.5;2,0.25")
     assert np.array_equal(pm.locations, [-2.0, 0.0, 2.0])
     bg = parse_prior("bernoulli-gaussian:0.5,1.0")

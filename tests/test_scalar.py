@@ -125,19 +125,20 @@ class TestDualSolve:
         with pytest.raises(DomainError):
             VariationalState.from_moments(tp, [1.5], [1.0], project=False)
 
-    def test_roundtrip_random_batch(self, tp):
+    def test_roundtrip_random_batch(self, tp, monkeypatch):
         rng = np.random.default_rng(7)
         lam = rng.uniform(-8.0, 8.0, 200)
         gam = rng.uniform(-8.0, 8.0, 200)
         m, s, _ = tilted_moments_vec(tp, lam, gam)
         # extreme tilts make the moment map poorly conditioned; a near
         # machine-precision moment residual is needed for 1e-8 in dual space
-        lam2, gam2, conv, _ = dual_solve_vec(tp, m, s, tol=1e-14)
+        monkeypatch.setattr("taplab.scalar.DUAL_RESIDUAL_TOL", 1e-14)
+        lam2, gam2, conv, _ = dual_solve_vec(tp, m, s)
         assert np.all(conv)
         assert np.max(np.abs(lam2 - lam)) < 1e-8
         assert np.max(np.abs(gam2 - gam)) < 1e-8
 
-    def test_roundtrip_quadrature_prior(self):
+    def test_roundtrip_quadrature_prior(self, monkeypatch):
         # positive-gamma region only: negative tilts of a quadrature prior
         # concentrate on the outermost node (|location| ~ 19) where the
         # moment map is hopelessly ill-conditioned and never visited
@@ -146,7 +147,8 @@ class TestDualSolve:
         lam = rng.uniform(-4.0, 4.0, 50)
         gam = rng.uniform(0.05, 4.0, 50)
         m, s, _ = tilted_moments_vec(bg, lam, gam)
-        lam2, gam2, conv, _ = dual_solve_vec(bg, m, s, tol=1e-13)
+        monkeypatch.setattr("taplab.scalar.DUAL_RESIDUAL_TOL", 1e-13)
+        lam2, gam2, conv, _ = dual_solve_vec(bg, m, s)
         assert np.all(conv)
         assert np.max(np.abs(lam2 - lam)) < 1e-7
 
