@@ -20,17 +20,17 @@ from .priors import Prior
 
 @dataclass
 class AMPState:
-    """Trajectory record of an AMP run of k = T iterations.
+    """Trajectory record of an AMP run of T iterations.
 
-    ``history`` holds one row per iteration k = 1..T: the signal-to-noise
-    ``gamma`` of its denoise, the state-evolution MSE ``mse_se`` and, when
-    asked for, ``mse_empirical`` and ``grad_norm_sq_per_p``.  ``m_history``
-    holds the first-moment iterates m^1 = 0, m^2, ..., m^{T+1} and
-    ``z_history`` the residuals z^1..z^T.  The last iterate's second moments
-    are those of the VariationalState that ``amp_run`` returns beside this.
+    ``history`` holds one row per iteration k = 1..T, so T = len(history):
+    the signal-to-noise ``gamma`` of its denoise, the state-evolution MSE
+    ``mse_se`` and, when asked for, ``mse_empirical`` and
+    ``grad_norm_sq_per_p``.  ``m_history`` holds the first-moment iterates
+    m^1 = 0, m^2, ..., m^{T+1} and ``z_history`` the residuals z^1..z^T.  The
+    last iterate's second moments are those of the VariationalState that
+    ``amp_run`` returns beside this.
     """
 
-    k: int
     history: list = field(default_factory=list)
     m_history: list = field(default_factory=list)
     z_history: list = field(default_factory=list)
@@ -86,7 +86,7 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
         z_prev = z_k
         m_k = var_state.m
 
-    state = AMPState(k=T, history=history, m_history=m_hist, z_history=z_hist)
+    state = AMPState(history=history, m_history=m_hist, z_history=z_hist)
     return state, var_state
 
 
@@ -95,7 +95,7 @@ def se_diagnostics(amp_state: AMPState, model: LinearModel, prior: Prior,
                    delta: float | None = None) -> dict:
     """Compare empirical covariances of the AMP error/residual trajectories
     with the state-evolution blocks K_h and delta*K_g."""
-    if k > amp_state.k:
+    if k > len(amp_state.history):
         raise ValueError("k exceeds the number of recorded iterations")
     if delta is None:
         delta = model.delta_hat

@@ -21,6 +21,7 @@ import numpy as np
 
 from .amp import amp_run
 from .experiments import (
+    MAX_REPLICATES,
     ExperimentConfig,
     fit_free_energy,
     generate_instance,
@@ -51,9 +52,9 @@ def _bounded(cast, ok, what):
     return parse
 
 
-_positive = _bounded(float, lambda v: v > 0, "positive")
+_positive = _bounded(float, lambda v: 0 < v < math.inf, "positive and finite")
 _iters = _bounded(int, lambda v: v >= 1, "at least 1")
-_replicate = _bounded(int, lambda v: v >= 0, "nonnegative")
+_replicate = _bounded(int, lambda v: 0 <= v < MAX_REPLICATES, f"in [0, {MAX_REPLICATES})")
 _seed = _bounded(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
@@ -187,7 +188,7 @@ def cmd_hessian(cfg, args):
     model, _ = generate_instance(cfg, args.replicate, args.delta)
     trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=args.delta)
     res = min_eigenvalue(model, trace.final, prior, method=args.method)
-    report = {"min_eig": res.value, "method": res.method,
+    report = {"min_eig": res.value, "method": args.method,
               "converged": res.converged}
     (Path(cfg.output_dir) / "hessian.json").write_text(json.dumps(report))
     print(json.dumps(report))
@@ -265,6 +266,7 @@ def main(argv=None):
     if args.command != "potential" and getattr(args, "delta", None) is not None \
             and math.floor(cfg.n / args.delta) < 1:
         parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     try:
         extra = args.func(cfg, args)

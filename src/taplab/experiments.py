@@ -36,6 +36,10 @@ DESIGNS = ("gaussian", "rademacher", "rademacher_noise", "bernoulli_hetero")
 _STREAM_DESIGN = 0
 _STREAM_TRUTH = 1
 _STREAM_NOISE = 2
+# replicate indices lie in [0, MAX_REPLICATES): the per-replicate seed holds a
+# replicate in 20 bits and the RNG key in 32, so a larger index would alias a
+# replicate of another master seed
+MAX_REPLICATES = 2**20
 
 
 @dataclass(frozen=True)
@@ -49,24 +53,25 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "out"
     amp_warm_iters: int = 8
-    eta: float = 0.2
     max_iters: int = 20000
     grad_tol: float = 1e-10
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # the high 64 bits of a Philox key
             raise ValueError("seed must be in [0, 2**64)")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.sigma <= 0 or self.n < 1:
-            raise ValueError("sigma and n must be positive")
+        if not 1 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(f"replicates must be in [1, {MAX_REPLICATES}]")
+        if not 0 < self.sigma < math.inf:  # also rejects nan
+            raise ValueError("sigma must be positive and finite")
+        if self.n < 1:
+            raise ValueError("n must be positive")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.amp_warm_iters < 1:
             raise ValueError("amp_warm_iters must be >= 1")
         if not all(delta > 0 for delta in self.delta_grid):  # also rejects nan
             raise ValueError("delta_grid entries must be positive")
-        self.ngd_config(Objective.TAP)  # range-checks eta, max_iters, grad_tol
+        self.ngd_config(Objective.TAP)  # range-checks max_iters and grad_tol
 
     @property
     def sigma2(self) -> float:
@@ -76,8 +81,8 @@ class ExperimentConfig:
         return parse_prior(self.prior_descriptor)
 
     def ngd_config(self, objective: Objective) -> NGDConfig:
-        return NGDConfig(eta=self.eta, max_iters=self.max_iters,
-                         grad_tol=self.grad_tol, objective=objective)
+        return NGDConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
+                         objective=objective)
 
 
 def stream_rng(master_seed: int, replicate: int, tag: int) -> np.random.Generator:
@@ -88,7 +93,7 @@ def stream_rng(master_seed: int, replicate: int, tag: int) -> np.random.Generato
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
     """Stable per-replicate seed recorded in CSV rows."""
-    return (int(master_seed) << 20) + int(replicate)
+    return int(master_seed) * MAX_REPLICATES + int(replicate)
 
 
 def generate_instance(cfg: ExperimentConfig, replicate_index: int,
@@ -96,6 +101,9 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
     """Design, signal, and response for one replicate at aspect ratio delta."""
     if not delta > 0:  # also rejects nan
         raise DomainError(f"delta must be positive, got {delta!r}")
+    if not 0 <= replicate_index < MAX_REPLICATES:
+        raise DomainError(f"replicate index must be in [0, {MAX_REPLICATES}), "
+                          f"got {replicate_index!r}")
     n = cfg.n
     p = int(math.floor(n / delta))
     if p < 1:
@@ -240,8 +248,6 @@ def run_universality(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def write_csv(path, fieldnames, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(CSV_VERSION_HEADER + "\n")
         fh.write(",".join(fieldnames) + "\n")

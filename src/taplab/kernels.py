@@ -99,7 +99,7 @@ def tilted_cov(basis, powers, lam, gam):
     return tuple(out)
 
 
-def dual_newton(basis, powers, mt, st, lam0, gam0, tol=1e-10, max_iter=200, cap=1e6):
+def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap):
     """Damped Newton inversion of the moment map, vectorised over rows.
 
     Maximizes g(lam, gam) = -gam*st/2 + lam*mt - logZ(lam, gam) for each

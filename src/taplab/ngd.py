@@ -11,8 +11,8 @@ backtracking on the step size enforces monotone descent.
 
 ``ngd_run`` (TAP or mean-field) steps by the moment-space gradient, which is
 a Bregman gradient step for the relative-entropy divergence.  The step
-carries over between iterations.  The first line search tries ``eta``; each
-later one starts from the step the previous iteration accepted, doubled
+carries over between iterations.  The first line search tries FIRST_STEP;
+each later one starts from the step the previous iteration accepted, doubled
 (capped at 1) when that iteration accepted its first candidate.
 
 ``newton_run`` steps by the dual Newton direction.  Write the Hessian as
@@ -68,6 +68,8 @@ from .free_energy import (
 from .priors import Prior
 from .scalar import DUAL_CAP, tilted_cov_vec, tilted_moments_vec
 
+# NGD's first trial step; later line searches start from the step carried over
+FIRST_STEP = 0.2
 # CG stops once ||r|| <= min(FORCING_MAX, sqrt(||g||)) * ||g||, or after
 # CG_ITERS_PER_COORDINATE * p iterations (the dimension of the Newton system)
 FORCING_MAX = 0.5
@@ -84,14 +86,11 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class NGDConfig:
-    eta: float = 0.2  # NGD's first trial step; Newton steps start from 1
     max_iters: int = 20000
     grad_tol: float = 1e-10  # stop when ||grad||^2 / p < grad_tol
     objective: Objective = Objective.TAP
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
         if not self.grad_tol > 0:  # also rejects nan
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
@@ -134,7 +133,7 @@ def _descend(model, prior, cfg, trace, state, newton, f_cur=None):
     energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
     if f_cur is None:
         f_cur = energy(model, state)
-    step = cfg.eta
+    step = FIRST_STEP
     for _ in range(cfg.max_iters - len(trace.steps_used)):
         gm, gs = gradient(model, state)
         gn = float(gm @ gm + gs @ gs) / model.p
@@ -228,8 +227,8 @@ def newton_run(model: LinearModel, prior: Prior, init: VariationalState,
                cfg: NGDConfig) -> NGDTrace:
     """Minimize the configured free energy by truncated Newton-CG from an
     interior state, such as the AMP warm start; a mean-field fit runs NGD
-    first (``ngd_run``, which alone uses ``cfg.eta``) and stops where that
-    phase stops unless it converged."""
+    first (``ngd_run``) and stops where that phase stops unless it
+    converged."""
     if cfg.objective is Objective.TAP:
         return _descend(model, prior, cfg, NGDTrace(), init, newton=True)
     entry = replace(cfg, grad_tol=max(cfg.grad_tol, MF_NEWTON_ENTRY_GRAD))

@@ -34,8 +34,8 @@ def mp_vstar(tau2: float, sigma2: float, delta: float) -> float:
 
 def gaussian_posterior(model: LinearModel, tau2: float) -> GaussianOracle:
     """Exact posterior and evidence under a N(0, tau2) prior."""
-    if not tau2 > 0:
-        raise DomainError(f"prior variance tau2 must be positive, got {tau2!r}")
+    if not 0 < tau2 < np.inf:  # also rejects nan
+        raise DomainError(f"prior variance tau2 must be positive and finite, got {tau2!r}")
     X, y, sigma2 = model.X, model.y, model.sigma2
     n, p = model.n, model.p
     A = X.T @ X / sigma2 + np.eye(p) / tau2
@@ -63,7 +63,7 @@ def enumerate_posterior(model: LinearModel, prior: Prior,
 
     Returns (log_evidence, marginal_m, marginal_s).
     """
-    if prior.kind != "explicit-discrete":
+    if prior.sampler != ("atoms",):
         raise DomainError("enumeration needs an explicit discrete prior")
     n, p = model.n, model.p
     A = len(prior.locations)

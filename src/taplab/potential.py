@@ -119,8 +119,8 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     Stationary points are found as sign changes of phi' (Brent-refined);
     gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
     """
-    if not delta > 0:  # also rejects nan
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    if not 0 < delta < np.inf:  # also rejects nan
+        raise DomainError(f"delta must be positive and finite, got {delta!r}")
     scale = delta / sigma2
     grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
     # one channel evaluation per grid point serves phi, phi' and phi''

@@ -41,10 +41,10 @@ class Prior:
 
     locations: np.ndarray
     weights: np.ndarray
-    kind: str  # "explicit-discrete" | "quadrature-of-continuous"
     zero_spike_weight: float = 0.0
-    # sampling recipe for drawing exact (non-quadrature) signals:
-    # ("atoms",) or ("bernoulli-gaussian", sparsity, variance)
+    # sampling recipe for drawing exact (non-quadrature) signals: ("atoms",)
+    # for an explicit discrete prior, ("bernoulli-gaussian", sparsity,
+    # variance) for a quadrature of a continuous one
     sampler: tuple = ("atoms",)
     log_weights: np.ndarray = field(init=False, repr=False)
     # the tilt kernels' (atoms x 3) basis [logw, -a^2/2, a] and (3 x atoms)
@@ -130,24 +130,14 @@ class Prior:
 
 def three_point() -> Prior:
     """Uniform on {-1, 0, 1}."""
-    return Prior(
-        locations=np.array([-1.0, 0.0, 1.0]),
-        weights=np.array([1.0, 1.0, 1.0]) / 3.0,
-        kind="explicit-discrete",
-        zero_spike_weight=1.0 / 3.0,
-    )
+    return point_mass_prior([(-1.0, 1.0 / 3.0), (0.0, 1.0 / 3.0), (1.0, 1.0 / 3.0)])
 
 
 def point_mass_prior(pairs) -> Prior:
     locs = np.array([v for v, _ in pairs], dtype=np.float64)
     w = np.array([wt for _, wt in pairs], dtype=np.float64)
     spike0 = float(w[locs == 0.0].sum())
-    return Prior(
-        locations=locs,
-        weights=w,
-        kind="explicit-discrete",
-        zero_spike_weight=spike0,
-    )
+    return Prior(locations=locs, weights=w, zero_spike_weight=spike0)
 
 
 def bernoulli_gaussian(sparsity: float, variance: float) -> Prior:
@@ -166,7 +156,6 @@ def bernoulli_gaussian(sparsity: float, variance: float) -> Prior:
     return Prior(
         locations=locs,
         weights=weights,
-        kind="quadrature-of-continuous",
         zero_spike_weight=(1.0 - sparsity),
         sampler=("bernoulli-gaussian", sparsity, variance),
     )

@@ -75,7 +75,8 @@ def project_interior(prior: Prior, m, s):
     """Project (m, s) vectors onto the interior of the moment space.
 
     Moves s inside the envelope gap (and m inside the support) by a relative
-    nudge of INTERIOR_EPS_FRAC; used as the optimizer boundary policy.
+    nudge of INTERIOR_EPS_FRAC: the boundary policy of
+    ``VariationalState.from_moments``.
     """
     m = np.array(m, dtype=np.float64, copy=True)
     s = np.array(s, dtype=np.float64, copy=True)

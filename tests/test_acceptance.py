@@ -118,11 +118,11 @@ def test_3_gradient_hessian_oracles():
         h = 1e-5
 
         def energy_at(m, s):
-            st = VariationalState.from_moments(prior, m, s, project=False)
+            st = VariationalState.from_moments(prior, m, s)
             return tap_energy(model, st)
 
         def grad_at(m, s):
-            st = VariationalState.from_moments(prior, m, s, project=False)
+            st = VariationalState.from_moments(prior, m, s)
             a, b = tap_gradient(model, st)
             return np.concatenate([a, b])
 

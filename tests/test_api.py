@@ -23,8 +23,6 @@ EXEMPT_NAMES = {"amp.se_diagnostics"}
 EXEMPT_PARAMETERS = {
     # the console entry point: the tests drive it with an argument list
     "cli.main": {"argv"},
-    # the strict mode (no projection) the finite-difference oracle tests use
-    "free_energy.VariationalState.from_moments": {"project"},
 }
 
 
@@ -176,9 +174,9 @@ def test_every_private_helper_has_a_caller_outside_the_tests():
 
 def test_every_parameter_default_is_overridden_outside_the_tests():
     found = {full: (fn, method) for full, fn, method in public_functions()}
-    # the scan skips cls in a classmethod and finds calls by their last name
-    assert ("project", 3) in defaulted_parameters(
-        *found["free_energy.VariationalState.from_moments"])
+    # the scan counts positions from the first argument and finds calls by
+    # their last name
+    assert ("delta", 4) in defaulted_parameters(*found["amp.amp_run"])
     made = calls()
     assert (3, {"delta"}) in made["amp_run"]
     unset = []

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,15 @@ def test_library_error_is_one_line(tmp_path, capsys, argv, message):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, report", [(["hessian"], "hessian.json"),
+                                          (["oracle", "--mode", "gaussian"], "oracle.json")])
+def test_output_directory_is_created(cfg_file, tmp_path, argv, report):
+    out = tmp_path / "new" / "dir"
+    assert run(cfg_file, out, *argv) == 0
+    assert json.loads((out / report).read_text())
+    assert json.loads((out / "manifest.json").read_text())["command"] == argv[0]
+
+
 def test_oracle_gaussian_subcommand(cfg_file, tmp_path):
     assert run(cfg_file, tmp_path, "oracle", "--mode", "gaussian") == 0
     report = json.loads((tmp_path / "oracle.json").read_text())
@@ -170,10 +181,24 @@ def test_seed_flag_changes_data(cfg_file, tmp_path):
     assert r1 != r2
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def _readme_config_example():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("Example config file:", 1)[1]
+    block = _readme().split("Example config file:", 1)[1]
     return block.split("```", 2)[1]
+
+
+def test_readme_names_exactly_the_config_keys(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text(_readme_config_example())
+    example = load_config(path)
+    ExperimentConfig(**example)
+    sentence = _readme().split("The other keys are", 1)[1].split(".", 1)[0]
+    others = re.findall(r"`(\w+)`", sentence)
+    assert not set(example) & set(others)
+    assert set(example) | set(others) == {f.name for f in fields(ExperimentConfig)}
 
 
 @pytest.mark.parametrize("descriptor", [None, "point-mass:-1,0.25;0,0.5;1,0.25"])
@@ -229,14 +254,17 @@ def test_config_bad_value_rejected(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("line, field", [("eta = 0", "eta"), ("eta = 1.5", "eta"),
+@pytest.mark.parametrize("line, field", [("eta = 0.2", "eta"),  # no longer a key
                                          ("max_iters = 0", "max_iters"),
                                          ("grad_tol = 0", "grad_tol"),
                                          ("amp_warm_iters = 0", "amp_warm_iters"),
                                          ("delta_grid = 1.0, 0", "delta_grid"),
                                          ("delta_grid = nan", "delta_grid"),
                                          ("seed = -1", "seed"),
-                                         ("seed = 18446744073709551616", "seed")])
+                                         ("seed = 18446744073709551616", "seed"),
+                                         ("sigma = nan", "sigma"),
+                                         ("sigma = inf", "sigma"),
+                                         ("replicates = 1048577", "replicates")])
 def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
     path = tmp_path / "c.txt"
     path.write_text(CFG + line + "\n")
@@ -256,7 +284,12 @@ def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
                                         (["--seed", "-1", "amp"], "--seed"),
                                         (["--seed", str(2**64), "amp"], "--seed"),
                                         (["oracle", "--mode", "gaussian", "--tau2", "-1"],
-                                         "--tau2")])
+                                         "--tau2"),
+                                        (["potential", "--delta", "inf"], "--delta"),
+                                        (["ngd", "--delta", "inf"], "--delta"),
+                                        (["oracle", "--mode", "gaussian", "--tau2", "inf"],
+                                         "--tau2"),
+                                        (["amp", "--replicate", str(2**20)], "--replicate")])
 def test_out_of_range_flag_rejected_before_running(cfg_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ import pytest
 
 from taplab.experiments import (
     CSV_VERSION_HEADER,
+    MAX_REPLICATES,
     ExperimentConfig,
     calibration_table,
     fit_free_energy,
@@ -39,6 +40,23 @@ class TestGeneration:
     def test_nonpositive_delta_is_a_domain_error(self, delta):
         with pytest.raises(DomainError, match="delta must be positive"):
             generate_instance(small_cfg(), 0, delta)
+
+    @pytest.mark.parametrize("replicate", [-1, MAX_REPLICATES, 2**32])
+    def test_replicate_index_out_of_range_is_a_domain_error(self, replicate):
+        # at 2**32 the RNG key, and at 2**20 the recorded seed, would repeat
+        # those of seed 1's replicate 0
+        with pytest.raises(DomainError, match="replicate index"):
+            generate_instance(small_cfg(), replicate, 1.0)
+
+    def test_config_bounds_replicates_and_sigma(self):
+        assert small_cfg(replicates=MAX_REPLICATES).replicates == MAX_REPLICATES
+        with pytest.raises(ValueError, match="replicates"):
+            small_cfg(replicates=MAX_REPLICATES + 1)
+        # the last replicate's recorded seed stays below the next master seed's
+        assert replicate_seed(0, MAX_REPLICATES - 1) < replicate_seed(1, 0)
+        for sigma in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="sigma"):
+                small_cfg(sigma=sigma)
 
     def test_delta_above_n_is_a_domain_error(self):
         # n = 300, delta = 1000 would draw a 300 x 0 design

@@ -82,6 +82,11 @@ class TestEnergies:
             np.testing.assert_allclose(gap_m, coef * state.m, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(gap_s, -0.5 * coef, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("sigma2", [0.0, float("inf"), float("nan")])
+    def test_model_rejects_nonpositive_or_nonfinite_sigma2(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            LinearModel(X=np.eye(3), y=np.ones(3), sigma2=sigma2)
+
     def test_state_from_moments_roundtrip(self, tp):
         rng = np.random.default_rng(5)
         st = random_state(tp, 12, rng)
@@ -108,7 +113,7 @@ class TestGradients:
                             m[j] += t
                         else:
                             s[j] += t
-                        st = VariationalState.from_moments(tp, m, s, project=False)
+                        st = VariationalState.from_moments(tp, m, s)
                         return tap_energy(model, st)
                     fd = (f(h) - f(-h)) / (2 * h)
                     assert abs(fd - g) / (1.0 + abs(g)) < 1e-5
@@ -123,11 +128,9 @@ class TestGradients:
         for j in (0, 5, 11):
             m = state.m.copy()
             m[j] += h
-            up = mf_energy(model, VariationalState.from_moments(tp, m, state.s,
-                                                               project=False))
+            up = mf_energy(model, VariationalState.from_moments(tp, m, state.s))
             m[j] -= 2 * h
-            dn = mf_energy(model, VariationalState.from_moments(tp, m, state.s,
-                                                               project=False))
+            dn = mf_energy(model, VariationalState.from_moments(tp, m, state.s))
             assert (up - dn) / (2 * h) == pytest.approx(gm[j], rel=1e-4, abs=1e-5)
 
     def test_gaussian_minimizer_is_stationary(self):
@@ -140,7 +143,7 @@ class TestGradients:
         oracle = gaussian_posterior(model, 1.0)
         m = oracle.post_mean
         s = m**2 + oracle.v_star
-        state = VariationalState.from_moments(g, m, s, project=False)
+        state = VariationalState.from_moments(g, m, s)
         gm, gs = tap_gradient(model, state)
         norm = np.sqrt(float(gm @ gm + gs @ gs))
         assert norm / np.sqrt(p) < 1e-2  # finite-size, exact only as p -> inf
@@ -175,7 +178,7 @@ class TestHessian:
         h = 1e-5
 
         def grad_at(m, s):
-            st = VariationalState.from_moments(tp, m, s, project=False)
+            st = VariationalState.from_moments(tp, m, s)
             gm, gs = tap_gradient(model, st)
             return np.concatenate([gm, gs])
 
@@ -207,7 +210,7 @@ class TestHessian:
         h = 1e-5
 
         def grad_at(m, s):
-            st = VariationalState.from_moments(tp, m, s, project=False)
+            st = VariationalState.from_moments(tp, m, s)
             gm, gs = mf_gradient(model, st)
             return np.concatenate([gm, gs])
 

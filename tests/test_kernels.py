@@ -134,7 +134,7 @@ def test_dual_newton_roundtrip_flags(batch):
     basis, powers, lam, gam = batch
     m, s, *_ = kernels.tilted_stats(basis, powers, lam, gam)
     lam2, gam2, conv, res = kernels.dual_newton(basis, powers, m, s, 0.0, 0.0,
-                                                tol=1e-14)
+                                                tol=1e-14, max_iter=200, cap=1e6)
     assert np.all(conv)
     assert np.max(res) < 1e-14
     assert np.max(np.abs(lam2 - lam)) < 1e-8
@@ -193,7 +193,7 @@ def test_dual_newton_matches_row_reference(mixed):
     basis, powers, mt, st, _ = mixed
     for max_iter in (1, 200):
         batch = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
-                                    max_iter=max_iter, cap=CAP)
+                                    tol=1e-10, max_iter=max_iter, cap=CAP)
         for i in range(len(mt)):
             lam, gam, conv, res = _dual_newton_row(basis, powers, mt[i], st[i], 0.0, 0.0,
                                                    max_iter=max_iter)
@@ -220,7 +220,7 @@ def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
 
     monkeypatch.setattr(kernels, "tilted_cov", counted)
     batch = kernels.dual_newton(tp._tilt_basis, tp._tilt_powers, mt, st, 0.0, 0.0,
-                                max_iter=30, cap=5.0)
+                                tol=1e-10, max_iter=30, cap=5.0)
     assert calls[0] <= 600  # 1734 when clipped rows ran every step
     monkeypatch.undo()
     assert np.sum(np.abs(batch[1]) == 5.0) >= 10
@@ -232,10 +232,11 @@ def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
 
 def test_dual_newton_rows_independent(mixed):
     basis, powers, mt, st, kinds = mixed
-    lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0, cap=CAP)
+    lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
+                                              tol=1e-10, max_iter=200, cap=CAP)
     for i in range(len(mt)):
         l1, g1, c1, r1 = kernels.dual_newton(basis, powers, mt[i:i + 1], st[i:i + 1],
-                                             0.0, 0.0, cap=CAP)
+                                             0.0, 0.0, tol=1e-10, max_iter=200, cap=CAP)
         assert abs(l1[0] - lam[i]) <= 1e-12
         assert abs(g1[0] - gam[i]) <= 1e-12
         assert c1[0] == conv[i]
@@ -250,7 +251,7 @@ def test_dual_newton_rows_independent(mixed):
 def test_dual_newton_iteration_cap(mixed):
     basis, powers, mt, st, kinds = mixed
     lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
-                                              max_iter=1, cap=CAP)
+                                              tol=1e-10, max_iter=1, cap=CAP)
     start = np.hypot(mt - 0.0, st - 2.0 / 3.0)  # residual at the untilted start
     far = start > 0.1
     assert np.sum(far & (kinds == "interior")) >= 10

@@ -108,17 +108,12 @@ def test_mf_minimizer_gaussian_variance():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NGDConfig(eta=0.0)
-    with pytest.raises(ValueError):
-        NGDConfig(eta=1.5)
-    with pytest.raises(ValueError):
         NGDConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         NGDConfig(grad_tol=float("nan"))
     with pytest.raises(ValueError):
         NGDConfig(max_iters=0)
     assert NGDConfig(max_iters=1).max_iters == 1
-    assert NGDConfig(eta=1.0).eta == 1.0
     assert NGDConfig(objective=Objective.MF).objective is Objective.MF
 
 
@@ -167,21 +162,21 @@ def warm3(tp):
 
 
 def test_step_carries_over_and_doubles_at_most(tp, warm3):
-    # the first line search tries eta; later ones start from the last
-    # accepted step, doubled (capped at 1) after a first-try accept
+    # the first line search tries ngd.FIRST_STEP; later ones start from the
+    # last accepted step, doubled (capped at 1) after a first-try accept
     model, warm = warm3
     for objective in Objective:
         cfg = NGDConfig(objective=objective)
         trace = ngd_run(model, tp, warm, cfg)
         steps = np.array(trace.steps_used[:-1])  # the last entry is the 0.0 stop
         assert trace.converged and np.all(steps > 0)
-        assert steps[0] <= cfg.eta
+        assert steps[0] <= ngd.FIRST_STEP
         assert np.all(steps <= 1.0)
         assert np.all(steps[1:] <= 2.0 * steps[:-1])
-        assert np.max(steps) > cfg.eta  # the step grew
+        assert np.max(steps) > ngd.FIRST_STEP  # the step grew
         assert np.all(np.diff(trace.f_values) <= 0.0)
         if objective is Objective.MF:
-            # a fixed eta = 0.2 step took 728 iterations here; the carried step 190
+            # a fixed 0.2 step took 728 iterations here; the carried step 190
             assert trace.iterations <= 300
 
 

@@ -56,7 +56,7 @@ class TestGaussianOracle:
         expect = -0.5 * (n * np.log(2 * np.pi) + logdet + quad)
         assert oracle.log_evidence == pytest.approx(expect, abs=1e-8)
 
-    @pytest.mark.parametrize("tau2", [-1.0, 0.0, -0.001])
+    @pytest.mark.parametrize("tau2", [-1.0, 0.0, -0.001, float("inf"), float("nan")])
     def test_rejects_nonpositive_tau2(self, tau2):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(12, 7)) / np.sqrt(7)

@@ -48,7 +48,7 @@ class TestPhiDerivatives:
         with pytest.raises(DomainError):
             phi_prime(tp, SIGMA2, 1.0, -1.0)
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_solve_gammas_rejects_nonpositive_delta(self, tp, delta):
         with pytest.raises(DomainError, match="delta must be positive"):
             solve_gammas(tp, SIGMA2, delta)

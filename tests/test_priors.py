@@ -24,8 +24,7 @@ def test_three_point_moments():
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         Prior(locations=np.array([-1.0, 0.0, 1.0]),
-              weights=np.array([0.3, 0.3, 0.3]),
-              kind="explicit-discrete")
+              weights=np.array([0.3, 0.3, 0.3]))
 
 
 def test_needs_three_distinct_atoms():

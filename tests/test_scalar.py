@@ -5,6 +5,7 @@ from taplab.exceptions import DomainError
 from taplab.free_energy import VariationalState
 from taplab.priors import bernoulli_gaussian, gaussian_prior, three_point
 from taplab.scalar import (
+    DUAL_RESIDUAL_TOL,
     dual_solve_vec,
     gamma_envelopes,
     mmse,
@@ -117,13 +118,16 @@ class TestDualSolve:
         g99 = dual(tp, 0.0, 0.99)[1]
         assert g99 < g90 < 0.0
 
-    def test_rejects_boundary(self, tp):
-        with pytest.raises(DomainError):
-            VariationalState.from_moments(tp, [0.5], [1.0], project=False)
-
-    def test_rejects_exterior(self, tp):
-        with pytest.raises(DomainError):
-            VariationalState.from_moments(tp, [1.5], [1.0], project=False)
+    def test_from_moments_projects_boundary_and_exterior(self, tp):
+        # (0.5, 1.0) lies on the upper envelope and (1.5, 1.0) outside the
+        # support: from_moments moves both inside and solves the duals there
+        for m0 in (0.5, 1.5):
+            st = VariationalState.from_moments(tp, [m0], [1.0])
+            assert np.all(np.isfinite(st.lam)) and np.all(np.isfinite(st.gam))
+            assert -1.0 <= st.m[0] <= 1.0
+            m, s, logZ = tilted_moments_vec(tp, st.lam, st.gam)
+            assert np.hypot(m - st.m, s - st.s)[0] < DUAL_RESIDUAL_TOL
+            assert logZ[0] == st.logZ[0]
 
     def test_roundtrip_random_batch(self, tp, monkeypatch):
         rng = np.random.default_rng(7)
