@@ -254,7 +254,8 @@ def test_config_bad_value_rejected(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("line, field", [("eta = 0.2", "eta"),  # no longer a key
+@pytest.mark.parametrize("line, field", [("eta = 0", "eta"),  # no longer a key
+                                         ("eta = 1.5", "eta"),
                                          ("max_iters = 0", "max_iters"),
                                          ("grad_tol = 0", "grad_tol"),
                                          ("amp_warm_iters = 0", "amp_warm_iters"),

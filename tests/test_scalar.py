@@ -118,16 +118,27 @@ class TestDualSolve:
         g99 = dual(tp, 0.0, 0.99)[1]
         assert g99 < g90 < 0.0
 
-    def test_from_moments_projects_boundary_and_exterior(self, tp):
-        # (0.5, 1.0) lies on the upper envelope and (1.5, 1.0) outside the
-        # support: from_moments moves both inside and solves the duals there
-        for m0 in (0.5, 1.5):
-            st = VariationalState.from_moments(tp, [m0], [1.0])
-            assert np.all(np.isfinite(st.lam)) and np.all(np.isfinite(st.gam))
-            assert -1.0 <= st.m[0] <= 1.0
-            m, s, logZ = tilted_moments_vec(tp, st.lam, st.gam)
-            assert np.hypot(m - st.m, s - st.s)[0] < DUAL_RESIDUAL_TOL
-            assert logZ[0] == st.logZ[0]
+    def _assert_solved_inside(self, tp, st):
+        assert np.all((tp.support_lo < st.m) & (st.m < tp.support_hi))
+        assert np.all(np.isfinite(st.lam)) and np.all(np.isfinite(st.gam))
+        m, s, logZ = tilted_moments_vec(tp, st.lam, st.gam)
+        assert np.hypot(m - st.m, s - st.s)[0] < DUAL_RESIDUAL_TOL
+        assert logZ[0] == st.logZ[0]
+
+    def test_rejects_boundary(self, tp):
+        # (0.5, 1.0) lies on the upper envelope, where the duals diverge:
+        # from_moments does not keep it but solves at a point moved inside
+        st = VariationalState.from_moments(tp, [0.5], [1.0])
+        assert st.s[0] < 1.0
+        self._assert_solved_inside(tp, st)
+
+    def test_rejects_exterior(self, tp):
+        # (1.5, 1.0) lies outside the support: no tilted law has these
+        # moments, so the raw dual solve fails and from_moments moves m inside
+        assert not dual_solve_vec(tp, [1.5], [1.0])[2][0]
+        st = VariationalState.from_moments(tp, [1.5], [1.0])
+        assert st.m[0] < 1.0
+        self._assert_solved_inside(tp, st)
 
     def test_roundtrip_random_batch(self, tp, monkeypatch):
         rng = np.random.default_rng(7)
