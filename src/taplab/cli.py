@@ -99,10 +99,7 @@ def build_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
-    try:
-        return ExperimentConfig(**overrides)
-    except ValueError as exc:
-        raise SystemExit(f"invalid config: {exc}") from None
+    return ExperimentConfig(**overrides)
 
 
 def cmd_potential(cfg, args):
@@ -261,10 +258,13 @@ def main(argv=None):
     sp.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
-    cfg = build_config(args)
+    try:
+        cfg = build_config(args)
+    except ValueError as exc:  # one line, as for a TapLabError below
+        raise SystemExit(f"{parser.prog}: error: invalid config: {exc}") from None
     # every subcommand with --delta but potential draws an n x floor(n/delta) design
     if args.command != "potential" and getattr(args, "delta", None) is not None \
-            and math.floor(cfg.n / args.delta) < 1:
+            and cfg.n / args.delta < 1:
         parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     t0 = time.time()

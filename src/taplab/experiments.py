@@ -40,6 +40,9 @@ _STREAM_NOISE = 2
 # replicate in 20 bits and the RNG key in 32, so a larger index would alias a
 # replicate of another master seed
 MAX_REPLICATES = 2**20
+# the largest n x p design an instance may draw: 2**24 entries are 128 MiB of
+# float64, four times the n = p = 2000 design of the largest test
+MAX_DESIGN_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.amp_warm_iters < 1:
             raise ValueError("amp_warm_iters must be >= 1")
-        if not all(delta > 0 for delta in self.delta_grid):  # also rejects nan
-            raise ValueError("delta_grid entries must be positive")
+        if not all(0 < delta < math.inf for delta in self.delta_grid):  # also rejects nan
+            raise ValueError("delta_grid entries must be positive and finite")
         self.ngd_config(Objective.TAP)  # range-checks max_iters and grad_tol
 
     @property
@@ -105,9 +108,14 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
         raise DomainError(f"replicate index must be in [0, {MAX_REPLICATES}), "
                           f"got {replicate_index!r}")
     n = cfg.n
-    p = int(math.floor(n / delta))
-    if p < 1:
+    ratio = n / delta  # inf where it overflows
+    if ratio < 1:
         raise DomainError(f"delta = {delta!r} leaves no features at n = {n} (n / delta < 1)")
+    if ratio >= MAX_DESIGN_ENTRIES // n + 1:
+        raise DomainError(f"delta = {delta!r} implies p = floor(n / delta) = {ratio:.4g} "
+                          f"features at n = {n}: the n x p design would exceed "
+                          f"{MAX_DESIGN_ENTRIES} entries")
+    p = int(ratio)
     prior = cfg.prior()
     rng_x = stream_rng(cfg.seed, replicate_index, _STREAM_DESIGN)
     rng_b = stream_rng(cfg.seed, replicate_index, _STREAM_TRUTH)

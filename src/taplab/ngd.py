@@ -33,12 +33,18 @@ C = 0 this solves their equations.
 
 TAP is strongly convex near the AMP warm start, so a TAP fit is Newton from
 the start.  Mean-field has no such guarantee, and Newton from the warm start
-can reach another minimizer: a mean-field fit runs ``ngd_run`` until
-||grad F||^2/p < MF_NEWTON_ENTRY_GRAD, where NGD has chosen the basin.  If
-that phase converged, ``newton_run`` reopens its trace (the handover state's
-record is dropped, and the loop records that state again as its first
-iteration) and continues it in the same loop with Newton directions, so the
-fit has one trace.
+can reach another minimizer, so a mean-field fit starts with NGD directions
+in the same loop.  The first time ||grad F||^2/p falls below each of
+MF_PROBE_GRADS, it probes the curvature: it computes the Newton direction
+with CG held for at least PROBE_CG_ITERS steps.  CG in the C inner product is
+Lanczos on S = I + C^1/2 K C^1/2, which has the inertia of H where D exists,
+and its curvatures are all positive exactly when every Ritz value of its
+tridiagonal is (Saad 2003, sec. 6.7.3); a non-positive one is a vector w
+with w' S w <= 0, which proves S is not positive definite.  Then that
+iteration takes NGD's direction with the carried step, and NGD goes on.  A
+probe that meets no such curvature proves nothing, but the loop switches to
+Newton for good, and the probe's direction is its first step.  Below
+MF_NEWTON_ENTRY_GRAD it switches without a probe.
 
 In both, a candidate whose energy does not fall is rejected and the step
 halved, at most 60 times; when all 60 are rejected the run stops at the step
@@ -51,7 +57,8 @@ box |lam|, |gam| <= DUAL_CAP is clipped onto it and counted as a clip event.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +81,13 @@ FIRST_STEP = 0.2
 # CG_ITERS_PER_COORDINATE * p iterations (the dimension of the Newton system)
 FORCING_MAX = 0.5
 CG_ITERS_PER_COORDINATE = 2
-# a mean-field fit hands over from NGD to Newton once ||g||^2 / p falls below
-# this; entering at 1e-3 or 1e-4 moved some fits to another minimizer
+# a mean-field fit hands over from NGD to Newton at the first iterate below one
+# of MF_PROBE_GRADS where CG, held for PROBE_CG_ITERS steps, meets no
+# non-positive curvature, or once ||g||^2 / p falls below MF_NEWTON_ENTRY_GRAD;
+# handing over at 1e-3 without the probe moved some fits to another minimizer
 MF_NEWTON_ENTRY_GRAD = 1e-6
+MF_PROBE_GRADS = (1e-3, 1e-4, 1e-5)
+PROBE_CG_ITERS = 40
 
 
 class Objective(enum.Enum):
@@ -113,7 +124,7 @@ class NGDTrace:
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
     hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
-    ngd_iterations: int = 0  # of ``iterations``, those of a mean-field fit's NGD phase
+    ngd_iterations: int = 0  # of ``iterations``, those before the switch to Newton
 
     @property
     def converged(self) -> bool:
@@ -124,17 +135,19 @@ class NGDTrace:
         return len(self.steps_used)
 
 
-def _descend(model, prior, cfg, trace, state, newton, f_cur=None):
-    """Continue ``trace`` from ``state``, whose energy is ``f_cur`` (computed
-    when None), until ``trace`` holds ``cfg.max_iters`` iterations: NGD
-    directions with the step carried over, or Newton directions from the full
-    step, each followed by a backtracking line search."""
+def _descend(model, prior, cfg, state, entry, probes=()):
+    """Descend from ``state`` for at most ``cfg.max_iters`` iterations: NGD
+    directions with the step carried over, then, from the first iterate with
+    ||g||^2/p below ``entry`` or below one of ``probes`` where the curvature
+    probe passes, Newton directions from the full step.  Each direction is
+    followed by a backtracking line search."""
     tap = cfg.objective is Objective.TAP
     energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
-    if f_cur is None:
-        f_cur = energy(model, state)
+    trace = NGDTrace()
+    f_cur = energy(model, state)
+    newton = False
     step = FIRST_STEP
-    for _ in range(cfg.max_iters - len(trace.steps_used)):
+    for _ in range(cfg.max_iters):
         gm, gs = gradient(model, state)
         gn = float(gm @ gm + gs @ gs) / model.p
         trace.f_values.append(f_cur)
@@ -143,11 +156,21 @@ def _descend(model, prior, cfg, trace, state, newton, f_cur=None):
             trace.stop_reason = StopReason.CONVERGED
             trace.steps_used.append(0.0)
             break
+        direction = None  # NGD's
         if newton:
-            dm, ds = _newton_direction(model, prior, state, gm, gs, tap, trace)
+            direction = _newton_direction(model, prior, state, gm, gs, tap, trace)
+        elif gn < entry or any(gn < gate for gate in probes):
+            probe = gn >= entry
+            probes = [gate for gate in probes if gate <= gn]  # each gate probes once
+            direction = _newton_direction(model, prior, state, gm, gs, tap, trace,
+                                          PROBE_CG_ITERS if probe else 1)
+            # a probe that met non-positive curvature keeps NGD's direction
+            newton = direction is not None or not probe
+            if newton:
+                trace.ngd_iterations = trace.iterations
+        if newton:
             step = 1.0
-        else:
-            dm, ds = gm, gs
+        dm, ds = (gm, gs) if direction is None else direction
         # try the duals (lam - step*dm, gam + 2*step*ds), halving the step
         # until the energy falls
         for tries in range(60):
@@ -172,6 +195,8 @@ def _descend(model, prior, cfg, trace, state, newton, f_cur=None):
         state, f_cur = cand, f_new
         if tries == 0:
             step = min(1.0, 2.0 * step)
+    if not newton:
+        trace.ngd_iterations = trace.iterations
     trace.final = state
     return trace
 
@@ -179,15 +204,15 @@ def _descend(model, prior, cfg, trace, state, newton, f_cur=None):
 def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
             cfg: NGDConfig) -> NGDTrace:
     """Minimize the configured free energy starting from an interior state."""
-    trace = _descend(model, prior, cfg, NGDTrace(), init, newton=False)
-    trace.ngd_iterations = trace.iterations
-    return trace
+    return _descend(model, prior, cfg, init, entry=0.0)
 
 
-def _newton_direction(model, prior, state, gm, gs, tap, trace):
+def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1):
     """Dual direction u, an inexact solution of (I + K C) u = g by CG in the
     inner product of the tilted covariances C, completed on the coordinates
-    whose C is singular."""
+    whose C is singular.  CG runs at least ``min_iters`` steps unless its
+    residual vanishes; None when it meets non-positive curvature within
+    them, which proves I + C^1/2 K C^1/2 is not positive definite."""
     cov = tilted_cov_vec(prior, state.lam, state.gam)
     p = model.p
     g = np.concatenate([gm, gs])
@@ -202,13 +227,13 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace):
         trace.hessian_matvecs += 1
         curv = float(Cq @ Aq)
         if not curv > 0:
-            if k == 0:
-                return gm, gs  # u = g: NGD's direction
+            if k < min_iters and rCr > 0:  # rCr = 0: the residual vanished
+                return None
             break  # keep the iterate built on positive curvature
         alpha = rCr / curv
         u += alpha * q
         r -= alpha * Aq
-        if np.linalg.norm(r) <= tol:
+        if np.linalg.norm(r) <= tol and k + 1 >= min_iters:
             break
         Cr = _apply_blocks(cov, r)
         rCr, rCr_prev = float(r @ Cr), rCr
@@ -226,18 +251,9 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace):
 def newton_run(model: LinearModel, prior: Prior, init: VariationalState,
                cfg: NGDConfig) -> NGDTrace:
     """Minimize the configured free energy by truncated Newton-CG from an
-    interior state, such as the AMP warm start; a mean-field fit runs NGD
-    first (``ngd_run``) and stops where that phase stops unless it
-    converged."""
+    interior state, such as the AMP warm start; a mean-field fit takes NGD
+    directions until its curvature probe passes or ||g||^2/p falls below
+    MF_NEWTON_ENTRY_GRAD."""
     if cfg.objective is Objective.TAP:
-        return _descend(model, prior, cfg, NGDTrace(), init, newton=True)
-    entry = replace(cfg, grad_tol=max(cfg.grad_tol, MF_NEWTON_ENTRY_GRAD))
-    trace = ngd_run(model, prior, init, entry)
-    if not trace.converged:
-        return trace
-    # reopen the run at the handover state, which the loop records again
-    f_cur = trace.f_values.pop()
-    trace.grad_norm_sq_per_p.pop()
-    trace.steps_used.pop()
-    trace.stop_reason = StopReason.MAX_ITERS
-    return _descend(model, prior, cfg, trace, trace.final, newton=True, f_cur=f_cur)
+        return _descend(model, prior, cfg, init, entry=math.inf)
+    return _descend(model, prior, cfg, init, MF_NEWTON_ENTRY_GRAD, MF_PROBE_GRADS)

@@ -71,22 +71,24 @@ def gamma_envelopes(prior: Prior, m):
     return lower, upper
 
 
+def _clip_inside(x, lo, hi):
+    """x clipped into (lo, hi), INTERIOR_EPS_FRAC of the width and at least
+    one ulp away from each end."""
+    eps = INTERIOR_EPS_FRAC * (hi - lo)
+    return np.clip(x, np.maximum(lo + eps, np.nextafter(lo, np.inf)),
+                   np.minimum(hi - eps, np.nextafter(hi, -np.inf)))
+
+
 def project_interior(prior: Prior, m, s):
     """Project (m, s) vectors onto the interior of the moment space.
 
-    Moves s inside the envelope gap (and m inside the support) by a relative
-    nudge of INTERIOR_EPS_FRAC: the boundary policy of
-    ``VariationalState.from_moments``.
+    Moves m inside the support and then s inside the envelope gap at that m,
+    each by a relative nudge of INTERIOR_EPS_FRAC and by at least one ulp:
+    the boundary policy of ``VariationalState.from_moments``.
     """
-    m = np.array(m, dtype=np.float64, copy=True)
-    s = np.array(s, dtype=np.float64, copy=True)
-    lo, hi = prior.support_lo, prior.support_hi
-    width = hi - lo
-    np.clip(m, lo + INTERIOR_EPS_FRAC * width, hi - INTERIOR_EPS_FRAC * width, out=m)
+    m = _clip_inside(np.asarray(m, dtype=np.float64), prior.support_lo, prior.support_hi)
     lower, upper = gamma_envelopes(prior, m)
-    gap = upper - lower
-    eps = INTERIOR_EPS_FRAC * gap
-    np.clip(s, lower + eps, upper - eps, out=s)
+    s = _clip_inside(np.asarray(s, dtype=np.float64), lower, upper)
     return m, s
 
 

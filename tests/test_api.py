@@ -17,8 +17,10 @@ USERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 # the oracles are independent ground truth that the tests compare against
 EXEMPT_MODULES = {"oracle"}
-# the state-evolution reference that the AMP tests check the iterates against
-EXEMPT_NAMES = {"amp.se_diagnostics"}
+# the state-evolution reference that the AMP tests check the iterates against,
+# and NGD alone, the paper's algorithm, whose linear tail acceptance test_4
+# checks and whose minimizers the Newton tests compare against
+EXEMPT_NAMES = {"amp.se_diagnostics", "ngd.ngd_run"}
 # parameters with a default that only tests set, each kept on purpose
 EXEMPT_PARAMETERS = {
     # the console entry point: the tests drive it with an argument list

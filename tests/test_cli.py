@@ -131,7 +131,9 @@ def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
      "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
     (["--config", "{low_noise}", "hessian", "--delta", "1.0"],
      "per-coordinate covariance singular in float64 on 204 of 300 coordinates"),
-], ids=["oracle", "calibrate", "hessian", "hessian-collapsed"])
+    # n / delta overflows to inf, which has no floor
+    (["ngd", "--delta", "1e-320"], "delta = 1e-320 implies p = floor(n / delta) = inf"),
+], ids=["oracle", "calibrate", "hessian", "hessian-collapsed", "design-too-large"])
 def test_library_error_is_one_line(tmp_path, capsys, argv, message):
     spikeless = tmp_path / "spikeless.txt"
     spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
@@ -247,6 +249,22 @@ def test_unreadable_config_stops_with_one_line(tmp_path, make):
     assert not out.exists()
 
 
+def test_infinite_delta_grid_stops_with_one_line(tmp_path):
+    # an infinite delta leaves no features: the config check names the key,
+    # in one line, before --out is created
+    path = tmp_path / "cfg"
+    path.write_text("n = 50\ndelta_grid = inf\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
+                          "--out", str(out), "mse-sweep"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("taplab: error: invalid config: delta_grid ")
+    assert res.stderr.count("\n") == 1  # no traceback
+    assert not out.exists()
+
+
 def test_config_bad_value_rejected(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("n = many\n")
@@ -261,6 +279,7 @@ def test_config_bad_value_rejected(tmp_path):
                                          ("amp_warm_iters = 0", "amp_warm_iters"),
                                          ("delta_grid = 1.0, 0", "delta_grid"),
                                          ("delta_grid = nan", "delta_grid"),
+                                         ("delta_grid = 1.0, inf", "delta_grid"),
                                          ("seed = -1", "seed"),
                                          ("seed = 18446744073709551616", "seed"),
                                          ("sigma = nan", "sigma"),

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import warnings
 
@@ -62,6 +63,26 @@ class TestGeneration:
         # n = 300, delta = 1000 would draw a 300 x 0 design
         with pytest.raises(DomainError, match="no features"):
             generate_instance(ExperimentConfig(n=300), 0, 1000.0)
+
+    @pytest.mark.parametrize("n, delta, p", [(50, 1e-300, "5e+301"), (300, 1e-3, "3e+05"),
+                                             (300, 5e-324, "inf")])
+    def test_design_past_the_size_bound_is_a_domain_error(self, monkeypatch, n, delta, p):
+        # 1e-300 at n = 50 implies p = 5e301, more than numpy can index, and
+        # 1e-3 at n = 300 a 300 x 300 000 design (0.7 GB): each is refused
+        # before anything is drawn
+        from taplab import experiments
+        monkeypatch.setattr(experiments, "stream_rng", None)
+        message = f"delta = {delta!r} implies p = floor(n / delta) = {p} features"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            generate_instance(ExperimentConfig(n=n), 0, delta)
+
+    def test_design_at_the_size_bound_is_drawn(self, monkeypatch):
+        from taplab import experiments
+        monkeypatch.setattr(experiments, "MAX_DESIGN_ENTRIES", 64 * 100)
+        model, _ = generate_instance(ExperimentConfig(n=64), 0, 0.64)  # p = 100
+        assert model.X.shape == (64, 100)
+        with pytest.raises(DomainError, match="exceed 6400 entries"):
+            generate_instance(ExperimentConfig(n=64), 0, 0.63)  # p = 101
 
     def test_deterministic_bit_for_bit(self):
         cfg = small_cfg()
@@ -202,8 +223,9 @@ class TestSweeps:
 
         def recorded(name, solver):
             def wrapped(model, prior, init, cfg):
-                calls.append((name, cfg.objective, cfg.grad_tol))
-                return solver(model, prior, init, cfg)
+                trace = solver(model, prior, init, cfg)
+                calls.append((name, cfg.objective, trace.ngd_iterations > 0))
+                return trace
             return wrapped
 
         monkeypatch.setattr(experiments, "newton_run",
@@ -211,10 +233,11 @@ class TestSweeps:
         monkeypatch.setattr(ngd, "ngd_run", recorded("ngd", ngd.ngd_run))
         cfg = small_cfg()
         run_mse_sweep(cfg)
-        # the mean-field fit's NGD phase stops at the Newton entry gradient
-        assert calls == [("newton", Objective.TAP, cfg.grad_tol),
-                         ("newton", Objective.MF, cfg.grad_tol),
-                         ("ngd", Objective.MF, ngd.MF_NEWTON_ENTRY_GRAD)] * cfg.replicates
+        # TAP is Newton from the start; the mean-field fit takes NGD's
+        # directions first, inside newton_run's own loop: ngd_run is never
+        # called
+        assert calls == [("newton", Objective.TAP, False),
+                         ("newton", Objective.MF, True)] * cfg.replicates
 
 
 class TestCalibration:

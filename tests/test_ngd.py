@@ -349,26 +349,21 @@ def test_low_noise_mf_fit_takes_newton_steps():
 
 
 def test_newton_runs_ngd_first_on_mf_only(tp, warm3, monkeypatch):
-    # a TAP fit is Newton from the start; a mean-field fit is NGD until
-    # ||g||^2/p < MF_NEWTON_ENTRY_GRAD, then Newton from where NGD stopped
+    # a TAP fit is Newton from the start; a mean-field fit takes NGD's
+    # directions in the same loop, without calling ngd_run, until a curvature
+    # probe passes or ||g||^2/p < MF_NEWTON_ENTRY_GRAD, then Newton's
     model, warm = warm3
     calls = []
-
-    def recorded(model, prior, init, cfg):
-        calls.append(cfg)
-        return ngd_run(model, prior, init, cfg)
-
-    monkeypatch.setattr(ngd, "ngd_run", recorded)
+    monkeypatch.setattr(ngd, "ngd_run", lambda *args: calls.append(args))
     tap = newton_run(model, tp, warm, NGDConfig())
-    assert calls == [] and tap.ngd_iterations == 0 and tap.hessian_matvecs > 0
+    assert tap.ngd_iterations == 0 and tap.hessian_matvecs > 0
     cfg = NGDConfig(objective=Objective.MF)
     mf = newton_run(model, tp, warm, cfg)
-    assert calls == [NGDConfig(grad_tol=ngd.MF_NEWTON_ENTRY_GRAD, objective=Objective.MF)]
-    phase = ngd_run(model, tp, warm, calls[0])
-    k = phase.iterations  # the handover state is recorded once
-    assert mf.ngd_iterations == k and mf.iterations > k and mf.hessian_matvecs > 0
-    assert mf.f_values[:k] == phase.f_values
-    assert mf.steps_used[:k - 1] == phase.steps_used[:-1]
+    assert calls == []
+    k = mf.ngd_iterations  # the iterate where it switched takes Newton's step
+    assert 0 < k < mf.iterations and mf.hessian_matvecs > 0
+    assert min(mf.grad_norm_sq_per_p[:k]) >= ngd.MF_PROBE_GRADS[-1] > ngd.MF_NEWTON_ENTRY_GRAD
+    assert mf.grad_norm_sq_per_p[k] < ngd.MF_PROBE_GRADS[0]
     assert mf.converged and mf.grad_norm_sq_per_p[-1] < cfg.grad_tol
     assert np.all(np.diff(mf.f_values) < 0.0)
 
@@ -389,18 +384,71 @@ def test_mf_newton_within_max_iters_and_ngd_stops_as_is(tp, warm3):
     assert stopped.f_values == reference.f_values and stopped.iterations == 5
 
 
-@pytest.mark.parametrize("grad_tol", [1e-6, 1e-4])
+@pytest.mark.parametrize("grad_tol", [1e-6, 1e-4, 1e-2])
 def test_mf_newton_is_ngd_above_the_entry_gradient(tp, warm3, grad_tol):
+    # a mean-field fit is ngd_run's, bit for bit, until a curvature probe
+    # passes.  Here the probe at the 1e-3 gate meets negative curvature, which
+    # changes only the matvec count, and the one at 1e-4 passes: a fit that
+    # stops at 1e-4 or above is ngd_run's whole, and one that stops above
+    # 1e-3 probes nothing
     model, warm = warm3
     cfg = NGDConfig(objective=Objective.MF, grad_tol=grad_tol)
     newton = newton_run(model, tp, warm, cfg)
     reference = ngd_run(model, tp, warm, cfg)
-    assert newton.converged and newton.hessian_matvecs == 0
+    assert newton.converged
+    k = newton.ngd_iterations
+    assert newton.f_values[:k + 1] == reference.f_values[:k + 1]
+    assert newton.steps_used[:k] == reference.steps_used[:k]
+    assert (newton.hessian_matvecs > 0) == (grad_tol < ngd.MF_PROBE_GRADS[0])
+    if grad_tol < ngd.MF_PROBE_GRADS[1]:  # switched to Newton at the 1e-4 gate
+        assert ngd.MF_PROBE_GRADS[2] <= newton.grad_norm_sq_per_p[k] < ngd.MF_PROBE_GRADS[1]
+        assert newton.iterations < reference.iterations
+        return
     for name in ("f_values", "grad_norm_sq_per_p", "steps_used", "iterations",
                  "ngd_iterations", "backtracks", "clip_events", "stop_reason"):
         assert getattr(newton, name) == getattr(reference, name)
     for name in ("m", "s", "lam", "gam", "logZ"):
         assert np.array_equal(getattr(newton.final, name), getattr(reference.final, name))
+
+
+def test_mf_fit_where_every_probe_fails_switches_at_the_entry_gradient(tp, warm3, monkeypatch):
+    # with K = -2D every CG curvature is negative, so each gate's probe fails
+    # on its first direction: the fit follows ngd_run until ||g||^2/p falls
+    # below MF_NEWTON_ENTRY_GRAD and switches only there
+    model, warm = warm3
+    cfg = NGDConfig(objective=Objective.MF)
+    reference = ngd_run(model, tp, warm, cfg)
+    monkeypatch.setattr(ngd, "_hessian_matvec", lambda model, state, v, tap:
+                        -2.0 * _apply_blocks(_entropy_hessian_blocks(tp, state)[0], v))
+    trace = newton_run(model, tp, warm, cfg)
+    k = trace.ngd_iterations
+    assert k < trace.iterations and trace.converged
+    assert min(trace.grad_norm_sq_per_p[:k]) >= ngd.MF_NEWTON_ENTRY_GRAD
+    assert trace.grad_norm_sq_per_p[k] < ngd.MF_NEWTON_ENTRY_GRAD
+    assert trace.f_values[:k + 1] == reference.f_values[:k + 1]
+    assert trace.steps_used[:k] == reference.steps_used[:k]
+    # one product per Newton iteration, and one per failed probe: here each
+    # gate is first crossed at an iterate of its own
+    newton_iterations = trace.iterations - 1 - k  # the last record takes no step
+    assert trace.hessian_matvecs - newton_iterations == len(ngd.MF_PROBE_GRADS)
+
+
+# three-point, sigma = 0.3, n = 300, master seed 0: handing over to Newton at
+# ||g||^2/p < 1e-3 without a probe moves the first four to another minimizer
+# (max|dm| 0.84-0.91); the fifth is where gates from 1e-2 were seen to move one
+@pytest.mark.parametrize("delta, replicate", [(0.8, 14), (0.8, 15), (0.8, 19), (1.0, 2),
+                                              (0.6, 7)])
+def test_gated_mf_handover_keeps_the_ngd_minimizer(delta, replicate):
+    cfg = ExperimentConfig(sigma=0.3, n=300, seed=0, replicates=replicate + 1)
+    prior = cfg.prior()
+    model, _ = generate_instance(cfg, replicate, delta)
+    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    assert newton.converged and reference.converged
+    assert newton.ngd_iterations < reference.iterations
+    assert newton.f_values[-1] <= reference.f_values[-1]
+    assert np.max(np.abs(newton.final.m - reference.final.m)) <= 1e-2
 
 
 @pytest.mark.parametrize("delta", [0.6, 1.0, 1.4])

@@ -100,6 +100,18 @@ class TestGammaRegion:
         assert np.all((tp.support_lo < m) & (m < tp.support_hi))
         assert np.all((lower < s) & (s < upper))
 
+    def test_project_interior_moves_at_least_one_ulp(self, tp):
+        # at m = 1 - 2e-9 the envelope gap is 2e-9, and a relative nudge of it
+        # (4e-18) is below one ulp of s = 1: s must still leave the upper
+        # envelope, and the duals there must solve
+        m, s = project_interior(tp, [1.5], [1.0])
+        lower, upper = gamma_envelopes(tp, m)
+        assert (tp.support_lo < m) & (m < tp.support_hi)
+        assert (lower < s) & (s < upper)
+        state = VariationalState.from_moments(tp, [1.5], [1.0])
+        assert np.array_equal(state.m, m) and np.array_equal(state.s, s)
+        assert np.all(np.isfinite(state.lam)) and np.all(np.isfinite(state.gam))
+
 
 class TestDualSolve:
     def test_roundtrip_single(self, tp):
