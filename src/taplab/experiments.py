@@ -72,8 +72,11 @@ class ExperimentConfig:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.amp_warm_iters < 1:
             raise ValueError("amp_warm_iters must be >= 1")
-        if not all(0 < delta < math.inf for delta in self.delta_grid):  # also rejects nan
-            raise ValueError("delta_grid entries must be positive and finite")
+        for delta in self.delta_grid:
+            try:
+                _feature_count(self.n, delta)
+            except DomainError as exc:
+                raise ValueError(f"delta_grid entry {delta!r}: {exc}") from None
         self.ngd_config(Objective.TAP)  # range-checks max_iters and grad_tol
 
     @property
@@ -99,15 +102,12 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
     return int(master_seed) * MAX_REPLICATES + int(replicate)
 
 
-def generate_instance(cfg: ExperimentConfig, replicate_index: int,
-                      delta: float) -> tuple[LinearModel, np.ndarray]:
-    """Design, signal, and response for one replicate at aspect ratio delta."""
+def _feature_count(n: int, delta: float) -> int:
+    """p = floor(n / delta) features at aspect ratio delta, refused with a
+    DomainError unless 1 <= p and the n x p design has at most
+    MAX_DESIGN_ENTRIES entries."""
     if not delta > 0:  # also rejects nan
         raise DomainError(f"delta must be positive, got {delta!r}")
-    if not 0 <= replicate_index < MAX_REPLICATES:
-        raise DomainError(f"replicate index must be in [0, {MAX_REPLICATES}), "
-                          f"got {replicate_index!r}")
-    n = cfg.n
     ratio = n / delta  # inf where it overflows
     if ratio < 1:
         raise DomainError(f"delta = {delta!r} leaves no features at n = {n} (n / delta < 1)")
@@ -115,7 +115,17 @@ def generate_instance(cfg: ExperimentConfig, replicate_index: int,
         raise DomainError(f"delta = {delta!r} implies p = floor(n / delta) = {ratio:.4g} "
                           f"features at n = {n}: the n x p design would exceed "
                           f"{MAX_DESIGN_ENTRIES} entries")
-    p = int(ratio)
+    return int(ratio)
+
+
+def generate_instance(cfg: ExperimentConfig, replicate_index: int,
+                      delta: float) -> tuple[LinearModel, np.ndarray]:
+    """Design, signal, and response for one replicate at aspect ratio delta."""
+    if not 0 <= replicate_index < MAX_REPLICATES:
+        raise DomainError(f"replicate index must be in [0, {MAX_REPLICATES}), "
+                          f"got {replicate_index!r}")
+    n = cfg.n
+    p = _feature_count(n, delta)
     prior = cfg.prior()
     rng_x = stream_rng(cfg.seed, replicate_index, _STREAM_DESIGN)
     rng_b = stream_rng(cfg.seed, replicate_index, _STREAM_TRUTH)

@@ -57,8 +57,6 @@ class PotentialProfile:
 def mutual_information(prior: Prior, gamma: float) -> float:
     """i(gamma) = E[gamma*beta0^2/2 - log E_beta exp(-gamma*beta^2/2 + lam*beta)]
     with lam = gamma*beta0 + sqrt(gamma)*z."""
-    if gamma < 0:
-        raise DomainError("gamma must be nonnegative")
     if gamma == 0.0:
         return 0.0
     return channel_terms(prior, gamma)[0]
@@ -67,9 +65,10 @@ def mutual_information(prior: Prior, gamma: float) -> float:
 def phi(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     if gamma <= 0:
         raise DomainError("phi requires gamma > 0")
+    info = mutual_information(prior, gamma)  # first: it rejects a non-finite gamma
     return (0.5 * sigma2 * gamma
             - 0.5 * delta * np.log(gamma / (2.0 * np.pi * delta))
-            + mutual_information(prior, gamma))
+            + info)
 
 
 def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:

@@ -6,8 +6,9 @@ package is an exact finite sum over atoms.  The only approximation is the
 quadrature itself, which is testable against Gaussian closed forms.
 
 A prior also holds what every fit under it shares: the two small matrices of
-the tilt kernels, built once here, and the state-evolution schedules that
-``potential`` computes on first use and keeps on the prior.
+the tilt kernels, built once here, and the channel quadrature rows and
+state-evolution schedules that ``scalar`` and ``potential`` compute on first
+use and keep on the prior.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ class Prior:
     # state-evolution schedules by (sigma2, delta, k); see potential
     _se_schedules: dict = field(init=False, repr=False, compare=False,
                                 default_factory=dict)
+    # channel quadrature rows by Gauss-Hermite node count; see scalar
+    _channel_grids: dict = field(init=False, repr=False, compare=False,
+                                 default_factory=dict)
 
     def __post_init__(self):
         locs = np.asarray(self.locations, dtype=np.float64)

@@ -9,8 +9,10 @@ MMSE and the mutual information.
 Two accuracies are fixed here and read at call time: the channel noise is
 integrated by the QUAD_NODES-point Gauss-Hermite rule, and a dual solve has
 converged once its moment residual is below DUAL_RESIDUAL_TOL.  The
-state-evolution schedules a prior keeps (see ``potential``) are computed
-with the rule in force at the time and are not keyed by it.
+channel quadrature rows a prior keeps are keyed by QUAD_NODES, so a new node
+count builds its own rows; the state-evolution schedules a prior keeps (see
+``potential``) are computed with the rule in force at the time and are not
+keyed by it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ DUAL_CAP = 1e6
 DUAL_RESIDUAL_TOL = 1e-10
 INTERIOR_EPS_FRAC = 1e-9  # relative nudge of project_interior
 QUAD_NODES = 61  # Gauss-Hermite nodes over the channel noise z ~ N(0,1)
+# channel quadrature rows lighter than this are dropped: the dropped mass is
+# below 4e-29 on the priors here, and every summand is bounded by a power of
+# the support width (or gamma times it), so no term moves by an ulp
+CHANNEL_WEIGHT_FLOOR = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -128,30 +134,60 @@ def dual_solve_vec(prior: Prior, m, s):
 # scalar channel
 # ---------------------------------------------------------------------------
 
+def _channel_grid(prior: Prior):
+    """Read-only rows (b0, z, w) of the channel quadrature at QUAD_NODES
+    Gauss-Hermite nodes: prior atom b0, noise node z and joint weight w.
+
+    Built on the first call for the node count and kept on the prior.  A
+    mirror-symmetric prior keeps only the first half of the N = atoms x nodes
+    rows, with doubled weight: row r mirrors row N-1-r, the tilt at -lam is
+    the mirror image of the tilt at lam, and each summand of
+    ``channel_terms`` is unchanged by the mirror.  When N is odd the centre
+    row is its own mirror and keeps its weight.  Rows of weight below
+    CHANNEL_WEIGHT_FLOOR are dropped.
+    """
+    grid = prior._channel_grids.get(QUAD_NODES)
+    if grid is None:
+        z, wz = _gauss_hermite_standard_normal(QUAD_NODES)
+        locs, w = prior.locations, prior.weights
+        b0 = np.repeat(locs, len(z))
+        zs = np.tile(z, len(locs))
+        wr = np.outer(w, wz).ravel()
+        if np.array_equal(locs, -locs[::-1]) and np.array_equal(w, w[::-1]):
+            odd = wr.size % 2
+            half = wr.size // 2 + odd
+            b0, zs, wr = b0[:half], zs[:half], 2.0 * wr[:half]
+            if odd:
+                wr[-1] /= 2.0
+        keep = wr >= CHANNEL_WEIGHT_FLOOR
+        grid = tuple(a[keep] for a in (b0, zs, wr))
+        for a in grid:
+            a.setflags(write=False)
+        prior._channel_grids[QUAD_NODES] = grid
+    return grid
+
+
 def channel_terms(prior: Prior, gamma: float):
     """(i(gamma), mmse(gamma), E[Var(beta0 | channel)^2]) of the channel
-    lam = gamma*beta0 + sqrt(gamma)*z from one tilt of the (atoms x nodes)
-    grid: exact sum over prior atoms, Gauss-Hermite over z."""
-    z, wz = _gauss_hermite_standard_normal(QUAD_NODES)
-    b0 = prior.locations
-    lam = (gamma * b0[:, None] + np.sqrt(gamma) * z[None, :]).ravel()
+    lam = gamma*beta0 + sqrt(gamma)*z from one tilt of the quadrature rows
+    (see ``_channel_grid``): exact sum over prior atoms, Gauss-Hermite over
+    z.  gamma must be nonnegative and finite."""
+    if not 0 <= gamma < np.inf:  # also rejects nan
+        raise DomainError(f"gamma must be nonnegative and finite, got {gamma!r}")
+    b0, z, w = _channel_grid(prior)
+    lam = gamma * b0 + np.sqrt(gamma) * z
     m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gamma)
     if not np.all(np.isfinite(logZ)):
         raise DegenerateTiltError("tilted log-partition overflowed")
-    grid = (len(b0), len(z))
-    info = float(prior.weights @ (0.5 * gamma * b0**2 - logZ.reshape(grid) @ wz))
-    m = m.reshape(grid)
-    sq = (b0[:, None] - m) ** 2
-    mse = float(prior.weights @ (sq @ wz))
-    var = s.reshape(grid) - m * m
-    e_var2 = float(prior.weights @ ((var * var) @ wz))
+    info = float(w @ (0.5 * gamma * b0 * b0 - logZ))
+    mse = float(w @ ((b0 - m) ** 2))
+    var = s - m * m
+    e_var2 = float(w @ (var * var))
     return info, mse, e_var2
 
 
 def mmse(prior: Prior, gamma: float) -> float:
     """Bayes risk in the channel lam = gamma*beta0 + sqrt(gamma)*z."""
-    if gamma < 0:
-        raise DomainError("gamma must be nonnegative")
     if gamma == 0.0:
         return prior.variance
     return channel_terms(prior, gamma)[1]

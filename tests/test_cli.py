@@ -280,6 +280,7 @@ def test_config_bad_value_rejected(tmp_path):
                                          ("delta_grid = 1.0, 0", "delta_grid"),
                                          ("delta_grid = nan", "delta_grid"),
                                          ("delta_grid = 1.0, inf", "delta_grid"),
+                                         ("delta_grid = 1e-300", "delta_grid"),
                                          ("seed = -1", "seed"),
                                          ("seed = 18446744073709551616", "seed"),
                                          ("sigma = nan", "sigma"),

@@ -79,10 +79,11 @@ class TestGeneration:
     def test_design_at_the_size_bound_is_drawn(self, monkeypatch):
         from taplab import experiments
         monkeypatch.setattr(experiments, "MAX_DESIGN_ENTRIES", 64 * 100)
-        model, _ = generate_instance(ExperimentConfig(n=64), 0, 0.64)  # p = 100
+        cfg = ExperimentConfig(n=64, delta_grid=(0.64,))  # the config checks its grid too
+        model, _ = generate_instance(cfg, 0, 0.64)  # p = 100
         assert model.X.shape == (64, 100)
         with pytest.raises(DomainError, match="exceed 6400 entries"):
-            generate_instance(ExperimentConfig(n=64), 0, 0.63)  # p = 101
+            generate_instance(cfg, 0, 0.63)  # p = 101
 
     def test_deterministic_bit_for_bit(self):
         cfg = small_cfg()

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taplab import kernels
+from taplab import kernels, scalar
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.free_energy import VariationalState
 from taplab.ngd import Objective
@@ -11,9 +11,10 @@ from taplab.priors import (
     _gauss_hermite_standard_normal,
     bernoulli_gaussian,
     gaussian_prior,
+    parse_prior,
     three_point,
 )
-from taplab.scalar import DUAL_RESIDUAL_TOL, QUAD_NODES, channel_terms
+from taplab.scalar import DUAL_RESIDUAL_TOL, channel_terms
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def test_scalar_gam_is_shared_by_every_row(batch):
 
 def _channel_reference(prior, gamma):
     """(i, mmse, E[Var^2]) of the channel, one prior atom beta0 at a time."""
-    z, wz = _gauss_hermite_standard_normal(QUAD_NODES)
+    z, wz = _gauss_hermite_standard_normal(scalar.QUAD_NODES)
     a, logw = prior.locations, prior.log_weights
     info = mse = e_var2 = 0.0
     for b0, w0 in zip(a, prior.weights):
@@ -105,14 +106,43 @@ def _channel_reference(prior, gamma):
     return info, mse, e_var2
 
 
-@pytest.mark.parametrize("prior", [gaussian_prior(1.0), three_point()],
-                         ids=["gauss", "3pt"])
+@pytest.mark.parametrize("prior", [
+    gaussian_prior(1.0), three_point(), parse_prior("bernoulli-gaussian:0.5,1.0"),
+    parse_prior("point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25"),  # even, symmetric
+    parse_prior("point-mass:-1,0.2;0,0.5;2,0.3"),  # asymmetric: not folded
+], ids=["gauss", "3pt", "bg", "even", "asym"])
 def test_channel_terms_match_reference(prior):
     for gamma in (0.01, 0.1, 0.5, 1.0, 3.0, 20.0, 150.0):
         got = channel_terms(prior, gamma)
         ref = _channel_reference(prior, gamma)
         for g, r in zip(got, ref):
             assert g == pytest.approx(r, rel=1e-12, abs=0)
+
+
+def test_channel_grid_follows_the_node_count(monkeypatch):
+    prior = three_point()
+    coarse = channel_terms(prior, 20.0)  # keeps the 61-node grid on the prior
+    monkeypatch.setattr("taplab.scalar.QUAD_NODES", 201)
+    got = channel_terms(prior, 20.0)
+    ref = _channel_reference(prior, 20.0)
+    for g, c, r in zip(got, coarse, ref):
+        assert g == pytest.approx(r, rel=1e-12, abs=0)
+        assert c != pytest.approx(r, rel=1e-12, abs=0)  # a stale grid would show
+
+
+def test_channel_terms_tilt_the_folded_grid(monkeypatch):
+    # a mirror-symmetric prior tilts half of its (atoms x nodes) rows, less
+    # those of negligible weight: 1 472 of 6 161 on the 101-atom Gaussian
+    rows = []
+
+    def counting(basis, powers, lam, gam):
+        rows.append(np.size(lam))
+        return tilted_stats(basis, powers, lam, gam)
+
+    tilted_stats = kernels.tilted_stats
+    monkeypatch.setattr(kernels, "tilted_stats", counting)
+    channel_terms(gaussian_prior(1.0), 1.0)
+    assert len(rows) == 1 and rows[0] <= 1600
 
 
 def test_tilt_memory_stays_within_the_row_blocks():

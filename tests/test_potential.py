@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestPhiDerivatives:
             phi(tp, SIGMA2, 1.0, 0.0)
         with pytest.raises(DomainError):
             phi_prime(tp, SIGMA2, 1.0, -1.0)
+        calls = (lambda g: mmse(tp, g), lambda g: mutual_information(tp, g),
+                 lambda g: phi(tp, SIGMA2, 1.0, g), lambda g: phi_prime(tp, SIGMA2, 1.0, g),
+                 lambda g: phi_second(tp, SIGMA2, 1.0, g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            for call in calls:
+                for gamma in (float("nan"), float("inf")):
+                    with pytest.raises(DomainError, match="gamma"):
+                        call(gamma)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_solve_gammas_rejects_nonpositive_delta(self, tp, delta):
