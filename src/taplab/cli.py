@@ -267,12 +267,12 @@ def main(argv=None):
             and cfg.n / args.delta < 1:
         parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         extra = args.func(cfg, args)
     except TapLabError as exc:
         parser.exit(1, f"{parser.prog}: error: {exc}\n")
-    write_manifest(cfg.output_dir, cfg, time.time() - t0,
+    write_manifest(cfg.output_dir, cfg, time.perf_counter() - t0,
                    extra={"command": args.command, **(extra or {})})
     return 0
 

@@ -13,6 +13,8 @@ terms; D enters only where a Hessian is asked for (``tap_hessian_matvec``,
 ``tap_hessian_dense`` and the eigenvalue probe).  H's scale sits in D, so the
 tilted covariances C = D^-1 precondition the LOBPCG probe, and Newton-CG
 works with C and K alone (see ``ngd``), so it never inverts a 2x2 block.
+scipy is imported by ``min_eigenvalue`` on first use; the energies and
+gradients a fit calls never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .exceptions import DomainError, NoConvergenceError
 from .priors import Prior
@@ -244,12 +244,17 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     Rayleigh quotient theta of a unit x with ||Hx - theta x|| <=
     EIG_RESIDUAL_MAX, within that of an eigenvalue, or raises NoConvergenceError.
     """
+    if method not in ("dense", "lanczos"):
+        raise ValueError("method must be 'dense' or 'lanczos'")
+    # scipy is imported where it is called, so that a fit never loads it
+    # (guarded by tests/test_cli.py::test_fit_commands_never_load_scipy)
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     if method == "dense":
         H = tap_hessian_dense(model, state, prior)
         val = scipy.linalg.eigvalsh(H, subset_by_index=[0, 0])[0]
         return EigResult(value=float(val), converged=True)
-    if method != "lanczos":
-        raise ValueError("method must be 'dense' or 'lanczos'")
     dim = 2 * model.p
     blocks, cov = _entropy_hessian_blocks(prior, state)
 

@@ -1,15 +1,14 @@
 """Independent ground-truth computations used to validate everything else:
 Gaussian-prior closed forms, the Marchenko-Pastur variance fixed point, exact
 evidence/marginals by enumeration for tiny discrete instances, and a central
-finite-difference gradient checker."""
+finite-difference gradient checker.  The two exact posteriors import scipy on
+first use, so importing this module (as the CLI does) does not load it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from .exceptions import DomainError
 from .free_energy import LinearModel
@@ -36,6 +35,8 @@ def gaussian_posterior(model: LinearModel, tau2: float) -> GaussianOracle:
     """Exact posterior and evidence under a N(0, tau2) prior."""
     if not 0 < tau2 < np.inf:  # also rejects nan
         raise DomainError(f"prior variance tau2 must be positive and finite, got {tau2!r}")
+    import scipy.linalg  # not at module scope: see free_energy.min_eigenvalue
+
     X, y, sigma2 = model.X, model.y, model.sigma2
     n, p = model.n, model.p
     A = X.T @ X / sigma2 + np.eye(p) / tau2
@@ -47,8 +48,8 @@ def gaussian_posterior(model: LinearModel, tau2: float) -> GaussianOracle:
     _, logdet_p = np.linalg.slogdet((tau2 / sigma2) * (X.T @ X) + np.eye(p))
     logdet = n * np.log(sigma2) + logdet_p
     # y^T (tau2 X X^T + sigma2 I)^{-1} y via the same p x p factorization:
-    # (tau2 X X^T + sigma2 I)^{-1} y = (y - X mean * tau2/tau2 ... ) use Woodbury
-    Kinv_y = (y - X @ scipy.linalg.cho_solve(cf, X.T @ y / sigma2)) / sigma2
+    # (tau2 X X^T + sigma2 I)^{-1} y = (y - X mean) / sigma2 (Woodbury)
+    Kinv_y = (y - X @ mean) / sigma2
     quad = float(y @ Kinv_y)
     log_evidence = -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
     v = mp_vstar(tau2, sigma2, model.delta_hat)
@@ -63,6 +64,8 @@ def enumerate_posterior(model: LinearModel, prior: Prior,
 
     Returns (log_evidence, marginal_m, marginal_s).
     """
+    from scipy.special import logsumexp  # not at module scope: see free_energy.min_eigenvalue
+
     if prior.sampler != ("atoms",):
         raise DomainError("enumeration needs an explicit discrete prior")
     n, p = model.n, model.p

@@ -10,6 +10,8 @@ deterministic in (prior, sigma^2, delta): its schedule is computed once per
 (sigma^2, delta, length) and kept on the prior, and AMP reads its Onsager
 coefficients and denoiser strengths from it.  The state-evolution
 covariances of the recursion are the reference of the AMP diagnostics.
+``solve_gammas`` imports scipy's root finder on first use, so that AMP, which
+reads the schedule from here, never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import DomainError, NoBracketError
 from .priors import Prior
@@ -118,6 +119,8 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     Stationary points are found as sign changes of phi' (Brent-refined);
     gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
     """
+    from scipy.optimize import brentq  # not at module scope: see free_energy.min_eigenvalue
+
     if not 0 < delta < np.inf:  # also rejects nan
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     scale = delta / sigma2

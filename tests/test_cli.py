@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -263,6 +264,59 @@ def test_infinite_delta_grid_stops_with_one_line(tmp_path):
     assert res.stderr.startswith("taplab: error: invalid config: delta_grid ")
     assert res.stderr.count("\n") == 1  # no traceback
     assert not out.exists()
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+import numpy as np
+from taplab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+config, out = sys.argv[1:]
+for argv in (["ngd", "--objective", "tap"], ["ngd", "--objective", "mf"], ["amp"],
+             ["mse-sweep"]):
+    assert cli.main(["--config", config, "--out", out, *argv]) == 0
+after_fits = scipy_modules()
+
+from taplab.experiments import ExperimentConfig, generate_instance
+from taplab.free_energy import VariationalState, min_eigenvalue
+from taplab.potential import solve_gammas
+from taplab.priors import three_point
+
+prior = three_point()
+profile = solve_gammas(prior, 0.09, 1.0)
+model, _ = generate_instance(ExperimentConfig(n=60, replicates=1), 0, 1.0)
+state = VariationalState.from_duals(prior, np.zeros(model.p), np.zeros(model.p))
+eig = min_eigenvalue(model, state, prior, "dense")
+print(json.dumps({"after_fits": after_fits, "after_probes": scipy_modules(),
+                  "gamma_stat": profile.gamma_stat, "eig": eig.value}))
+"""
+
+
+def test_fit_commands_never_load_scipy(tmp_path):
+    # the fit commands are numpy from end to end; scipy is imported by the
+    # functions that call it, on first use
+    config = tmp_path / "cfg.txt"
+    config.write_text("n = 60\nreplicates = 1\ndelta_grid = 0.8, 1.2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(config),
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert report["after_fits"] == []
+    # the deferred imports resolve, and the guard would see them
+    assert {"scipy.optimize", "scipy.linalg"} <= set(report["after_probes"])
+    assert report["gamma_stat"] > 0 and math.isfinite(report["eig"])
+
+
+def test_manifest_run_time_survives_a_clock_step_back(cfg_file, tmp_path, monkeypatch):
+    readings = iter(range(10**6, 0, -1))
+    monkeypatch.setattr("taplab.cli.time.time", lambda: float(next(readings)))
+    assert run(cfg_file, tmp_path, "amp", "--iters", "2") == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["wall_time_s"] >= 0
 
 
 def test_config_bad_value_rejected(tmp_path):
