@@ -17,6 +17,16 @@ product against the powers gives Z, sum(w*a) and sum(w*a^2).  Only per-row
 vectors are divided by Z; no normalised (rows x atoms) matrix is formed on
 the moments path.
 
+A row's bits can depend on the width of the block it falls in.  With
+OpenBLAS 0.3.31 (Haswell kernels), on the 101-atom priors, 255 of the
+block widths 1..512 give some row other bits than the 512-wide block does,
+and each of them is 1-4 mod 8; on three-point no width does.  So
+``tests/test_kernels.py::test_blocks_match_rows_tilted_one_at_a_time``
+compares rows tilted one at a time to 1e-13, and the channel quadrature
+(``scalar._channel_terms_grid``) pads each batch, the one-gamma
+batch of a pointwise call too, to a multiple of 8 rows, so that with this
+build a grid value matches the pointwise call bit for bit.
+
 ``dual_newton`` inverts the moment map for a batch of rows; each Newton step
 and each line-search candidate of the rows still iterating is evaluated by
 one ``tilted_cov`` call.

@@ -10,7 +10,10 @@ deterministic in (prior, sigma^2, delta): its schedule is computed once per
 (sigma^2, delta, length) and kept on the prior, and AMP reads its Onsager
 coefficients and denoiser strengths from it.  The state-evolution
 covariances of the recursion are the reference of the AMP diagnostics.
-``solve_gammas`` imports scipy's root finder on first use, so that AMP, which
+``solve_gammas`` scans phi on a grid of gamma whose channel terms come from
+a few batched tilts of whole gammas (``scalar._channel_terms_grid``); the
+pointwise ``phi``, ``phi_prime`` and ``phi_second`` are one-gamma calls of it.
+It imports scipy's root finder on first use, so that AMP, which
 reads the schedule from here, never loads scipy.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from .exceptions import DomainError, NoBracketError
 from .priors import Prior
-from .scalar import channel_terms, mmse
+from .scalar import _channel_terms_grid, channel_terms, mmse
 
 # solve_gammas scans phi' on GRID_POINTS log-spaced values of gamma between
 # GRID_LO and GRID_HI times delta/sigma^2
@@ -125,8 +128,9 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     scale = delta / sigma2
     grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
-    # one channel evaluation per grid point serves phi, phi' and phi''
-    info, mse, e_var2 = np.array([channel_terms(prior, g) for g in grid]).T
+    # one channel evaluation of the whole grid, tilted in chunks of whole
+    # gammas, serves phi, phi' and phi''
+    info, mse, e_var2 = _channel_terms_grid(prior, grid)
     phi_g = (0.5 * sigma2 * grid
              - 0.5 * delta * np.log(grid / (2.0 * np.pi * delta)) + info)
     dphi_g = 0.5 * (sigma2 - delta / grid + mse)

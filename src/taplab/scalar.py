@@ -174,16 +174,41 @@ def channel_terms(prior: Prior, gamma: float):
     z.  gamma must be nonnegative and finite."""
     if not 0 <= gamma < np.inf:  # also rejects nan
         raise DomainError(f"gamma must be nonnegative and finite, got {gamma!r}")
+    terms = _channel_terms_grid(prior, np.array([gamma], dtype=float))
+    return tuple(float(x) for x in terms[:, 0])
+
+
+def _channel_terms_grid(prior: Prior, gammas: np.ndarray) -> np.ndarray:
+    """(3, len(gammas)) array of ``channel_terms`` at each nonnegative,
+    finite gamma.
+
+    The rows of whole gammas are tilted together, about 16 * BLOCK_ROWS rows
+    per kernel call, so that a grid of small priors does not pay the per-call
+    cost once per gamma.  Each call, the one-gamma call of ``channel_terms``
+    too, is padded with untilted rows to a multiple of 8 rows: with OpenBLAS
+    0.3.31 (Haswell kernels) a row of a wide prior can get other bits in a
+    block whose width is 1-4 mod 8 (see ``kernels``), and with that build a
+    grid value equals the pointwise call bit for bit.  The summands are
+    formed for the whole chunk; each sum is its own dot product over one
+    gamma's rows, as a matrix-vector product over the chunk would give the
+    sums other bits than a one-gamma call."""
     b0, z, w = _channel_grid(prior)
-    lam = gamma * b0 + np.sqrt(gamma) * z
-    m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gamma)
-    if not np.all(np.isfinite(logZ)):
-        raise DegenerateTiltError("tilted log-partition overflowed")
-    info = float(w @ (0.5 * gamma * b0 * b0 - logZ))
-    mse = float(w @ ((b0 - m) ** 2))
-    var = s - m * m
-    e_var2 = float(w @ (var * var))
-    return info, mse, e_var2
+    per_call = max(1, 16 * kernels.BLOCK_ROWS // len(w))
+    out = np.empty((3, len(gammas)))
+    for lo in range(0, len(gammas), per_call):
+        g = gammas[lo:lo + per_call]
+        rows = len(g) * len(w)
+        lam, gam = np.zeros((2, -(-rows // 8) * 8))
+        lam[:rows] = (g[:, None] * b0 + np.sqrt(g)[:, None] * z).ravel()
+        gam[:rows] = np.repeat(g, len(w))
+        m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
+        if not np.all(np.isfinite(logZ[:rows])):
+            raise DegenerateTiltError("tilted log-partition overflowed")
+        m, s, logZ = (a[:rows].reshape(len(g), len(w)) for a in (m, s, logZ))
+        var = s - m * m
+        terms = (0.5 * g[:, None] * b0 * b0 - logZ, (b0 - m) ** 2, var * var)
+        out[:, lo:lo + len(g)] = [[w @ row for row in t] for t in terms]
+    return out
 
 
 def mmse(prior: Prior, gamma: float) -> float:

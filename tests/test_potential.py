@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from taplab import kernels
 from taplab.exceptions import DomainError
 from taplab.potential import (
     Regime,
@@ -14,7 +16,7 @@ from taplab.potential import (
     se_covariance_blocks,
     solve_gammas,
 )
-from taplab.priors import gaussian_prior, point_mass_prior, three_point
+from taplab.priors import gaussian_prior, parse_prior, point_mass_prior, three_point
 from taplab.scalar import mmse
 
 SIGMA2 = 0.09  # sigma = 0.3
@@ -129,6 +131,51 @@ class TestSolveGammas:
         for g, f, f2 in zip(profile.gamma_grid, profile.phi, profile.phi_second):
             assert f == phi(tp, SIGMA2, 1.0, g)
             assert f2 == phi_second(tp, SIGMA2, 1.0, g)
+
+    @pytest.mark.parametrize("descriptor, deltas", [
+        ("three-point", (0.6, 1.0, 1.4)),
+        ("point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25", (0.6, 1.0, 1.4)),
+        ("point-mass:-1,0.2;0,0.5;2,0.3", (0.6, 1.0, 1.4)),
+        ("bernoulli-gaussian:1.0,1.0", (1.0,)),
+        ("bernoulli-gaussian:0.5,1.0", (1.0,)),
+    ], ids=["3pt", "4pt-even", "3pt-asym", "gaussian", "bg"])
+    def test_grid_equals_the_pointwise_calls(self, descriptor, deltas):
+        # the grid is tilted in chunks of whole gammas.  Equality was measured
+        # with OpenBLAS 0.3.31 (Haswell kernels): there, on the 101-atom priors,
+        # a chunk whose last block is 1-4 mod 8 rows wide moves grid values
+        prior = parse_prior(descriptor)
+        for delta in deltas:
+            profile = solve_gammas(prior, SIGMA2, delta)
+            for g, f, f1, f2 in zip(profile.gamma_grid, profile.phi,
+                                    profile.phi_prime, profile.phi_second):
+                assert f == phi(prior, SIGMA2, delta, g)
+                assert f1 == phi_prime(prior, SIGMA2, delta, g)
+                assert f2 == phi_second(prior, SIGMA2, delta, g)
+
+    def test_grid_is_tilted_in_a_few_bounded_calls(self, tp, monkeypatch):
+        # whole gammas share a kernel call (13 calls here, against about 410
+        # when each grid point had its own), but a call's rows stay near 16
+        # row blocks: the whole Gaussian grid in one call peaks near 42 MB
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return tilted_stats(*args)
+
+        tilted_stats = kernels.tilted_stats
+        monkeypatch.setattr(kernels, "tilted_stats", counting)
+        solve_gammas(tp, SIGMA2, 1.0)
+        assert len(calls) <= 60
+        monkeypatch.undo()
+        gauss = gaussian_prior(1.0)
+        solve_gammas(gauss, SIGMA2, 1.0)  # builds the quadrature rows, loads scipy
+        tracemalloc.start()
+        try:
+            solve_gammas(gauss, SIGMA2, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_schedule_is_kept_per_prior(self):
         # equal locations, different weights: each prior has its own schedule
