@@ -164,20 +164,22 @@ def cmd_mse_sweep(cfg, args):
 
 
 def cmd_calibrate(cfg, args):
-    tables = run_calibration(cfg, delta=args.delta)
+    stop_reasons = {}
+    tables = run_calibration(cfg, delta=args.delta, stop_reasons=stop_reasons)
     for meth, rows in tables.items():
         write_csv(Path(cfg.output_dir) / f"calibration_{meth.lower()}.csv",
                   ["bin_lo", "bin_hi", "pip_mean", "freq_nonzero", "count"],
                   rows)
-    return {"methods": sorted(tables)}
+    return {"methods": sorted(tables), "stop_reasons": stop_reasons}
 
 
 def cmd_universality(cfg, args):
-    rows = run_universality(cfg)
+    stop_reasons = {}
+    rows = run_universality(cfg, stop_reasons=stop_reasons)
     write_csv(Path(cfg.output_dir) / "universality.csv",
               ["scenario", "delta", "seed", "mse_tap", "mse_mf", "min_eig"],
               rows)
-    return {"rows": len(rows)}
+    return {"rows": len(rows), "stop_reasons": stop_reasons}
 
 
 def cmd_hessian(cfg, args):

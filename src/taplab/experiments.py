@@ -25,7 +25,7 @@ from .free_energy import (
     VariationalState,
     min_eigenvalue,
 )
-from .ngd import NGDConfig, Objective, newton_run
+from .ngd import NGDConfig, Objective, StopReason, newton_run
 from .priors import Prior, parse_prior
 
 CSV_VERSION_HEADER = "# tap-lab v1"
@@ -178,6 +178,17 @@ def _sweep(cfg: ExperimentConfig, deltas):
             yield delta, rep, model, truth, _fit(model, prior, cfg, tuple(Objective), delta)
 
 
+def _count_stops(stop_reasons, traces):
+    """Add each trace's stop reason to ``stop_reasons``, which maps an
+    objective's value to a count of every stop reason; None counts nothing."""
+    if stop_reasons is None:
+        return
+    for objective, trace in traces.items():
+        counts = stop_reasons.setdefault(objective.value,
+                                         dict.fromkeys((r.value for r in StopReason), 0))
+        counts[trace.stop_reason.value] += 1
+
+
 def _mse(trace, truth) -> float:
     return float(np.sum((trace.final.m - truth) ** 2)) / len(truth)
 
@@ -223,11 +234,15 @@ def run_mse_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> dict:
+def run_calibration(cfg: ExperimentConfig, delta: float = 1.0,
+                    stop_reasons: dict | None = None) -> dict:
     """Calibration rows for TAP and MF at a single delta, keyed by
     ``Objective.name``.
 
-    Pools coordinates across replicates and bins them by estimated PIP.
+    Pools coordinates across replicates and bins them by estimated PIP.  A
+    ``stop_reasons`` dict receives each objective's count of its fits' stop
+    reasons, such as {"tap": {"converged": 20, "step_floor": 0,
+    "max_iters": 0}, "mf": {...}}.
     """
     prior = cfg.prior()
     if prior.zero_spike_weight == 0.0:
@@ -236,6 +251,7 @@ def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> dict:
     nonzero = []
     for _, _, _, truth, traces in _sweep(cfg, (delta,)):
         nonzero.append(truth != 0.0)
+        _count_stops(stop_reasons, traces)
         for objective, trace in traces.items():
             pips[objective.name].append(inclusion_probabilities(prior, trace.final))
     nonzero = np.concatenate(nonzero)
@@ -243,13 +259,16 @@ def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> dict:
             for name, pp in pips.items()}
 
 
-def run_universality(cfg: ExperimentConfig) -> list[dict]:
-    """MSE sweep plus Hessian minimum eigenvalue across design scenarios."""
+def run_universality(cfg: ExperimentConfig,
+                     stop_reasons: dict | None = None) -> list[dict]:
+    """MSE sweep plus Hessian minimum eigenvalue across design scenarios;
+    ``stop_reasons`` as for ``run_calibration``, over every scenario."""
     prior = cfg.prior()
     rows = []
     for design in DESIGNS:
         sweep = _sweep(replace(cfg, design=design), cfg.delta_grid)
         for delta, rep, model, truth, traces in sweep:
+            _count_stops(stop_reasons, traces)
             tap = traces[Objective.TAP]
             method = "dense" if 2 * model.p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
             rows.append({"scenario": design, "delta": float(delta),

@@ -108,12 +108,13 @@ def onsager_volume(model: LinearModel, state: VariationalState) -> float:
 
 def _entropy_sum(state: VariationalState) -> float:
     terms = -0.5 * state.gam * state.s + state.lam * state.m - state.logZ
-    # compensated summation: p terms with cancellation near minimizers
-    return math.fsum(terms.tolist())
+    # exactly rounded (``math.fsum``): p terms with cancellation near minimizers
+    return math.fsum(memoryview(terms))
 
 
-def _energy(model: LinearModel, state: VariationalState, tap: bool) -> float:
-    resid = model.y - model.X @ state.m
+def _energy(model: LinearModel, state: VariationalState, tap: bool, resid=None) -> float:
+    if resid is None:
+        resid = model.y - model.X @ state.m
     n, p = model.n, model.p
     sq = float(np.add.reduce(state.s) / p - np.add.reduce(state.m**2) / p)  # V - sigma^2
     if tap:
@@ -127,32 +128,35 @@ def _energy(model: LinearModel, state: VariationalState, tap: bool) -> float:
             + float(resid @ resid) / (2.0 * model.sigma2) + volume)
 
 
-def _gradient(model: LinearModel, state: VariationalState, tap: bool):
+def _gradient(model: LinearModel, state: VariationalState, tap: bool, resid=None):
     """(grad_m, grad_s) at a state with fresh duals; mean-field fixes V = sigma^2."""
-    resid = model.y - model.X @ state.m
+    if resid is None:
+        resid = model.y - model.X @ state.m
     V = onsager_volume(model, state) if tap else model.sigma2
     if V <= 0:
         raise DomainError("Onsager volume is nonpositive")
     ratio = model.n / model.p
     grad_m = state.lam - model.X.T @ resid / model.sigma2 - ratio * state.m / V
-    grad_s = -0.5 * state.gam + np.full(model.p, 0.5 * ratio / V)
+    grad_s = 0.5 * ratio / V - 0.5 * state.gam
     return grad_m, grad_s
 
 
-def tap_energy(model: LinearModel, state: VariationalState) -> float:
-    return _energy(model, state, tap=True)
+# ``resid`` is the state's data residual y - X m when the caller has formed it
+# (``ngd`` forms it once per candidate); without it, it is formed here
+def tap_energy(model: LinearModel, state: VariationalState, resid=None) -> float:
+    return _energy(model, state, tap=True, resid=resid)
 
 
-def mf_energy(model: LinearModel, state: VariationalState) -> float:
-    return _energy(model, state, tap=False)
+def mf_energy(model: LinearModel, state: VariationalState, resid=None) -> float:
+    return _energy(model, state, tap=False, resid=resid)
 
 
-def tap_gradient(model: LinearModel, state: VariationalState):
-    return _gradient(model, state, tap=True)
+def tap_gradient(model: LinearModel, state: VariationalState, resid=None):
+    return _gradient(model, state, tap=True, resid=resid)
 
 
-def mf_gradient(model: LinearModel, state: VariationalState):
-    return _gradient(model, state, tap=False)
+def mf_gradient(model: LinearModel, state: VariationalState, resid=None):
+    return _gradient(model, state, tap=False, resid=resid)
 
 
 def _entropy_hessian_blocks(prior: Prior, state: VariationalState):

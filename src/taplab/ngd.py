@@ -52,6 +52,11 @@ floor, which is also where a run ends once the energy stops changing in
 float64.  Every iterate whose energy is recorded counts as an iteration,
 including the last, which takes no step.  A candidate that leaves the dual
 box |lam|, |gam| <= DUAL_CAP is clipped onto it and counted as a clip event.
+
+What an iteration costs, with X the n x p design: each candidate is one tilt
+and one product X m, for the residual y - X m that its energy reads; the
+accepted candidate's residual goes on to the next gradient, which adds one
+product X' r.  Each CG step of a Newton direction is two more, X v and X' (X v).
 """
 
 from __future__ import annotations
@@ -142,13 +147,15 @@ def _descend(model, prior, cfg, state, entry, probes=()):
     probe passes, Newton directions from the full step.  Each direction is
     followed by a backtracking line search."""
     tap = cfg.objective is Objective.TAP
-    energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
     trace = NGDTrace()
-    f_cur = energy(model, state)
+    # the data residual y - X m, formed once per candidate for its energy;
+    # the accepted candidate's goes on to its gradient
+    resid = model.y - model.X @ state.m
+    f_cur = tap_energy(model, state, resid) if tap else mf_energy(model, state, resid)
     newton = False
     step = FIRST_STEP
     for _ in range(cfg.max_iters):
-        gm, gs = gradient(model, state)
+        gm, gs = tap_gradient(model, state, resid) if tap else mf_gradient(model, state, resid)
         gn = float(gm @ gm + gs @ gs) / model.p
         trace.f_values.append(f_cur)
         trace.grad_norm_sq_per_p.append(gn)
@@ -182,7 +189,9 @@ def _descend(model, prior, cfg, state, entry, probes=()):
                 np.clip(gam, -DUAL_CAP, DUAL_CAP, out=gam)
             m, s, logZ = tilted_moments_vec(prior, lam, gam)
             cand = VariationalState(m, s, lam, gam, logZ)
-            f_new = energy(model, cand)
+            cand_resid = model.y - model.X @ m
+            f_new = (tap_energy(model, cand, cand_resid) if tap
+                     else mf_energy(model, cand, cand_resid))
             if f_new < f_cur:
                 break
             trace.backtracks += 1
@@ -192,7 +201,7 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             trace.steps_used.append(0.0)
             break
         trace.steps_used.append(step)
-        state, f_cur = cand, f_new
+        state, resid, f_cur = cand, cand_resid, f_new
         if tries == 0:
             step = min(1.0, 2.0 * step)
     if not newton:
@@ -216,7 +225,7 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1):
     cov = tilted_cov_vec(prior, state.lam, state.gam)
     p = model.p
     g = np.concatenate([gm, gs])
-    g_norm = float(np.linalg.norm(g))
+    g_norm = math.sqrt(g @ g)
     tol = min(FORCING_MAX, np.sqrt(g_norm)) * g_norm
     u = np.zeros(2 * p)
     r, q = g.copy(), g
@@ -233,7 +242,7 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1):
         alpha = rCr / curv
         u += alpha * q
         r -= alpha * Aq
-        if np.linalg.norm(r) <= tol and k + 1 >= min_iters:
+        if math.sqrt(r @ r) <= tol and k + 1 >= min_iters:
             break
         Cr = _apply_blocks(cov, r)
         rCr, rCr_prev = float(r @ Cr), rCr

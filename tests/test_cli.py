@@ -117,6 +117,18 @@ def test_calibrate_subcommand(cfg_file, tmp_path):
         assert len(lines) == 12
 
 
+@pytest.mark.parametrize("command, fits", [("calibrate", 1), ("universality", 4)])
+def test_fits_stopped_at_max_iters_are_counted_in_the_manifest(tmp_path, command, fits):
+    # one iteration records the warm start and stops there, so every fit of
+    # both objectives ends at the cap: one instance, or one per design
+    path = tmp_path / "cfg.txt"
+    path.write_text("n = 50\nreplicates = 1\ndelta_grid = 1.0\nmax_iters = 1\n")
+    assert run(str(path), tmp_path, command) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    capped = {"converged": 0, "step_floor": 0, "max_iters": fits}
+    assert manifest["stop_reasons"] == {"tap": capped, "mf": capped}
+
+
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
 def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
     assert run(cfg_file, tmp_path, "hessian", "--method", method) == 0

@@ -95,6 +95,21 @@ class TestEnergies:
         assert np.max(np.abs(st2.gam - st.gam)) < 1e-7
 
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_passed_residual_gives_the_same_bits(self, tp, objective):
+        # NGD hands each state's y - X m to its energy and gradient; without
+        # it they form the same residual themselves
+        cfg = ExperimentConfig(n=100, seed=0, replicates=1)
+        model, _ = generate_instance(cfg, 0, 1.0)
+        state = fit_free_energy(model, tp, cfg, objective, delta=1.0).final
+        resid = model.y - model.X @ state.m
+        for energy in (tap_energy, mf_energy):
+            assert energy(model, state, resid) == energy(model, state)
+        for gradient in (tap_gradient, mf_gradient):
+            for with_r, without in zip(gradient(model, state, resid), gradient(model, state)):
+                assert np.array_equal(with_r, without)
+
+
 class TestGradients:
     def test_tap_gradient_finite_difference(self, tp):
         rng = np.random.default_rng(42)

@@ -202,10 +202,40 @@ def test_stop_reason_and_backtracks(tp, warm3, monkeypatch):
     # every candidate's energy is higher: 60 halvings, then the step floor
     f0 = tap_energy(model, warm)
     monkeypatch.setattr(ngd, "tap_energy",
-                        lambda m, state: f0 if state is warm else f0 + 1.0)
+                        lambda m, state, resid=None: f0 if state is warm else f0 + 1.0)
     floor = ngd_run(model, tp, warm, NGDConfig())
     assert floor.stop_reason is StopReason.STEP_FLOOR and not floor.converged
     assert floor.steps_used == [0.0] and floor.backtracks == 60
+
+
+def test_each_candidate_multiplies_by_x_once(tp, warm3, monkeypatch):
+    # y - X m is formed once per candidate for its energy, and the accepted
+    # candidate's goes on to its gradient, which multiplies only by X'
+    model, warm = warm3
+    cfg = NGDConfig(max_iters=300, objective=Objective.MF)
+    reference = ngd_run(model, tp, warm, cfg)
+    products = {"X m": 0, "X' r": 0}
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and isinstance(inputs[0], Counted):
+                products["X m" if inputs[0].shape == (model.n, model.p) else "X' r"] += 1
+            inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    counted = LinearModel(X=model.X, y=model.y, sigma2=model.sigma2)
+    object.__setattr__(counted, "X", model.X.view(Counted))
+    calls = {"mf_energy": 0, "mf_gradient": 0}
+    for name in calls:
+        def wrapped(*args, name=name, fn=getattr(ngd, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(ngd, name, wrapped)
+    trace = ngd_run(counted, tp, warm, cfg)
+    assert trace.iterations > 10 and trace.backtracks > 0
+    assert products == {"X m": calls["mf_energy"], "X' r": calls["mf_gradient"]}
+    assert trace.f_values == reference.f_values
+    assert np.array_equal(trace.final.m, reference.final.m)
 
 
 def test_flat_energy_stops_at_the_step_floor(tp, warm3):
