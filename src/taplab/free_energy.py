@@ -13,8 +13,11 @@ terms; D enters only where a Hessian is asked for (``tap_hessian_matvec``,
 ``tap_hessian_dense`` and the eigenvalue probe).  H's scale sits in D, so the
 tilted covariances C = D^-1 precondition the LOBPCG probe, and Newton-CG
 works with C and K alone (see ``ngd``), so it never inverts a 2x2 block.
-scipy is imported by ``min_eigenvalue`` on first use; the energies and
-gradients a fit calls never load it.
+``min_eigenvalue`` imports scipy on first use, ``scipy.linalg`` alone for
+the dense probe and ``scipy.sparse.linalg`` for LOBPCG; the energies and
+gradients a fit calls never load it.  ``tap_hessian_dense`` fills one
+Fortran-ordered array in place, which the dense probe lets LAPACK overwrite,
+so the probe holds one Hessian, not two.
 """
 
 from __future__ import annotations
@@ -220,13 +223,27 @@ def tap_hessian_dense(model: LinearModel, state: VariationalState,
     V = onsager_volume(model, state)
     ratio = model.n / model.p
     m = state.m
-    H_mm = model.X.T @ model.X / model.sigma2
-    H_mm -= (ratio / V) * np.eye(p)
-    H_mm -= (2.0 * ratio / (p * V * V)) * np.outer(m, m)
-    H_mm += np.diag(d_mm)
-    H_ms = (ratio / (p * V * V)) * np.outer(m, np.ones(p)) + np.diag(d_ms)
-    H_ss = -(0.5 * ratio / (p * V * V)) * np.ones((p, p)) + np.diag(d_ss)
-    return np.block([[H_mm, H_ms], [H_ms.T, H_ss]])
+    # one Fortran-ordered array, filled block by block in place, so that
+    # eigvalsh can overwrite it instead of copying it; each entry gets the
+    # operations, in the same order, of the sum of dense terms (identity,
+    # outer products, diagonals) that the tests compare it with, less the
+    # additions of zero off the diagonal
+    H = np.empty((2 * p, 2 * p), order="F")
+    H_mm, H_ms, H_ss = H[:p, :p], H[:p, p:], H[p:, p:]
+    np.matmul(model.X.T, model.X, out=H_mm)
+    H_mm /= model.sigma2
+    np.einsum("ii->i", H_mm)[:] -= ratio / V
+    # the rank-one m-m term is formed in the m-s block, which is filled next
+    np.multiply.outer(m, m, out=H_ms)
+    H_ms *= 2.0 * ratio / (p * V * V)
+    H_mm -= H_ms
+    np.einsum("ii->i", H_mm)[:] += d_mm
+    H_ms[:] = ((ratio / (p * V * V)) * m)[:, None]
+    np.einsum("ii->i", H_ms)[:] += d_ms
+    H_ss[:] = -(0.5 * ratio / (p * V * V))
+    np.einsum("ii->i", H_ss)[:] += d_ss
+    H[p:, :p] = H_ms.T
+    return H
 
 
 @dataclass(frozen=True)
@@ -250,15 +267,17 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     """
     if method not in ("dense", "lanczos"):
         raise ValueError("method must be 'dense' or 'lanczos'")
-    # scipy is imported where it is called, so that a fit never loads it
+    # scipy is imported where it is called, so that a fit never loads it and
+    # the dense probe loads no scipy.sparse
     # (guarded by tests/test_cli.py::test_fit_commands_never_load_scipy)
-    import scipy.linalg
+    if method == "dense":
+        import scipy.linalg
+
+        H = tap_hessian_dense(model, state, prior)  # ours to overwrite
+        val = scipy.linalg.eigvalsh(H, overwrite_a=True, subset_by_index=[0, 0])[0]
+        return EigResult(value=float(val), converged=True)
     import scipy.sparse.linalg
 
-    if method == "dense":
-        H = tap_hessian_dense(model, state, prior)
-        val = scipy.linalg.eigvalsh(H, subset_by_index=[0, 0])[0]
-        return EigResult(value=float(val), converged=True)
     dim = 2 * model.p
     blocks, cov = _entropy_hessian_blocks(prior, state)
 

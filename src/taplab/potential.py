@@ -13,18 +13,19 @@ covariances of the recursion are the reference of the AMP diagnostics.
 ``solve_gammas`` scans phi on a grid of gamma whose channel terms come from
 a few batched tilts of whole gammas (``scalar._channel_terms_grid``); the
 pointwise ``phi``, ``phi_prime`` and ``phi_second`` are one-gamma calls of it.
-It imports scipy's root finder on first use, so that AMP, which
-reads the schedule from here, never loads scipy.
+Its roots are refined by ``_brent``, a port of scipy's ``brentq``, so the
+module loads no scipy at all.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, NoBracketError
+from .exceptions import DomainError, NoBracketError, NoConvergenceError
 from .priors import Prior
 from .scalar import _channel_terms_grid, channel_terms, mmse
 
@@ -116,14 +117,71 @@ def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int) -> np.ndar
     return _se_schedule(prior, sigma2, delta, k)[0].copy()
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent, Algorithms for Minimization Without Derivatives, 1973,
+    ch. 4).  A step for step port of scipy's C ``brentq``: the same inverse
+    interpolation, extrapolation and bisection branches, the tolerance
+    2*delta = xtol + rtol*|x| and the budget of 100 iterations, so its roots
+    are scipy's bit for bit.  A non-finite f is a DomainError and a spent
+    budget a NoConvergenceError."""
+    maxiter = 100
+
+    def call(x):
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise DomainError(f"root finder got f({x!r}) = {fx!r}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoBracketError(f"f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):  # fpre is never 0 here
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NoConvergenceError(f"Brent's method found no root in [{a!r}, {b!r}] "
+                             f"in {maxiter} iterations")
+
+
 def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     """Locate all stationary points of phi on the grid and classify the regime.
 
     Stationary points are found as sign changes of phi' (Brent-refined);
     gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
     """
-    from scipy.optimize import brentq  # not at module scope: see free_energy.min_eigenvalue
-
     if not 0 < delta < np.inf:  # also rejects nan
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
     scale = delta / sigma2
@@ -140,8 +198,8 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     roots = []
     for i in flips:
-        r = brentq(lambda g: phi_prime(prior, sigma2, delta, g),
-                   grid[i], grid[i + 1], xtol=1e-14, rtol=1e-14)
+        r = _brent(lambda g: phi_prime(prior, sigma2, delta, g),
+                   float(grid[i]), float(grid[i + 1]), 1e-14, 1e-14)
         roots.append((r, dphi_g[i] < 0))  # upward crossing => local minimum
     # grid points that are exact roots
     for i in np.flatnonzero(sign == 0):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -21,7 +23,7 @@ from taplab.exceptions import DomainError, NoConvergenceError
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.ngd import Objective
 from taplab.oracle import gaussian_posterior
-from taplab.priors import gaussian_prior, three_point
+from taplab.priors import gaussian_prior, parse_prior, three_point
 from taplab.scalar import tilted_cov_vec
 
 
@@ -175,6 +177,45 @@ class TestHessian:
             v = rng.standard_normal(2 * p)
             hv = tap_hessian_matvec(model, state, tp, v)
             assert np.max(np.abs(H @ v - hv)) < 1e-10
+
+    @pytest.mark.parametrize("descriptor, delta", [
+        ("three-point", 0.6), ("three-point", 1.4), ("bernoulli-gaussian:0.5,1.0", 1.0),
+    ])
+    def test_dense_equals_the_sum_of_dense_terms(self, descriptor, delta):
+        # the in-place fill gives the bits of the sum of the dense terms it
+        # replaced, at converged states (n=300; 2p=1000 at delta=0.6)
+        prior = parse_prior(descriptor)
+        model, state = converged_tap_state(prior, delta)
+        p, m = model.p, state.m
+        d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)[0]
+        V = onsager_volume(model, state)
+        ratio = model.n / model.p
+        H_mm = model.X.T @ model.X / model.sigma2
+        H_mm -= (ratio / V) * np.eye(p)
+        H_mm -= (2.0 * ratio / (p * V * V)) * np.outer(m, m)
+        H_mm += np.diag(d_mm)
+        H_ms = (ratio / (p * V * V)) * np.outer(m, np.ones(p)) + np.diag(d_ms)
+        H_ss = -(0.5 * ratio / (p * V * V)) * np.ones((p, p)) + np.diag(d_ss)
+        H = tap_hessian_dense(model, state, prior)
+        assert H.flags.f_contiguous
+        assert np.array_equal(H, np.block([[H_mm, H_ms], [H_ms.T, H_ss]]))
+
+    def test_dense_probe_holds_one_hessian(self, tp):
+        # eigvalsh overwrites the Fortran-ordered Hessian instead of copying
+        # it, and the Hessian is built with no p x p temporary: the probe's
+        # peak is one Hessian and LAPACK's workspace (1.13x here), not two
+        # Hessians (2.04x with the dense terms stacked by np.block)
+        model, state = converged_tap_state(tp, 0.6)
+        dim = 2 * model.p
+        expected = min_eigenvalue(model, state, tp, method="dense").value  # imports scipy
+        tracemalloc.start()
+        try:
+            value = min_eigenvalue(model, state, tp, method="dense").value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak < 1.2 * 8 * dim * dim
 
     def test_dense_symmetry(self, tp):
         rng = np.random.default_rng(4)

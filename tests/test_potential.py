@@ -1,12 +1,15 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from taplab import kernels
-from taplab.exceptions import DomainError
+from taplab import kernels, potential
+from taplab.exceptions import DomainError, NoBracketError, NoConvergenceError
 from taplab.potential import (
+    _brent,
     Regime,
     gamma_sequence,
     mutual_information,
@@ -20,6 +23,15 @@ from taplab.priors import gaussian_prior, parse_prior, point_mass_prior, three_p
 from taplab.scalar import mmse
 
 SIGMA2 = 0.09  # sigma = 0.3
+# priors and deltas whose grids and Brent roots are checked bit for bit
+FIVE_PRIORS = [
+    ("three-point", (0.6, 1.0, 1.4)),
+    ("point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25", (0.6, 1.0, 1.4)),
+    ("point-mass:-1,0.2;0,0.5;2,0.3", (0.6, 1.0, 1.4)),
+    ("bernoulli-gaussian:1.0,1.0", (1.0,)),
+    ("bernoulli-gaussian:0.5,1.0", (1.0,)),
+]
+FIVE_PRIOR_IDS = ["3pt", "4pt-even", "3pt-asym", "gaussian", "bg"]
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +144,7 @@ class TestSolveGammas:
             assert f == phi(tp, SIGMA2, 1.0, g)
             assert f2 == phi_second(tp, SIGMA2, 1.0, g)
 
-    @pytest.mark.parametrize("descriptor, deltas", [
-        ("three-point", (0.6, 1.0, 1.4)),
-        ("point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25", (0.6, 1.0, 1.4)),
-        ("point-mass:-1,0.2;0,0.5;2,0.3", (0.6, 1.0, 1.4)),
-        ("bernoulli-gaussian:1.0,1.0", (1.0,)),
-        ("bernoulli-gaussian:0.5,1.0", (1.0,)),
-    ], ids=["3pt", "4pt-even", "3pt-asym", "gaussian", "bg"])
+    @pytest.mark.parametrize("descriptor, deltas", FIVE_PRIORS, ids=FIVE_PRIOR_IDS)
     def test_grid_equals_the_pointwise_calls(self, descriptor, deltas):
         # the grid is tilted in chunks of whole gammas.  Equality was measured
         # with OpenBLAS 0.3.31 (Haswell kernels): there, on the 101-atom priors,
@@ -168,7 +174,7 @@ class TestSolveGammas:
         assert len(calls) <= 60
         monkeypatch.undo()
         gauss = gaussian_prior(1.0)
-        solve_gammas(gauss, SIGMA2, 1.0)  # builds the quadrature rows, loads scipy
+        solve_gammas(gauss, SIGMA2, 1.0)  # builds the quadrature rows
         tracemalloc.start()
         try:
             solve_gammas(gauss, SIGMA2, 1.0)
@@ -191,6 +197,57 @@ class TestSolveGammas:
         seq = gamma_sequence(tp, SIGMA2, 1.0, 200)
         assert np.all(np.diff(seq) > -1e-10)
         assert abs(seq[-1] - profile.gamma_alg) < 1e-8
+
+
+class TestBrent:
+    @pytest.mark.parametrize("descriptor, deltas", FIVE_PRIORS, ids=FIVE_PRIOR_IDS)
+    def test_equals_scipy_on_the_brackets_of_solve_gammas(self, descriptor, deltas,
+                                                          monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _brent(*args)
+
+        monkeypatch.setattr(potential, "_brent", recording)
+        prior = parse_prior(descriptor)
+        for delta in deltas:
+            solve_gammas(prior, SIGMA2, delta)
+        assert len(calls) >= len(deltas)
+        for f, a, b, xtol, rtol in calls:
+            assert _brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x - 1.0, 1.0, 2.0),  # a root at the left end
+        (lambda x: x - 1.0, 0.0, 1.0),  # a root at the right end
+        (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0),  # bisection only
+        (lambda x: 2.0 * x - 1.0, 3.0, 0.0),  # one interpolation step
+        (lambda x: math.exp(x) - 2.0, 0.0, 2.0),  # extrapolation and delta steps
+        # extrapolation, rejected steps, bisection and delta steps
+        (lambda x: x**9 - 0.5, 0.01, 1.0),
+        (lambda x: math.atan(1e6 * (x - 1 / 3)), 0.0, 1.0),
+    ], ids=["left-end", "right-end", "bisect", "interpolate", "extrapolate",
+            "rejected-steps", "steep"])
+    def test_equals_scipy_on_every_branch(self, f, a, b):
+        for xtol, rtol in ((1e-14, 1e-14), (1e-6, 1e-10)):
+            assert _brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    def test_no_sign_change_is_no_bracket(self):
+        with pytest.raises(NoBracketError):
+            _brent(lambda x: x, 1.0, 2.0, 1e-14, 1e-14)
+
+    def test_nan_phi_prime_is_a_domain_error(self, tp, monkeypatch):
+        monkeypatch.setattr(potential, "phi_prime", lambda *args: float("nan"))
+        with pytest.raises(DomainError, match="nan"):
+            solve_gammas(tp, SIGMA2, 1.0)
+
+    def test_spent_budget_is_no_convergence(self, tp, monkeypatch):
+        # a triple root (phi' cubed) defeats the superlinear steps: 100
+        # iterations do not reach the tolerance
+        phi_prime_ = potential.phi_prime
+        monkeypatch.setattr(potential, "phi_prime", lambda *args: phi_prime_(*args) ** 3)
+        with pytest.raises(NoConvergenceError, match="in 100 iterations"):
+            solve_gammas(tp, SIGMA2, 1.0)
 
 
 class TestSECovariances:
