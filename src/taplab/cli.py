@@ -156,11 +156,12 @@ def cmd_ngd(cfg, args):
 
 
 def cmd_mse_sweep(cfg, args):
-    rows = run_mse_sweep(cfg)
+    stop_reasons = {}
+    rows = run_mse_sweep(cfg, stop_reasons=stop_reasons)
     write_csv(Path(cfg.output_dir) / "mse_sweep.csv",
               ["delta", "seed", "mse_tap", "mse_mf", "converged_tap",
                "converged_mf"], rows)
-    return {"rows": len(rows)}
+    return {"rows": len(rows), "stop_reasons": stop_reasons}
 
 
 def cmd_calibrate(cfg, args):

@@ -222,10 +222,12 @@ def calibration_table(pips: np.ndarray, nonzero: np.ndarray) -> list[dict]:
     return rows
 
 
-def run_mse_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """MSE of the TAP and MF posterior-mean estimators per delta and replicate."""
+def run_mse_sweep(cfg: ExperimentConfig, stop_reasons: dict | None = None) -> list[dict]:
+    """MSE of the TAP and MF posterior-mean estimators per delta and
+    replicate; ``stop_reasons`` as for ``run_calibration``."""
     rows = []
     for delta, rep, _, truth, traces in _sweep(cfg, cfg.delta_grid):
+        _count_stops(stop_reasons, traces)
         row = {"delta": float(delta), "seed": replicate_seed(cfg.seed, rep)}
         for objective, trace in traces.items():
             row[f"mse_{objective.value}"] = _mse(trace, truth)

@@ -9,8 +9,11 @@ V = sigma^2 + S(s) - Q(m), and mean-field's is its linearisation
 The Hessian is H = D + K: D the entropy's per-coordinate 2x2 blocks, K the
 data fit X^T X / sigma^2 and the volume terms (TAP's include rank-one terms).
 The matrix-free K product serves mean-field too, whose K lacks the rank-one
-terms; D enters only where a Hessian is asked for (``tap_hessian_matvec``,
-``tap_hessian_dense`` and the eigenvalue probe).  H's scale sits in D, so the
+terms.  ``_k_product`` forms its constants at a state once and writes each
+product into a caller's buffer, which Newton-CG reuses across its steps;
+``_hessian_matvec`` is one such product.  D enters only where a Hessian is
+asked for (``tap_hessian_matvec``, ``tap_hessian_dense`` and the eigenvalue
+probe).  H's scale sits in D, so the
 tilted covariances C = D^-1 precondition the LOBPCG probe, and Newton-CG
 works with C and K alone (see ``ngd``), so it never inverts a 2x2 block.
 ``min_eigenvalue`` imports scipy on first use, ``scipy.linalg`` alone for
@@ -165,46 +168,67 @@ def mf_gradient(model: LinearModel, state: VariationalState, resid=None):
 def _entropy_hessian_blocks(prior: Prior, state: VariationalState):
     """Per-coordinate 2x2 Hessian of the entropy sum, (d_mm, d_ms, d_ss), and
     the covariance (c11, c12, c22) of (beta, beta^2) under the tilted law
-    that it inverts."""
-    c11, c12, c22 = tilted_cov_vec(prior, state.lam, state.gam)
+    that it inverts, each as a (3, p) array."""
+    c11, c12, c22 = cov = tilted_cov_vec(prior, state.lam, state.gam)
     det = c11 * c22 - c12 * c12
     singular = ~(np.isfinite(det) & (det > 0))
     if singular.any():
         raise DomainError(f"per-coordinate covariance singular in float64 on "
                           f"{singular.sum()} of {len(det)} coordinates (tilted laws "
                           "collapsed onto one or two atoms)")
-    return (c22 / det, -c12 / det, c11 / det), (c11, c12, c22)
+    return np.array([c22 / det, -c12 / det, c11 / det]), cov
 
 
-def _apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
-    """Apply per-coordinate symmetric 2x2 blocks (a, b, c), [[a_i, b_i],
-    [b_i, c_i]] at coordinate i, to the 2p-vector v = (v_m, v_s)."""
-    a, b, c = blocks
-    p = len(a)
-    vm, vs = v[:p], v[p:]
-    return np.concatenate([a * vm + b * vs, b * vm + c * vs])
+def _apply_blocks(blocks, v: np.ndarray, out=None) -> np.ndarray:
+    """Apply per-coordinate symmetric 2x2 blocks, [[a_i, b_i], [b_i, c_i]] at
+    coordinate i, to the 2p-vector v = (v_m, v_s): (a v_m + b v_s,
+    b v_m + c v_s).  ``blocks`` is the (3, p) array of rows a, b, c; the
+    result goes into the 2p-vector ``out`` when one is given."""
+    p = blocks.shape[1]
+    if out is None:
+        out = np.empty(2 * p)
+    # rows [a; b] times v_m plus rows [b; c] times v_s
+    np.add(blocks[:2] * v[:p], blocks[1:] * v[p:], out=out.reshape(2, p))
+    return out
+
+
+def _k_product(model: LinearModel, state: VariationalState, tap: bool):
+    """The product with K, the Hessian's data-fit and volume part (H = D + K),
+    at ``state``, as ``product(v, out)``: it writes K v into the 2p-vector
+    ``out`` and returns it.  The state's constants, the Onsager volume V,
+    n/(pV) and TAP's rank-one weight n/(p^2 V^2), are formed here once.
+    TAP's rank-one volume terms are never materialized; mean-field fixes V at
+    sigma^2, so it has none."""
+    X, sigma2, m = model.X, model.sigma2, state.m
+    p = model.p
+    V = onsager_volume(model, state) if tap else sigma2
+    ratio = model.n / model.p
+    diag = ratio / V
+    w = ratio / (p * V * V)
+    Xv = np.empty(model.n)
+
+    def product(v, out):
+        vm, vs = v[:p], v[p:]
+        out_m, out_s = out[:p], out[p:]
+        np.matmul(X.T, np.matmul(X, vm, out=Xv), out=out_m)
+        out_m /= sigma2
+        out_m -= diag * vm
+        out_s.fill(0.0)
+        if tap:
+            mdot = float(m @ vm)
+            ssum = float(np.add.reduce(vs))
+            out_m -= 2.0 * w * mdot * m
+            out_m += w * ssum * m
+            out_s += w * mdot - 0.5 * w * ssum
+        return out
+
+    return product
 
 
 def _hessian_matvec(model: LinearModel, state: VariationalState, v: np.ndarray,
                     tap: bool) -> np.ndarray:
-    """K v, with K the Hessian's data-fit and volume part (H = D + K).  TAP's
-    rank-one volume terms are never materialized; mean-field fixes V at
-    sigma^2, so it has none."""
-    p = model.p
-    vm, vs = v[:p], v[p:]
-    V = onsager_volume(model, state) if tap else model.sigma2
-    ratio = model.n / model.p
-    out_m = (model.X.T @ (model.X @ vm)) / model.sigma2 - (ratio / V) * vm
-    out_s = np.zeros(p)
-    if tap:
-        m = state.m
-        w = ratio / (p * V * V)
-        mdot = float(m @ vm)
-        ssum = float(np.sum(vs))
-        out_m -= 2.0 * w * mdot * m
-        out_m += w * ssum * m
-        out_s += w * mdot - 0.5 * w * ssum
-    return np.concatenate([out_m, out_s])
+    """K v, one product of ``_k_product``."""
+    return _k_product(model, state, tap)(v, np.empty(2 * model.p))
 
 
 def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,

@@ -10,12 +10,16 @@ There are two tilt kernels.  ``tilted_stats`` gives the moments (m, s) and
 the log-partition, which is all NGD, AMP and the channel quadrature read;
 ``tilted_cov`` adds the covariance of (beta, beta^2), which the dual solve
 and the Hessian blocks need.  Both walk the rows in blocks of ``BLOCK_ROWS``,
-so a batch of any size works in one cache-sized (atoms x block) buffer: one
-BLAS product of the basis forms the log-weights of a block there, they are
-shifted by their row maximum and exponentiated in place, and one more
-product against the powers gives Z, sum(w*a) and sum(w*a^2).  Only per-row
-vectors are divided by Z; no normalised (rows x atoms) matrix is formed on
-the moments path.
+so a batch of any size works in cache-sized (atoms x block) arrays: one BLAS
+product of the basis forms the log-weights of a block, they are shifted by
+their row maximum and exponentiated in place, and one more product against
+the powers gives Z, sum(w*a) and sum(w*a^2).  Only per-row vectors are
+divided by Z; no normalised (rows x atoms) matrix is formed on the moments
+path.  Each block writes its results straight into its rows of the one
+output array, so a batch that fits one block, as every tilt of a descent at
+p <= BLOCK_ROWS does, pays for one step of the same walk and nothing more:
+on three-point most of such a call is numpy's fixed cost per operation, and
+the walk keeps the number of operations at what the arithmetic needs.
 
 A row's bits can depend on the width of the block it falls in.  With
 OpenBLAS 0.3.31 (Haswell kernels), on the 101-atom priors, 255 of the
@@ -52,31 +56,28 @@ BLOCK_ROWS = 512
 LOG_WEIGHT_FLOOR = -700.0
 
 
-def _tilt_blocks(basis, powers, lam, gam):
-    """Yield (rows, w, Z, m, s, logZ) for each block of rows, where ``w[j, i]``
-    is the weight of atom j in row i of the block relative to the row's
-    largest, Z = sum_j w[j, i], and (m, s, logZ) are the block's moments and
-    log-partition.  ``w`` is a view into one buffer that the next block
-    overwrites."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    gam = np.asarray(gam, dtype=np.float64)
-    width = min(lam.size, BLOCK_ROWS)
-    duals = np.ones((3, width))
-    buf = np.empty((len(basis), width))
-    for lo in range(0, lam.size, BLOCK_ROWS):
-        rows = slice(lo, min(lo + BLOCK_ROWS, lam.size))
-        r = rows.stop - lo
-        duals[1, :r] = gam[rows] if gam.ndim else gam
-        duals[2, :r] = lam[rows]
-        w = buf[:, :r]
-        # ell = logw - gam*a^2/2 + lam*a as one product basis @ [1; gam; lam]
-        np.matmul(basis, duals[:, :r], out=w)
-        M = w.max(axis=0)
-        w -= M
-        np.maximum(w, LOG_WEIGHT_FLOOR, out=w)
-        np.exp(w, out=w)
-        Z, s1, s2 = powers @ w
-        yield rows, w, Z, s1 / Z, s2 / Z, M + np.log(Z)
+def _tilt_rows(basis, powers, lam, gam, out):
+    """Tilt one block of rows, write its moments m, s and log-partition into
+    out[0], out[1] and out[2], and return (w, Z): ``w[j, i]`` is the weight
+    of atom j in row i relative to the row's largest, and Z = sum_j w[j, i].
+    ``gam`` is one value per row or a scalar."""
+    duals = np.empty((3, lam.size))
+    duals[0] = 1.0
+    duals[1] = gam
+    duals[2] = lam
+    # ell = logw - gam*a^2/2 + lam*a as one product basis @ [1; gam; lam]
+    w = basis @ duals
+    M = np.maximum.reduce(w, axis=0)
+    w -= M
+    np.maximum(w, LOG_WEIGHT_FLOOR, out=w)
+    np.exp(w, out=w)
+    sums = powers @ w  # Z, sum(w*a), sum(w*a^2)
+    Z = sums[0]
+    np.divide(sums[1], Z, out=out[0])
+    np.divide(sums[2], Z, out=out[1])
+    logZ = np.log(Z, out=out[2])
+    logZ += M
+    return w, Z
 
 
 def tilted_stats(basis, powers, lam, gam):
@@ -86,27 +87,36 @@ def tilted_stats(basis, powers, lam, gam):
     one value per row or is a scalar shared by every row.  logZ is the
     log-partition relative to the untilted prior.
     """
-    out = np.empty((3, np.size(lam)))
-    for rows, _, _, *moments in _tilt_blocks(basis, powers, lam, gam):
-        out[:, rows] = moments
-    m, s, logZ = out
-    return m, s, logZ
+    lam = np.asarray(lam, dtype=np.float64).ravel()
+    gam = np.asarray(gam, dtype=np.float64)
+    out = np.empty((3, lam.size))
+    for lo in range(0, lam.size, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        _tilt_rows(basis, powers, lam[rows], gam[rows] if gam.ndim else gam, out[:, rows])
+    return out[0], out[1], out[2]
 
 
 def tilted_cov(basis, powers, lam, gam):
-    """(m, s, logZ, c11, c12, c22): ``tilted_stats`` plus the covariance
-    matrix of (beta, beta^2) under the tilted law, from centred moments
-    sum p*(a-m)^2, sum p*(a-m)*(a^2-s) and sum p*(a^2-s)^2."""
-    out = np.empty((6, np.size(lam)))
-    for rows, w, Z, m, s, logZ in _tilt_blocks(basis, powers, lam, gam):
+    """(6, rows) array of m, s, logZ, c11, c12, c22: ``tilted_stats`` plus
+    the covariance matrix of (beta, beta^2) under the tilted law, from
+    centred moments sum p*(a-m)^2, sum p*(a-m)*(a^2-s) and sum p*(a^2-s)^2."""
+    lam = np.asarray(lam, dtype=np.float64).ravel()
+    gam = np.asarray(gam, dtype=np.float64)
+    out = np.empty((6, lam.size))
+    a, a2 = powers[1:, :, None]
+    for lo in range(0, lam.size, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        block = out[:, rows]
+        w, Z = _tilt_rows(basis, powers, lam[rows], gam[rows] if gam.ndim else gam, block)
         w /= Z
-        da = powers[1][:, None] - m
-        dq = powers[2][:, None] - s
+        da = a - block[0]
+        dq = a2 - block[1]
         pa = w * da
         w *= dq
-        out[:, rows] = m, s, logZ, (pa * da).sum(axis=0), (pa * dq).sum(axis=0), \
-            (w * dq).sum(axis=0)
-    return tuple(out)
+        np.add.reduce(pa * da, axis=0, out=block[3])
+        np.add.reduce(pa * dq, axis=0, out=block[4])
+        np.add.reduce(w * dq, axis=0, out=block[5])
+    return out
 
 
 def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap):

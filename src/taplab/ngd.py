@@ -57,6 +57,12 @@ What an iteration costs, with X the n x p design: each candidate is one tilt
 and one product X m, for the residual y - X m that its energy reads; the
 accepted candidate's residual goes on to the next gradient, which adds one
 product X' r.  Each CG step of a Newton direction is two more, X v and X' (X v).
+At the sizes fitted here (p of a few hundred) a tilt or a CG step is mostly
+numpy's fixed cost per operation, so a Newton direction tilts the
+covariances once, forms the K product's constants at its state once
+(``free_energy._k_product``) and allocates its vectors once; each CG step
+then updates them in place, with the arithmetic of the allocating code, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from .free_energy import (
     LinearModel,
     VariationalState,
     _apply_blocks,
-    _hessian_matvec,
+    _k_product,
     mf_energy,
     mf_gradient,
     tap_energy,
@@ -223,16 +229,26 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1):
     residual vanishes; None when it meets non-positive curvature within
     them, which proves I + C^1/2 K C^1/2 is not positive definite."""
     cov = tilted_cov_vec(prior, state.lam, state.gam)
+    product = _k_product(model, state, tap)
     p = model.p
     g = np.concatenate([gm, gs])
     g_norm = math.sqrt(g @ g)
     tol = min(FORCING_MAX, np.sqrt(g_norm)) * g_norm
+    # the solve's vectors, allocated here and updated in place; the residual
+    # r and the direction q are stacked with C r and C q, so that one
+    # operation updates a pair
     u = np.zeros(2 * p)
-    r, q = g.copy(), g
-    Cr = Cq = _apply_blocks(cov, r)
+    rs, qs = np.empty((2, 2, 2 * p))
+    r, Cr = rs
+    q, Cq = qs
+    r[:] = g
+    _apply_blocks(cov, r, Cr)
+    qs[:] = rs
+    Aq, step = np.empty((2, 2 * p))
     rCr = float(r @ Cr)
     for k in range(CG_ITERS_PER_COORDINATE * p):
-        Aq = q + _hessian_matvec(model, state, Cq, tap)
+        Aq = product(Cq, Aq)
+        Aq += q
         trace.hessian_matvecs += 1
         curv = float(Cq @ Aq)
         if not curv > 0:
@@ -240,15 +256,14 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1):
                 return None
             break  # keep the iterate built on positive curvature
         alpha = rCr / curv
-        u += alpha * q
-        r -= alpha * Aq
+        u += np.multiply(q, alpha, out=step)
+        r -= np.multiply(Aq, alpha, out=step)
         if math.sqrt(r @ r) <= tol and k + 1 >= min_iters:
             break
-        Cr = _apply_blocks(cov, r)
+        _apply_blocks(cov, r, Cr)
         rCr, rCr_prev = float(r @ Cr), rCr
-        beta = rCr / rCr_prev
-        q = r + beta * q
-        Cq = Cr + beta * Cq
+        qs *= rCr / rCr_prev  # q = r + beta q, C q = C r + beta C q
+        qs += rs
     # where det C <= 0, CG cannot see C's null direction, on which I + K C is
     # the identity: add the residual there (exact where C = 0)
     c11, c12, c22 = cov

@@ -41,16 +41,15 @@ def tilted_moments_vec(prior: Prior, lam, gam):
     """Batched (m, s, logZ) of the tilted laws; logZ relative to the prior.
     ``gam`` is one value per row or a scalar shared by every row."""
     m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
-    if not np.all(np.isfinite(logZ)):
+    if not np.isfinite(logZ).all():
         raise DegenerateTiltError("tilted log-partition overflowed")
     return m, s, logZ
 
 
 def tilted_cov_vec(prior: Prior, lam, gam):
-    """Batched covariance entries (c11, c12, c22) of (beta, beta^2)."""
-    _, _, _, c11, c12, c22 = kernels.tilted_cov(prior._tilt_basis, prior._tilt_powers,
-                                               lam, gam)
-    return c11, c12, c22
+    """Batched covariance entries of (beta, beta^2): a (3, rows) array of
+    c11, c12, c22."""
+    return kernels.tilted_cov(prior._tilt_basis, prior._tilt_powers, lam, gam)[3:]
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ def test_calibrate_subcommand(cfg_file, tmp_path):
         assert len(lines) == 12
 
 
-@pytest.mark.parametrize("command, fits", [("calibrate", 1), ("universality", 4)])
+@pytest.mark.parametrize("command, fits", [("mse-sweep", 1), ("calibrate", 1),
+                                           ("universality", 4)])
 def test_fits_stopped_at_max_iters_are_counted_in_the_manifest(tmp_path, command, fits):
     # one iteration records the warm start and stops there, so every fit of
     # both objectives ends at the cap: one instance, or one per design

@@ -40,11 +40,15 @@ def test_tilted_stats_reference_values(batch):
     assert c22[0] == pytest.approx(2.0 / 9.0)
 
 
-@pytest.mark.parametrize("prior", [three_point(), bernoulli_gaussian(0.5, 1.0)],
-                         ids=["3pt", "bg"])
-def test_blocks_match_rows_tilted_one_at_a_time(prior):
-    # a batch spanning several row blocks, the last one partial
-    n = 3 * kernels.BLOCK_ROWS + 7
+SEVERAL_BLOCKS = 3 * kernels.BLOCK_ROWS + 7  # the last one partial
+
+
+@pytest.mark.parametrize("prior, n", [
+    pytest.param(prior, n, id=name if n == SEVERAL_BLOCKS else f"{name}-{n}")
+    for name, prior in (("3pt", three_point()), ("bg", bernoulli_gaussian(0.5, 1.0)))
+    for n in (1, 214, kernels.BLOCK_ROWS, SEVERAL_BLOCKS)])
+def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
+    # batches of one block, the size of a descent's tilts, and of several
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)

@@ -269,7 +269,7 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     # with K = -2D, (I + K C) q = -q: CG meets (Cq)'Aq = -q'Cq <= 0 on its
     # first direction, so the dual step is NGD's own, tried from the full step
     model, warm = warm3
-    monkeypatch.setattr(ngd, "_hessian_matvec", lambda model, state, v, tap:
+    monkeypatch.setattr(ngd, "_k_product", lambda model, state, tap: lambda v, out:
                         -2.0 * _apply_blocks(_entropy_hessian_blocks(tp, state)[0], v))
     first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
     step = first.steps_used[0]
@@ -362,6 +362,38 @@ def test_newton_step_where_the_covariance_is_singular(delta):
     assert np.linalg.norm(residual[collapsed]) <= 1e-10 * np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("objective, sigma, delta", [
+    (Objective.TAP, 0.3, 1.0), (Objective.TAP, 0.1, 0.8),
+    (Objective.MF, 0.3, 1.0), (Objective.MF, 0.1, 0.6),
+], ids=["tap", "tap-collapsed", "mf", "mf-collapsed"])
+def test_cg_products_are_the_hessian_matvec(monkeypatch, objective, sigma, delta):
+    # CG forms the K product's constants once per direction and reuses its
+    # buffers across products; each product it takes is _hessian_matvec's,
+    # bit for bit, also where tilted laws have collapsed (det C <= 0)
+    model, prior, warm = warm_start(sigma, delta)
+    tap = objective is Objective.TAP
+    k_product = ngd._k_product
+    seen = []
+
+    def recording(model, state, tap):
+        product = k_product(model, state, tap)
+
+        def record(v, out):
+            v_in = v.copy()
+            seen.append((state, v_in, product(v, out).copy()))
+            return out
+        return record
+
+    monkeypatch.setattr(ngd, "_k_product", recording)
+    trace = newton_run(model, prior, warm, NGDConfig(objective=objective))
+    assert len(seen) == trace.hessian_matvecs >= 10
+    for state, v, got in seen:
+        assert np.array_equal(got, _hessian_matvec(model, state, v, tap))
+    if sigma == 0.1:
+        c11, c12, c22 = tilted_cov_vec(prior, seen[-1][0].lam, seen[-1][0].gam)
+        assert np.sum(c11 * c22 - c12 * c12 <= 0) > model.p // 2
+
+
 def test_low_noise_mf_fit_takes_newton_steps():
     # sigma = 0.1, delta = 0.6: C is singular on most coordinates at the
     # handover state, and Newton still finishes the fit in NGD's basin
@@ -448,7 +480,7 @@ def test_mf_fit_where_every_probe_fails_switches_at_the_entry_gradient(tp, warm3
     model, warm = warm3
     cfg = NGDConfig(objective=Objective.MF)
     reference = ngd_run(model, tp, warm, cfg)
-    monkeypatch.setattr(ngd, "_hessian_matvec", lambda model, state, v, tap:
+    monkeypatch.setattr(ngd, "_k_product", lambda model, state, tap: lambda v, out:
                         -2.0 * _apply_blocks(_entropy_hessian_blocks(tp, state)[0], v))
     trace = newton_run(model, tp, warm, cfg)
     k = trace.ngd_iterations
