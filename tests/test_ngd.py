@@ -11,6 +11,7 @@ from taplab.free_energy import (
     _entropy_hessian_blocks,
     _hessian_matvec,
     mf_energy,
+    mf_gradient,
     onsager_volume,
     tap_energy,
     tap_gradient,
@@ -259,7 +260,7 @@ def test_newton_reaches_the_ngd_minimizer(desc, delta):
     newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
     reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
     assert newton.converged and reference.converged
-    assert newton.iterations <= 20  # NGD takes 74-175 on these six
+    assert newton.iterations <= 8  # NGD takes 74-175 on these six
     assert np.all(np.diff(newton.f_values) <= 0.0)
     assert np.max(np.abs(newton.final.m - reference.final.m)) <= 1e-4
     assert newton.hessian_matvecs > 0 and reference.hessian_matvecs == 0
@@ -306,9 +307,9 @@ def test_candidates_outside_the_dual_cap_are_clipped(monkeypatch):
 
 def d_form_newton_step(model, prior, state, g):
     """D z, with z from CG on H z = g preconditioned by C = D^-1, stopped as
-    ``_newton_direction`` stops; and the number of products with H."""
+    ``_newton_direction`` stops on TAP; and the number of products with H."""
     blocks, cov = _entropy_hessian_blocks(prior, state)
-    tol = min(ngd.FORCING_MAX, np.sqrt(np.linalg.norm(g))) * np.linalg.norm(g)
+    tol = min(ngd.TAP_FORCING_MAX, np.sqrt(np.linalg.norm(g))) * np.linalg.norm(g)
     z, r = np.zeros_like(g), g.copy()
     d = _apply_blocks(cov, r)
     ry = r @ d
@@ -330,7 +331,7 @@ def d_form_newton_step(model, prior, state, g):
 def test_covariance_metric_step_is_the_d_form_newton_step(delta, steps):
     # (I + K C) u = g in the C inner product builds the Krylov iterates of
     # C-preconditioned CG on H z = g, with u = D z: at the warm start CG takes
-    # one product, after 4 Newton steps 4 or 5
+    # 7 products at delta = 0.6 and 12 at 1.0, after 4 Newton steps 16 and 22
     model, prior, state = warm_start(0.3, delta)
     if steps:
         state = newton_run(model, prior, state, NGDConfig(max_iters=steps)).final
@@ -340,6 +341,49 @@ def test_covariance_metric_step_is_the_d_form_newton_step(delta, steps):
     reference, matvecs = d_form_newton_step(model, prior, state, np.concatenate([gm, gs]))
     assert np.linalg.norm(u - reference) <= 1e-10 * np.linalg.norm(reference)
     assert trace.hessian_matvecs == matvecs
+
+
+@pytest.mark.parametrize("objective, newton_steps", [(Objective.TAP, 0), (Objective.MF, 13)],
+                         ids=["tap", "mf"])
+def test_cg_stops_at_the_first_step_that_meets_its_objectives_cap(monkeypatch, objective,
+                                                                  newton_steps):
+    # CG stops once ||r|| <= min(cap, sqrt(||g||)) ||g||, with the cap 0.02 on
+    # TAP and 0.5 on mean-field.  Each residual that misses the rule goes on to
+    # C r, so a wrapped _apply_blocks records g and every residual before the
+    # last; the last is the residual of the returned direction.  TAP at the
+    # warm start takes 14 products; mean-field 13 Newton steps past its
+    # handover takes 8, with residuals that rise before they fall
+    model, prior, state = warm_start(0.3, 1.4)
+    tap = objective is Objective.TAP
+    if newton_steps:
+        cfg = NGDConfig(objective=objective)
+        handover = newton_run(model, prior, state, cfg).ngd_iterations
+        cfg = NGDConfig(objective=objective, max_iters=handover + newton_steps)
+        state = newton_run(model, prior, state, cfg).final
+    gm, gs = tap_gradient(model, state) if tap else mf_gradient(model, state)
+    g = np.concatenate([gm, gs])
+    apply_blocks = ngd._apply_blocks
+    residuals = []
+
+    def recording(blocks, v, out=None):
+        residuals.append(np.linalg.norm(v))
+        return apply_blocks(blocks, v, out)
+
+    monkeypatch.setattr(ngd, "_apply_blocks", recording)
+    trace = ngd.NGDTrace()
+    u = np.concatenate(ngd._newton_direction(model, prior, state, gm, gs, tap, trace))
+    cov = tilted_cov_vec(prior, state.lam, state.gam)
+    last = np.linalg.norm(u + _hessian_matvec(model, state, _apply_blocks(cov, u), tap) - g)
+    g_norm = np.linalg.norm(g)
+    cap, other = ((ngd.TAP_FORCING_MAX, ngd.MF_FORCING_MAX) if tap
+                  else (ngd.MF_FORCING_MAX, ngd.TAP_FORCING_MAX))
+    assert np.sqrt(g_norm) > max(cap, other)  # the caps, not sqrt(||g||), set the rule
+    assert len(residuals) == trace.hessian_matvecs
+    assert residuals[0] == g_norm and min(residuals) > cap * g_norm >= last
+    if tap:  # the mean-field rule would have stopped earlier
+        assert min(residuals) <= other * g_norm
+    else:  # and the TAP rule later
+        assert last > other * g_norm
 
 
 @pytest.mark.parametrize("delta", [1.0, 1.4])

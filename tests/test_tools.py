@@ -16,6 +16,8 @@ def test_trace_digest_is_the_same_on_two_runs():
     outs = [run.communicate(timeout=300)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     lines = [line.split() for line in outs[0].splitlines()]
-    assert [line[0] for line in lines] == ["fits", "fits", "potential", "min_eigenvalue"]
+    fits = [["fits", prior, objective] for prior in ("three-point", "bernoulli-gaussian:0.5,1.0")
+            for objective in ("tap", "mf")]
+    assert [line[:-1] for line in lines] == fits + [["potential"], ["min_eigenvalue"]]
     assert all(len(line[-1]) == 64 for line in lines)
     assert outs[0] == outs[1]

@@ -8,11 +8,13 @@ its parent commit: run this on both checkouts and compare the lines.
 It imports taplab from the ``src/`` of the checkout it lives in, and prints
 one line per group, the group's name and its digest:
 
-- ``fits three-point`` and ``fits bernoulli-gaussian:0.5,1.0``: every
-  ``NGDTrace`` field of the TAP and MF fits (``fit_free_energy``), final
+- ``fits <prior> <objective>``, for three-point and
+  ``bernoulli-gaussian:0.5,1.0`` and for ``tap`` and ``mf``: every
+  ``NGDTrace`` field of that objective's fits (``fit_free_energy``), final
   (m, s, lam, gam, logZ) included, of ``ExperimentConfig`` instances at
   sigma = 0.3, master seed 0 and the default delta grid; 4 replicates per
-  delta on three-point and 1 on Bernoulli-Gaussian, as the sweep benchmarks;
+  delta on three-point and 1 on Bernoulli-Gaussian, as the sweep benchmarks.
+  One line per objective shows a change that moves only one of them;
 - ``potential``: grid, phi, phi', phi'', gamma_stat, gamma_alg and regime of
   ``solve_gammas`` on three-point, ``bernoulli-gaussian:0.5,1.0`` and two
   ``point-mass`` priors at each delta of the grid, and on the unit Gaussian at
@@ -71,18 +73,19 @@ def _config(prior_descriptor, n, replicates):
                             replicates=replicates, seed=0)
 
 
-def fits_digest(prior_descriptor, n, replicates):
+def fits_digests(prior_descriptor, n, replicates):
+    """{objective: digest of its fits}."""
     cfg = _config(prior_descriptor, n, replicates)
     prior = cfg.prior()
-    h = hashlib.sha256()
+    hashes = {objective: hashlib.sha256() for objective in Objective}
     for delta in cfg.delta_grid:
         for rep in range(replicates):
             model, _ = generate_instance(cfg, rep, delta)
-            for objective in Objective:
+            for objective, h in hashes.items():
                 trace = fit_free_energy(model, prior, cfg, objective, delta=delta)
                 for f in dataclasses.fields(trace):
                     _feed(h, f.name, getattr(trace, f.name))
-    return h.hexdigest()
+    return {objective: h.hexdigest() for objective, h in hashes.items()}
 
 
 def potential_digest(deltas):
@@ -112,8 +115,9 @@ def main():
     parser.add_argument("--n", type=int, default=300, help="rows of every design")
     args = parser.parse_args()
     deltas = ExperimentConfig().delta_grid
-    print("fits", THREE_POINT, fits_digest(THREE_POINT, args.n, 4))
-    print("fits", BERNOULLI_GAUSSIAN, fits_digest(BERNOULLI_GAUSSIAN, args.n, 1))
+    for desc, replicates in ((THREE_POINT, 4), (BERNOULLI_GAUSSIAN, 1)):
+        for objective, digest in fits_digests(desc, args.n, replicates).items():
+            print("fits", desc, objective.value, digest)
     print("potential", potential_digest(deltas))
     print("min_eigenvalue", min_eigenvalue_digest(args.n))
 
