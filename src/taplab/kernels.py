@@ -21,15 +21,20 @@ p <= BLOCK_ROWS does, pays for one step of the same walk and nothing more:
 on three-point most of such a call is numpy's fixed cost per operation, and
 the walk keeps the number of operations at what the arithmetic needs.
 
-A row's bits can depend on the width of the block it falls in.  With
-OpenBLAS 0.3.31 (Haswell kernels), on the 101-atom priors, 255 of the
-block widths 1..512 give some row other bits than the 512-wide block does,
-and each of them is 1-4 mod 8; on three-point no width does.  So
-``tests/test_kernels.py::test_blocks_match_rows_tilted_one_at_a_time``
-compares rows tilted one at a time to 1e-13, and the channel quadrature
-(``scalar._channel_terms_grid``) pads each batch, the one-gamma
-batch of a pointwise call too, to a multiple of 8 rows, so that with this
-build a grid value matches the pointwise call bit for bit.
+A row's bits never depend on its batch.  Each call pads its batch with
+untilted rows (lam = gam = 0) to a multiple of 8 rows, forms every per-row
+quantity over the padded width (the log-weight product, the row maximum, the
+exponentials, Z and the moment sums, and ``tilted_cov``'s three centred
+reductions), writes it into an output of the padded width and returns views
+of the batch's own rows.  BLOCK_ROWS is a multiple of 8, so every block a
+row can fall in is too.  Without the padding a row's bits did depend on the
+width of its block: with OpenBLAS 0.3.31 (Haswell kernels), on the 101-atom
+priors, 255 of the block widths 1..512 gave some row other bits than the
+512-wide block, each of them 1-4 mod 8, and ``tilted_cov``'s reductions
+moved with the width as well; on three-point no width did.  So a row tilted
+alone equals the same row in any batch, a grid value of the channel
+quadrature (``scalar._channel_terms_grid``) equals its pointwise call, and a
+row of a dual solve equals the row solved alone.
 
 ``dual_newton`` inverts the moment map for a batch of rows; each Newton step
 and each line-search candidate of the rows still iterating is evaluated by
@@ -46,6 +51,7 @@ USE_NUMBA = False
 
 # Rows per block: 512 rows of a 101-atom prior fill a 400 kB buffer, which
 # stays in cache across the passes over it (measured best among 256-2048).
+# A multiple of 8, as every block is (see the module docstring).
 BLOCK_ROWS = 512
 
 # Shifted log-weights are held at or above this floor.  numpy's exp took 8 to
@@ -56,15 +62,23 @@ BLOCK_ROWS = 512
 LOG_WEIGHT_FLOOR = -700.0
 
 
-def _tilt_rows(basis, powers, lam, gam, out):
-    """Tilt one block of rows, write its moments m, s and log-partition into
-    out[0], out[1] and out[2], and return (w, Z): ``w[j, i]`` is the weight
-    of atom j in row i relative to the row's largest, and Z = sum_j w[j, i].
+def _padded_duals(lam, gam):
+    """(rows, duals): the batch's (3, width) duals [1; gam; lam], padded with
+    untilted rows (lam = gam = 0) to a width that is a multiple of 8.
     ``gam`` is one value per row or a scalar."""
-    duals = np.empty((3, lam.size))
+    lam = np.asarray(lam, dtype=np.float64).ravel()
+    duals = np.zeros((3, -(-lam.size // 8) * 8))
     duals[0] = 1.0
-    duals[1] = gam
-    duals[2] = lam
+    duals[1, :lam.size] = gam
+    duals[2, :lam.size] = lam
+    return lam.size, duals
+
+
+def _tilt_rows(basis, powers, duals, out):
+    """Tilt one block of (3, width) duals, write its moments m, s and
+    log-partition into out[0], out[1] and out[2], and return (w, Z):
+    ``w[j, i]`` is the weight of atom j in row i relative to the row's
+    largest, and Z = sum_j w[j, i]."""
     # ell = logw - gam*a^2/2 + lam*a as one product basis @ [1; gam; lam]
     w = basis @ duals
     M = np.maximum.reduce(w, axis=0)
@@ -87,27 +101,23 @@ def tilted_stats(basis, powers, lam, gam):
     one value per row or is a scalar shared by every row.  logZ is the
     log-partition relative to the untilted prior.
     """
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    gam = np.asarray(gam, dtype=np.float64)
-    out = np.empty((3, lam.size))
-    for lo in range(0, lam.size, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        _tilt_rows(basis, powers, lam[rows], gam[rows] if gam.ndim else gam, out[:, rows])
-    return out[0], out[1], out[2]
+    n, duals = _padded_duals(lam, gam)
+    out = np.empty((3, duals.shape[1]))
+    for lo in range(0, n, BLOCK_ROWS):
+        _tilt_rows(basis, powers, duals[:, lo:lo + BLOCK_ROWS], out[:, lo:lo + BLOCK_ROWS])
+    return out[0, :n], out[1, :n], out[2, :n]
 
 
 def tilted_cov(basis, powers, lam, gam):
     """(6, rows) array of m, s, logZ, c11, c12, c22: ``tilted_stats`` plus
     the covariance matrix of (beta, beta^2) under the tilted law, from
     centred moments sum p*(a-m)^2, sum p*(a-m)*(a^2-s) and sum p*(a^2-s)^2."""
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    gam = np.asarray(gam, dtype=np.float64)
-    out = np.empty((6, lam.size))
+    n, duals = _padded_duals(lam, gam)
+    out = np.empty((6, duals.shape[1]))
     a, a2 = powers[1:, :, None]
-    for lo in range(0, lam.size, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        block = out[:, rows]
-        w, Z = _tilt_rows(basis, powers, lam[rows], gam[rows] if gam.ndim else gam, block)
+    for lo in range(0, n, BLOCK_ROWS):
+        block = out[:, lo:lo + BLOCK_ROWS]
+        w, Z = _tilt_rows(basis, powers, duals[:, lo:lo + BLOCK_ROWS], block)
         w /= Z
         da = a - block[0]
         dq = a2 - block[1]
@@ -116,7 +126,7 @@ def tilted_cov(basis, powers, lam, gam):
         np.add.reduce(pa * da, axis=0, out=block[3])
         np.add.reduce(pa * dq, axis=0, out=block[4])
         np.add.reduce(w * dq, axis=0, out=block[5])
-    return out
+    return out[:, :n]
 
 
 def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap):

@@ -67,7 +67,16 @@ def mutual_information(prior: Prior, gamma: float) -> float:
     return channel_terms(prior, gamma)[0]
 
 
+def _check_noise_and_ratio(sigma2: float, delta: float) -> None:
+    """Raise a DomainError naming sigma2 or delta unless both are positive
+    and finite."""
+    for name, value in (("sigma2", sigma2), ("delta", delta)):
+        if not 0 < value < math.inf:  # also rejects nan
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def phi(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
+    _check_noise_and_ratio(sigma2, delta)
     if gamma <= 0:
         raise DomainError("phi requires gamma > 0")
     info = mutual_information(prior, gamma)  # first: it rejects a non-finite gamma
@@ -78,6 +87,7 @@ def phi(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
 
 def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """First derivative via the I-MMSE relation."""
+    _check_noise_and_ratio(sigma2, delta)
     if gamma <= 0:
         raise DomainError("phi_prime requires gamma > 0")
     return 0.5 * (sigma2 - delta / gamma + mmse(prior, gamma))
@@ -85,6 +95,7 @@ def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
 
 def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """Second derivative: (delta/gamma^2 - E[Var(beta0 | channel)^2]) / 2."""
+    _check_noise_and_ratio(sigma2, delta)
     if gamma <= 0:
         raise DomainError("phi_second requires gamma > 0")
     return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma)[2])
@@ -182,8 +193,7 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     Stationary points are found as sign changes of phi' (Brent-refined);
     gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
     """
-    if not 0 < delta < np.inf:  # also rejects nan
-        raise DomainError(f"delta must be positive and finite, got {delta!r}")
+    _check_noise_and_ratio(sigma2, delta)
     scale = delta / sigma2
     grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
     # one channel evaluation of the whole grid, tilted in chunks of whole

@@ -183,11 +183,9 @@ def _channel_terms_grid(prior: Prior, gammas: np.ndarray) -> np.ndarray:
 
     The rows of whole gammas are tilted together, about 16 * BLOCK_ROWS rows
     per kernel call, so that a grid of small priors does not pay the per-call
-    cost once per gamma.  Each call, the one-gamma call of ``channel_terms``
-    too, is padded with untilted rows to a multiple of 8 rows: with OpenBLAS
-    0.3.31 (Haswell kernels) a row of a wide prior can get other bits in a
-    block whose width is 1-4 mod 8 (see ``kernels``), and with that build a
-    grid value equals the pointwise call bit for bit.  The summands are
+    cost once per gamma.  A row's tilt does not depend on the batch it is in
+    (see ``kernels``), so a grid value equals the pointwise call, the
+    one-gamma call of ``channel_terms``, bit for bit.  The summands are
     formed for the whole chunk; each sum is its own dot product over one
     gamma's rows, as a matrix-vector product over the chunk would give the
     sums other bits than a one-gamma call."""
@@ -196,14 +194,12 @@ def _channel_terms_grid(prior: Prior, gammas: np.ndarray) -> np.ndarray:
     out = np.empty((3, len(gammas)))
     for lo in range(0, len(gammas), per_call):
         g = gammas[lo:lo + per_call]
-        rows = len(g) * len(w)
-        lam, gam = np.zeros((2, -(-rows // 8) * 8))
-        lam[:rows] = (g[:, None] * b0 + np.sqrt(g)[:, None] * z).ravel()
-        gam[:rows] = np.repeat(g, len(w))
-        m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
-        if not np.all(np.isfinite(logZ[:rows])):
+        lam = (g[:, None] * b0 + np.sqrt(g)[:, None] * z).ravel()
+        m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam,
+                                          np.repeat(g, len(w)))
+        if not np.isfinite(logZ).all():
             raise DegenerateTiltError("tilted log-partition overflowed")
-        m, s, logZ = (a[:rows].reshape(len(g), len(w)) for a in (m, s, logZ))
+        m, s, logZ = (a.reshape(len(g), len(w)) for a in (m, s, logZ))
         var = s - m * m
         terms = (0.5 * g[:, None] * b0 * b0 - logZ, (b0 - m) ** 2, var * var)
         out[:, lo:lo + len(g)] = [[w @ row for row in t] for t in terms]

@@ -45,10 +45,12 @@ SEVERAL_BLOCKS = 3 * kernels.BLOCK_ROWS + 7  # the last one partial
 
 @pytest.mark.parametrize("prior, n", [
     pytest.param(prior, n, id=name if n == SEVERAL_BLOCKS else f"{name}-{n}")
-    for name, prior in (("3pt", three_point()), ("bg", bernoulli_gaussian(0.5, 1.0)))
+    for name, prior in (("3pt", three_point()), ("bg", bernoulli_gaussian(0.5, 1.0)),
+                        ("gauss", gaussian_prior(1.0)))
     for n in (1, 214, kernels.BLOCK_ROWS, SEVERAL_BLOCKS)])
 def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
-    # batches of one block, the size of a descent's tilts, and of several
+    # batches of one block, the size of a descent's tilts, and of several:
+    # every row has the bits it has when tilted alone
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)
@@ -58,9 +60,7 @@ def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
                zip(kernels.tilted_stats(basis, powers, lam, gam), batch))
     rows = np.array([kernels.tilted_cov(basis, powers, lam[i:i + 1], gam[i:i + 1])
                      for i in range(n)])[:, :, 0].T
-    # normwise: entries near 0 (m, c12) carry the rounding of the larger terms
-    for b, r in zip(batch, rows):
-        assert np.max(np.abs(b - r)) <= 1e-13 * np.max(np.abs(r))
+    assert np.array_equal(batch, rows)
 
 
 @pytest.mark.parametrize("prior", [three_point(), bernoulli_gaussian(0.5, 1.0)],
@@ -280,6 +280,22 @@ def test_dual_newton_rows_independent(mixed):
     assert not np.any(conv[~interior])
     assert np.all(np.isfinite(res)) and np.all(res[~interior] >= 1e-10)
     assert np.all(np.abs(gam[kinds == "clip"]) == CAP)
+
+
+@pytest.mark.parametrize("prior", [bernoulli_gaussian(0.5, 1.0), gaussian_prior(1.0)],
+                         ids=["bg", "gauss"])
+def test_dual_solve_of_a_row_alone_equals_its_row_in_a_batch(prior):
+    # the dual Newton solve re-tilts ever smaller subsets of its rows, so a
+    # row's answer would depend on its batch if a tilt's bits did
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-2, 2, 300)
+    gam = rng.uniform(0.1, 4, 300)
+    m, s, _ = scalar.tilted_moments_vec(prior, lam, gam)
+    batch = scalar.dual_solve_vec(prior, m, s)
+    assert np.all(batch[2])
+    for i in range(100):
+        alone = scalar.dual_solve_vec(prior, m[i:i + 1], s[i:i + 1])
+        assert all(np.array_equal(a, b[i:i + 1]) for a, b in zip(alone, batch))
 
 
 def test_dual_newton_iteration_cap(mixed):

@@ -78,6 +78,19 @@ class TestPhiDerivatives:
         with pytest.raises(DomainError, match="delta must be positive"):
             solve_gammas(tp, SIGMA2, delta)
 
+    @pytest.mark.parametrize("fn", [phi, phi_prime, phi_second, solve_gammas],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("sigma2, delta, name", [
+        (sigma2, 1.0, "sigma2") for sigma2 in (0.0, -0.09, float("nan"), float("inf"))
+    ] + [(SIGMA2, delta, "delta") for delta in (0.0, -1.0, float("nan"), float("inf"))])
+    def test_rejects_a_noise_or_ratio_that_is_not_positive_and_finite(
+            self, tp, fn, sigma2, delta, name):
+        args = (tp, sigma2, delta) + ((1.0,) if fn is not solve_gammas else ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+                fn(*args)
+
     def test_phi_prime_two_ways(self, tp, monkeypatch):
         # numerical derivative of phi vs the closed I-MMSE formula; the FD
         # step scales with gamma since phi''' ~ delta/gamma^3, and the finer
@@ -146,9 +159,9 @@ class TestSolveGammas:
 
     @pytest.mark.parametrize("descriptor, deltas", FIVE_PRIORS, ids=FIVE_PRIOR_IDS)
     def test_grid_equals_the_pointwise_calls(self, descriptor, deltas):
-        # the grid is tilted in chunks of whole gammas.  Equality was measured
-        # with OpenBLAS 0.3.31 (Haswell kernels): there, on the 101-atom priors,
-        # a chunk whose last block is 1-4 mod 8 rows wide moves grid values
+        # the grid is tilted in chunks of whole gammas, and a pointwise call
+        # tilts one gamma's rows: equal because the kernels pad every block to
+        # a multiple of 8 rows, so a row's bits never depend on its batch
         prior = parse_prior(descriptor)
         for delta in deltas:
             profile = solve_gammas(prior, SIGMA2, delta)

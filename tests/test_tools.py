@@ -18,6 +18,7 @@ def test_trace_digest_is_the_same_on_two_runs():
     lines = [line.split() for line in outs[0].splitlines()]
     fits = [["fits", prior, objective] for prior in ("three-point", "bernoulli-gaussian:0.5,1.0")
             for objective in ("tap", "mf")]
-    assert [line[:-1] for line in lines] == fits + [["potential"], ["min_eigenvalue"]]
+    groups = fits + [["potential"], ["dual_solve"], ["min_eigenvalue"]]
+    assert [line[:-1] for line in lines] == groups
     assert all(len(line[-1]) == 64 for line in lines)
     assert outs[0] == outs[1]

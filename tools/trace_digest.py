@@ -1,6 +1,7 @@
-"""SHA-256 digests of what the descent, the potential and the dense Hessian
-probe compute, so that a change meant to move no bit can be checked against
-its parent commit: run this on both checkouts and compare the lines.
+"""SHA-256 digests of what the descent, the potential, the dual solve and the
+dense Hessian probe compute, so that a change meant to move no bit can be
+checked against its parent commit: run this on both checkouts and compare
+the lines.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py           # n = 300
     OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py --n 40    # smoke run
@@ -19,6 +20,13 @@ one line per group, the group's name and its digest:
   ``solve_gammas`` on three-point, ``bernoulli-gaussian:0.5,1.0`` and two
   ``point-mass`` priors at each delta of the grid, and on the unit Gaussian at
   delta = 1, all at sigma^2 = 0.09 (these do not depend on ``--n``);
+- ``dual_solve``: the state (m, s, lam, gam, logZ) that
+  ``VariationalState.from_moments`` solves on 2 000 rows of three-point and
+  of Bernoulli-Gaussian, whose moments are taplab's tilt of lam ~ U(-2, 2),
+  gam ~ U(0.1, 4) drawn from a fixed seed (this line does not depend on
+  ``--n`` either).  The dual solve re-tilts ever smaller subsets of its
+  rows, so this line also covers the tilt kernels at batch widths that no
+  fit uses;
 - ``min_eigenvalue``: the dense minimum eigenvalue of the TAP Hessian at the
   converged TAP state of replicate 0 of three-point and Bernoulli-Gaussian at
   delta 0.6, 1.0 and 1.4.
@@ -52,6 +60,7 @@ POTENTIAL_PRIORS = (THREE_POINT, BERNOULLI_GAUSSIAN,
                     "point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25",
                     "point-mass:-1,0.2;0,0.5;2,0.3")
 PROBE_DELTAS = (0.6, 1.0, 1.4)
+DUAL_ROWS = 2000
 
 
 def _feed(h, *items):
@@ -98,6 +107,17 @@ def potential_digest(deltas):
     return h.hexdigest()
 
 
+def dual_solve_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(0)
+    for desc in (THREE_POINT, BERNOULLI_GAUSSIAN):
+        prior = parse_prior(desc)
+        tilted = VariationalState.from_duals(prior, rng.uniform(-2, 2, DUAL_ROWS),
+                                             rng.uniform(0.1, 4, DUAL_ROWS))
+        _feed(h, VariationalState.from_moments(prior, tilted.m, tilted.s))
+    return h.hexdigest()
+
+
 def min_eigenvalue_digest(n):
     h = hashlib.sha256()
     for desc in (THREE_POINT, BERNOULLI_GAUSSIAN):
@@ -119,6 +139,7 @@ def main():
         for objective, digest in fits_digests(desc, args.n, replicates).items():
             print("fits", desc, objective.value, digest)
     print("potential", potential_digest(deltas))
+    print("dual_solve", dual_solve_digest())
     print("min_eigenvalue", min_eigenvalue_digest(args.n))
 
 
