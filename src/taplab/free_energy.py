@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class LinearModel:
     X: np.ndarray
     y: np.ndarray
     sigma2: float
+    # the energies' constant 0.5 n log(2 pi sigma^2), formed once
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -55,6 +57,8 @@ class LinearModel:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_log_norm",
+                           0.5 * X.shape[0] * np.log(2.0 * np.pi * self.sigma2))
 
     @property
     def n(self) -> int:
@@ -78,6 +82,14 @@ class VariationalState:
     lam: np.ndarray
     gam: np.ndarray
     logZ: np.ndarray
+    # S(s) - Q(m) = V - sigma^2, formed once: the energy, the gradient and the
+    # Hessian at a state all read it
+    _sq: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = len(self.m)
+        object.__setattr__(self, "_sq", float(np.add.reduce(self.s) / p
+                                              - np.add.reduce(self.m**2) / p))
 
     @property
     def p(self) -> int:
@@ -108,8 +120,7 @@ class VariationalState:
 
 def onsager_volume(model: LinearModel, state: VariationalState) -> float:
     """V = sigma^2 + S(s) - Q(m)."""
-    p = model.p
-    return model.sigma2 + float(np.add.reduce(state.s) / p - np.add.reduce(state.m**2) / p)
+    return model.sigma2 + state._sq
 
 
 def _entropy_sum(state: VariationalState) -> float:
@@ -121,8 +132,7 @@ def _entropy_sum(state: VariationalState) -> float:
 def _energy(model: LinearModel, state: VariationalState, tap: bool, resid=None) -> float:
     if resid is None:
         resid = model.y - model.X @ state.m
-    n, p = model.n, model.p
-    sq = float(np.add.reduce(state.s) / p - np.add.reduce(state.m**2) / p)  # V - sigma^2
+    n, sq = model.n, state._sq  # V - sigma^2
     if tap:
         ratio = sq / model.sigma2
         if ratio <= -1.0:
@@ -130,7 +140,7 @@ def _energy(model: LinearModel, state: VariationalState, tap: bool, resid=None) 
         volume = 0.5 * n * np.log1p(ratio)
     else:
         volume = 0.5 * n * sq / model.sigma2
-    return (0.5 * n * np.log(2.0 * np.pi * model.sigma2) + _entropy_sum(state)
+    return (model._log_norm + _entropy_sum(state)
             + float(resid @ resid) / (2.0 * model.sigma2) + volume)
 
 

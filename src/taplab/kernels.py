@@ -123,9 +123,14 @@ def tilted_cov(basis, powers, lam, gam):
         dq = a2 - block[1]
         pa = w * da
         w *= dq
-        np.add.reduce(pa * da, axis=0, out=block[3])
-        np.add.reduce(pa * dq, axis=0, out=block[4])
-        np.add.reduce(w * dq, axis=0, out=block[5])
+        # each product overwrites a factor that no later one reads; a
+        # product's bits do not depend on its operands' order
+        da *= pa
+        np.add.reduce(da, axis=0, out=block[3])
+        pa *= dq
+        np.add.reduce(pa, axis=0, out=block[4])
+        dq *= w
+        np.add.reduce(dq, axis=0, out=block[5])
     return out[:, :n]
 
 

@@ -43,15 +43,20 @@ the start.  Mean-field has no such guarantee, and Newton from the warm start
 can reach another minimizer, so a mean-field fit starts with NGD directions
 in the same loop.  The first time ||grad F||^2/p falls below each of
 MF_PROBE_GRADS, it probes the curvature: it computes the Newton direction
-with CG held for at least PROBE_CG_ITERS steps.  CG in the C inner product is
-Lanczos on S = I + C^1/2 K C^1/2, which has the inertia of H where D exists,
-and its curvatures are all positive exactly when every Ritz value of its
-tridiagonal is (Saad 2003, sec. 6.7.3); a non-positive one is a vector w
-with w' S w <= 0, which proves S is not positive definite.  Then that
-iteration takes NGD's direction with the carried step, and NGD goes on.  A
-probe that meets no such curvature proves nothing, but the loop switches to
-Newton for good, and the probe's direction is its first step.  Below
-MF_NEWTON_ENTRY_GRAD it switches without a probe.
+with CG held for at least PROBE_CG_ITERS = 20 steps.  CG in the C inner
+product is Lanczos on S = I + C^1/2 K C^1/2, which has the inertia of H
+where D exists, and its curvatures are all positive exactly when every Ritz
+value of its tridiagonal is (Saad 2003, sec. 6.7.3); a non-positive one is
+a vector w with w' S w <= 0, which proves S is not positive definite.  Then
+that iteration takes NGD's direction with the carried step, and NGD goes
+on.  A probe that meets no such curvature proves nothing, but the loop
+switches to Newton for good, and the probe's direction is its first step.
+Below MF_NEWTON_ENTRY_GRAD it switches without a probe.  Why 20 steps: on
+the 210 mean-field fits of the acceptance sweeps (``tools/mf_gate.py``), a
+20-step probe ends every fit where a 40-step one does (max|dm| 3.1e-4) with
+a fifth fewer products, while a 10-step probe passes at an indefinite state
+of one fit (three-point, n = 500, delta = 1, replicate 1), which then ends
+at another minimizer (max|dm| 0.91).
 
 In both, a candidate whose energy does not fall is rejected and the step
 halved, at most 60 times; when all 60 are rejected the run stops at the step
@@ -64,12 +69,16 @@ What an iteration costs, with X the n x p design: each candidate is one tilt
 and one product X m, for the residual y - X m that its energy reads; the
 accepted candidate's residual goes on to the next gradient, which adds one
 product X' r.  Each CG step of a Newton direction is two more, X v and X' (X v).
+Once a fit is in Newton mode, each candidate's one tilt also gives its
+covariances C (``kernels.tilted_cov``, whose m, s and logZ are those of
+``kernels.tilted_stats`` bit for bit), and the accepted candidate's C goes
+on to the next Newton direction, so a direction tilts C itself only where
+the fit enters Newton: TAP's first step and each mean-field probe.
 At the sizes fitted here (p of a few hundred) a tilt or a CG step is mostly
-numpy's fixed cost per operation, so a Newton direction tilts the
-covariances once, forms the K product's constants at its state once
-(``free_energy._k_product``) and allocates its vectors once; each CG step
-then updates them in place, with the arithmetic of the allocating code, bit
-for bit.
+numpy's fixed cost per operation, so a Newton direction forms the K
+product's constants at its state once (``free_energy._k_product``) and
+allocates its vectors once; each CG step then updates them in place, with
+the arithmetic of the allocating code, bit for bit.
 """
 
 from __future__ import annotations
@@ -107,10 +116,11 @@ CG_ITERS_PER_COORDINATE = 2
 # a mean-field fit hands over from NGD to Newton at the first iterate below one
 # of MF_PROBE_GRADS where CG, held for PROBE_CG_ITERS steps, meets no
 # non-positive curvature, or once ||g||^2 / p falls below MF_NEWTON_ENTRY_GRAD;
-# handing over at 1e-3 without the probe moved some fits to another minimizer
+# handing over at 1e-3 without the probe moved some fits to another minimizer,
+# and so did a probe of 10 steps (one of 210), where 20 and 40 move none
 MF_NEWTON_ENTRY_GRAD = 1e-6
 MF_PROBE_GRADS = (1e-3, 1e-4, 1e-5)
-PROBE_CG_ITERS = 40
+PROBE_CG_ITERS = 20
 
 
 class Objective(enum.Enum):
@@ -171,6 +181,7 @@ def _descend(model, prior, cfg, state, entry, probes=()):
     resid = model.y - model.X @ state.m
     f_cur = tap_energy(model, state, resid) if tap else mf_energy(model, state, resid)
     newton = False
+    cov = None  # ``state``'s tilted covariances, once a Newton candidate gave them
     step = FIRST_STEP
     for _ in range(cfg.max_iters):
         gm, gs = tap_gradient(model, state, resid) if tap else mf_gradient(model, state, resid)
@@ -183,7 +194,7 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             break
         direction = None  # NGD's
         if newton:
-            direction = _newton_direction(model, prior, state, gm, gs, tap, trace)
+            direction = _newton_direction(model, prior, state, gm, gs, tap, trace, cov=cov)
         elif gn < entry or any(gn < gate for gate in probes):
             probe = gn >= entry
             probes = [gate for gate in probes if gate <= gn]  # each gate probes once
@@ -205,7 +216,12 @@ def _descend(model, prior, cfg, state, entry, probes=()):
                 trace.clip_events += 1
                 np.clip(lam, -DUAL_CAP, DUAL_CAP, out=lam)
                 np.clip(gam, -DUAL_CAP, DUAL_CAP, out=gam)
-            m, s, logZ = tilted_moments_vec(prior, lam, gam)
+            # a Newton candidate's tilt also gives its covariances, which
+            # the next direction reads if it is accepted
+            if newton:
+                m, s, logZ, cand_cov = tilted_moments_vec(prior, lam, gam, cov=True)
+            else:
+                m, s, logZ = tilted_moments_vec(prior, lam, gam)
             cand = VariationalState(m, s, lam, gam, logZ)
             cand_resid = model.y - model.X @ m
             f_new = (tap_energy(model, cand, cand_resid) if tap
@@ -220,6 +236,8 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             break
         trace.steps_used.append(step)
         state, resid, f_cur = cand, cand_resid, f_new
+        if newton:
+            cov = cand_cov
         if tries == 0:
             step = min(1.0, 2.0 * step)
     if not newton:
@@ -234,13 +252,16 @@ def ngd_run(model: LinearModel, prior: Prior, init: VariationalState,
     return _descend(model, prior, cfg, init, entry=0.0)
 
 
-def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1):
+def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1, cov=None):
     """Dual direction u, an inexact solution of (I + K C) u = g by CG in the
     inner product of the tilted covariances C, completed on the coordinates
-    whose C is singular.  CG runs at least ``min_iters`` steps unless its
-    residual vanishes; None when it meets non-positive curvature within
-    them, which proves I + C^1/2 K C^1/2 is not positive definite."""
-    cov = tilted_cov_vec(prior, state.lam, state.gam)
+    whose C is singular.  C is ``cov``, the state's covariances when its
+    tilt gave them, or else tilted here.  CG runs at least ``min_iters``
+    steps unless its residual vanishes; None when it meets non-positive
+    curvature within them, which proves I + C^1/2 K C^1/2 is not positive
+    definite."""
+    if cov is None:
+        cov = tilted_cov_vec(prior, state.lam, state.gam)
     product = _k_product(model, state, tap)
     p = model.p
     g = np.concatenate([gm, gs])

@@ -37,13 +37,18 @@ CHANNEL_WEIGHT_FLOOR = 1e-30
 # tilted moments
 # ---------------------------------------------------------------------------
 
-def tilted_moments_vec(prior: Prior, lam, gam):
+def tilted_moments_vec(prior: Prior, lam, gam, cov: bool = False):
     """Batched (m, s, logZ) of the tilted laws; logZ relative to the prior.
-    ``gam`` is one value per row or a scalar shared by every row."""
-    m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
-    if not np.isfinite(logZ).all():
+    ``gam`` is one value per row or a scalar shared by every row.  With
+    ``cov``, (m, s, logZ, c) with c the (3, rows) covariance entries of
+    ``tilted_cov_vec``, all from one tilt: m, s and logZ are those of the
+    call without ``cov``, bit for bit, and copied out of the kernel's
+    output, so that a state which keeps them does not keep c as well."""
+    kernel = kernels.tilted_cov if cov else kernels.tilted_stats
+    out = kernel(prior._tilt_basis, prior._tilt_powers, lam, gam)
+    if not np.isfinite(out[2]).all():
         raise DegenerateTiltError("tilted log-partition overflowed")
-    return m, s, logZ
+    return (*out[:3].copy(), out[3:]) if cov else out
 
 
 def tilted_cov_vec(prior: Prior, lam, gam):

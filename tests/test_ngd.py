@@ -539,13 +539,16 @@ def test_mf_fit_where_every_probe_fails_switches_at_the_entry_gradient(tp, warm3
     assert trace.hessian_matvecs - newton_iterations == len(ngd.MF_PROBE_GRADS)
 
 
-# three-point, sigma = 0.3, n = 300, master seed 0: handing over to Newton at
-# ||g||^2/p < 1e-3 without a probe moves the first four to another minimizer
-# (max|dm| 0.84-0.91); the fifth is where gates from 1e-2 were seen to move one
-@pytest.mark.parametrize("delta, replicate", [(0.8, 14), (0.8, 15), (0.8, 19), (1.0, 2),
-                                              (0.6, 7)])
-def test_gated_mf_handover_keeps_the_ngd_minimizer(delta, replicate):
-    cfg = ExperimentConfig(sigma=0.3, n=300, seed=0, replicates=replicate + 1)
+# three-point, sigma = 0.3, master seed 0: at n = 300, handing over to Newton
+# at ||g||^2/p < 1e-3 without a probe moves the first four to another
+# minimizer (max|dm| 0.84-0.91), and the fifth is where gates from 1e-2 were
+# seen to move one; at n = 500 (test_6's sweep), a probe held for 10 CG steps
+# instead of PROBE_CG_ITERS = 20 moves the sixth (max|dm| 0.91, dF -1.64)
+@pytest.mark.parametrize("n, delta, replicate", [(300, 0.8, 14), (300, 0.8, 15),
+                                                 (300, 0.8, 19), (300, 1.0, 2),
+                                                 (300, 0.6, 7), (500, 1.0, 1)])
+def test_gated_mf_handover_keeps_the_ngd_minimizer(n, delta, replicate):
+    cfg = ExperimentConfig(sigma=0.3, n=n, seed=0, replicates=replicate + 1)
     prior = cfg.prior()
     model, _ = generate_instance(cfg, replicate, delta)
     _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
@@ -555,6 +558,32 @@ def test_gated_mf_handover_keeps_the_ngd_minimizer(delta, replicate):
     assert newton.ngd_iterations < reference.iterations
     assert newton.f_values[-1] <= reference.f_values[-1]
     assert np.max(np.abs(newton.final.m - reference.final.m)) <= 1e-2
+
+
+@pytest.mark.parametrize("objective", [Objective.TAP, Objective.MF])
+def test_newton_directions_read_the_covariances_of_their_iterate(tp, warm3, monkeypatch,
+                                                                objective):
+    # a Newton candidate is tilted with its covariances, and an accepted one
+    # carries them to the next direction; a direction tilts them itself only
+    # where the fit enters Newton: TAP's first step and each mean-field probe
+    # (here the probe at the 1e-3 gate fails and the one at 1e-4 passes)
+    model, warm = warm3
+    newton_direction = ngd._newton_direction
+    received = []
+
+    def spy(model, prior, state, *args, **kwargs):
+        received.append((state, kwargs.get("cov")))
+        return newton_direction(model, prior, state, *args, **kwargs)
+
+    monkeypatch.setattr(ngd, "_newton_direction", spy)
+    trace = newton_run(model, tp, warm, NGDConfig(objective=objective))
+    assert trace.converged
+    tilted_here = [cov is None for _, cov in received]
+    entries = tilted_here.index(False)  # the calls before the first carried one
+    assert entries == (1 if objective is Objective.TAP else 2)
+    assert not any(tilted_here[entries:]) and len(received) - entries >= 2
+    for state, cov in received[entries:]:
+        assert np.array_equal(cov, tilted_cov_vec(tp, state.lam, state.gam))
 
 
 @pytest.mark.parametrize("delta", [0.6, 1.0, 1.4])
