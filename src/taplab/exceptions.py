@@ -6,7 +6,7 @@ class TapLabError(Exception):
 
 
 class DegenerateTiltError(TapLabError):
-    """All tilted atom weights underflowed; the tilt is numerically degenerate."""
+    """A tilted log-partition is not finite (an overflowing or NaN dual)."""
 
 
 class NoConvergenceError(TapLabError):

@@ -10,10 +10,9 @@ The Hessian is H = D + K: D the entropy's per-coordinate 2x2 blocks, K the
 data fit X^T X / sigma^2 and the volume terms (TAP's include rank-one terms).
 The matrix-free K product serves mean-field too, whose K lacks the rank-one
 terms.  ``_k_product`` forms its constants at a state once and writes each
-product into a caller's buffer, which Newton-CG reuses across its steps;
-``_hessian_matvec`` is one such product.  D enters only where a Hessian is
-asked for (``tap_hessian_matvec``, ``tap_hessian_dense`` and the eigenvalue
-probe).  H's scale sits in D, so the
+product into a caller's buffer, which Newton-CG reuses across its steps.
+D enters only where a Hessian is asked for (``tap_hessian_matvec``,
+``tap_hessian_dense`` and the eigenvalue probe).  H's scale sits in D, so the
 tilted covariances C = D^-1 precondition the LOBPCG probe, and Newton-CG
 works with C and K alone (see ``ngd``), so it never inverts a 2x2 block.
 ``min_eigenvalue`` imports scipy on first use, ``scipy.linalg`` alone for
@@ -109,12 +108,11 @@ class VariationalState:
         on its boundary, where fitted laws collapse onto one or two atoms.
         Every coordinate must solve to DUAL_RESIDUAL_TOL."""
         m, s = project_interior(prior, m, s)
-        lam, gam, conv, res = dual_solve_vec(prior, m, s)
+        lam, gam, logZ, conv, res = dual_solve_vec(prior, m, s)
         if not np.all(conv):
             worst = float(np.max(res))
             raise DomainError(f"dual solve failed on {np.sum(~conv)} coordinates "
                               f"(worst residual {worst:.3e})")
-        _, _, logZ = tilted_moments_vec(prior, lam, gam)
         return cls(m=m, s=s, lam=lam, gam=gam, logZ=logZ)
 
 
@@ -235,17 +233,12 @@ def _k_product(model: LinearModel, state: VariationalState, tap: bool):
     return product
 
 
-def _hessian_matvec(model: LinearModel, state: VariationalState, v: np.ndarray,
-                    tap: bool) -> np.ndarray:
-    """K v, one product of ``_k_product``."""
-    return _k_product(model, state, tap)(v, np.empty(2 * model.p))
-
-
 def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior,
                        v: np.ndarray, _blocks=None) -> np.ndarray:
     if _blocks is None:
         _blocks = _entropy_hessian_blocks(prior, state)[0]
-    return _hessian_matvec(model, state, v, True) + _apply_blocks(_blocks, v)
+    Kv = _k_product(model, state, True)(v, np.empty(2 * model.p))
+    return Kv + _apply_blocks(_blocks, v)
 
 
 def tap_hessian_dense(model: LinearModel, state: VariationalState,

@@ -70,10 +70,11 @@ and one product X m, for the residual y - X m that its energy reads; the
 accepted candidate's residual goes on to the next gradient, which adds one
 product X' r.  Each CG step of a Newton direction is two more, X v and X' (X v).
 Once a fit is in Newton mode, each candidate's one tilt also gives its
-covariances C (``kernels.tilted_cov``, whose m, s and logZ are those of
-``kernels.tilted_stats`` bit for bit), and the accepted candidate's C goes
-on to the next Newton direction, so a direction tilts C itself only where
-the fit enters Newton: TAP's first step and each mean-field probe.
+covariances C (``tilted_moments_vec`` with ``cov``, whose m, s and logZ are
+those of the tilt without it: one kernel computes both), and the accepted
+candidate's C goes on to the next Newton direction, so a direction tilts C
+itself only where the fit enters Newton: TAP's first step and each
+mean-field probe.
 At the sizes fitted here (p of a few hundred) a tilt or a CG step is mostly
 numpy's fixed cost per operation, so a Newton direction forms the K
 product's constants at its state once (``free_energy._k_product``) and
@@ -218,10 +219,7 @@ def _descend(model, prior, cfg, state, entry, probes=()):
                 np.clip(gam, -DUAL_CAP, DUAL_CAP, out=gam)
             # a Newton candidate's tilt also gives its covariances, which
             # the next direction reads if it is accepted
-            if newton:
-                m, s, logZ, cand_cov = tilted_moments_vec(prior, lam, gam, cov=True)
-            else:
-                m, s, logZ = tilted_moments_vec(prior, lam, gam)
+            m, s, logZ, *cand_cov = tilted_moments_vec(prior, lam, gam, cov=newton)
             cand = VariationalState(m, s, lam, gam, logZ)
             cand_resid = model.y - model.X @ m
             f_new = (tap_energy(model, cand, cand_resid) if tap
@@ -236,8 +234,7 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             break
         trace.steps_used.append(step)
         state, resid, f_cur = cand, cand_resid, f_new
-        if newton:
-            cov = cand_cov
+        cov = cand_cov[0] if cand_cov else None
         if tries == 0:
             step = min(1.0, 2.0 * step)
     if not newton:

@@ -41,20 +41,20 @@ def tilted_moments_vec(prior: Prior, lam, gam, cov: bool = False):
     """Batched (m, s, logZ) of the tilted laws; logZ relative to the prior.
     ``gam`` is one value per row or a scalar shared by every row.  With
     ``cov``, (m, s, logZ, c) with c the (3, rows) covariance entries of
-    ``tilted_cov_vec``, all from one tilt: m, s and logZ are those of the
-    call without ``cov``, bit for bit, and copied out of the kernel's
-    output, so that a state which keeps them does not keep c as well."""
-    kernel = kernels.tilted_cov if cov else kernels.tilted_stats
-    out = kernel(prior._tilt_basis, prior._tilt_powers, lam, gam)
+    ``tilted_cov_vec``, all from one tilt of the one kernel, so m, s and
+    logZ are those of the call without ``cov``, bit for bit.  Every tilt of
+    the package passes here, and raises DegenerateTiltError when a
+    log-partition is not finite (an overflow or a NaN dual)."""
+    out = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam, cov=cov)
     if not np.isfinite(out[2]).all():
-        raise DegenerateTiltError("tilted log-partition overflowed")
-    return (*out[:3].copy(), out[3:]) if cov else out
+        raise DegenerateTiltError("tilted log-partition is not finite")
+    return out
 
 
 def tilted_cov_vec(prior: Prior, lam, gam):
     """Batched covariance entries of (beta, beta^2): a (3, rows) array of
     c11, c12, c22."""
-    return kernels.tilted_cov(prior._tilt_basis, prior._tilt_powers, lam, gam)[3:]
+    return tilted_moments_vec(prior, lam, gam, cov=True)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +111,15 @@ def dual_solve_vec(prior: Prior, m, s):
 
     Rows left unconverged are solved again from the Gaussian moment match
     lam = m/v, gam = 1/v - 1/Var(prior) with v = s - m^2, and keep whichever
-    solve has the smaller residual.  Returns (lam, gam, converged, residual).
+    solve has the smaller residual.  Returns (lam, gam, logZ, converged,
+    residual), logZ that of the duals returned.
     """
     def solve(mt, st, lam0, gam0):
         return kernels.dual_newton(prior._tilt_basis, prior._tilt_powers, mt, st,
                                    lam0, gam0, tol=DUAL_RESIDUAL_TOL, max_iter=200,
                                    cap=DUAL_CAP)
 
-    lam, gam, conv, res = solve(m, s, 0.0, 0.0)
+    lam, gam, logZ, conv, res = solve(m, s, 0.0, 0.0)
     m = np.broadcast_to(np.asarray(m, dtype=np.float64), conv.shape)
     s = np.broadcast_to(np.asarray(s, dtype=np.float64), conv.shape)
     v = s - m * m
@@ -128,10 +129,10 @@ def dual_solve_vec(prior: Prior, m, s):
         lam0 = np.clip(m[retry] / vr, -DUAL_CAP, DUAL_CAP)
         gam0 = np.clip(1.0 / vr - 1.0 / prior.variance, -DUAL_CAP, DUAL_CAP)
         again = solve(m[retry], s[retry], lam0, gam0)
-        better = again[3] < res[retry]
-        for full, part in zip((lam, gam, conv, res), again):
+        better = again[4] < res[retry]
+        for full, part in zip((lam, gam, logZ, conv, res), again):
             full[retry[better]] = part[better]
-    return lam, gam, conv, res
+    return lam, gam, logZ, conv, res
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +201,7 @@ def _channel_terms_grid(prior: Prior, gammas: np.ndarray) -> np.ndarray:
     for lo in range(0, len(gammas), per_call):
         g = gammas[lo:lo + per_call]
         lam = (g[:, None] * b0 + np.sqrt(g)[:, None] * z).ravel()
-        m, s, logZ = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam,
-                                          np.repeat(g, len(w)))
-        if not np.isfinite(logZ).all():
-            raise DegenerateTiltError("tilted log-partition overflowed")
+        m, s, logZ = tilted_moments_vec(prior, lam, np.repeat(g, len(w)))
         m, s, logZ = (a.reshape(len(g), len(w)) for a in (m, s, logZ))
         var = s - m * m
         terms = (0.5 * g[:, None] * b0 * b0 - logZ, (b0 - m) ** 2, var * var)

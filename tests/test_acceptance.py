@@ -261,7 +261,7 @@ def test_7_landscape():
 
 def neg_entropy(prior, m, s):
     """KL divergence from the prior to the tilted law with moments (m, s)."""
-    lam, gam, _, _ = dual_solve_vec(prior, [m], [s])
+    lam, gam, _, _, _ = dual_solve_vec(prior, [m], [s])
     logZ = tilted_moments_vec(prior, lam[0], gam[0])[2][0]
     return float(-0.5 * gam[0] * s + lam[0] * m - logZ)
 
@@ -280,7 +280,7 @@ def test_8_scalar_property_suite():
     # conditioned, 1e-8 accuracy in dual space needs ~1e-14 in moments
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("taplab.scalar.DUAL_RESIDUAL_TOL", 2e-15)
-        lam2, gam2, conv, _ = dual_solve_vec(prior, m, s)
+        lam2, gam2, _, conv, _ = dual_solve_vec(prior, m, s)
     roundtrip = float(max(np.max(np.abs(lam2 - lam)), np.max(np.abs(gam2 - gam))))
 
     convex_ok = True

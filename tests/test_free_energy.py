@@ -8,7 +8,7 @@ from taplab.free_energy import (
     LinearModel,
     _apply_blocks,
     _entropy_hessian_blocks,
-    _hessian_matvec,
+    _k_product,
     VariationalState,
     mf_energy,
     mf_gradient,
@@ -261,7 +261,8 @@ class TestHessian:
         model, _ = random_model(rng, n, p)
         state = random_state(tp, p, rng, scale=1.0)
         D = _entropy_hessian_blocks(tp, state)[0]
-        H = np.column_stack([_hessian_matvec(model, state, e, False) + _apply_blocks(D, e)
+        K = _k_product(model, state, False)
+        H = np.column_stack([K(e, np.empty(2 * p)) + _apply_blocks(D, e)
                              for e in np.eye(2 * p)])
         h = 1e-5
 

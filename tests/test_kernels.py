@@ -28,8 +28,8 @@ def batch():
 
 def test_tilted_stats_reference_values(batch):
     basis, powers, _, _ = batch
-    m, s, logZ, c11, c12, c22 = kernels.tilted_cov(
-        basis, powers, np.array([0.0]), np.array([0.0]))
+    m, s, logZ, (c11, c12, c22) = kernels.tilted_stats(
+        basis, powers, np.array([0.0]), np.array([0.0]), cov=True)
     assert m[0] == pytest.approx(0.0, abs=1e-15)
     assert s[0] == pytest.approx(2.0 / 3.0)
     assert logZ[0] == pytest.approx(0.0, abs=1e-15)
@@ -55,11 +55,15 @@ def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)
     basis, powers = prior._tilt_basis, prior._tilt_powers
-    batch = kernels.tilted_cov(basis, powers, lam, gam)
+
+    def tilt(lam, gam):  # (6, rows): m, s, logZ and the covariance rows
+        m, s, logZ, c = kernels.tilted_stats(basis, powers, lam, gam, cov=True)
+        return np.vstack([m, s, logZ, c])
+
+    batch = tilt(lam, gam)
     assert all(np.array_equal(b, c) for b, c in
                zip(kernels.tilted_stats(basis, powers, lam, gam), batch))
-    rows = np.array([kernels.tilted_cov(basis, powers, lam[i:i + 1], gam[i:i + 1])
-                     for i in range(n)])[:, :, 0].T
+    rows = np.array([tilt(lam[i:i + 1], gam[i:i + 1]) for i in range(n)])[:, :, 0].T
     assert np.array_equal(batch, rows)
 
 
@@ -76,17 +80,17 @@ def test_prior_tilt_matrices_are_read_only_and_exact(prior):
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)
-    for kernel in (kernels.tilted_stats, kernels.tilted_cov):
-        got = kernel(basis, powers, lam, gam)
-        ref = kernel(ref_basis, ref_powers, lam, gam)
+    for cov in (False, True):
+        got = kernels.tilted_stats(basis, powers, lam, gam, cov=cov)
+        ref = kernels.tilted_stats(ref_basis, ref_powers, lam, gam, cov=cov)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_scalar_gam_is_shared_by_every_row(batch):
     basis, powers, lam, _ = batch
-    for kernel in (kernels.tilted_stats, kernels.tilted_cov):
-        shared = kernel(basis, powers, lam, 0.7)
-        full = kernel(basis, powers, lam, np.full_like(lam, 0.7))
+    for cov in (False, True):
+        shared = kernels.tilted_stats(basis, powers, lam, 0.7, cov=cov)
+        full = kernels.tilted_stats(basis, powers, lam, np.full_like(lam, 0.7), cov=cov)
         assert all(np.array_equal(a, b) for a, b in zip(shared, full))
 
 
@@ -139,9 +143,9 @@ def test_channel_terms_tilt_the_folded_grid(monkeypatch):
     # those of negligible weight: 1 472 of 6 161 on the 101-atom Gaussian
     rows = []
 
-    def counting(basis, powers, lam, gam):
+    def counting(basis, powers, lam, gam, **kwargs):
         rows.append(np.size(lam))
-        return tilted_stats(basis, powers, lam, gam)
+        return tilted_stats(basis, powers, lam, gam, **kwargs)
 
     tilted_stats = kernels.tilted_stats
     monkeypatch.setattr(kernels, "tilted_stats", counting)
@@ -167,8 +171,8 @@ def test_tilt_memory_stays_within_the_row_blocks():
 def test_dual_newton_roundtrip_flags(batch):
     basis, powers, lam, gam = batch
     m, s, *_ = kernels.tilted_stats(basis, powers, lam, gam)
-    lam2, gam2, conv, res = kernels.dual_newton(basis, powers, m, s, 0.0, 0.0,
-                                                tol=1e-14, max_iter=200, cap=1e6)
+    lam2, gam2, _, conv, res = kernels.dual_newton(basis, powers, m, s, 0.0, 0.0,
+                                                   tol=1e-14, max_iter=200, cap=1e6)
     assert np.all(conv)
     assert np.max(res) < 1e-14
     assert np.max(np.abs(lam2 - lam)) < 1e-8
@@ -196,11 +200,13 @@ def mixed():
 def _dual_newton_row(basis, powers, mt, st, lam, gam, tol=1e-10, max_iter=200, cap=CAP):
     """One row at a time: the reference the vectorised solve must reproduce."""
     def tilt(lam, gam):
-        m, s, logZ, c11, c12, c22 = kernels.tilted_cov(basis, powers, [lam], [gam])
+        m, s, logZ, (c11, c12, c22) = kernels.tilted_stats(basis, powers, [lam], [gam],
+                                                           cov=True)
         g = -0.5 * gam * st + lam * mt - logZ[0]
-        return m[0], s[0], g, c11[0], c12[0], c22[0], np.hypot(m[0] - mt, s[0] - st)
+        return (m[0], s[0], logZ[0], g, c11[0], c12[0], c22[0],
+                np.hypot(m[0] - mt, s[0] - st))
 
-    m, s, g, c11, c12, c22, resid = tilt(lam, gam)
+    m, s, logZ, g, c11, c12, c22, resid = tilt(lam, gam)
     for _ in range(max_iter):
         det = c11 * c22 - c12 * c12
         if resid < tol or not (det > 0 and np.isfinite(det)):
@@ -211,16 +217,16 @@ def _dual_newton_row(basis, powers, mt, st, lam, gam, tol=1e-10, max_iter=200, c
             lam_n = np.clip(lam + 0.5**h * d1, -cap, cap)
             gam_n = np.clip(gam - 2.0 * 0.5**h * d2, -cap, cap)
             cand = tilt(lam_n, gam_n)
-            if cand[2] >= g or (resid < 1e-6 and cand[6] <= 0.5 * resid):
-                progress = cand[2] > g or cand[6] < resid
+            if cand[3] >= g or (resid < 1e-6 and cand[7] <= 0.5 * resid):
+                progress = cand[3] > g or cand[7] < resid
                 lam, gam = lam_n, gam_n
-                m, s, g, c11, c12, c22, resid = cand
+                m, s, logZ, g, c11, c12, c22, resid = cand
                 break
         else:
             break
         if not progress:  # neither g rose nor the residual fell
             break
-    return lam, gam, resid < tol, resid
+    return lam, gam, logZ, resid < tol, resid
 
 
 def test_dual_newton_matches_row_reference(mixed):
@@ -229,12 +235,13 @@ def test_dual_newton_matches_row_reference(mixed):
         batch = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
                                     tol=1e-10, max_iter=max_iter, cap=CAP)
         for i in range(len(mt)):
-            lam, gam, conv, res = _dual_newton_row(basis, powers, mt[i], st[i], 0.0, 0.0,
-                                                   max_iter=max_iter)
+            lam, gam, logZ, conv, res = _dual_newton_row(basis, powers, mt[i], st[i],
+                                                         0.0, 0.0, max_iter=max_iter)
             assert abs(lam - batch[0][i]) <= 1e-12
             assert abs(gam - batch[1][i]) <= 1e-12
-            assert conv == batch[2][i]
-            assert abs(res - batch[3][i]) <= 1e-12
+            assert abs(logZ - batch[2][i]) <= 1e-12
+            assert conv == batch[3][i]
+            assert abs(res - batch[4][i]) <= 1e-12
 
 
 def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
@@ -246,13 +253,13 @@ def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
     mt = rng.uniform(-1.2, 1.2, 40)
     st = rng.uniform(0.0, 1.3, 40)
     calls = [0]
-    tilt = kernels.tilted_cov
+    tilt = kernels.tilted_stats
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return tilt(*args)
+        return tilt(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "tilted_cov", counted)
+    monkeypatch.setattr(kernels, "tilted_stats", counted)
     batch = kernels.dual_newton(tp._tilt_basis, tp._tilt_powers, mt, st, 0.0, 0.0,
                                 tol=1e-10, max_iter=30, cap=5.0)
     assert calls[0] <= 600  # 1734 when clipped rows ran every step
@@ -266,13 +273,14 @@ def test_dual_newton_drops_rows_held_on_the_clip(monkeypatch):
 
 def test_dual_newton_rows_independent(mixed):
     basis, powers, mt, st, kinds = mixed
-    lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
-                                              tol=1e-10, max_iter=200, cap=CAP)
+    lam, gam, logZ, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
+                                                    tol=1e-10, max_iter=200, cap=CAP)
     for i in range(len(mt)):
-        l1, g1, c1, r1 = kernels.dual_newton(basis, powers, mt[i:i + 1], st[i:i + 1],
-                                             0.0, 0.0, tol=1e-10, max_iter=200, cap=CAP)
+        l1, g1, z1, c1, r1 = kernels.dual_newton(basis, powers, mt[i:i + 1], st[i:i + 1],
+                                                 0.0, 0.0, tol=1e-10, max_iter=200, cap=CAP)
         assert abs(l1[0] - lam[i]) <= 1e-12
         assert abs(g1[0] - gam[i]) <= 1e-12
+        assert abs(z1[0] - logZ[i]) <= 1e-12
         assert c1[0] == conv[i]
         assert abs(r1[0] - res[i]) <= 1e-12
     interior = kinds == "interior"
@@ -292,7 +300,7 @@ def test_dual_solve_of_a_row_alone_equals_its_row_in_a_batch(prior):
     gam = rng.uniform(0.1, 4, 300)
     m, s, _ = scalar.tilted_moments_vec(prior, lam, gam)
     batch = scalar.dual_solve_vec(prior, m, s)
-    assert np.all(batch[2])
+    assert np.all(batch[3])
     for i in range(100):
         alone = scalar.dual_solve_vec(prior, m[i:i + 1], s[i:i + 1])
         assert all(np.array_equal(a, b[i:i + 1]) for a, b in zip(alone, batch))
@@ -300,8 +308,8 @@ def test_dual_solve_of_a_row_alone_equals_its_row_in_a_batch(prior):
 
 def test_dual_newton_iteration_cap(mixed):
     basis, powers, mt, st, kinds = mixed
-    lam, gam, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
-                                              tol=1e-10, max_iter=1, cap=CAP)
+    lam, gam, _, conv, res = kernels.dual_newton(basis, powers, mt, st, 0.0, 0.0,
+                                                 tol=1e-10, max_iter=1, cap=CAP)
     start = np.hypot(mt - 0.0, st - 2.0 / 3.0)  # residual at the untilted start
     far = start > 0.1
     assert np.sum(far & (kinds == "interior")) >= 10

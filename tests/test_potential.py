@@ -177,9 +177,9 @@ class TestSolveGammas:
         # row blocks: the whole Gaussian grid in one call peaks near 42 MB
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return tilted_stats(*args)
+            return tilted_stats(*args, **kwargs)
 
         tilted_stats = kernels.tilted_stats
         monkeypatch.setattr(kernels, "tilted_stats", counting)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from taplab.exceptions import DomainError
+from taplab import kernels
+from taplab.exceptions import DegenerateTiltError, DomainError
 from taplab.free_energy import VariationalState
-from taplab.priors import bernoulli_gaussian, gaussian_prior, three_point
+from taplab.priors import bernoulli_gaussian, gaussian_prior, parse_prior, three_point
 from taplab.scalar import (
     DUAL_RESIDUAL_TOL,
+    channel_terms,
     dual_solve_vec,
     gamma_envelopes,
     mmse,
@@ -32,7 +34,7 @@ def cov_matrix(prior, lam, gam):
 
 def dual(prior, m, s):
     """(lam, gam) of the tilted law with moments (m, s), as floats."""
-    lam, gam, _, _ = dual_solve_vec(prior, [m], [s])
+    lam, gam, _, _, _ = dual_solve_vec(prior, [m], [s])
     return float(lam[0]), float(gam[0])
 
 
@@ -70,6 +72,17 @@ class TestTiltedMoments:
         m, _, logZ = tilt(tp, 1e6, 1e6)
         assert np.isfinite(logZ)
         assert -1.0 <= m <= 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [
+        lambda p, lam, gam: tilted_moments_vec(p, lam, gam),
+        lambda p, lam, gam: tilted_moments_vec(p, lam, gam, cov=True),
+        tilted_cov_vec,
+    ], ids=["moments", "moments-cov", "cov"])
+    def test_every_tilt_entry_rejects_a_nan_dual(self, tp, entry):
+        # every tilt, with or without its covariances, passes the one check
+        with pytest.raises(DegenerateTiltError):
+            entry(tp, [np.nan], [1.0])
 
 
 class TestGammaRegion:
@@ -147,7 +160,7 @@ class TestDualSolve:
     def test_rejects_exterior(self, tp):
         # (1.5, 1.0) lies outside the support: no tilted law has these
         # moments, so the raw dual solve fails and from_moments moves m inside
-        assert not dual_solve_vec(tp, [1.5], [1.0])[2][0]
+        assert not dual_solve_vec(tp, [1.5], [1.0])[3][0]
         st = VariationalState.from_moments(tp, [1.5], [1.0])
         assert st.m[0] < 1.0
         self._assert_solved_inside(tp, st)
@@ -160,7 +173,7 @@ class TestDualSolve:
         # extreme tilts make the moment map poorly conditioned; a near
         # machine-precision moment residual is needed for 1e-8 in dual space
         monkeypatch.setattr("taplab.scalar.DUAL_RESIDUAL_TOL", 1e-14)
-        lam2, gam2, conv, _ = dual_solve_vec(tp, m, s)
+        lam2, gam2, _, conv, _ = dual_solve_vec(tp, m, s)
         assert np.all(conv)
         assert np.max(np.abs(lam2 - lam)) < 1e-8
         assert np.max(np.abs(gam2 - gam)) < 1e-8
@@ -175,11 +188,12 @@ class TestDualSolve:
         gam = rng.uniform(0.05, 4.0, 50)
         m, s, _ = tilted_moments_vec(bg, lam, gam)
         monkeypatch.setattr("taplab.scalar.DUAL_RESIDUAL_TOL", 1e-13)
-        lam2, gam2, conv, _ = dual_solve_vec(bg, m, s)
+        lam2, gam2, _, conv, _ = dual_solve_vec(bg, m, s)
         assert np.all(conv)
         assert np.max(np.abs(lam2 - lam)) < 1e-7
 
-    def test_from_moments_retries_from_the_moment_match(self):
+    @staticmethod
+    def _retry_batch():
         # from (0, 0) alone, 13 of these rows end unsolved (gamma near -1,
         # mass on the outermost quadrature nodes)
         bg = bernoulli_gaussian(0.5, 1.0)
@@ -187,9 +201,38 @@ class TestDualSolve:
         lam = rng.normal(0.0, 1.0, 2000)
         gam = rng.uniform(-1.0, 3.0, 2000)
         m, s, _ = tilted_moments_vec(bg, lam, gam)
+        return bg, lam, gam, m, s
+
+    def test_from_moments_retries_from_the_moment_match(self):
+        bg, lam, gam, m, s = self._retry_batch()
         state = VariationalState.from_moments(bg, m, s)
         np.testing.assert_allclose(state.lam, lam, rtol=1e-7, atol=0)
         np.testing.assert_allclose(state.gam, gam, rtol=1e-7, atol=0)
+
+    def test_from_moments_keeps_the_logz_of_its_solve(self, monkeypatch):
+        # the dual solve returns the logZ of the duals it accepts, those of
+        # the moment-match retry included, and from_moments keeps it
+        # instead of tilting the solved duals again
+        bg, _, _, m, s = self._retry_batch()
+        events = []
+        tilted_stats, dual_newton = kernels.tilted_stats, kernels.dual_newton
+
+        def tilt(*args, **kwargs):
+            events.append("tilt")
+            return tilted_stats(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            out = dual_newton(*args, **kwargs)
+            events.append("solved")
+            return out
+
+        monkeypatch.setattr(kernels, "tilted_stats", tilt)
+        monkeypatch.setattr(kernels, "dual_newton", solve)
+        state = VariationalState.from_moments(bg, m, s)
+        monkeypatch.undo()
+        assert events.count("solved") == 2  # the retry ran
+        assert events[-1] == "solved"
+        assert np.array_equal(state.logZ, tilted_moments_vec(bg, state.lam, state.gam)[2])
 
     def test_mean_monotone_in_lambda(self, tp):
         lam = np.linspace(-6.0, 6.0, 101)
@@ -284,6 +327,11 @@ class TestMMSE:
         g = gaussian_prior(1.0)
         for gamma in (0.3, 1.0, 4.0):
             assert mmse(g, gamma) == pytest.approx(1.0 / (1.0 + gamma), abs=1e-6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_channel_terms_reject_an_overflowing_tilt(self):
+        with pytest.raises(DegenerateTiltError):
+            channel_terms(parse_prior("bernoulli-gaussian:0.5,1.0"), 1e307)
 
     def test_monotone_nonincreasing_and_bounded(self, tp):
         grid = np.geomspace(1e-3, 1e2, 60)
