@@ -64,6 +64,8 @@ floor, which is also where a run ends once the energy stops changing in
 float64.  Every iterate whose energy is recorded counts as an iteration,
 including the last, which takes no step.  A candidate that leaves the dual
 box |lam|, |gam| <= DUAL_CAP is clipped onto it and counted as a clip event.
+An iterate whose ||g||^2/p is not finite (the gradient overflows at a tiny
+sigma^2) stops the run with a DomainError: no step can follow it.
 
 What an iteration costs, with X the n x p design: each candidate is one tilt
 and one product X m, for the residual y - X m that its energy reads; the
@@ -90,6 +92,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DomainError
 from .free_energy import (
     LinearModel,
     VariationalState,
@@ -193,6 +196,9 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             trace.stop_reason = StopReason.CONVERGED
             trace.steps_used.append(0.0)
             break
+        if not math.isfinite(gn):  # no step can follow an overflowed or NaN gradient
+            raise DomainError(f"free-energy gradient is not finite at iteration "
+                              f"{trace.iterations}: ||g||^2/p = {gn!r}")
         direction = None  # NGD's
         if newton:
             direction = _newton_direction(model, prior, state, gm, gs, tap, trace, cov=cov)

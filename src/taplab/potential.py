@@ -13,14 +13,17 @@ covariances of the recursion are the reference of the AMP diagnostics.
 ``solve_gammas`` scans phi on a grid of gamma whose channel terms come from
 a few batched tilts of whole gammas (``scalar._channel_terms_grid``); the
 pointwise ``phi``, ``phi_prime`` and ``phi_second`` are one-gamma calls of it.
-Its roots are refined by ``_brent``, a port of scipy's ``brentq``, so the
-module loads no scipy at all.
+Each grid step where phi' changes sign is refined by the Illinois regula
+falsi (``_illinois``), started from the grid's own phi' at both ends, so the
+module loads no scipy at all.  Every gamma, of the grid or passed, must be a
+float whose square is a normal float: phi'' divides by gamma^2.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,9 @@ EASY_REL_TOL = 1e-6
 # whose phi values are closer than DEGENERATE_TIE_TOL
 DEGENERATE_CURV_TOL = 1e-8
 DEGENERATE_TIE_TOL = 1e-9
+# gamma and gamma^2 are normal floats exactly on [_GAMMA_MIN, _GAMMA_MAX]
+_GAMMA_MIN = math.sqrt(sys.float_info.min)
+_GAMMA_MAX = math.sqrt(sys.float_info.max)
 
 
 class Regime(enum.Enum):
@@ -67,37 +73,35 @@ def mutual_information(prior: Prior, gamma: float) -> float:
     return channel_terms(prior, gamma)[0]
 
 
-def _check_noise_and_ratio(sigma2: float, delta: float) -> None:
+def _check_args(sigma2: float, delta: float, *gammas: float) -> None:
     """Raise a DomainError naming sigma2 or delta unless both are positive
-    and finite."""
+    and finite, or naming a gamma unless it and its square are normal
+    floats."""
     for name, value in (("sigma2", sigma2), ("delta", delta)):
         if not 0 < value < math.inf:  # also rejects nan
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    for gamma in gammas:
+        if not _GAMMA_MIN <= gamma <= _GAMMA_MAX:  # also rejects nan
+            raise DomainError(f"gamma = {gamma!r} (sigma2 = {sigma2!r}, delta = {delta!r}) "
+                              f"leaves [{_GAMMA_MIN:.4g}, {_GAMMA_MAX:.4g}], where gamma^2 "
+                              f"is a normal float")
 
 
 def phi(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
-    _check_noise_and_ratio(sigma2, delta)
-    if gamma <= 0:
-        raise DomainError("phi requires gamma > 0")
-    info = mutual_information(prior, gamma)  # first: it rejects a non-finite gamma
-    return (0.5 * sigma2 * gamma
-            - 0.5 * delta * np.log(gamma / (2.0 * np.pi * delta))
-            + info)
+    _check_args(sigma2, delta, gamma)
+    return (0.5 * sigma2 * gamma - 0.5 * delta * np.log(gamma / (2.0 * np.pi * delta))
+            + mutual_information(prior, gamma))
 
 
 def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """First derivative via the I-MMSE relation."""
-    _check_noise_and_ratio(sigma2, delta)
-    if gamma <= 0:
-        raise DomainError("phi_prime requires gamma > 0")
+    _check_args(sigma2, delta, gamma)
     return 0.5 * (sigma2 - delta / gamma + mmse(prior, gamma))
 
 
 def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """Second derivative: (delta/gamma^2 - E[Var(beta0 | channel)^2]) / 2."""
-    _check_noise_and_ratio(sigma2, delta)
-    if gamma <= 0:
-        raise DomainError("phi_second requires gamma > 0")
+    _check_args(sigma2, delta, gamma)
     return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma)[2])
 
 
@@ -128,73 +132,52 @@ def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int) -> np.ndar
     return _se_schedule(prior, sigma2, delta, k)[0].copy()
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
-    method (Brent, Algorithms for Minimization Without Derivatives, 1973,
-    ch. 4).  A step for step port of scipy's C ``brentq``: the same inverse
-    interpolation, extrapolation and bisection branches, the tolerance
-    2*delta = xtol + rtol*|x| and the budget of 100 iterations, so its roots
-    are scipy's bit for bit.  A non-finite f is a DomainError and a spent
-    budget a NoConvergenceError."""
-    maxiter = 100
-
-    def call(x):
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise DomainError(f"root finder got f({x!r}) = {fx!r}")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NoBracketError(f"f({a!r}) and f({b!r}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fcur != 0 and (fpre < 0) != (fcur < 0):  # fpre is never 0 here
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
+def _illinois(f, a: float, fa: float, b: float, fb: float,
+              xtol: float = 1e-14, rtol: float = 1e-14) -> float:
+    """Root of f in [a, b] from f(a) and f(b) of opposite signs, by the
+    Illinois modified regula falsi (Dowell & Jarratt, BIT 11, 1971).  Each
+    step evaluates f at the secant root c of the bracket and replaces the
+    end whose f has the sign of f(c); an end kept twice in a row has its f
+    halved, so that both ends close in.  A secant step shorter than half the
+    tolerance xtol + rtol*|x| becomes a step of that length, as in Brent's
+    method, so a converged end is confirmed from the other side in one
+    call.  Once the bracket is narrower than the tolerance, the end with the
+    smaller |f| is returned.  The one division, by f(b) - f(a), is never by
+    zero, since the two differ in sign.  A non-finite f is a DomainError and
+    a budget of 100 steps spent a NoConvergenceError."""
+    kept = False  # whether the last step kept a
+    for _ in range(100):
+        tol = xtol + rtol * abs(b)
+        if abs(b - a) < tol or fb == 0:
+            return b if abs(fb) <= abs(fa) else a
+        c = b - fb * (b - a) / (fb - fa)
+        if abs(c - b) < tol / 2:  # too short a step: test a's side of b instead
+            c = b + math.copysign(tol / 2, a - b)
+        fc = float(f(c))
+        if not math.isfinite(fc):
+            raise DomainError(f"root finder got f({c!r}) = {fc!r}")
+        if (fc < 0) == (fb < 0):
+            if kept:  # a is kept a second time running
+                fa /= 2
+            kept = True
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise NoConvergenceError(f"Brent's method found no root in [{a!r}, {b!r}] "
-                             f"in {maxiter} iterations")
+            a, fa, kept = b, fb, False
+        b, fb = c, fc
+    raise NoConvergenceError(f"regula falsi found no root in 100 iterations: {sorted((a, b))}")
 
 
 def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     """Locate all stationary points of phi on the grid and classify the regime.
 
-    Stationary points are found as sign changes of phi' (Brent-refined);
-    gamma_stat is the phi-minimizing local minimum, gamma_alg the smallest one.
+    Stationary points are found as sign changes of phi' (refined by
+    ``_illinois``); gamma_stat is the phi-minimizing local minimum, gamma_alg
+    the smallest one.  A sigma2 and delta that put the grid's ends (GRID_LO
+    and GRID_HI times delta/sigma2) where a square is not a normal float are
+    a DomainError.
     """
-    _check_noise_and_ratio(sigma2, delta)
+    _check_args(sigma2, delta)
     scale = delta / sigma2
+    _check_args(sigma2, delta, GRID_LO * scale, GRID_HI * scale)  # the grid's ends
     grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
     # one channel evaluation of the whole grid, tilted in chunks of whole
     # gammas, serves phi, phi' and phi''
@@ -205,15 +188,13 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     ddphi_g = 0.5 * (delta / grid**2 - e_var2)
 
     sign = np.sign(dphi_g)
-    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     roots = []
-    for i in flips:
-        r = _brent(lambda g: phi_prime(prior, sigma2, delta, g),
-                   float(grid[i]), float(grid[i + 1]), 1e-14, 1e-14)
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        # started from the grid's phi' at both ends, which equal phi_prime's
+        r = _illinois(lambda g: phi_prime(prior, sigma2, delta, g), float(grid[i]),
+                      float(dphi_g[i]), float(grid[i + 1]), float(dphi_g[i + 1]))
         roots.append((r, dphi_g[i] < 0))  # upward crossing => local minimum
-    # grid points that are exact roots
-    for i in np.flatnonzero(sign == 0):
-        roots.append((grid[i], True))
+    roots += [(grid[i], True) for i in np.flatnonzero(sign == 0)]  # exact roots on the grid
     minima = sorted(r for r, is_min in roots if is_min)
     if not minima:
         raise NoBracketError("no local minimum of phi bracketed on the grid")
@@ -225,16 +206,13 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
 
     regime = Regime.EASY if abs(gamma_alg - gamma_stat) < EASY_REL_TOL * gamma_stat \
         else Regime.HARD
-    curv = phi_second(prior, sigma2, delta, gamma_stat)
-    if curv <= DEGENERATE_CURV_TOL:
+    if phi_second(prior, sigma2, delta, gamma_stat) <= DEGENERATE_CURV_TOL:
         regime = Regime.DEGENERATE
-    if len(minima) >= 2:
-        v = sorted(vals)
-        if v[1] - v[0] < DEGENERATE_TIE_TOL:
-            # near-tied minima: Assumption-2 style genericity fails; report the
-            # smaller gamma and flag rather than guess
-            gamma_stat = min(minima[order[0]], minima[order[1]])
-            regime = Regime.DEGENERATE
+    if len(minima) >= 2 and vals[order[1]] - vals[order[0]] < DEGENERATE_TIE_TOL:
+        # near-tied minima: Assumption-2 style genericity fails; report the
+        # smaller gamma and flag rather than guess
+        gamma_stat = min(minima[order[0]], minima[order[1]])
+        regime = Regime.DEGENERATE
 
     return PotentialProfile(
         gamma_grid=grid, phi=phi_g, phi_prime=dphi_g, phi_second=ddphi_g,

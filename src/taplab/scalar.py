@@ -200,8 +200,11 @@ def _channel_terms_grid(prior: Prior, gammas: np.ndarray) -> np.ndarray:
     out = np.empty((3, len(gammas)))
     for lo in range(0, len(gammas), per_call):
         g = gammas[lo:lo + per_call]
-        lam = (g[:, None] * b0 + np.sqrt(g)[:, None] * z).ravel()
-        m, s, logZ = tilted_moments_vec(prior, lam, np.repeat(g, len(w)))
+        # a tilt that overflows is a DegenerateTiltError, without the numpy
+        # warnings on the way to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = (g[:, None] * b0 + np.sqrt(g)[:, None] * z).ravel()
+            m, s, logZ = tilted_moments_vec(prior, lam, np.repeat(g, len(w)))
         m, s, logZ = (a.reshape(len(g), len(w)) for a in (m, s, logZ))
         var = s - m * m
         terms = (0.5 * g[:, None] * b0 * b0 - logZ, (b0 - m) ** 2, var * var)

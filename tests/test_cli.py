@@ -279,6 +279,29 @@ def test_infinite_delta_grid_stops_with_one_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, command, message", [
+    ("sigma = 1e-100\n", "potential", "gamma = 1e+196 (sigma2 = 1e-200, delta = 1.0) leaves "),
+    ("sigma = 1e100\n", "potential", "gamma = 1e-204 (sigma2 = 1e+200, delta = 1.0) leaves "),
+    ("sigma = 1e-100\nn = 40\n", "ngd", "free-energy gradient is not finite at iteration 0"),
+], ids=["potential-tiny-noise", "potential-huge-noise", "ngd-tiny-noise"])
+def test_extreme_noise_stops_with_one_error_line(tmp_path, config, command, message):
+    # the potential's grid would square gammas beyond the normal floats, and
+    # the descent's first gradient overflows
+    path = tmp_path / "cfg"
+    path.write_text(config)
+    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
+                          "--out", str(tmp_path / "out"), command],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("taplab: error:")]
+    assert errors == [res.stderr.splitlines()[-1]]
+    assert errors[0].startswith(f"taplab: error: {message}")
+    if command == "potential":
+        assert res.stderr.count("\n") == 1  # nothing else: no numpy warning
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 import numpy as np

@@ -3,6 +3,7 @@ import pytest
 
 from taplab import kernels, ngd
 from taplab.amp import amp_run
+from taplab.exceptions import DomainError
 from taplab.experiments import ExperimentConfig, generate_instance
 from taplab.free_energy import (
     LinearModel,
@@ -49,6 +50,18 @@ def test_starts_converged_at_stationary_point():
     trace = ngd_run(model, g, warm.final, NGDConfig(grad_tol=1e-12))
     assert trace.converged
     assert trace.iterations <= 1
+
+
+@pytest.mark.parametrize("objective", [Objective.TAP, Objective.MF])
+def test_a_gradient_that_is_not_finite_is_a_domain_error(tp, objective):
+    # at sigma2 = 1e-200 the gradient's entries are near 1e200 and ||g||^2/p
+    # overflows: no step can follow, so the descent stops with an error
+    # instead of backtracking to the step floor
+    rng = np.random.default_rng(3)
+    model, _ = make_model(rng, 40, 40, tp, sigma2=1e-200)
+    init = VariationalState.from_moments(tp, np.zeros(40), np.full(40, 0.5))
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="gradient is not finite"):
+        ngd_run(model, tp, init, NGDConfig(objective=objective))
 
 
 def test_monotone_descent_and_convergence(tp):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +10,6 @@ from scipy.optimize import brentq
 from taplab import kernels, potential
 from taplab.exceptions import DomainError, NoBracketError, NoConvergenceError
 from taplab.potential import (
-    _brent,
     Regime,
     gamma_sequence,
     mutual_information,
@@ -23,7 +23,8 @@ from taplab.priors import gaussian_prior, parse_prior, point_mass_prior, three_p
 from taplab.scalar import mmse
 
 SIGMA2 = 0.09  # sigma = 0.3
-# priors and deltas whose grids and Brent roots are checked bit for bit
+# priors and deltas whose grids are checked bit for bit against the pointwise
+# calls, and whose roots against scipy's brentq to its tolerance
 FIVE_PRIORS = [
     ("three-point", (0.6, 1.0, 1.4)),
     ("point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25", (0.6, 1.0, 1.4)),
@@ -90,6 +91,26 @@ class TestPhiDerivatives:
             warnings.simplefilter("error")  # raised before any numpy warning
             with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
                 fn(*args)
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1.49e-154, 1.35e154, 1e200])
+    def test_rejects_a_gamma_whose_square_is_not_a_normal_float(self, tp, gamma):
+        # phi'' divides by gamma^2, which overflows or vanishes outside the range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            for fn in (phi, phi_prime, phi_second):
+                with pytest.raises(DomainError, match=re.escape(f"gamma = {gamma!r}")):
+                    fn(tp, SIGMA2, 1.0, gamma)
+        for gamma in (potential._GAMMA_MIN, potential._GAMMA_MAX):  # the ends are in
+            assert math.isfinite(phi_second(tp, SIGMA2, 1.0, gamma))
+
+    @pytest.mark.parametrize("sigma2, delta", [(1e-200, 1.0), (1e200, 1.0), (SIGMA2, 1e-300)])
+    def test_solve_gammas_rejects_a_grid_beyond_the_normal_floats(self, tp, sigma2, delta):
+        # the grid spans 1e-4 to 10 times delta/sigma2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            with pytest.raises(DomainError,
+                               match=re.escape(f"(sigma2 = {sigma2!r}, delta = {delta!r})")):
+                solve_gammas(tp, sigma2, delta)
 
     def test_phi_prime_two_ways(self, tp, monkeypatch):
         # numerical derivative of phi vs the closed I-MMSE formula; the FD
@@ -212,42 +233,102 @@ class TestSolveGammas:
         assert abs(seq[-1] - profile.gamma_alg) < 1e-8
 
 
-class TestBrent:
+def _flips(profile):
+    """Indices i of the grid steps [gamma_i, gamma_{i+1}] where phi' changes sign."""
+    sign = np.sign(profile.phi_prime)
+    return np.flatnonzero(sign[:-1] * sign[1:] < 0)
+
+
+@pytest.fixture()
+def phi_prime_gammas(monkeypatch):
+    """The gammas at which solve_gammas calls phi_prime, in call order."""
+    gammas = []
+
+    def recording(prior, sigma2, delta, gamma):
+        gammas.append(gamma)
+        return phi_prime_(prior, sigma2, delta, gamma)
+
+    phi_prime_ = potential.phi_prime
+    monkeypatch.setattr(potential, "phi_prime", recording)
+    return gammas
+
+
+class TestIllinois:
     @pytest.mark.parametrize("descriptor, deltas", FIVE_PRIORS, ids=FIVE_PRIOR_IDS)
-    def test_equals_scipy_on_the_brackets_of_solve_gammas(self, descriptor, deltas,
-                                                          monkeypatch):
+    def test_roots_are_brentq_roots_to_tolerance(self, descriptor, deltas, monkeypatch):
         calls = []
 
         def recording(*args):
-            calls.append(args)
-            return _brent(*args)
+            calls.append((args, illinois(*args)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(potential, "_brent", recording)
+        illinois = potential._illinois
+        monkeypatch.setattr(potential, "_illinois", recording)
         prior = parse_prior(descriptor)
         for delta in deltas:
-            solve_gammas(prior, SIGMA2, delta)
-        assert len(calls) >= len(deltas)
-        for f, a, b, xtol, rtol in calls:
-            assert _brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+            profile = solve_gammas(prior, SIGMA2, delta)
+            brackets = [(profile.gamma_grid[i], profile.phi_prime[i],
+                         profile.gamma_grid[i + 1], profile.phi_prime[i + 1])
+                        for i in _flips(profile)]
+            # each bracket is started from the grid's own phi' at its ends
+            assert [args[1:] for args, _ in calls] == brackets
+            for (f, a, _, b, _), root in calls:
+                ref = brentq(f, a, b, xtol=1e-14, rtol=1e-14)
+                assert abs(root - ref) <= 1e-14 + 1e-14 * abs(ref)
+                assert abs(f(root)) < 1e-15
+            calls.clear()
 
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: x - 1.0, 1.0, 2.0),  # a root at the left end
-        (lambda x: x - 1.0, 0.0, 1.0),  # a root at the right end
-        (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0),  # bisection only
-        (lambda x: 2.0 * x - 1.0, 3.0, 0.0),  # one interpolation step
-        (lambda x: math.exp(x) - 2.0, 0.0, 2.0),  # extrapolation and delta steps
-        # extrapolation, rejected steps, bisection and delta steps
-        (lambda x: x**9 - 0.5, 0.01, 1.0),
-        (lambda x: math.atan(1e6 * (x - 1 / 3)), 0.0, 1.0),
-    ], ids=["left-end", "right-end", "bisect", "interpolate", "extrapolate",
-            "rejected-steps", "steep"])
-    def test_equals_scipy_on_every_branch(self, f, a, b):
-        for xtol, rtol in ((1e-14, 1e-14), (1e-6, 1e-10)):
-            assert _brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+    @pytest.mark.parametrize("descriptor, deltas", FIVE_PRIORS, ids=FIVE_PRIOR_IDS)
+    def test_no_phi_prime_call_at_a_bracket_end(self, descriptor, deltas, phi_prime_gammas):
+        prior = parse_prior(descriptor)
+        for delta in deltas:
+            profile = solve_gammas(prior, SIGMA2, delta)
+            flips = _flips(profile)
+            ends = set(profile.gamma_grid[flips]) | set(profile.gamma_grid[flips + 1])
+            gammas = set(phi_prime_gammas)
+            assert len(flips) >= 1 and len(gammas) == len(phi_prime_gammas) >= 1
+            assert ends.isdisjoint(gammas)
+            phi_prime_gammas.clear()
 
-    def test_no_sign_change_is_no_bracket(self):
-        with pytest.raises(NoBracketError):
-            _brent(lambda x: x, 1.0, 2.0, 1e-14, 1e-14)
+    def test_a_secant_step_shorter_than_the_tolerance_is_lengthened(self, tp, phi_prime_gammas):
+        # at sigma2 = 0.01 and delta = 1 the secant steps reach |phi'| near
+        # 1e-20, and the next ones fall short of an ulp of gamma: taken as
+        # they are, they evaluate one gamma again and again (12 calls here)
+        assert len(_flips(solve_gammas(tp, 0.01, 1.0))) == 1
+        assert len(set(phi_prime_gammas)) == len(phi_prime_gammas) <= 6
+
+    def test_a_bracket_within_the_tolerance_takes_no_call(self, tp, phi_prime_gammas):
+        # at sigma2 = 1e60 the grid steps are near 3e-62 wide, far inside the
+        # absolute xtol of 1e-14: the better grid end is the root as it stands
+        profile = solve_gammas(tp, 1e60, 1.0)
+        assert len(_flips(profile)) == 1 and phi_prime_gammas == []
+        assert profile.gamma_stat in profile.gamma_grid
+
+    @pytest.mark.parametrize("f, a, b, calls", [
+        (lambda x: 2.0 * x - 1.0, 3.0, 0.0, 1),  # one secant step
+        (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0, 50),  # a jump: halvings only
+        # convex: plain regula falsi keeps one end and takes 50 and 28 calls
+        (lambda x: math.exp(x) - 2.0, 0.0, 2.0, 12),
+        (lambda x: x**9 - 0.5, 0.01, 1.0, 13),
+        (lambda x: math.atan(1e6 * (x - 1 / 3)), 0.0, 1.0, 25),  # steep at the root
+    ], ids=["linear", "jump", "exp", "ninth-power", "steep"])
+    def test_lands_within_tolerance_of_brentq(self, f, a, b, calls):
+        xs = []
+
+        def counting(x):
+            xs.append(x)
+            return f(x)
+
+        root = potential._illinois(counting, a, f(a), b, f(b))
+        ref = brentq(f, a, b, xtol=1e-14, rtol=1e-14)
+        assert abs(root - ref) <= 1e-14 + 1e-14 * abs(ref)
+        assert len(xs) <= calls
+
+    def test_no_sign_change_is_no_bracket(self, tp, monkeypatch):
+        # a grid that stops short of every root brackets no minimum
+        monkeypatch.setattr(potential, "GRID_HI", 1e-3)
+        with pytest.raises(NoBracketError, match="no local minimum"):
+            solve_gammas(tp, SIGMA2, 1.0)
 
     def test_nan_phi_prime_is_a_domain_error(self, tp, monkeypatch):
         monkeypatch.setattr(potential, "phi_prime", lambda *args: float("nan"))
@@ -255,10 +336,10 @@ class TestBrent:
             solve_gammas(tp, SIGMA2, 1.0)
 
     def test_spent_budget_is_no_convergence(self, tp, monkeypatch):
-        # a triple root (phi' cubed) defeats the superlinear steps: 100
-        # iterations do not reach the tolerance
+        # at a root of order five (phi' to the fifth power) the regula falsi
+        # converges only linearly: 100 steps do not reach the tolerance
         phi_prime_ = potential.phi_prime
-        monkeypatch.setattr(potential, "phi_prime", lambda *args: phi_prime_(*args) ** 3)
+        monkeypatch.setattr(potential, "phi_prime", lambda *args: phi_prime_(*args) ** 5)
         with pytest.raises(NoConvergenceError, match="in 100 iterations"):
             solve_gammas(tp, SIGMA2, 1.0)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,6 @@ class TestTiltedMoments:
         assert np.isfinite(logZ)
         assert -1.0 <= m <= 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("entry", [
         lambda p, lam, gam: tilted_moments_vec(p, lam, gam),
         lambda p, lam, gam: tilted_moments_vec(p, lam, gam, cov=True),
@@ -328,10 +329,12 @@ class TestMMSE:
         for gamma in (0.3, 1.0, 4.0):
             assert mmse(g, gamma) == pytest.approx(1.0 / (1.0 + gamma), abs=1e-6)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_channel_terms_reject_an_overflowing_tilt(self):
-        with pytest.raises(DegenerateTiltError):
-            channel_terms(parse_prior("bernoulli-gaussian:0.5,1.0"), 1e307)
+        # the error alone: no numpy overflow warning on the way to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTiltError):
+                channel_terms(parse_prior("bernoulli-gaussian:0.5,1.0"), 1e307)
 
     def test_monotone_nonincreasing_and_bounded(self, tp):
         grid = np.geomspace(1e-3, 1e2, 60)
