@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .free_energy import LinearModel, VariationalState, tap_gradient
+from .free_energy import LinearModel, VariationalState, _grad_norm_sq_per_p, tap_gradient
 from .potential import _se_schedule, se_covariance_blocks
 from .priors import Prior
 
@@ -36,6 +36,7 @@ class AMPState:
     z_history: list = field(default_factory=list)
 
 
+@np.errstate(over="ignore")  # a tracked gradient that overflows is one DomainError
 def amp_run(model: LinearModel, prior: Prior, T: int,
             truth: np.ndarray | None = None,
             delta: float | None = None,
@@ -45,6 +46,8 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
     delta is the asymptotic aspect ratio used in the iteration and the
     state-evolution recursion; defaults to n/p of the realized model.
     Returns the trajectory and the final iterate as a VariationalState.
+    With ``track_gradient``, a TAP gradient whose ||g||^2/p is not finite
+    is a DomainError naming its iteration k.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -78,7 +81,7 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
             row["mse_empirical"] = float(np.sum((var_state.m - truth) ** 2)) / p
         if track_gradient:
             gm, gs = tap_gradient(model, var_state)
-            row["grad_norm_sq_per_p"] = float(gm @ gm + gs @ gs) / p
+            row["grad_norm_sq_per_p"] = _grad_norm_sq_per_p(gm, gs, k)
         history.append(row)
 
         z_hist.append(z_k.copy())

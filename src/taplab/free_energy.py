@@ -155,6 +155,17 @@ def _gradient(model: LinearModel, state: VariationalState, tap: bool, resid=None
     return grad_m, grad_s
 
 
+def _grad_norm_sq_per_p(gm, gs, iteration) -> float:
+    """||g||^2/p of the gradient (gm, gs), or a DomainError naming
+    ``iteration`` when it is not finite (the gradient overflows at a tiny
+    sigma^2).  Its callers silence numpy's overflow warning once per run."""
+    gn = float(gm @ gm + gs @ gs) / len(gm)
+    if not math.isfinite(gn):
+        raise DomainError(f"free-energy gradient is not finite at iteration "
+                          f"{iteration}: ||g||^2/p = {gn!r}")
+    return gn
+
+
 # ``resid`` is the state's data residual y - X m when the caller has formed it
 # (``ngd`` forms it once per candidate); without it, it is formed here
 def tap_energy(model: LinearModel, state: VariationalState, resid=None) -> float:

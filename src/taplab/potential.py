@@ -39,7 +39,9 @@ GRID_LO = 1e-4
 GRID_HI = 10.0
 # gamma_alg within this relative distance of gamma_stat counts as the same root
 EASY_REL_TOL = 1e-6
-# phi'' at gamma_stat at or below this is degenerate, and so are two minima
+# phi'' at gamma_stat at or below DEGENERATE_CURV_TOL times the data term of
+# phi'', delta/(2 gamma^2), is degenerate (relative, since phi'' at a clean
+# minimum scales as that term, of order sigma^4/delta), and so are two minima
 # whose phi values are closer than DEGENERATE_TIE_TOL
 DEGENERATE_CURV_TOL = 1e-8
 DEGENERATE_TIE_TOL = 1e-9
@@ -206,7 +208,8 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
 
     regime = Regime.EASY if abs(gamma_alg - gamma_stat) < EASY_REL_TOL * gamma_stat \
         else Regime.HARD
-    if phi_second(prior, sigma2, delta, gamma_stat) <= DEGENERATE_CURV_TOL:
+    curv_scale = 0.5 * delta / gamma_stat**2
+    if phi_second(prior, sigma2, delta, gamma_stat) <= DEGENERATE_CURV_TOL * curv_scale:
         regime = Regime.DEGENERATE
     if len(minima) >= 2 and vals[order[1]] - vals[order[0]] < DEGENERATE_TIE_TOL:
         # near-tied minima: Assumption-2 style genericity fails; report the

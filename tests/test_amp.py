@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from taplab import potential
 from taplab.amp import amp_run, se_diagnostics
+from taplab.exceptions import DomainError
 from taplab.free_energy import LinearModel, tap_gradient
 from taplab.potential import gamma_sequence
 from taplab.priors import three_point
@@ -98,6 +101,19 @@ def test_stationarity_decays_along_trajectory(tp):
                        track_gradient=True)
     grads = [row["grad_norm_sq_per_p"] for row in state.history]
     assert grads[9] < grads[1]
+
+
+def test_a_tracked_gradient_that_is_not_finite_is_a_domain_error(tp):
+    # at sigma2 = 1e-200 ||g||^2/p overflows at the first iterate; the
+    # diagnostics stop there instead of recording inf, and numpy warns of nothing
+    rng = np.random.default_rng(4)
+    X = rng.normal(0.0, 1.0 / np.sqrt(40), size=(40, 40))
+    model = LinearModel(X=X, y=X @ tp.sample(40, rng), sigma2=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amp_run(model, tp, 3, delta=1.0)  # untracked, the run itself is fine
+        with pytest.raises(DomainError, match="gradient is not finite at iteration 1"):
+            amp_run(model, tp, 3, delta=1.0, track_gradient=True)
 
 
 def test_se_diagnostics_k1_is_signal_energy(tp):

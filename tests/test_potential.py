@@ -168,6 +168,16 @@ class TestSolveGammas:
         profile = solve_gammas(tp, SIGMA2, 0.5)
         assert profile.regime is Regime.EASY
 
+    @pytest.mark.parametrize("delta, regime", [(1.0, Regime.EASY), (0.6, Regime.HARD)])
+    def test_low_noise_regime_is_not_degenerate(self, tp, delta, regime):
+        # phi''(gamma_stat) is about sigma^4/(2 delta), 5e-9 and 8.3e-9 here,
+        # which an absolute curvature bound of 1e-8 called degenerate; relative
+        # to the data term delta/(2 gamma^2) it is 1.000 at both deltas
+        profile = solve_gammas(tp, 1e-4, delta)
+        curv = phi_second(tp, 1e-4, delta, profile.gamma_stat)
+        assert curv / (0.5 * delta / profile.gamma_stat**2) == pytest.approx(1.0, abs=1e-3)
+        assert profile.regime is regime
+
     def test_imms_consistency_on_grid(self, tp):
         profile = solve_gammas(tp, SIGMA2, 1.0)
         direct = np.array([0.5 * (SIGMA2 - 1.0 / g + mmse(tp, g))

@@ -1,56 +1,66 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "mf_gate.py"
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
 
-def test_trace_digest_is_the_same_on_two_runs():
-    # the bit-identity gate's tool, at a tiny n: two runs side by side print
-    # the same SHA-256 for every group
-    cmd = [sys.executable, str(ROOT / "tools" / "trace_digest.py"), "--n", "30"]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    runs = [subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
-            for _ in range(2)]
-    outs = [run.communicate(timeout=300)[0] for run in runs]
-    assert [run.returncode for run in runs] == [0, 0]
-    lines = [line.split() for line in outs[0].splitlines()]
-    fits = [["fits", prior, objective] for prior in ("three-point", "bernoulli-gaussian:0.5,1.0")
-            for objective in ("tap", "mf")]
-    groups = fits + [["potential"], ["dual_solve"], ["min_eigenvalue"]]
-    assert [line[:-1] for line in lines] == groups
-    assert all(len(line[-1]) == 64 for line in lines)
-    assert outs[0] == outs[1]
+def _compare(a, b):
+    return subprocess.run([sys.executable, str(TOOL), "compare", str(a), str(b)],
+                          capture_output=True, text=True, env=ENV, timeout=300)
 
 
-def test_mf_gate_passes_two_runs_and_flags_a_moved_fit(tmp_path):
-    # the gate's smoke run: two saves side by side compare clean, and a
-    # record whose mean-field m moved and whose energy rose fails the gate
-    tool = ROOT / "tools" / "mf_gate.py"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    a, b, moved = (tmp_path / name for name in ("a.npz", "b.npz", "moved.npz"))
-    runs = [subprocess.Popen([sys.executable, str(tool), "save", str(path), "--n", "30",
-                              "--replicates", "1"], env=env) for path in (a, b)]
+def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
+    # the gate's smoke run: two saves side by side hold every group and
+    # compare clean and bit-identical; an edited hash is reported without
+    # failing the gate, a mean-field record whose m moved and whose energy
+    # rose fails it, and a file with a record missing is not comparable
+    a, b, edited = (tmp_path / name for name in ("a.json", "b.json", "edited.json"))
+    runs = [subprocess.Popen([sys.executable, str(TOOL), "save", str(path), "--n", "30",
+                              "--replicates", "1"], env=ENV) for path in (a, b)]
     assert [run.wait(timeout=300) for run in runs] == [0, 0]
+    records = json.loads(b.read_text())
+    groups = Counter(r["group"] for r in records)
+    assert groups == {"fit": 22, "min_eigenvalue": 6, "potential": 21, "dual_solve": 2}
 
-    def compare(other):
-        return subprocess.run([sys.executable, str(tool), "compare", str(a), str(other)],
-                              capture_output=True, text=True, env=env, timeout=300)
-
-    clean = compare(b)
+    clean = _compare(a, b)
     assert clean.returncode == 0, clean.stdout
-    assert "mf: 11 fits, 11 bit-identical, 0 moved" in clean.stdout
-    spec = importlib.util.spec_from_file_location("mf_gate", tool)
+    sweep = "test_5 three-point n=30"
+    assert f"{sweep} mf: 5 fits, 5 bit-identical, 0 moved" in clean.stdout
+    for line in ("potential: 21 records, 21 bit-identical", "dual_solve: 2 records, "
+                 "2 bit-identical", "min_eigenvalue: 6 records, 6 bit-identical"):
+        assert line in clean.stdout
+    assert "regime" not in clean.stdout
+
+    potential = next(r for r in records if r["group"] == "potential")
+    potential["sha256"] = "0" * 64
+    potential["regime"] = "degenerate"
+    edited.write_text(json.dumps(records))
+    reported = _compare(a, edited)
+    assert reported.returncode == 0, reported.stdout
+    assert "potential: 21 records, 20 bit-identical" in reported.stdout
+    assert (f"potential {potential['prior']} delta=0.6: regime easy -> degenerate"
+            in reported.stdout)
+
+    fit = next(r for r in records if r["group"] == "fit" and r["objective"] == "mf")
+    assert fit["sweep"] == sweep
+    spec = importlib.util.spec_from_file_location("mf_gate", TOOL)
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
-    records = gate.load(b)
-    record = next(r for r in records if r["objective"] == "mf")
-    record["m"] = record["m"] + 2 * gate.MOVE_TOL
-    record["energy"] += 2 * gate.ENERGY_RISE_TOL
-    gate.dump(records, moved)
-    flagged = compare(moved)
+    fit["m"] = [x + 2 * gate.MOVE_TOL for x in fit["m"]]
+    fit["energy"] += 2 * gate.ENERGY_RISE_TOL
+    fit["sha256"] = "0" * 64
+    edited.write_text(json.dumps(records))
+    flagged = _compare(a, edited)
     assert flagged.returncode == 1
-    assert "mf: 11 fits, 10 bit-identical, 1 moved" in flagged.stdout
+    assert f"{sweep} mf: 5 fits, 4 bit-identical, 1 moved" in flagged.stdout
     assert "gate: FAIL" in flagged.stdout
+
+    edited.write_text(json.dumps(records[1:]))
+    assert _compare(a, edited).returncode == 2  # not the same records

@@ -1,36 +1,63 @@
-"""A parent-versus-change gate for the fitted answers, mean-field above all:
-fit the acceptance sweeps' instances on each checkout, save every fit, and
-compare the two files.
+"""A parent-versus-change gate for the fitted answers, mean-field above all,
+and for the bits of every answer the acceptance tests read: compute them on
+each checkout, save them, and compare the two files.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/mf_gate.py save parent.npz   # on the parent
-    OPENBLAS_NUM_THREADS=1 python3 tools/mf_gate.py save change.npz   # on the change
-    python3 tools/mf_gate.py compare parent.npz change.npz
-    python3 tools/mf_gate.py save smoke.npz --n 40 --replicates 1     # smoke run
+    OPENBLAS_NUM_THREADS=1 python3 tools/mf_gate.py save parent.json   # on the parent
+    OPENBLAS_NUM_THREADS=1 python3 tools/mf_gate.py save change.json   # on the change
+    python3 tools/mf_gate.py compare parent.json change.json
+    python3 tools/mf_gate.py save smoke.json --n 40 --replicates 1     # smoke run
 
 ``save`` imports taplab from the ``src/`` of the checkout it lives in and
-fits, through ``experiments._sweep`` (one AMP warm start per instance, then
-TAP and MF by ``newton_run``), the instances of the acceptance tests: test_5's
-two sweeps (three-point and ``bernoulli-gaussian:0.5,1.0``, n = 300, 20
-replicates at each delta of the default grid) and test_6's (three-point,
-n = 500, delta = 1, 10 replicates), 210 instances in all.  For each TAP and
-MF fit it records the final m, the final energy, the stop reason,
-``iterations``, ``ngd_iterations``, ``hessian_matvecs`` and the MSE.
+writes four groups of records, as JSON, whose floats read back exactly:
 
-``compare A B`` prints, per objective, how many fits are bit-identical in m,
-how many moved (max|m_B - m_A| > MOVE_TOL), the largest max|m_B - m_A|, the
-largest rise of the final energy from A to B, the stop reasons that changed
-and the totals of iterations, NGD iterations and Hessian products; then,
-per sweep and delta, whether the mean TAP MSE is at most the mean MF MSE in
-A and in B.  It exits 1 when a fit moved, a final energy rose by more than
-ENERGY_RISE_TOL, a stop reason changed or a dominance verdict flipped, and
-2 when the two files do not hold the same fits.  MOVE_TOL separates another
-minimizer (moves of 0.8-1 in m were seen) from the stopping error of two
-converged fits of one minimizer (a few 1e-4).
+- ``fit``: one per TAP and per MF fit of the acceptance tests' instances,
+  fitted through ``experiments._sweep`` (one AMP warm start per instance,
+  then TAP and MF by ``newton_run``): test_5's two sweeps (three-point and
+  ``bernoulli-gaussian:0.5,1.0``, n = 300, 20 replicates at each delta of
+  the default grid) and test_6's (three-point, n = 500, delta = 1, 10
+  replicates), 210 instances and 420 fits in all, at sigma = 0.3 and master
+  seed 0.  Each holds the final m, the final energy, the stop reason,
+  ``iterations``, ``ngd_iterations``, ``hessian_matvecs``, the MSE and a
+  SHA-256 over every ``NGDTrace`` field, final state included;
+- ``potential``: gamma_stat, gamma_alg, regime and a SHA-256 of every
+  field of the profile (grid, phi, phi', phi'', both gammas and the regime)
+  that ``solve_gammas`` returns at sigma^2 = 0.09 on POTENTIAL_PRIORS at
+  each delta of the default grid and on the unit Gaussian at delta = 1, 21
+  profiles;
+- ``dual_solve``: a SHA-256 of the state (m, s, lam, gam, logZ) that
+  ``VariationalState.from_moments`` solves on 2 000 rows of three-point and
+  of Bernoulli-Gaussian, whose moments are taplab's tilt of lam ~ U(-2, 2),
+  gam ~ U(0.1, 4) drawn from a fixed seed.  The dual solve re-tilts ever
+  smaller subsets of its rows, so this also covers the tilt kernel at batch
+  widths that no fit uses;
+- ``min_eigenvalue``: the dense minimum eigenvalue of the TAP Hessian, and
+  its SHA-256, at the final TAP state of replicate 0 of both test_5 sweeps
+  at each of PROBE_DELTAS, taken from the fits above.
+
+``--n`` and ``--replicates`` shrink the fits and the probes' instances; the
+potential and dual-solve records do not depend on them.  A hash feeds each
+field's name and value in order; floats are hashed as their float64 bytes
+(arrays and lists) or ``float.hex`` (scalars), everything else as its
+``repr``, each item followed by a separator byte.
+
+``compare A B`` prints, per sweep and objective, how many fits are
+bit-identical by their hash, how many moved (max|m_B - m_A| > MOVE_TOL), the
+largest max|m_B - m_A|, the largest rise of the final energy from A to B, the
+stop reasons that changed and the totals of iterations, NGD iterations and
+Hessian products; per sweep and delta, whether the mean TAP MSE is at most
+the mean MF MSE in A and in B; and per other group, how many records are
+bit-identical, the largest change of gamma_stat, gamma_alg and the minimum
+eigenvalue relative to A's, and every regime that changed.  It exits 1 when
+a fit moved, a final energy rose by more than ENERGY_RISE_TOL, a stop reason
+changed or a dominance verdict flipped, and 2 when the two files do not hold
+the same records; a bit change alone is reported and fails nothing.
+MOVE_TOL separates another minimizer (moves of 0.8-1 in m were seen) from
+the stopping error of two converged fits of one minimizer (a few 1e-4).
 """
 
-from __future__ import annotations
-
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -40,6 +67,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taplab.experiments import ExperimentConfig, _mse, _sweep  # noqa: E402
+from taplab.free_energy import VariationalState, min_eigenvalue  # noqa: E402
+from taplab.ngd import Objective  # noqa: E402
+from taplab.potential import solve_gammas  # noqa: E402
+from taplab.priors import parse_prior  # noqa: E402
 
 MOVE_TOL = 1e-3
 ENERGY_RISE_TOL = 1e-8
@@ -49,47 +80,80 @@ SWEEPS = (("test_5", "three-point", 300, 20, None),
           ("test_5", "bernoulli-gaussian:0.5,1.0", 300, 20, None),
           ("test_6", "three-point", 500, 10, (1.0,)))
 COUNTS = ("iterations", "ngd_iterations", "hessian_matvecs")
+POTENTIAL_PRIORS = ("three-point", "bernoulli-gaussian:0.5,1.0",
+                    "point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25",
+                    "point-mass:-1,0.2;0,0.5;2,0.3")
+PROBE_DELTAS = (0.6, 1.0, 1.4)
+DUAL_ROWS = 2000
+
+
+def _sha256(*items):
+    """SHA-256 of ``items``; a VariationalState is its m, s, lam, gam, logZ."""
+    h = hashlib.sha256()
+    for x in items:
+        for y in (x.m, x.s, x.lam, x.gam, x.logZ) if isinstance(x, VariationalState) else (x,):
+            if isinstance(y, float):
+                data = float.hex(y).encode()
+            elif isinstance(y, (np.ndarray, list)):
+                data = np.ascontiguousarray(y, dtype=np.float64).tobytes()
+            else:
+                data = repr(y).encode()
+            h.update(data + b"\x1f")
+    return h.hexdigest()
+
+
+def _digest(obj):
+    """SHA-256 of the name and value of every field of the dataclass ``obj``."""
+    return _sha256(*(x for f in dataclasses.fields(obj) for x in (f.name, getattr(obj, f.name))))
 
 
 def fit_records(n=None, replicates=None):
-    """One record per fit of every sweep; ``n`` and ``replicates``, when
-    given, replace every sweep's n and cap its replicates."""
+    """The fit and min_eigenvalue records of every sweep; ``n`` and
+    ``replicates``, when given, replace every sweep's n and cap its
+    replicates."""
     records = []
     for test, desc, sweep_n, sweep_replicates, deltas in SWEEPS:
         cfg = ExperimentConfig(prior_descriptor=desc, n=n or sweep_n,
-                               replicates=min(replicates or sweep_replicates,
-                                              sweep_replicates))
-        sweep = f"{test} {desc} n={cfg.n}"
-        for delta, rep, _, truth, traces in _sweep(cfg, deltas or cfg.delta_grid):
+                               replicates=min(replicates or sweep_replicates, sweep_replicates))
+        sweep, prior = f"{test} {desc} n={cfg.n}", cfg.prior()
+        for delta, rep, model, truth, traces in _sweep(cfg, deltas or cfg.delta_grid):
             for objective, trace in traces.items():
-                records.append({"sweep": sweep, "delta": float(delta), "replicate": rep,
-                                "objective": objective.value,
-                                "energy": float(trace.f_values[-1]),
-                                "stop": trace.stop_reason.value,
-                                **{name: getattr(trace, name) for name in COUNTS},
-                                "mse": _mse(trace, truth), "m": trace.final.m})
+                records.append(dict(
+                    group="fit", sweep=sweep, delta=float(delta), replicate=rep,
+                    objective=objective.value, energy=float(trace.f_values[-1]),
+                    stop=trace.stop_reason.value, **{c: getattr(trace, c) for c in COUNTS},
+                    mse=_mse(trace, truth), sha256=_digest(trace), m=trace.final.m.tolist()))
+            if test == "test_5" and rep == 0 and delta in PROBE_DELTAS:
+                state = traces[Objective.TAP].final
+                value = float(min_eigenvalue(model, state, prior, "dense").value)
+                records.append(dict(group="min_eigenvalue", sweep=sweep, delta=float(delta),
+                                    lambda_min=value, sha256=_sha256(value)))
     return records
 
 
-def dump(records, path):
-    """Write the records to ``path``: their final m as arrays, the rest as
-    JSON, whose floats read back exactly."""
-    meta = [{k: v for k, v in r.items() if k != "m"} for r in records]
-    with open(path, "wb") as f:
-        np.savez_compressed(f, meta=np.array(json.dumps(meta)),
-                            **{f"m{i}": r["m"] for i, r in enumerate(records)})
-
-
-def load(path):
-    with np.load(path) as data:
-        records = json.loads(str(data["meta"]))
-        for i, r in enumerate(records):
-            r["m"] = data[f"m{i}"]
+def landscape_records():
+    """The potential and dual_solve records."""
+    cfg = ExperimentConfig()  # sigma^2 = 0.09 and the default delta grid
+    cases = [(desc, delta) for desc in POTENTIAL_PRIORS for delta in cfg.delta_grid]
+    records = []
+    for desc, delta in cases + [("bernoulli-gaussian:1.0,1.0", 1.0)]:  # the unit Gaussian
+        prof = solve_gammas(parse_prior(desc), cfg.sigma2, delta)
+        records.append(dict(group="potential", prior=desc, delta=delta,
+                            gamma_stat=prof.gamma_stat, gamma_alg=prof.gamma_alg,
+                            regime=prof.regime.value, sha256=_digest(prof)))
+    rng = np.random.default_rng(0)
+    for desc in ("three-point", "bernoulli-gaussian:0.5,1.0"):
+        prior = parse_prior(desc)
+        lam, gam = rng.uniform(-2, 2, DUAL_ROWS), rng.uniform(0.1, 4, DUAL_ROWS)
+        tilted = VariationalState.from_duals(prior, lam, gam)
+        state = VariationalState.from_moments(prior, tilted.m, tilted.s)
+        records.append(dict(group="dual_solve", prior=desc, sha256=_sha256(state)))
     return records
 
 
 def _key(record):
-    return record["sweep"], record["delta"], record["replicate"], record["objective"]
+    return tuple(record.get(k) for k in ("group", "sweep", "prior", "delta", "replicate",
+                                         "objective"))
 
 
 def _dominance(records):
@@ -106,28 +170,40 @@ def compare(a_records, b_records):
     a = {_key(r): r for r in a_records}
     b = {_key(r): r for r in b_records}
     if a.keys() != b.keys():
-        print("not comparable: the two files hold different fits")
+        print("not comparable: the two files hold different records")
         return 2
     failed = False
-    for objective in ("tap", "mf"):
-        keys = [k for k in a if k[3] == objective]
-        dm = [float(np.max(np.abs(b[k]["m"] - a[k]["m"]))) for k in keys]
-        identical = sum(np.array_equal(a[k]["m"], b[k]["m"]) for k in keys)
+    fits = [k for k in a if k[0] == "fit"]
+    for sweep, objective in dict.fromkeys((k[1], k[5]) for k in fits):  # in saved order
+        keys = [k for k in fits if k[1] == sweep and k[5] == objective]
+        dm = [float(np.max(np.abs(np.subtract(b[k]["m"], a[k]["m"])))) for k in keys]
+        identical = sum(a[k]["sha256"] == b[k]["sha256"] for k in keys)
         moved = sum(not d <= MOVE_TOL for d in dm)  # nan counts as moved
         rise = max(b[k]["energy"] - a[k]["energy"] for k in keys)
         stops = sum(a[k]["stop"] != b[k]["stop"] for k in keys)
-        print(f"{objective}: {len(keys)} fits, {identical} bit-identical, {moved} moved "
-            f"(max|dm| {max(dm):.2e}), largest energy rise {rise:.2e}, "
-            f"{stops} stop reasons changed")
-        print(f"{objective}: " + ", ".join(
+        print(f"{sweep} {objective}: {len(keys)} fits, {identical} bit-identical, "
+              f"{moved} moved (max|dm| {max(dm):.2e}), largest energy rise {rise:.2e}, "
+              f"{stops} stop reasons changed")
+        print(f"{sweep} {objective}: " + ", ".join(
             f"{name} {sum(a[k][name] for k in keys)} -> {sum(b[k][name] for k in keys)}"
             for name in COUNTS))
         failed |= moved > 0 or not rise <= ENERGY_RISE_TOL or stops > 0
-    dom_a, dom_b = _dominance(a_records), _dominance(b_records)
+    dom_a, dom_b = (_dominance(records[k] for k in fits) for records in (a, b))
     for (sweep, delta), before in dom_a.items():
         after = dom_b[sweep, delta]
         print(f"TAP MSE <= MF MSE, {sweep} delta={delta:g}: {before} -> {after}")
         failed |= before != after
+    for group in ("potential", "dual_solve", "min_eigenvalue"):
+        keys = [k for k in a if k[0] == group]
+        identical = sum(a[k]["sha256"] == b[k]["sha256"] for k in keys)
+        print(f"{group}: {len(keys)} records, {identical} bit-identical" + "".join(
+            f", largest relative change of {name} "
+            f"{max(abs(b[k][name] - a[k][name]) / abs(a[k][name]) for k in keys):.2e}"
+            for name in ("gamma_stat", "gamma_alg", "lambda_min") if name in a[keys[0]]))
+        for k in keys:
+            if a[k].get("regime") != b[k].get("regime"):
+                print(f"{group} {k[2]} delta={k[3]:g}: "
+                      f"regime {a[k]['regime']} -> {b[k]['regime']}")
     print("gate: " + ("FAIL" if failed else "pass"))
     return 1 if failed else 0
 
@@ -135,18 +211,18 @@ def compare(a_records, b_records):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    save = sub.add_parser("save", help="fit every instance and write the records")
-    save.add_argument("out", help="output file (.npz)")
+    save = sub.add_parser("save", help="compute every record and write them")
+    save.add_argument("out", help="output file (JSON)")
     save.add_argument("--n", type=int, help="rows of every design (default: each sweep's)")
     save.add_argument("--replicates", type=int, help="at most this many replicates per sweep")
     cmp = sub.add_parser("compare", help="compare the records of B against A")
-    cmp.add_argument("a")
-    cmp.add_argument("b")
+    cmp.add_argument("files", nargs=2, metavar=("A", "B"))
     args = parser.parse_args()
     if args.command == "save":
-        dump(fit_records(args.n, args.replicates), args.out)
+        records = fit_records(args.n, args.replicates) + landscape_records()
+        Path(args.out).write_text(json.dumps(records))  # its floats read back exactly
         return 0
-    return compare(load(args.a), load(args.b))
+    return compare(*(json.loads(Path(path).read_text()) for path in args.files))
 
 
 if __name__ == "__main__":
