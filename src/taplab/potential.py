@@ -111,17 +111,22 @@ def _se_schedule(prior: Prior, sigma2: float, delta: float, k: int):
     """Read-only (gamma_1..gamma_k, mmse(gamma_1)..mmse(gamma_{k-1})) of the
     state-evolution recursion, computed on the first call for (sigma2, delta,
     k) and kept on the prior: it depends on neither the data nor the
-    replicate."""
+    replicate.  A gamma that overflows (mmse underflows to 0 at a tiny
+    sigma2) is a DomainError naming sigma2 and delta."""
     key = (sigma2, delta, k)
     schedule = prior._se_schedules.get(key)
     if schedule is None:
         gammas, mmses = np.empty(k), np.empty(k - 1)
         g = delta / (sigma2 + prior.second_moment)
-        gammas[0] = g
-        for i in range(1, k):
-            mmses[i - 1] = mmse(prior, g)
-            g = delta / (sigma2 + mmses[i - 1])
-            gammas[i] = g
+        with np.errstate(over="ignore"):  # entered once per schedule, not per gamma
+            for i in range(k):
+                if not g < math.inf:  # also rejects nan
+                    raise DomainError(f"state-evolution gamma_{i + 1} = {float(g)!r} is not "
+                                      f"finite (sigma2 = {sigma2!r}, delta = {delta!r})")
+                gammas[i] = g
+                if i < k - 1:
+                    mmses[i] = mmse(prior, g)
+                    g = delta / (sigma2 + mmses[i])
         gammas.setflags(write=False)
         mmses.setflags(write=False)
         schedule = prior._se_schedules[key] = (gammas, mmses)

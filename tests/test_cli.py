@@ -285,11 +285,14 @@ def test_infinite_delta_grid_stops_with_one_line(tmp_path):
     ("sigma = 1e-100\nn = 40\n", "ngd", "free-energy gradient is not finite at iteration 0"),
     ("sigma = 1e-100\nn = 40\n", "hessian", "free-energy gradient is not finite at iteration 0"),
     ("sigma = 1e-100\nn = 40\n", "amp", "free-energy gradient is not finite at iteration 1"),
+    ("sigma = 1e-160\nn = 40\n", "amp", "state-evolution gamma_9 = inf is not "
+     "finite (sigma2 = 1e-320, delta = 1.0)"),
 ], ids=["potential-tiny-noise", "potential-huge-noise", "ngd-tiny-noise", "hessian-tiny-noise",
-        "amp-tiny-noise"])
+        "amp-tiny-noise", "amp-subnormal-noise"])
 def test_extreme_noise_stops_with_one_error_line(tmp_path, config, command, message):
-    # the potential's grid would square gammas beyond the normal floats, and
-    # the first gradient of the descent (or of AMP's diagnostics) overflows
+    # the potential's grid would square gammas beyond the normal floats, the
+    # first gradient of the descent (or of AMP's diagnostics) overflows, and
+    # at a subnormal sigma^2 the state-evolution schedule overflows
     path = tmp_path / "cfg"
     path.write_text(config)
     env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))

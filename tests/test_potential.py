@@ -236,6 +236,17 @@ class TestSolveGammas:
         assert np.array_equal(seq_a, gamma_sequence(a, SIGMA2, 1.0, 5))
         assert np.array_equal(seq_b, gamma_sequence(three_point(), SIGMA2, 1.0, 5))
 
+    def test_schedule_that_overflows_is_a_domain_error(self, tp):
+        # at sigma2 = 1e-320 mmse underflows to 0 and delta/sigma2 overflows
+        # at gamma_9; the schedule stops there, naming sigma2, and numpy
+        # warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(gamma_sequence(tp, 1e-320, 1.0, 8)))
+            with pytest.raises(DomainError,
+                               match=r"gamma_9 = inf is not finite \(sigma2 = 1e-320, "):
+                gamma_sequence(tp, 1e-320, 1.0, 9)
+
     def test_recursion_converges_to_gamma_alg(self, tp):
         profile = solve_gammas(tp, SIGMA2, 1.0)
         seq = gamma_sequence(tp, SIGMA2, 1.0, 200)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -31,8 +32,13 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
 
     clean = _compare(a, b)
     assert clean.returncode == 0, clean.stdout
+    # every sweep and objective, TAP and MF, is bit-identical fit for fit
+    lines = re.findall(r"^(test_\d .+ n=30) (tap|mf): (\d+) fits, (\d+) bit-identical, 0 moved",
+                       clean.stdout, re.MULTILINE)
+    assert len({(sweep, objective) for sweep, objective, _, _ in lines}) == len(lines) == 6
+    assert all(fits == identical for _, _, fits, identical in lines), clean.stdout
+    assert sum(int(fits) for _, _, fits, _ in lines) == 22
     sweep = "test_5 three-point n=30"
-    assert f"{sweep} mf: 5 fits, 5 bit-identical, 0 moved" in clean.stdout
     for line in ("potential: 21 records, 21 bit-identical", "dual_solve: 2 records, "
                  "2 bit-identical", "min_eigenvalue: 6 records, 6 bit-identical"):
         assert line in clean.stdout
