@@ -58,18 +58,25 @@ _replicate = _bounded(int, lambda v: 0 <= v < MAX_REPLICATES, f"in [0, {MAX_REPL
 _seed = _bounded(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
+def _error(message) -> SystemExit:
+    """The exit of a bad config: one ``taplab: error:`` line and status 1,
+    as ``main`` gives a ``TapLabError``."""
+    return SystemExit(f"taplab: error: {message}")
+
+
 def load_config(path) -> dict:
     """Parse a key = value config file; '#' starts a comment.
 
     Each value is typed by the ExperimentConfig field it sets: a tuple field
     is split on commas, any other value is cast to the type of the field's
-    default, so a str value is never split.
+    default, so a str value is never split.  A file that cannot be read, an
+    unknown key or a bad value stops with one error line.
     """
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise SystemExit(f"cannot read config file {str(path)!r}: {reason}") from None
+        raise _error(f"cannot read config file {str(path)!r}: {reason}") from None
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     out = {}
     for line in text.splitlines():
@@ -79,7 +86,7 @@ def load_config(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in defaults:
-            raise SystemExit(f"unknown config key: {key!r}")
+            raise _error(f"unknown config key: {key!r}")
         default = defaults[key]
         try:
             if isinstance(default, tuple):
@@ -87,7 +94,7 @@ def load_config(path) -> dict:
             else:
                 out[key] = type(default)(value.strip())
         except ValueError as exc:
-            raise SystemExit(f"config key {key!r}: {exc}") from None
+            raise _error(f"config key {key!r}: {exc}") from None
     return out
 
 
@@ -264,7 +271,7 @@ def main(argv=None):
     try:
         cfg = build_config(args)
     except ValueError as exc:  # one line, as for a TapLabError below
-        raise SystemExit(f"{parser.prog}: error: invalid config: {exc}") from None
+        raise _error(f"invalid config: {exc}") from None
     # every subcommand with --delta but potential draws an n x floor(n/delta) design
     if args.command != "potential" and getattr(args, "delta", None) is not None \
             and cfg.n / args.delta < 1:

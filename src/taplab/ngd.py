@@ -156,15 +156,23 @@ class StopReason(enum.Enum):
 
 @dataclass
 class NGDTrace:
-    f_values: list = field(default_factory=list)
-    grad_norm_sq_per_p: list = field(default_factory=list)
-    steps_used: list = field(default_factory=list)  # 0.0 for a record with no step
+    """What a descent did, one record per iteration in the three series.
+
+    The series are float64 arrays once the descent returns (lists while it
+    runs): a sweep keeps every trace it makes, and an array holds a value in
+    8 bytes where a list holds a float object and a pointer to it."""
+
+    f_values: np.ndarray = field(default_factory=list)
+    grad_norm_sq_per_p: np.ndarray = field(default_factory=list)
+    steps_used: np.ndarray = field(default_factory=list)  # 0.0 for a record with no step
     final: VariationalState | None = None
     stop_reason: StopReason = StopReason.MAX_ITERS
     backtracks: int = 0  # rejected candidates
     clip_events: int = 0
     hessian_matvecs: int = 0  # CG products of newton_run; 0 for NGD
-    ngd_iterations: int = 0  # of ``iterations``, those before the switch to Newton
+    # NGD directions taken: the iterations before the switch to Newton that
+    # took a step, so 0 for a fit that converges at its first record
+    ngd_iterations: int = 0
 
     @property
     def converged(self) -> bool:
@@ -245,8 +253,11 @@ def _descend(model, prior, cfg, state, entry, probes=()):
         cov = cand_cov[0] if cand_cov else None
         if tries == 0:
             step = min(1.0, 2.0 * step)
-    if not newton:
-        trace.ngd_iterations = trace.iterations
+    trace.f_values, trace.grad_norm_sq_per_p, trace.steps_used = (
+        np.array(x, dtype=np.float64)
+        for x in (trace.f_values, trace.grad_norm_sq_per_p, trace.steps_used))
+    if not newton:  # every step taken was NGD's
+        trace.ngd_iterations = int(np.count_nonzero(trace.steps_used))
     trace.final = state
     return trace
 

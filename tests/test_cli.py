@@ -90,6 +90,17 @@ def test_ngd_subcommand(cfg_file, tmp_path):
     assert manifest["hessian_matvecs"] > 0
 
 
+@pytest.mark.parametrize("objective", ["tap", "mf"])
+def test_fit_converged_at_its_first_record_took_no_ngd_direction(tmp_path, objective):
+    # at sigma = 1e6 the AMP warm start is already stationary
+    path = tmp_path / "noisy.txt"
+    path.write_text("n = 50\nsigma = 1e6\n")
+    assert run(str(path), tmp_path, "ngd", "--objective", objective) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stop_reason"] == "converged" and manifest["iterations"] == 1
+    assert manifest["ngd_iterations"] == 0 and manifest["hessian_matvecs"] == 0
+
+
 def test_ngd_mf_at_low_noise_takes_newton_steps(tmp_path):
     # at sigma = 0.1 most tilted covariances are singular at the handover
     # state; the mean-field fit still finishes by Newton
@@ -258,8 +269,27 @@ def test_unreadable_config_stops_with_one_line(tmp_path, make):
                           "--out", str(out), "potential"],
                          capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 1
-    assert res.stderr.startswith(f"cannot read config file {str(path)!r}: ")
+    assert res.stderr.startswith(f"taplab: error: cannot read config file {str(path)!r}: ")
     assert res.stderr.count("\n") == 1  # no traceback
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bogus = 1\n", "unknown config key: 'bogus'"),
+    ("n = many\n", "config key 'n': "),
+], ids=["unknown-key", "bad-value"])
+def test_config_file_error_stops_with_one_line(tmp_path, text, message):
+    # the same one line as every other error
+    path = tmp_path / "cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
+                          "--out", str(out), "potential"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"taplab: error: {message}")
+    assert res.stderr.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from taplab import kernels, scalar
+from taplab.exceptions import DegenerateTiltError
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.free_energy import VariationalState
 from taplab.ngd import Objective
@@ -14,7 +16,7 @@ from taplab.priors import (
     parse_prior,
     three_point,
 )
-from taplab.scalar import DUAL_RESIDUAL_TOL, channel_terms
+from taplab.scalar import DUAL_CAP, DUAL_RESIDUAL_TOL, channel_terms
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +42,17 @@ def test_tilted_stats_reference_values(batch):
     assert c22[0] == pytest.approx(2.0 / 9.0)
 
 
+WIDE_PRIORS = [pytest.param(bernoulli_gaussian(0.5, 1.0), id="bg"),
+               pytest.param(gaussian_prior(1.0), id="gauss")]
+
+
+def _tilt_rows(prior, lam, gam):
+    """(6, rows): m, s, logZ and the covariance rows of one covariance tilt."""
+    m, s, logZ, c = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam,
+                                         cov=True)
+    return np.vstack([m, s, logZ, c])
+
+
 SEVERAL_BLOCKS = 3 * kernels.BLOCK_ROWS + 7  # the last one partial
 
 
@@ -54,16 +67,10 @@ def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)
-    basis, powers = prior._tilt_basis, prior._tilt_powers
-
-    def tilt(lam, gam):  # (6, rows): m, s, logZ and the covariance rows
-        m, s, logZ, c = kernels.tilted_stats(basis, powers, lam, gam, cov=True)
-        return np.vstack([m, s, logZ, c])
-
-    batch = tilt(lam, gam)
+    batch = _tilt_rows(prior, lam, gam)
     assert all(np.array_equal(b, c) for b, c in
-               zip(kernels.tilted_stats(basis, powers, lam, gam), batch))
-    rows = np.array([tilt(lam[i:i + 1], gam[i:i + 1]) for i in range(n)])[:, :, 0].T
+               zip(kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam), batch))
+    rows = np.array([_tilt_rows(prior, lam[i:i + 1], gam[i:i + 1]) for i in range(n)])[:, :, 0].T
     assert np.array_equal(batch, rows)
 
 
@@ -92,6 +99,111 @@ def test_scalar_gam_is_shared_by_every_row(batch):
         shared = kernels.tilted_stats(basis, powers, lam, 0.7, cov=cov)
         full = kernels.tilted_stats(basis, powers, lam, np.full_like(lam, 0.7), cov=cov)
         assert all(np.array_equal(a, b) for a, b in zip(shared, full))
+
+
+def _window(prior, lam, gam):
+    return kernels._atom_window(prior._tilt_basis, np.array([gam, lam], dtype=float))
+
+
+@pytest.mark.parametrize("prior", WIDE_PRIORS)
+def test_a_wider_window_leaves_a_rows_bits(prior):
+    # rows of fitted states, each tilted alone over its own narrow window,
+    # have the bits they have in a block whose spread of lam and gam widens
+    # the window to several times as many atoms
+    rng = np.random.default_rng(3)
+    lam = rng.uniform(-3, 3, 30)
+    gam = rng.uniform(2, 8, 30)
+    wide_lam = np.concatenate([lam, [-12.0, 12.0]])
+    wide_gam = np.concatenate([gam, [0.05, 0.05]])
+    j0, j1 = _window(prior, wide_lam, wide_gam)
+    assert len(prior.locations) >= kernels.WINDOW_MIN_ATOMS and j1 - j0 > 60
+    batch = _tilt_rows(prior, wide_lam, wide_gam)
+    for i in range(len(lam)):
+        lo, hi = _window(prior, lam[i:i + 1], gam[i:i + 1])
+        assert 2 <= hi - lo <= (j1 - j0) // 2
+        assert np.array_equal(_tilt_rows(prior, lam[i:i + 1], gam[i:i + 1])[:, 0], batch[:, i])
+
+
+@pytest.mark.parametrize("prior", WIDE_PRIORS + [pytest.param(parse_prior(
+    "point-mass:-2,0.05;-1.5,0.05;-1,0.1;-0.5,0.1;0.7,0.3;1,0.15;1.5,0.1;2,0.1;3,0.05"),
+    id="9-atoms")])
+def test_a_collapsed_rows_log_partition_does_not_depend_on_its_batch(prior):
+    # a row whose mass sits on the heaviest atom c is alone a window of two
+    # atoms, never the one-atom product, whose log-weights can differ in the
+    # last bit (so on the 9-atom prior, whose c is not 0); its log-partition
+    # has the bits it has in a wide block, and its moments differ from c's
+    # only by what weights below e^-WINDOW_MARGIN make up, in both
+    c = prior.locations[np.argmax(prior.weights)]
+    gam = np.array([1e4, 3e4, DUAL_CAP])
+    lam = gam * c + np.array([0.3, -0.2, 0.0])
+    wide_lam, wide_gam = np.append(lam, [-12.0, 12.0]), np.append(gam, [0.05, 0.05])
+    batch = _tilt_rows(prior, wide_lam, wide_gam)
+    small = np.exp(-kernels.WINDOW_MARGIN) * np.ptp(prior.locations) ** 4
+    for i in range(len(lam)):
+        lo, hi = _window(prior, lam[i:i + 1], gam[i:i + 1])
+        assert hi - lo == 2 and c in prior.locations[lo:hi]
+        alone = _tilt_rows(prior, lam[i:i + 1], gam[i:i + 1])[:, 0]
+        assert alone[2] == batch[2, i]
+        for row in (alone, batch[:, i]):
+            assert np.all(np.abs(np.delete(row, 2) - [c, c * c, 0, 0, 0]) < small)
+
+
+def _log_sum_exp_reference(prior, lam, gam):
+    """(6, rows) as ``_tilt_rows``, one row at a time over every atom, in
+    the closed form of the tilted law with no window and no floor."""
+    a, logw = prior.locations, prior.log_weights
+    out = []
+    for lm, gm in zip(lam, gam):
+        ell = logw - 0.5 * gm * a * a + lm * a
+        top = ell.max()
+        p = np.exp(ell - top)
+        Z = p.sum()
+        p /= Z
+        m, s = p @ a, p @ (a * a)
+        da, dq = a - m, a * a - s
+        out.append([m, s, top + np.log(Z), p @ (da * da), p @ (da * dq), p @ (dq * dq)])
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("prior", WIDE_PRIORS)
+def test_extreme_rows_match_the_full_basis(prior):
+    # rows on the dual box's edges, at tiny, huge and negative gamma, and far
+    # off-centre (their mass on the outermost atoms), alone and in one batch
+    lam_values = [-DUAL_CAP, -40.0, -1.5, 0.0, 0.7, 40.0, DUAL_CAP]
+    gam_values = [-DUAL_CAP, -0.9, 1e-12, 0.3, 5.0, 1e4, DUAL_CAP]
+    lam, gam = (np.array(x).ravel() for x in np.meshgrid(lam_values, gam_values))
+    ref = _log_sum_exp_reference(prior, lam, gam)
+    # a scale per row of the output: the support's width to the power each
+    # moment carries, and the log-partition's size
+    width = np.ptp(prior.locations)
+    scale = np.array([width, width**2, 1.0, width**2, width**3, width**4])[:, None]
+    scale = scale * np.vstack([np.ones((2, len(lam))), np.maximum(1.0, np.abs(ref[2])),
+                               np.ones((3, len(lam)))])
+    batch = _tilt_rows(prior, lam, gam)
+    alone = np.hstack([_tilt_rows(prior, lam[i:i + 1], gam[i:i + 1]) for i in range(len(lam))])
+    for got in (batch, alone):
+        assert np.all(np.abs(got - ref) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("prior", WIDE_PRIORS)
+@pytest.mark.parametrize("lam, gam, ignored", [
+    (np.nan, 1.0, ()), (0.3, np.nan, ()),
+    # the callers that can overflow a dual switch these off (channel_terms)
+    (1e308, 0.0, ("over", "invalid")), (-1e308, 1.0, ("over", "invalid")),
+    (1e200, -1e306, ("over", "invalid")),
+], ids=["nan-lam", "nan-gam", "lam-overflow", "lam-overflow-neg", "gam-overflow"])
+def test_a_non_finite_bound_still_raises(prior, lam, gam, ignored):
+    # the window keeps every atom where its bound is not finite, so the
+    # check on the log-partition still sees the NaN or overflowing row
+    # among the rows of an ordinary fit, and numpy reports nothing on the way
+    rng = np.random.default_rng(4)
+    lams = np.append(rng.uniform(-2, 2, 20), lam)
+    gams = np.append(rng.uniform(1, 4, 20), gam)
+    with warnings.catch_warnings(), np.errstate(all="raise", **dict.fromkeys(ignored, "ignore")):
+        warnings.simplefilter("error")
+        for cov in (False, True):
+            with pytest.raises(DegenerateTiltError):
+                scalar.tilted_moments_vec(prior, lams, gams, cov=cov)
 
 
 def _channel_reference(prior, gamma):

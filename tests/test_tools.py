@@ -28,7 +28,8 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
     assert [run.wait(timeout=300) for run in runs] == [0, 0]
     records = json.loads(b.read_text())
     groups = Counter(r["group"] for r in records)
-    assert groups == {"fit": 22, "min_eigenvalue": 6, "potential": 21, "dual_solve": 2}
+    assert groups == {"fit": 22, "min_eigenvalue": 6, "potential": 21, "dual_solve": 2,
+                      "time": 4}
 
     clean = _compare(a, b)
     assert clean.returncode == 0, clean.stdout
@@ -43,6 +44,16 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
                  "2 bit-identical", "min_eigenvalue: 6 records, 6 bit-identical"):
         assert line in clean.stdout
     assert "regime" not in clean.stdout
+    # each side's wall time per sweep, and for the potential and dual solves
+    times = re.findall(r"^save time, (.+): ([\d.]+) s -> ([\d.]+) s$", clean.stdout,
+                       re.MULTILINE)
+    assert [part for part, _, _ in times][-1] == "potential and dual_solve"
+    assert len(times) == 4 and f"{sweep}" in [part for part, _, _ in times]
+    # a file saved without times still compares, its times shown as "-"
+    edited.write_text(json.dumps([r for r in records if r["group"] != "time"]))
+    untimed = _compare(edited, b)
+    assert untimed.returncode == 0, untimed.stdout
+    assert f"save time, {sweep}: - -> " in untimed.stdout
 
     potential = next(r for r in records if r["group"] == "potential")
     potential["sha256"] = "0" * 64

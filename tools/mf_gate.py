@@ -34,6 +34,9 @@ writes four groups of records, as JSON, whose floats read back exactly:
   its SHA-256, at the final TAP state of replicate 0 of both test_5 sweeps
   at each of PROBE_DELTAS, taken from the fits above.
 
+It also records its own wall time: one ``time`` record per sweep (its fits
+and probes) and one for the potential and dual-solve records together.
+
 ``--n`` and ``--replicates`` shrink the fits and the probes' instances; the
 potential and dual-solve records do not depend on them.  A hash feeds each
 field's name and value in order; floats are hashed as their float64 bytes
@@ -47,7 +50,10 @@ stop reasons that changed and the totals of iterations, NGD iterations and
 Hessian products; per sweep and delta, whether the mean TAP MSE is at most
 the mean MF MSE in A and in B; and per other group, how many records are
 bit-identical, the largest change of gamma_stat, gamma_alg and the minimum
-eigenvalue relative to A's, and every regime that changed.  It exits 1 when
+eigenvalue relative to A's, and every regime that changed; then each side's
+wall time per ``time`` record, so that a change that makes fits cheaper shows
+it in the same run that shows its bits.  Times do not enter the gate, and a
+file saved without them compares with times shown as "-".  It exits 1 when
 a fit moved, a final energy rose by more than ENERGY_RISE_TOL, a stop reason
 changed or a dominance verdict flipped, and 2 when the two files do not hold
 the same records; a bit change alone is reported and fails nothing.
@@ -60,6 +66,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +120,7 @@ def fit_records(n=None, replicates=None):
     replicates."""
     records = []
     for test, desc, sweep_n, sweep_replicates, deltas in SWEEPS:
+        start = time.perf_counter()
         cfg = ExperimentConfig(prior_descriptor=desc, n=n or sweep_n,
                                replicates=min(replicates or sweep_replicates, sweep_replicates))
         sweep, prior = f"{test} {desc} n={cfg.n}", cfg.prior()
@@ -128,11 +136,13 @@ def fit_records(n=None, replicates=None):
                 value = float(min_eigenvalue(model, state, prior, "dense").value)
                 records.append(dict(group="min_eigenvalue", sweep=sweep, delta=float(delta),
                                     lambda_min=value, sha256=_sha256(value)))
+        records.append(dict(group="time", sweep=sweep, seconds=time.perf_counter() - start))
     return records
 
 
 def landscape_records():
     """The potential and dual_solve records."""
+    start = time.perf_counter()
     cfg = ExperimentConfig()  # sigma^2 = 0.09 and the default delta grid
     cases = [(desc, delta) for desc in POTENTIAL_PRIORS for delta in cfg.delta_grid]
     records = []
@@ -148,6 +158,8 @@ def landscape_records():
         tilted = VariationalState.from_duals(prior, lam, gam)
         state = VariationalState.from_moments(prior, tilted.m, tilted.s)
         records.append(dict(group="dual_solve", prior=desc, sha256=_sha256(state)))
+    records.append(dict(group="time", sweep="potential and dual_solve",
+                        seconds=time.perf_counter() - start))
     return records
 
 
@@ -167,8 +179,8 @@ def _dominance(records):
 
 def compare(a_records, b_records):
     """Print the comparison of B against A and return the exit status."""
-    a = {_key(r): r for r in a_records}
-    b = {_key(r): r for r in b_records}
+    a = {_key(r): r for r in a_records if r["group"] != "time"}
+    b = {_key(r): r for r in b_records if r["group"] != "time"}
     if a.keys() != b.keys():
         print("not comparable: the two files hold different records")
         return 2
@@ -204,6 +216,10 @@ def compare(a_records, b_records):
             if a[k].get("regime") != b[k].get("regime"):
                 print(f"{group} {k[2]} delta={k[3]:g}: "
                       f"regime {a[k]['regime']} -> {b[k]['regime']}")
+    times = [{r["sweep"]: f"{r['seconds']:.2f} s" for r in records if r["group"] == "time"}
+             for records in (a_records, b_records)]
+    for part in dict.fromkeys([*times[0], *times[1]]):
+        print(f"save time, {part}: {times[0].get(part, '-')} -> {times[1].get(part, '-')}")
     print("gate: " + ("FAIL" if failed else "pass"))
     return 1 if failed else 0
 
