@@ -159,7 +159,8 @@ def cmd_ngd(cfg, args):
     return {"converged": trace.converged, "stop_reason": trace.stop_reason.value,
             "iterations": trace.iterations, "backtracks": trace.backtracks,
             "ngd_iterations": trace.ngd_iterations,
-            "hessian_matvecs": trace.hessian_matvecs}
+            "hessian_matvecs": trace.hessian_matvecs,
+            "curvature_breaks": trace.curvature_breaks}
 
 
 def cmd_mse_sweep(cfg, args):

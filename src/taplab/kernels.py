@@ -55,7 +55,11 @@ Bernoulli-Gaussian sweep (n = 300, sigma = 0.3) a block's window held 40 to
 = 9 atoms, three-point among them, are walked whole: the bound costs more
 than it could save there.  A bound that is not finite (a NaN or an
 overflowing dual) keeps every atom, so such a row still reaches the check
-on the log-partition in ``scalar.tilted_moments_vec``.
+on the log-partition in ``scalar.tilted_moments_vec``.  The bound's rows
+depend on the prior alone, so ``Prior`` forms them once beside its basis
+(``_bound_rows``), every tilt of the package passes them in, and a block
+reduces only its gam and lam to their ends, into one small array.  A call
+without them walks every block whole.
 
 No bit moves with the window, and so a row's bits do not depend on the
 window its block gives it.  The products it keeps have the bits of the whole
@@ -80,7 +84,6 @@ one covariance tilt.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -110,15 +113,17 @@ WINDOW_MARGIN = 100.0
 WINDOW_MIN_ATOMS = 9
 
 
-def tilted_stats(basis, powers, lam, gam, cov=False):
+def tilted_stats(basis, powers, lam, gam, cov=False, bound=None):
     """(m, s, logZ) of the tilted atomic law for a batch of (lam, gam) rows,
     and with ``cov`` also the (3, rows) array of c11, c12, c22, the
     covariance matrix of (beta, beta^2) under the tilted law, from centred
     moments sum p*(a-m)^2, sum p*(a-m)*(a^2-s) and sum p*(a^2-s)^2.
 
-    ``basis`` and ``powers`` are the prior's tilt matrices.  ``gam`` holds
-    one value per row or is a scalar shared by every row.  logZ is the
-    log-partition relative to the untilted prior.
+    ``basis`` and ``powers`` are the prior's tilt matrices, and ``bound``
+    the rows of its atom window's bound (``_bound_rows``); without them
+    every block is walked whole.  ``gam`` holds one value per row or is a
+    scalar shared by every row.  logZ is the log-partition relative to the
+    untilted prior.
     """
     lam = np.asarray(lam, dtype=np.float64).ravel()
     n = lam.size
@@ -133,11 +138,10 @@ def tilted_stats(basis, powers, lam, gam, cov=False):
         c = np.empty((3, duals.shape[1]))
         a, a2 = powers[1:, :, None]
     j0, j1 = 0, len(basis)
-    window = j1 >= WINDOW_MIN_ATOMS
     for lo in range(0, n, BLOCK_ROWS):
         block = out[:, lo:lo + BLOCK_ROWS]
-        if window:
-            j0, j1 = _atom_window(basis, duals[1:, lo:min(lo + BLOCK_ROWS, n)])
+        if bound is not None:
+            j0, j1 = _atom_window(bound, duals[1:, lo:min(lo + BLOCK_ROWS, n)])
         # ell = logw - gam*a^2/2 + lam*a as one product basis @ [1; gam; lam];
         # w[j, i] becomes the weight of atom j in row i relative to the row's
         # largest
@@ -175,48 +179,50 @@ def tilted_stats(basis, powers, lam, gam, cov=False):
     return (*moments, c[:, :n]) if cov else moments
 
 
-@functools.lru_cache(maxsize=8)
-def _bound_rows(basis_bytes):
+def _bound_rows(basis):
     """The (atoms x 5) rows [logw_j - logw_c, q_j-, d_j-, q_j+, d_j+] of the
-    window bound for the basis whose float64 bytes are ``basis_bytes``, with
-    c its heaviest atom, q_j = (a_c^2 - a_j^2)/2, d_j = a_j - a_c, and x- and
-    x+ the parts min(x, 0) and max(x, 0).  Keyed by the bytes, so that a
-    prior's bound is formed once and a basis that is not a prior's can
-    never meet another's bound."""
-    basis = np.frombuffer(basis_bytes).reshape(-1, 3)
+    window bound for ``basis``, with c its heaviest atom, q_j = (a_c^2 -
+    a_j^2)/2, d_j = a_j - a_c, and x- and x+ the parts min(x, 0) and
+    max(x, 0); None for a basis of fewer than WINDOW_MIN_ATOMS atoms, which
+    is walked whole.  ``Prior`` forms them once, beside its basis."""
+    if len(basis) < WINDOW_MIN_ATOMS:
+        return None
     rel = basis - basis[np.argmax(basis[:, 0])]
     rows = np.hstack([rel[:, :1], np.minimum(rel[:, 1:], 0.0), np.maximum(rel[:, 1:], 0.0)])
     rows.setflags(write=False)
     return rows
 
 
-def _atom_window(basis, gam_lam):
+def _atom_window(bound, gam_lam):
     """(j0, j1): the atoms j0 <= j < j1 of a block whose rows' (gam, lam)
     are the columns of ``gam_lam``; every atom outside has a log-weight
     below each row's maximum by more than WINDOW_MARGIN.
 
     ell_j - ell_c = (logw_j - logw_c) + gam q_j + lam d_j (see
-    ``_bound_rows``) is linear in (gam, lam), so over the block's ranges of
-    gam and lam it is at most U_j = (logw_j - logw_c) + q_j- gam_min +
-    d_j- lam_min + q_j+ gam_max + d_j+ lam_max, and a row's maximum is at
-    least its ell_c.  A bound that is not finite (a NaN or overflowing dual)
-    keeps every atom.  The window holds at least two atoms: a one-atom
-    product takes another BLAS path, whose log-weights differ from the whole
-    product's in the last bit."""
-    ends = np.concatenate(([1.0], np.minimum.reduce(gam_lam, axis=1),
-                           np.maximum.reduce(gam_lam, axis=1)))
-    bound = _bound_rows(basis.tobytes()) @ ends
-    atoms = len(bound)
-    if not math.isfinite(bound.sum()):
+    ``_bound_rows``, whose rows ``bound`` is) is linear in (gam, lam), so
+    over the block's ranges of gam and lam it is at most U_j = (logw_j -
+    logw_c) + q_j- gam_min + d_j- lam_min + q_j+ gam_max + d_j+ lam_max, and
+    a row's maximum is at least its ell_c.  A bound that is not finite (a
+    NaN or overflowing dual) keeps every atom.  The window holds at least
+    two atoms: a one-atom product takes another BLAS path, whose
+    log-weights differ from the whole product's in the last bit."""
+    # [1, gam_min, lam_min, gam_max, lam_max], reduced in place
+    ends = np.empty(5)
+    ends[0] = 1.0
+    np.minimum.reduce(gam_lam, axis=1, out=ends[1:3])
+    np.maximum.reduce(gam_lam, axis=1, out=ends[3:])
+    upper = bound @ ends
+    atoms = len(upper)
+    if not math.isfinite(upper.sum()):
         return 0, atoms
-    kept = np.flatnonzero(bound >= -WINDOW_MARGIN)  # c is among them
+    kept = np.flatnonzero(upper >= -WINDOW_MARGIN)  # c is among them
     j0, j1 = int(kept[0]), int(kept[-1]) + 1
     if j1 - j0 < 2:
         j0, j1 = (j0, j1 + 1) if j1 < atoms else (j0 - 1, j1)
     return j0, j1
 
 
-def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap):
+def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap, bound=None):
     """Damped Newton inversion of the moment map, vectorised over rows.
 
     Maximizes g(lam, gam) = -gam*st/2 + lam*mt - logZ(lam, gam) for each
@@ -227,13 +233,13 @@ def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap):
     (of a row held on the +-cap clip, or one where g is flat at float
     precision) makes no progress, and the next would make none either.
     Returns (lam, gam, logZ, converged, residual), logZ that of the duals
-    returned.
+    returned.  ``bound`` is passed on to every tilt.
     """
     mt = np.atleast_1d(np.asarray(mt, dtype=np.float64))
     st = np.atleast_1d(np.asarray(st, dtype=np.float64))
     lam = np.broadcast_to(np.asarray(lam0, dtype=np.float64), mt.shape).copy()
     gam = np.broadcast_to(np.asarray(gam0, dtype=np.float64), mt.shape).copy()
-    m, s, logZ, c = tilted_stats(basis, powers, lam, gam, cov=True)
+    m, s, logZ, c = tilted_stats(basis, powers, lam, gam, cov=True, bound=bound)
     c11, c12, c22 = c
     g = -0.5 * gam * st + lam * mt - logZ
     resid = np.hypot(m - mt, s - st)
@@ -257,7 +263,8 @@ def dual_newton(basis, powers, mt, st, lam0, gam0, *, tol, max_iter, cap):
             j = rows[search]
             lam_n = np.clip(lam[j] + alpha * d1[search], -cap, cap)
             gam_n = np.clip(gam[j] - 2.0 * alpha * d2[search], -cap, cap)
-            m_n, s_n, logZ_n, c_n = tilted_stats(basis, powers, lam_n, gam_n, cov=True)
+            m_n, s_n, logZ_n, c_n = tilted_stats(basis, powers, lam_n, gam_n, cov=True,
+                                                 bound=bound)
             g_n = -0.5 * gam_n * st[j] + lam_n * mt[j] - logZ_n
             resid_n = np.hypot(m_n - mt[j], s_n - st[j])
             # accept on objective increase; near the optimum g goes flat at

@@ -32,11 +32,13 @@ iterations instead of 8-10.  Mean-field keeps the loose cap: nothing shows it
 convex where a fit hands over to Newton, and a cap of 0.1 moved a gated
 handover to another minimizer.  Each line search starts from the full
 step.  When CG meets negative curvature on its first direction, u = grad F,
-NGD's own direction.  Where a tilted law has collapsed onto one or two atoms,
-C is singular in float64 and D does not exist.  CG in the C inner product
-does not see C's null directions, on which I + K C acts as the identity, so
-the step adds the residual on exactly those coordinates (det C <= 0); where
-C = 0 this solves their equations.
+NGD's own direction; when it meets it later, u is CG's iterate before it.
+The trace counts both in ``curvature_breaks``.  Where a tilted law has
+collapsed onto one or two atoms, C is singular in float64 and D does not
+exist.  CG in the C inner product does not see C's null directions, on
+which I + K C acts as the identity, so the step adds the residual on
+exactly those coordinates (det C <= 0); where C = 0 this solves their
+equations.
 
 TAP is strongly convex near the AMP warm start, so a TAP fit is Newton from
 the start.  Mean-field has no such guarantee, and Newton from the warm start
@@ -173,6 +175,11 @@ class NGDTrace:
     # NGD directions taken: the iterations before the switch to Newton that
     # took a step, so 0 for a fit that converges at its first record
     ngd_iterations: int = 0
+    # Newton directions (TAP's, or mean-field's after the switch) whose CG
+    # stopped on non-positive curvature: on its first step, where the
+    # direction falls back to NGD's, or later, where it keeps the truncated
+    # iterate; a failed curvature probe is not counted
+    curvature_breaks: int = 0
 
     @property
     def converged(self) -> bool:
@@ -301,8 +308,11 @@ def _newton_direction(model, prior, state, gm, gs, tap, trace, min_iters=1, cov=
         trace.hessian_matvecs += 1
         curv = float(Cq @ Aq)
         if not curv > 0:
-            if k < min_iters and rCr > 0:  # rCr = 0: the residual vanished
-                return None
+            if rCr > 0:  # rCr = 0: the residual vanished, which is no curvature
+                if min_iters == 1 or k >= min_iters:  # not a failed probe
+                    trace.curvature_breaks += 1
+                if k < min_iters:
+                    return None
             break  # keep the iterate built on positive curvature
         alpha = rCr / curv
         u += np.multiply(q, alpha, out=step)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .exceptions import DomainError
 
 DEFAULT_QUAD_NODES = 101
@@ -49,9 +50,11 @@ class Prior:
     sampler: tuple = ("atoms",)
     log_weights: np.ndarray = field(init=False, repr=False)
     # the tilt kernels' (atoms x 3) basis [logw, -a^2/2, a] and (3 x atoms)
-    # powers [1, a, a^2]; see kernels
+    # powers [1, a, a^2], and the rows of the atom window's bound (None on a
+    # prior too small for a window); see kernels
     _tilt_basis: np.ndarray = field(init=False, repr=False, compare=False)
     _tilt_powers: np.ndarray = field(init=False, repr=False, compare=False)
+    _tilt_bound: np.ndarray | None = field(init=False, repr=False, compare=False)
     # state-evolution schedules by (sigma2, delta, k); see potential
     _se_schedules: dict = field(init=False, repr=False, compare=False,
                                 default_factory=dict)
@@ -93,6 +96,7 @@ class Prior:
                           ("_tilt_basis", basis), ("_tilt_powers", powers)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_tilt_bound", kernels._bound_rows(basis))
 
     @property
     def support_lo(self) -> float:

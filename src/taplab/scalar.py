@@ -45,7 +45,8 @@ def tilted_moments_vec(prior: Prior, lam, gam, cov: bool = False):
     logZ are those of the call without ``cov``, bit for bit.  Every tilt of
     the package passes here, and raises DegenerateTiltError when a
     log-partition is not finite (an overflow or a NaN dual)."""
-    out = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam, cov=cov)
+    out = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam, cov=cov,
+                               bound=prior._tilt_bound)
     if not np.isfinite(out[2]).all():
         raise DegenerateTiltError("tilted log-partition is not finite")
     return out
@@ -117,7 +118,7 @@ def dual_solve_vec(prior: Prior, m, s):
     def solve(mt, st, lam0, gam0):
         return kernels.dual_newton(prior._tilt_basis, prior._tilt_powers, mt, st,
                                    lam0, gam0, tol=DUAL_RESIDUAL_TOL, max_iter=200,
-                                   cap=DUAL_CAP)
+                                   cap=DUAL_CAP, bound=prior._tilt_bound)
 
     lam, gam, logZ, conv, res = solve(m, s, 0.0, 0.0)
     m = np.broadcast_to(np.asarray(m, dtype=np.float64), conv.shape)

@@ -80,6 +80,7 @@ def test_ngd_subcommand(cfg_file, tmp_path):
     # the TAP fit is a Newton-CG fit: its CG products are counted
     assert isinstance(manifest["hessian_matvecs"], int) and manifest["hessian_matvecs"] > 0
     assert manifest["ngd_iterations"] == 0
+    assert isinstance(manifest["curvature_breaks"], int) and manifest["curvature_breaks"] >= 0
     # the MF fit is NGD, then Newton-CG: it counts both
     mf_out = tmp_path / "mf"
     assert run(cfg_file, mf_out, "ngd", "--objective", "mf") == 0

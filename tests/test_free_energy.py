@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from taplab.free_energy import (
     LinearModel,
     _apply_blocks,
     _entropy_hessian_blocks,
+    _entropy_sum,
     _k_product,
     VariationalState,
     mf_energy,
@@ -24,7 +26,7 @@ from taplab.experiments import ExperimentConfig, fit_free_energy, generate_insta
 from taplab.ngd import Objective
 from taplab.oracle import gaussian_posterior
 from taplab.priors import gaussian_prior, parse_prior, three_point
-from taplab.scalar import tilted_cov_vec
+from taplab.scalar import DUAL_CAP, tilted_cov_vec
 
 
 @pytest.fixture(scope="module")
@@ -362,3 +364,30 @@ class TestHessian:
         with pytest.raises(DomainError, match=r"singular in float64 on 204 of 300 "
                            r"coordinates \(tilted laws collapsed onto one or two atoms\)"):
             min_eigenvalue(model, state, tp, method=method)
+
+
+@pytest.mark.parametrize("desc", ["three-point", "bernoulli-gaussian:0.5,1.0"])
+def test_entropy_sum_is_within_the_summation_error_bound(desc):
+    # numpy's pairwise sum of the p entropy terms is within gamma_{p-1}
+    # sum|t_i| of the exactly rounded sum (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, sec. 4.2), on fitted TAP and mean-field
+    # states and on states whose duals sit on the edges of the dual box
+    cfg = ExperimentConfig(prior_descriptor=desc, n=300)
+    prior = cfg.prior()
+    states = []
+    for delta in (0.6, 1.0, 1.4):
+        model, _ = generate_instance(cfg, 0, delta)
+        states += [fit_free_energy(model, prior, cfg, objective, delta=delta).final
+                   for objective in Objective]
+    rng = np.random.default_rng(9)
+    lam, gam = rng.uniform(-3, 3, 300), rng.uniform(0.5, 5, 300)
+    lam[::3] = rng.choice([-DUAL_CAP, DUAL_CAP], 100)
+    gam[::4] = rng.choice([-DUAL_CAP, DUAL_CAP], 75)
+    states.append(VariationalState.from_duals(prior, lam, gam))
+    for state in states:
+        terms = -0.5 * state.gam * state.s + state.lam * state.m - state.logZ
+        p = len(terms)
+        u = np.finfo(np.float64).eps / 2
+        gamma = (p - 1) * u / (1 - (p - 1) * u)
+        exact = math.fsum(terms)
+        assert abs(_entropy_sum(state) - exact) <= gamma * math.fsum(np.abs(terms))

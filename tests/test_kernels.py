@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -49,7 +50,7 @@ WIDE_PRIORS = [pytest.param(bernoulli_gaussian(0.5, 1.0), id="bg"),
 def _tilt_rows(prior, lam, gam):
     """(6, rows): m, s, logZ and the covariance rows of one covariance tilt."""
     m, s, logZ, c = kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam,
-                                         cov=True)
+                                         cov=True, bound=prior._tilt_bound)
     return np.vstack([m, s, logZ, c])
 
 
@@ -69,7 +70,8 @@ def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
     gam = rng.uniform(-1, 4, n)
     batch = _tilt_rows(prior, lam, gam)
     assert all(np.array_equal(b, c) for b, c in
-               zip(kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam), batch))
+               zip(kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam,
+                                        bound=prior._tilt_bound), batch))
     rows = np.array([_tilt_rows(prior, lam[i:i + 1], gam[i:i + 1]) for i in range(n)])[:, :, 0].T
     assert np.array_equal(batch, rows)
 
@@ -77,19 +79,23 @@ def test_blocks_match_rows_tilted_one_at_a_time(prior, n):
 @pytest.mark.parametrize("prior", [three_point(), bernoulli_gaussian(0.5, 1.0)],
                          ids=["3pt", "bg"])
 def test_prior_tilt_matrices_are_read_only_and_exact(prior):
-    basis, powers = prior._tilt_basis, prior._tilt_powers
+    basis, powers, bound = prior._tilt_basis, prior._tilt_powers, prior._tilt_bound
     assert not basis.flags.writeable and not powers.flags.writeable
+    # three-point is walked whole; the wide prior's bound is its own
+    assert (bound is None) == (len(prior.locations) < kernels.WINDOW_MIN_ATOMS)
+    assert bound is None or not bound.flags.writeable
     # the matrices built per call, from the locations and log-weights
     a = prior.locations
     ref_powers = np.array([np.ones_like(a), a, a * a])
     ref_basis = np.array([prior.log_weights, -0.5 * ref_powers[2], a]).T
+    ref_bound = kernels._bound_rows(ref_basis)
     n = 3 * kernels.BLOCK_ROWS + 7
     rng = np.random.default_rng(5)
     lam = rng.uniform(-4, 4, n)
     gam = rng.uniform(-1, 4, n)
     for cov in (False, True):
-        got = kernels.tilted_stats(basis, powers, lam, gam, cov=cov)
-        ref = kernels.tilted_stats(ref_basis, ref_powers, lam, gam, cov=cov)
+        got = kernels.tilted_stats(basis, powers, lam, gam, cov=cov, bound=bound)
+        ref = kernels.tilted_stats(ref_basis, ref_powers, lam, gam, cov=cov, bound=ref_bound)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
@@ -102,7 +108,54 @@ def test_scalar_gam_is_shared_by_every_row(batch):
 
 
 def _window(prior, lam, gam):
-    return kernels._atom_window(prior._tilt_basis, np.array([gam, lam], dtype=float))
+    return kernels._atom_window(prior._tilt_bound, np.array([gam, lam], dtype=float))
+
+
+def _window_reference(basis, gam_lam):
+    """The atom window as the kernel first formed it: the bound's rows from
+    the basis on every call, and its ends [1, gam_min, lam_min, gam_max,
+    lam_max] concatenated."""
+    rel = basis - basis[np.argmax(basis[:, 0])]
+    rows = np.hstack([rel[:, :1], np.minimum(rel[:, 1:], 0.0), np.maximum(rel[:, 1:], 0.0)])
+    ends = np.concatenate(([1.0], np.minimum.reduce(gam_lam, axis=1),
+                           np.maximum.reduce(gam_lam, axis=1)))
+    bound = rows @ ends
+    if not math.isfinite(bound.sum()):
+        return 0, len(bound)
+    kept = np.flatnonzero(bound >= -kernels.WINDOW_MARGIN)
+    j0, j1 = int(kept[0]), int(kept[-1]) + 1
+    if j1 - j0 < 2:
+        j0, j1 = (j0, j1 + 1) if j1 < len(bound) else (j0 - 1, j1)
+    return j0, j1
+
+
+@pytest.mark.parametrize("prior", WIDE_PRIORS + [pytest.param(parse_prior(
+    "point-mass:-2,0.05;-1.5,0.05;-1,0.1;-0.5,0.1;0.7,0.3;1,0.15;1.5,0.1;2,0.1;3,0.05"),
+    id="9-atoms")])
+def test_atom_window_matches_its_reference(prior):
+    # random blocks of fitted-looking, wide, collapsed, NaN and overflowing
+    # duals: the window from the prior's bound rows is the reference's
+    rng = np.random.default_rng(11)
+    specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 1e200, DUAL_CAP, -DUAL_CAP]
+    windows = set()
+    heaviest = prior.locations[np.argmax(prior.weights)]
+    for k in range(400):
+        rows = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-2, 5)
+        gam_lam = np.array([rng.uniform(-0.1, 1, rows), rng.uniform(-1, 1, rows)]) * scale
+        if k % 4 == 0:  # one special value somewhere in the block
+            gam_lam[rng.integers(2), rng.integers(rows)] = specials[k // 4 % len(specials)]
+        elif k % 4 == 1:  # rows collapsed onto the heaviest atom
+            gam_lam[0] = 10.0 ** rng.uniform(3, 5) * rng.uniform(1, 1.01, rows)
+            gam_lam[1] = gam_lam[0] * heaviest + rng.uniform(-1, 1, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernels._atom_window(prior._tilt_bound, gam_lam)
+            assert got == _window_reference(prior._tilt_basis, gam_lam)
+        windows.add(got)
+    # the blocks reach whole, partial and two-atom windows
+    atoms = len(prior.locations)
+    assert (0, atoms) in windows and any(j1 - j0 == 2 for j0, j1 in windows)
+    assert any(2 < j1 - j0 < atoms for j0, j1 in windows)
 
 
 @pytest.mark.parametrize("prior", WIDE_PRIORS)
@@ -273,7 +326,8 @@ def test_tilt_memory_stays_within_the_row_blocks():
     gam = rng.uniform(0, 3, 100_000)
     tracemalloc.start()
     try:
-        kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam)
+        kernels.tilted_stats(prior._tilt_basis, prior._tilt_powers, lam, gam,
+                             bound=prior._tilt_bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

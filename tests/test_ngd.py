@@ -6,7 +6,7 @@ import pytest
 from taplab import kernels, ngd
 from taplab.amp import amp_run
 from taplab.exceptions import DomainError
-from taplab.experiments import ExperimentConfig, generate_instance
+from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.free_energy import (
     LinearModel,
     VariationalState,
@@ -292,11 +292,11 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     first = newton_run(model, tp, warm, NGDConfig(max_iters=1))
     step = first.steps_used[0]
     gm, gs = tap_gradient(model, warm)
-    assert step > 0 and first.hessian_matvecs == 1
+    assert step > 0 and first.hessian_matvecs == first.curvature_breaks == 1
     assert np.array_equal(first.final.lam, warm.lam - step * gm)
     assert np.array_equal(first.final.gam, warm.gam + 2.0 * step * gs)
     trace = newton_run(model, tp, warm, NGDConfig(max_iters=30))
-    assert trace.hessian_matvecs == trace.iterations == 30
+    assert trace.hessian_matvecs == trace.curvature_breaks == trace.iterations == 30
     assert np.all(np.diff(trace.f_values) < 0.0)
 
 
@@ -538,6 +538,25 @@ def test_mf_newton_is_ngd_above_the_entry_gradient(tp, warm3, grad_tol):
         assert np.array_equal(getattr(newton.final, name), getattr(reference.final, name))
 
 
+def test_tap_newton_counts_its_curvature_breaks():
+    # three-point, n = 300: at sigma = 0.2 TAP's CG meets non-positive
+    # curvature past its first step in 3 directions of the fit at delta = 1,
+    # replicate 0, and 18 times over the sweep's 20 TAP fits (5 deltas, 4
+    # replicates); at sigma = 0.3 it meets none
+    def breaks(sigma, deltas, replicates):
+        cfg = ExperimentConfig(prior_descriptor="three-point", n=300, sigma=sigma)
+        prior = cfg.prior()
+        traces = [fit_free_energy(generate_instance(cfg, rep, delta)[0], prior, cfg,
+                                  Objective.TAP, delta=delta)
+                  for delta in deltas for rep in range(replicates)]
+        assert all(trace.converged for trace in traces)
+        return sum(trace.curvature_breaks for trace in traces)
+
+    assert breaks(0.2, [1.0], 1) == 3
+    assert breaks(0.3, [1.0], 1) == 0
+    assert breaks(0.2, ExperimentConfig().delta_grid, 4) == 18
+
+
 def test_mf_fit_where_every_probe_fails_switches_at_the_entry_gradient(tp, warm3, monkeypatch):
     # with K = -2D every CG curvature is negative, so each gate's probe fails
     # on its first direction: the fit follows ngd_run until ||g||^2/p falls
@@ -558,6 +577,8 @@ def test_mf_fit_where_every_probe_fails_switches_at_the_entry_gradient(tp, warm3
     # gate is first crossed at an iterate of its own
     newton_iterations = trace.iterations - 1 - k  # the last record takes no step
     assert trace.hessian_matvecs - newton_iterations == len(ngd.MF_PROBE_GRADS)
+    # every Newton direction broke on its first step; a failed probe is no break
+    assert trace.curvature_breaks == newton_iterations
 
 
 # three-point, sigma = 0.3, master seed 0: at n = 300, handing over to Newton

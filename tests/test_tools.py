@@ -34,11 +34,11 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
     clean = _compare(a, b)
     assert clean.returncode == 0, clean.stdout
     # every sweep and objective, TAP and MF, is bit-identical fit for fit
-    lines = re.findall(r"^(test_\d .+ n=30) (tap|mf): (\d+) fits, (\d+) bit-identical, 0 moved",
-                       clean.stdout, re.MULTILINE)
-    assert len({(sweep, objective) for sweep, objective, _, _ in lines}) == len(lines) == 6
-    assert all(fits == identical for _, _, fits, identical in lines), clean.stdout
-    assert sum(int(fits) for _, _, fits, _ in lines) == 22
+    lines = re.findall(r"^(test_\d .+ n=30) (tap|mf): (\d+) fits, (\d+) bit-identical, "
+                       r"(\d+) path-identical, 0 moved", clean.stdout, re.MULTILINE)
+    assert len({(sweep, objective) for sweep, objective, *_ in lines}) == len(lines) == 6
+    assert all(fits == identical == path for _, _, fits, identical, path in lines), clean.stdout
+    assert sum(int(fits) for _, _, fits, *_ in lines) == 22
     sweep = "test_5 three-point n=30"
     for line in ("potential: 21 records, 21 bit-identical", "dual_solve: 2 records, "
                  "2 bit-identical", "min_eigenvalue: 6 records, 6 bit-identical"):
@@ -72,12 +72,56 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
     spec.loader.exec_module(gate)
     fit["m"] = [x + 2 * gate.MOVE_TOL for x in fit["m"]]
     fit["energy"] += 2 * gate.ENERGY_RISE_TOL
-    fit["sha256"] = "0" * 64
+    fit["sha256"] = fit["path_sha256"] = "0" * 64
     edited.write_text(json.dumps(records))
     flagged = _compare(a, edited)
     assert flagged.returncode == 1
-    assert f"{sweep} mf: 5 fits, 4 bit-identical, 1 moved" in flagged.stdout
+    assert f"{sweep} mf: 5 fits, 4 bit-identical, 4 path-identical, 1 moved" in flagged.stdout
     assert "gate: FAIL" in flagged.stdout
 
     edited.write_text(json.dumps(records[1:]))
     assert _compare(a, edited).returncode == 2  # not the same records
+
+
+def test_mf_gate_tells_path_identical_from_bit_identical(tmp_path):
+    # hand-made records: two fits whose descents took the same path (equal
+    # path hashes) to energies that differ in the last bits count as
+    # path-identical, not bit-identical, and pass; a file saved before the
+    # path hash and the curvature-break count shows "-" for both
+    def fit(replicate, energy, digest, **extra):
+        return dict(group="fit", sweep="test_5 three-point n=30", delta=1.0,
+                    replicate=replicate, objective="mf", energy=energy, stop="converged",
+                    iterations=9, ngd_iterations=5, hessian_matvecs=7, mse=0.1,
+                    sha256=digest, m=[0.5, -1.0], **extra)
+
+    tap = dict(fit(0, 270.0, "t"), objective="tap", mse=0.05, path_sha256="t",
+               curvature_breaks=0)
+
+    others = [tap, dict(group="potential", prior="three-point", delta=1.0, gamma_stat=2.0,
+                   gamma_alg=2.0, regime="easy", sha256="p"),
+              dict(group="dual_solve", prior="three-point", sha256="d"),
+              dict(group="min_eigenvalue", sweep="test_5 three-point n=30", delta=1.0,
+                   lambda_min=0.4, sha256="e")]
+    a = [fit(0, 272.0, "a0", path_sha256="x", curvature_breaks=2),
+         fit(1, 13.5, "a1", path_sha256="y", curvature_breaks=0)] + others
+    b = [fit(0, 272.0 + 5.7e-14, "b0", path_sha256="x", curvature_breaks=2),
+         fit(1, 13.5 - 1.8e-15, "b1", path_sha256="y", curvature_breaks=0)] + others
+    old = [{k: v for k, v in r.items() if k not in ("path_sha256", "curvature_breaks")}
+           for r in a]
+    files = {}
+    for name, records in (("a", a), ("b", b), ("old", old)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(records))
+
+    result = _compare(files["a"], files["b"])
+    assert result.returncode == 0, result.stdout
+    assert ("test_5 three-point n=30 mf: 2 fits, 0 bit-identical, 2 path-identical, 0 moved "
+            "(max|dm| 0.00e+00), largest energy rise 5.68e-14, largest |dF| 5.68e-14, "
+            "0 stop reasons changed") in result.stdout
+    assert "curvature_breaks 2 -> 2" in result.stdout
+    assert "gate: pass" in result.stdout
+
+    result = _compare(files["old"], files["b"])
+    assert result.returncode == 0, result.stdout
+    assert "2 fits, 0 bit-identical, - path-identical, 0 moved" in result.stdout
+    assert "hessian_matvecs 14 -> 14, curvature_breaks - -> 2" in result.stdout
