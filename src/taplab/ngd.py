@@ -162,7 +162,13 @@ class NGDTrace:
 
     The series are float64 arrays once the descent returns (lists while it
     runs): a sweep keeps every trace it makes, and an array holds a value in
-    8 bytes where a list holds a float object and a pointer to it."""
+    8 bytes where a list holds a float object and a pointer to it.
+
+    ``curvature_breaks`` counts the Newton directions whose CG met
+    non-positive curvature, TAP's or mean-field's after the switch: those
+    that fell back to NGD's direction on CG's first step and those that kept
+    CG's iterate from before a later break.  A failed curvature probe, which
+    only keeps a mean-field fit on NGD, is not counted."""
 
     f_values: np.ndarray = field(default_factory=list)
     grad_norm_sq_per_p: np.ndarray = field(default_factory=list)
@@ -175,11 +181,7 @@ class NGDTrace:
     # NGD directions taken: the iterations before the switch to Newton that
     # took a step, so 0 for a fit that converges at its first record
     ngd_iterations: int = 0
-    # Newton directions (TAP's, or mean-field's after the switch) whose CG
-    # stopped on non-positive curvature: on its first step, where the
-    # direction falls back to NGD's, or later, where it keeps the truncated
-    # iterate; a failed curvature probe is not counted
-    curvature_breaks: int = 0
+    curvature_breaks: int = 0  # see the docstring
 
     @property
     def converged(self) -> bool:
