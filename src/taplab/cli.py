@@ -59,8 +59,8 @@ _seed = _bounded(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
 def _error(message) -> SystemExit:
-    """The exit of a bad config: one ``taplab: error:`` line and status 1,
-    as ``main`` gives a ``TapLabError``."""
+    """The exit of a bad config or output directory: one ``taplab: error:``
+    line and status 1, as ``main`` gives a ``TapLabError``."""
     return SystemExit(f"taplab: error: {message}")
 
 
@@ -116,8 +116,7 @@ def cmd_potential(cfg, args):
     rows = [{"gamma": g, "phi": f, "phi_prime": d1, "phi_second": d2}
             for g, f, d1, d2 in zip(profile.gamma_grid, profile.phi,
                                     profile.phi_prime, profile.phi_second)]
-    write_csv(out / "potential.csv", ["gamma", "phi", "phi_prime", "phi_second"],
-              rows)
+    write_csv(out / "potential.csv", rows)
     summary = {"gamma_stat": profile.gamma_stat, "gamma_alg": profile.gamma_alg,
                "regime": profile.regime.value}
     (out / "potential_summary.json").write_text(json.dumps(summary, indent=2))
@@ -135,9 +134,7 @@ def cmd_amp(cfg, args):
              "mse_se": r["mse_se"],
              "grad_norm_sq_per_p": r.get("grad_norm_sq_per_p", float("nan"))}
             for r in state.history]
-    write_csv(Path(cfg.output_dir) / "amp.csv",
-              ["k", "gamma_k", "mse_empirical", "mse_se", "grad_norm_sq_per_p"],
-              rows)
+    write_csv(Path(cfg.output_dir) / "amp.csv", rows)
     return {"iterations": args.iters}
 
 
@@ -151,8 +148,7 @@ def cmd_ngd(cfg, args):
                                               trace.grad_norm_sq_per_p,
                                               trace.steps_used))]
     out = Path(cfg.output_dir)
-    write_csv(out / "ngd.csv", ["k", "f_value", "grad_norm_sq_per_p", "step"],
-              rows)
+    write_csv(out / "ngd.csv", rows)
     final = {"m": trace.final.m.tolist(), "s": trace.final.s.tolist(),
              "lambda": trace.final.lam.tolist(), "gamma": trace.final.gam.tolist()}
     (out / "ngd_state.json").write_text(json.dumps(final))
@@ -164,30 +160,21 @@ def cmd_ngd(cfg, args):
 
 
 def cmd_mse_sweep(cfg, args):
-    stop_reasons = {}
-    rows = run_mse_sweep(cfg, stop_reasons=stop_reasons)
-    write_csv(Path(cfg.output_dir) / "mse_sweep.csv",
-              ["delta", "seed", "mse_tap", "mse_mf", "converged_tap",
-               "converged_mf"], rows)
+    rows, stop_reasons = run_mse_sweep(cfg)
+    write_csv(Path(cfg.output_dir) / "mse_sweep.csv", rows)
     return {"rows": len(rows), "stop_reasons": stop_reasons}
 
 
 def cmd_calibrate(cfg, args):
-    stop_reasons = {}
-    tables = run_calibration(cfg, delta=args.delta, stop_reasons=stop_reasons)
+    tables, stop_reasons = run_calibration(cfg, delta=args.delta)
     for meth, rows in tables.items():
-        write_csv(Path(cfg.output_dir) / f"calibration_{meth.lower()}.csv",
-                  ["bin_lo", "bin_hi", "pip_mean", "freq_nonzero", "count"],
-                  rows)
+        write_csv(Path(cfg.output_dir) / f"calibration_{meth.lower()}.csv", rows)
     return {"methods": sorted(tables), "stop_reasons": stop_reasons}
 
 
 def cmd_universality(cfg, args):
-    stop_reasons = {}
-    rows = run_universality(cfg, stop_reasons=stop_reasons)
-    write_csv(Path(cfg.output_dir) / "universality.csv",
-              ["scenario", "delta", "seed", "mse_tap", "mse_mf", "min_eig"],
-              rows)
+    rows, stop_reasons = run_universality(cfg)
+    write_csv(Path(cfg.output_dir) / "universality.csv", rows)
     return {"rows": len(rows), "stop_reasons": stop_reasons}
 
 
@@ -227,44 +214,42 @@ def main(argv=None):
     parser.add_argument("--seed", type=_seed, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags shared by subcommands: --delta, and the instance's --replicate
+    delta = argparse.ArgumentParser(add_help=False)
+    delta.add_argument("--delta", type=_positive, default=1.0)
+    instance = argparse.ArgumentParser(add_help=False, parents=[delta])
+    instance.add_argument("--replicate", type=_replicate, default=0)
 
-    sp = sub.add_parser("potential", help="replica-symmetric potential profile")
-    sp.add_argument("--delta", type=_positive, default=1.0)
+    sp = sub.add_parser("potential", parents=[delta],
+                        help="replica-symmetric potential profile")
     sp.set_defaults(func=cmd_potential)
 
-    sp = sub.add_parser("amp", help="single AMP trajectory")
-    sp.add_argument("--delta", type=_positive, default=1.0)
-    sp.add_argument("--replicate", type=_replicate, default=0)
+    sp = sub.add_parser("amp", parents=[instance], help="single AMP trajectory")
     sp.add_argument("--iters", type=_iters, default=10)
     sp.set_defaults(func=cmd_amp)
 
-    sp = sub.add_parser("ngd", help="AMP warm start + TAP (Newton-CG) or MF (NGD, then Newton-CG) fit")
-    sp.add_argument("--delta", type=_positive, default=1.0)
-    sp.add_argument("--replicate", type=_replicate, default=0)
+    sp = sub.add_parser("ngd", parents=[instance],
+                        help="AMP warm start + TAP (Newton-CG) or MF (NGD, then Newton-CG) fit")
     sp.add_argument("--objective", choices=["tap", "mf"], default="tap")
     sp.set_defaults(func=cmd_ngd)
 
     sp = sub.add_parser("mse-sweep", help="TAP vs MF MSE over the delta grid")
     sp.set_defaults(func=cmd_mse_sweep)
 
-    sp = sub.add_parser("calibrate", help="PIP calibration tables")
-    sp.add_argument("--delta", type=_positive, default=1.0)
+    sp = sub.add_parser("calibrate", parents=[delta], help="PIP calibration tables")
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("universality", help="MSE + Hessian across designs")
     sp.set_defaults(func=cmd_universality)
 
-    sp = sub.add_parser("hessian", help="minimum Hessian eigenvalue at the minimizer")
-    sp.add_argument("--delta", type=_positive, default=1.0)
-    sp.add_argument("--replicate", type=_replicate, default=0)
+    sp = sub.add_parser("hessian", parents=[instance],
+                        help="minimum Hessian eigenvalue at the minimizer")
     sp.add_argument("--method", choices=["dense", "lanczos"], default="dense")
     sp.set_defaults(func=cmd_hessian)
 
-    sp = sub.add_parser("oracle", help="exact reference computations")
+    sp = sub.add_parser("oracle", parents=[instance], help="exact reference computations")
     sp.add_argument("--mode", choices=["gaussian", "enumerate"],
                     default="enumerate")
-    sp.add_argument("--delta", type=_positive, default=1.0)
-    sp.add_argument("--replicate", type=_replicate, default=0)
     sp.add_argument("--tau2", type=_positive, default=1.0)
     sp.set_defaults(func=cmd_oracle)
 
@@ -277,7 +262,11 @@ def main(argv=None):
     if args.command != "potential" and getattr(args, "delta", None) is not None \
             and cfg.n / args.delta < 1:
         parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # under a file, or on one
+        raise _error(f"cannot create output directory {cfg.output_dir!r}: "
+                     f"{exc.strerror}") from None
     t0 = time.perf_counter()
     try:
         extra = args.func(cfg, args)

@@ -72,11 +72,18 @@ class ExperimentConfig:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.amp_warm_iters < 1:
             raise ValueError("amp_warm_iters must be >= 1")
+        if not self.delta_grid:  # a sweep writes at least one row
+            raise ValueError("delta_grid must hold at least one delta")
         for delta in self.delta_grid:
             try:
                 _feature_count(self.n, delta)
             except DomainError as exc:
                 raise ValueError(f"delta_grid entry {delta!r}: {exc}") from None
+        try:
+            self.prior()
+        except DomainError as exc:  # parse_prior's, raised from the cause
+            raise ValueError(f"prior_descriptor {self.prior_descriptor!r}: "
+                             f"{exc.__cause__}") from None
         self.ngd_config(Objective.TAP)  # range-checks max_iters and grad_tol
 
     @property
@@ -180,9 +187,7 @@ def _sweep(cfg: ExperimentConfig, deltas):
 
 def _count_stops(stop_reasons, traces):
     """Add each trace's stop reason to ``stop_reasons``, which maps an
-    objective's value to a count of every stop reason; None counts nothing."""
-    if stop_reasons is None:
-        return
+    objective's value to a count of every stop reason."""
     for objective, trace in traces.items():
         counts = stop_reasons.setdefault(objective.value,
                                          dict.fromkeys((r.value for r in StopReason), 0))
@@ -222,35 +227,38 @@ def calibration_table(pips: np.ndarray, nonzero: np.ndarray) -> list[dict]:
     return rows
 
 
-def run_mse_sweep(cfg: ExperimentConfig, stop_reasons: dict | None = None) -> list[dict]:
+def run_mse_sweep(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """MSE of the TAP and MF posterior-mean estimators per delta and
-    replicate; ``stop_reasons`` as for ``run_calibration``."""
-    rows = []
+    replicate, as (rows, stop_reasons).
+
+    Each row's keys are its CSV columns, in order: delta, seed, mse_tap,
+    mse_mf, converged_tap, converged_mf.  ``stop_reasons`` counts each
+    objective's stop reasons over its fits, such as {"tap": {"converged":
+    20, "step_floor": 0, "max_iters": 0}, "mf": {...}}.
+    """
+    rows, stop_reasons = [], {}
     for delta, rep, _, truth, traces in _sweep(cfg, cfg.delta_grid):
         _count_stops(stop_reasons, traces)
-        row = {"delta": float(delta), "seed": replicate_seed(cfg.seed, rep)}
-        for objective, trace in traces.items():
-            row[f"mse_{objective.value}"] = _mse(trace, truth)
-            row[f"converged_{objective.value}"] = int(trace.converged)
-        rows.append(row)
-    return rows
+        tap, mf = traces[Objective.TAP], traces[Objective.MF]
+        rows.append({"delta": float(delta), "seed": replicate_seed(cfg.seed, rep),
+                     "mse_tap": _mse(tap, truth), "mse_mf": _mse(mf, truth),
+                     "converged_tap": int(tap.converged),
+                     "converged_mf": int(mf.converged)})
+    return rows, stop_reasons
 
 
-def run_calibration(cfg: ExperimentConfig, delta: float = 1.0,
-                    stop_reasons: dict | None = None) -> dict:
+def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> tuple[dict, dict]:
     """Calibration rows for TAP and MF at a single delta, keyed by
-    ``Objective.name``.
+    ``Objective.name``, as (tables, stop_reasons); the stop reasons as for
+    ``run_mse_sweep``.
 
-    Pools coordinates across replicates and bins them by estimated PIP.  A
-    ``stop_reasons`` dict receives each objective's count of its fits' stop
-    reasons, such as {"tap": {"converged": 20, "step_floor": 0,
-    "max_iters": 0}, "mf": {...}}.
+    Pools coordinates across replicates and bins them by estimated PIP.
     """
     prior = cfg.prior()
     if prior.zero_spike_weight == 0.0:
         raise DomainError("calibration needs a prior with an atom at 0")
     pips = {objective.name: [] for objective in Objective}
-    nonzero = []
+    nonzero, stop_reasons = [], {}
     for _, _, _, truth, traces in _sweep(cfg, (delta,)):
         nonzero.append(truth != 0.0)
         _count_stops(stop_reasons, traces)
@@ -258,15 +266,15 @@ def run_calibration(cfg: ExperimentConfig, delta: float = 1.0,
             pips[objective.name].append(inclusion_probabilities(prior, trace.final))
     nonzero = np.concatenate(nonzero)
     return {name: calibration_table(np.concatenate(pp), nonzero)
-            for name, pp in pips.items()}
+            for name, pp in pips.items()}, stop_reasons
 
 
-def run_universality(cfg: ExperimentConfig,
-                     stop_reasons: dict | None = None) -> list[dict]:
-    """MSE sweep plus Hessian minimum eigenvalue across design scenarios;
-    ``stop_reasons`` as for ``run_calibration``, over every scenario."""
+def run_universality(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+    """MSE sweep plus Hessian minimum eigenvalue across design scenarios, as
+    (rows, stop_reasons); the stop reasons as for ``run_mse_sweep``, over
+    every scenario."""
     prior = cfg.prior()
-    rows = []
+    rows, stop_reasons = [], {}
     for design in DESIGNS:
         sweep = _sweep(replace(cfg, design=design), cfg.delta_grid)
         for delta, rep, model, truth, traces in sweep:
@@ -279,19 +287,22 @@ def run_universality(cfg: ExperimentConfig,
                          "mse_mf": _mse(traces[Objective.MF], truth),
                          "min_eig": min_eigenvalue(model, tap.final, prior,
                                                    method).value})
-    return rows
+    return rows, stop_reasons
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
-def write_csv(path, fieldnames, rows):
+def write_csv(path, rows):
+    """Write ``rows`` (at least one) under the version line and a header of
+    the first row's keys, in its order; every row must hold each of them."""
+    columns = list(rows[0])
     with open(path, "w") as fh:
         fh.write(CSV_VERSION_HEADER + "\n")
-        fh.write(",".join(fieldnames) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in fieldnames) + "\n")
+            fh.write(",".join(_fmt(row[k]) for k in columns) + "\n")
 
 
 def _fmt(v):

@@ -69,20 +69,11 @@ class Prior:
             raise ValueError("locations and weights must be 1-d arrays of equal length")
         if not np.all(np.isfinite(locs)):
             raise ValueError("prior locations must be finite")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # also rejects nan
             raise ValueError("prior weights must be strictly positive")
-        order = np.argsort(locs)
-        locs, w = locs[order], w[order]
-        # merge duplicate locations
-        keep_locs, keep_w = [locs[0]], [w[0]]
-        for a, wt in zip(locs[1:], w[1:]):
-            if a == keep_locs[-1]:
-                keep_w[-1] += wt
-            else:
-                keep_locs.append(a)
-                keep_w.append(wt)
-        locs = np.array(keep_locs)
-        w = np.array(keep_w)
+        # sort the locations and merge duplicates, adding their weights
+        locs, inverse = np.unique(locs, return_inverse=True)
+        w = np.bincount(inverse, weights=w)
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"prior weights must sum to 1, got {w.sum()!r}")
         if len(locs) < 3:
@@ -152,7 +143,7 @@ def bernoulli_gaussian(sparsity: float, variance: float) -> Prior:
     """(1 - sparsity) * delta_0 + sparsity * N(0, variance), via quadrature."""
     if not 0.0 < sparsity <= 1.0:
         raise ValueError("sparsity must be in (0, 1]")
-    if variance <= 0:
+    if not variance > 0:  # also rejects nan
         raise ValueError("variance must be positive")
     nodes, w = _gauss_hermite_standard_normal(DEFAULT_QUAD_NODES)
     locs = nodes * np.sqrt(variance)

@@ -187,7 +187,7 @@ def test_5_mse_dominance():
     ok = True
     for desc in ("three-point", "bernoulli-gaussian:0.5,1.0"):
         cfg = ExperimentConfig(prior_descriptor=desc, n=300, replicates=20)
-        rows = run_mse_sweep(cfg)
+        rows, _ = run_mse_sweep(cfg)
         for delta in cfg.delta_grid:
             sub = [r for r in rows if r["delta"] == delta]
             tap = np.mean([r["mse_tap"] for r in sub])
@@ -215,7 +215,7 @@ def test_6_calibration():
     bin within 0.1 of the diagonal); MF is miscalibrated in at least one bin."""
     t0 = time.time()
     cfg = ExperimentConfig(n=500, replicates=10)
-    tables = run_calibration(cfg, delta=1.0)
+    tables, _ = run_calibration(cfg, delta=1.0)
     tap_devs = [abs(r["pip_mean"] - r["freq_nonzero"])
                 for r in tables["TAP"] if r["count"] >= 50]
     mf_devs = [abs(r["pip_mean"] - r["freq_nonzero"])

@@ -117,7 +117,7 @@ def test_ngd_mf_at_low_noise_takes_newton_steps(tmp_path):
 def test_mse_sweep_subcommand(cfg_file, tmp_path):
     assert run(cfg_file, tmp_path, "mse-sweep") == 0
     lines = (tmp_path / "mse_sweep.csv").read_text().splitlines()
-    assert lines[1].startswith("delta,seed,mse_tap,mse_mf")
+    assert lines[1] == "delta,seed,mse_tap,mse_mf,converged_tap,converged_mf"
     assert len(lines) == 3  # header x2 + 1 row
 
 
@@ -140,6 +140,10 @@ def test_fits_stopped_at_max_iters_are_counted_in_the_manifest(tmp_path, command
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     capped = {"converged": 0, "step_floor": 0, "max_iters": fits}
     assert manifest["stop_reasons"] == {"tap": capped, "mf": capped}
+    if command == "universality":  # one row per design
+        lines = (tmp_path / "universality.csv").read_text().splitlines()
+        assert lines[1] == "scenario,delta,seed,mse_tap,mse_mf,min_eig"
+        assert len(lines) == 2 + fits
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
@@ -242,7 +246,7 @@ def test_readme_config_example_runs(tmp_path, descriptor):
     assert manifest["config"]["prior_descriptor"] == (descriptor or "three-point")
 
 
-def test_config_string_values_are_not_split(tmp_path, capsys):
+def test_config_string_values_are_not_split(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("prior_descriptor = bernoulli-gaussian:0.5,1.0\n"
                     "delta_grid = 1\n")
@@ -251,11 +255,11 @@ def test_config_string_values_are_not_split(tmp_path, capsys):
                    "delta_grid": (1.0,)}
     assert ExperimentConfig(**cfg).prior().zero_spike_weight == 0.5
     # two atoms give a degenerate (m, s) family; the descriptor reaches the
-    # prior intact and is rejected there
+    # prior intact and is rejected there, with the config
     path.write_text("prior_descriptor = point-mass:-1,0.5;1,0.5\n")
-    with pytest.raises(SystemExit):
-        main(["--config", str(path), "--out", str(tmp_path), "potential"])
-    assert "3 distinct support points" in capsys.readouterr().err
+    with pytest.raises(SystemExit, match="prior_descriptor .*3 distinct support points"):
+        main(["--config", str(path), "--out", str(tmp_path / "out"), "potential"])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir(),
@@ -273,6 +277,20 @@ def test_unreadable_config_stops_with_one_line(tmp_path, make):
     assert res.stderr.startswith(f"taplab: error: cannot read config file {str(path)!r}: ")
     assert res.stderr.count("\n") == 1  # no traceback
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["on-a-file", "under-a-file"])
+def test_output_directory_that_cannot_be_made_stops_with_one_line(tmp_path, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--out", str(out), "potential"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"taplab: error: cannot create output directory {str(out)!r}: ")
+    assert res.stderr.count("\n") == 1  # no traceback
+    assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -414,7 +432,10 @@ def test_config_bad_value_rejected(tmp_path):
                                          ("seed = 18446744073709551616", "seed"),
                                          ("sigma = nan", "sigma"),
                                          ("sigma = inf", "sigma"),
-                                         ("replicates = 1048577", "replicates")])
+                                         ("replicates = 1048577", "replicates"),
+                                         ("prior_descriptor = cauchy", "prior_descriptor"),
+                                         ("prior_descriptor = point-mass:-1,nan;0,0.5;1,0.5",
+                                          "prior_descriptor")])
 def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
     path = tmp_path / "c.txt"
     path.write_text(CFG + line + "\n")

@@ -59,6 +59,11 @@ class TestGeneration:
             with pytest.raises(ValueError, match="sigma"):
                 small_cfg(sigma=sigma)
 
+    def test_config_rejects_an_empty_delta_grid(self):
+        # a sweep over no delta would have no row to take its CSV header from
+        with pytest.raises(ValueError, match="delta_grid"):
+            small_cfg(delta_grid=())
+
     def test_delta_above_n_is_a_domain_error(self):
         # n = 300, delta = 1000 would draw a 300 x 0 design
         with pytest.raises(DomainError, match="no features"):
@@ -146,9 +151,14 @@ class TestGeneration:
 class TestSweeps:
     def test_mse_sweep_rows_and_low_snr_limit(self):
         cfg = small_cfg(sigma=10.0, n=200, replicates=1)  # sigma2 = 100
-        rows = run_mse_sweep(cfg)
+        rows, stop_reasons = run_mse_sweep(cfg)
         assert len(rows) == 1
         row = rows[0]
+        assert list(row) == ["delta", "seed", "mse_tap", "mse_mf", "converged_tap",
+                             "converged_mf"]
+        # each objective's one fit is counted under its one stop reason
+        assert set(stop_reasons) == {"tap", "mf"}
+        assert all(sum(counts.values()) == 1 for counts in stop_reasons.values())
         var = three_point().variance
         # uninformative data: both posterior means collapse to the prior mean
         assert row["mse_tap"] == pytest.approx(var, rel=0.05)
@@ -159,15 +169,15 @@ class TestSweeps:
         # the entropy blocks are singular; Newton steps in the covariance
         # metric need no inverse of them
         cfg = ExperimentConfig(sigma=0.1, delta_grid=(0.6,), replicates=2)
-        rows = run_mse_sweep(cfg)
+        rows, _ = run_mse_sweep(cfg)
         assert len(rows) == 2
         for row in rows:
             assert np.isfinite(row["mse_tap"]) and np.isfinite(row["mse_mf"])
 
     def test_universality_gaussian_matches_mse_sweep(self):
         cfg = small_cfg()
-        sweep = run_mse_sweep(cfg)
-        uni = run_universality(cfg)  # gaussian is the first design
+        sweep, _ = run_mse_sweep(cfg)
+        uni, _ = run_universality(cfg)  # gaussian is the first design
         for a, b in zip(sweep, uni):
             assert a["mse_tap"] == b["mse_tap"]
             assert a["mse_mf"] == b["mse_mf"]
@@ -201,7 +211,7 @@ class TestSweeps:
             return amp_run(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "amp_run", counted)
-        rows = run_mse_sweep(cfg)
+        rows, _ = run_mse_sweep(cfg)
         # one warm start per instance, not one per objective (4 calls)
         assert len(calls) == cfg.replicates
         monkeypatch.undo()
@@ -244,7 +254,7 @@ class TestSweeps:
 class TestCalibration:
     def test_counts_partition_coordinates(self):
         cfg = small_cfg(n=80, replicates=3)
-        tables = run_calibration(cfg, delta=1.0)
+        tables, _ = run_calibration(cfg, delta=1.0)
         assert set(tables) == {"TAP", "MF"}
         for rows in tables.values():
             assert sum(r["count"] for r in rows) == 80 * 3
@@ -275,11 +285,17 @@ class TestCalibration:
 class TestPersistence:
     def test_csv_versioned_header_and_roundtrip(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [{"a": 1, "b": 0.5}, {"a": 2, "b": -1.25}])
+        write_csv(path, [{"a": 1, "b": 0.5}, {"a": 2, "b": -1.25}])
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_VERSION_HEADER == "# tap-lab v1"
         assert lines[1] == "a,b"
         assert lines[2] == "1,0.5"
+        # the header is the first row's keys, in its order; a row without
+        # one of them raises
+        write_csv(path, [{"b": 0.5, "a": 1}, {"a": 2, "b": -1.25, "c": 3}])
+        assert path.read_text().splitlines()[1:] == ["b,a", "0.5,1", "-1.25,2"]
+        with pytest.raises(KeyError):
+            write_csv(path, [{"a": 1, "b": 0.5}, {"a": 2}])
 
     def test_manifest_contents(self, tmp_path):
         cfg = small_cfg()
@@ -315,10 +331,10 @@ class TestPersistence:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_cfg(output_dir=str(tmp_path))
-        rows1 = run_mse_sweep(cfg)
-        rows2 = run_mse_sweep(cfg)
-        write_csv(tmp_path / "a.csv", list(rows1[0]), rows1)
-        write_csv(tmp_path / "b.csv", list(rows2[0]), rows2)
+        rows1, _ = run_mse_sweep(cfg)
+        rows2, _ = run_mse_sweep(cfg)
+        write_csv(tmp_path / "a.csv", rows1)
+        write_csv(tmp_path / "b.csv", rows2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

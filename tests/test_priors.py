@@ -83,6 +83,8 @@ def test_parse_prior_descriptors():
     ("point-mass:1", "not enough values"),
     ("bernoulli-gaussian:x,1", "could not convert"),
     ("bernoulli-gaussian:0.5", "not enough values"),
+    ("point-mass:-1,nan;0,0.5;1,0.5", "weights must be strictly positive"),
+    ("bernoulli-gaussian:0.5,nan", "variance must be positive"),
 ])
 def test_parse_prior_rejects_bad_descriptors(descriptor, cause):
     with pytest.raises(DomainError, match=cause) as info:

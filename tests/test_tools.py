@@ -87,7 +87,8 @@ def test_mf_gate_tells_path_identical_from_bit_identical(tmp_path):
     # hand-made records: two fits whose descents took the same path (equal
     # path hashes) to energies that differ in the last bits count as
     # path-identical, not bit-identical, and pass; a file saved before the
-    # path hash and the curvature-break count shows "-" for both
+    # path hash and the curvature-break count shows "-" for both; files that
+    # lack the mean-field fits of a delta, or a group, are not comparable
     def fit(replicate, energy, digest, **extra):
         return dict(group="fit", sweep="test_5 three-point n=30", delta=1.0,
                     replicate=replicate, objective="mf", energy=energy, stop="converged",
@@ -109,7 +110,10 @@ def test_mf_gate_tells_path_identical_from_bit_identical(tmp_path):
     old = [{k: v for k, v in r.items() if k not in ("path_sha256", "curvature_breaks")}
            for r in a]
     files = {}
-    for name, records in (("a", a), ("b", b), ("old", old)):
+    no_mf = [r for r in a if r.get("objective") != "mf"]
+    no_dual = [r for r in a if r["group"] != "dual_solve"]
+    for name, records in (("a", a), ("b", b), ("old", old), ("no_mf", no_mf),
+                          ("no_dual", no_dual)):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(records))
 
@@ -125,3 +129,9 @@ def test_mf_gate_tells_path_identical_from_bit_identical(tmp_path):
     assert result.returncode == 0, result.stdout
     assert "2 fits, 0 bit-identical, - path-identical, 0 moved" in result.stdout
     assert "hessian_matvecs 14 -> 14, curvature_breaks - -> 2" in result.stdout
+
+    for name, reason in (("no_mf", "test_5 three-point n=30 delta=1 has only tap fits"),
+                         ("no_dual", "no dual_solve records")):
+        result = _compare(files[name], files[name])
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert result.stdout == f"not comparable: {reason}\n"

@@ -61,8 +61,9 @@ it in the same run that shows its bits.  Times do not enter the gate, and a
 file saved without them compares with times shown as "-".  It exits 1 when
 a fit moved, a final energy rose by more than ENERGY_RISE_TOL, a stop reason
 changed or a dominance verdict flipped, and 2 when the two files do not hold
-the same records; a bit change alone is reported and fails nothing.  A change
-that reorders only the arithmetic of the energies keeps every fit
+the same records, or when they lack a group or, at some sweep and delta,
+the fits of an objective; a bit change alone is reported and fails nothing.
+A change that reorders only the arithmetic of the energies keeps every fit
 path-identical while its energies, and so its hashes, move by ulps.
 MOVE_TOL separates another minimizer (moves of 0.8-1 in m were seen) from
 the stopping error of two converged fits of one minimizer (a few 1e-4).
@@ -98,6 +99,7 @@ POTENTIAL_PRIORS = ("three-point", "bernoulli-gaussian:0.5,1.0",
                     "point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25",
                     "point-mass:-1,0.2;0,0.5;2,0.3")
 PROBE_DELTAS = (0.6, 1.0, 1.4)
+OTHER_GROUPS = ("potential", "dual_solve", "min_eigenvalue")  # the records besides fits
 DUAL_ROWS = 2000
 
 
@@ -179,6 +181,23 @@ def _key(record):
                                          "objective"))
 
 
+def _incomplete(keys):
+    """Why records of ``keys`` cannot be compared: a group without records,
+    or a sweep and delta without fits of both objectives; None when they
+    can."""
+    missing = [g for g in ("fit", *OTHER_GROUPS) if not any(k[0] == g for k in keys)]
+    if missing:
+        return f"no {', '.join(missing)} records"
+    objectives = {}
+    for k in keys:
+        if k[0] == "fit":
+            objectives.setdefault((k[1], k[3]), set()).add(k[5])
+    for (sweep, delta), found in objectives.items():
+        if found != {"tap", "mf"}:
+            return f"{sweep} delta={delta:g} has only {', '.join(sorted(found))} fits"
+    return None
+
+
 def _dominance(records):
     """{(sweep, delta): mean TAP MSE <= mean MF MSE}."""
     mse = {}
@@ -210,6 +229,10 @@ def compare(a_records, b_records):
     if a.keys() != b.keys():
         print("not comparable: the two files hold different records")
         return 2
+    reason = _incomplete(a)
+    if reason:
+        print(f"not comparable: {reason}")
+        return 2
     failed = False
     fits = [k for k in a if k[0] == "fit"]
     for sweep, objective in dict.fromkeys((k[1], k[5]) for k in fits):  # in saved order
@@ -231,7 +254,7 @@ def compare(a_records, b_records):
         after = dom_b[sweep, delta]
         print(f"TAP MSE <= MF MSE, {sweep} delta={delta:g}: {before} -> {after}")
         failed |= before != after
-    for group in ("potential", "dual_solve", "min_eigenvalue"):
+    for group in OTHER_GROUPS:
         keys = [k for k in a if k[0] == group]
         identical = sum(a[k]["sha256"] == b[k]["sha256"] for k in keys)
         print(f"{group}: {len(keys)} records, {identical} bit-identical" + "".join(
