@@ -2,20 +2,50 @@
 diagnostics comparing empirical iterate covariances with their deterministic
 predictions.
 
-The Onsager coefficients and denoiser strengths come from the
-state-evolution schedule of ``potential``, which is computed once per
-(prior, sigma^2, delta, T) and kept on the prior, so every replicate fitted
-under one prior object shares it."""
+The state-evolution recursion gamma_{k+1} = delta/(sigma^2 + mmse(gamma_k)),
+started from gamma_1 = delta/(sigma^2 + E[beta0^2]), is deterministic in
+(prior, sigma^2, delta): ``_se_schedule`` computes it once per (sigma^2,
+delta, length) and keeps it on the prior, so every replicate fitted under one
+prior object shares it.  AMP reads its Onsager coefficients and denoiser
+strengths from it, and ``se_diagnostics`` its covariance blocks."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DomainError
 from .free_energy import LinearModel, VariationalState, _grad_norm_sq_per_p, tap_gradient
-from .potential import _se_schedule, se_covariance_blocks
 from .priors import Prior
+from .scalar import mmse
+
+
+def _se_schedule(prior: Prior, sigma2: float, delta: float, k: int):
+    """Read-only (gamma_1..gamma_k, mmse(gamma_1)..mmse(gamma_{k-1})) of the
+    state-evolution recursion, computed on the first call for (sigma2, delta,
+    k) and kept on the prior: it depends on neither the data nor the
+    replicate.  A gamma that overflows (mmse underflows to 0 at a tiny
+    sigma2) is a DomainError naming sigma2 and delta."""
+    key = (sigma2, delta, k)
+    schedule = prior._se_schedules.get(key)
+    if schedule is None:
+        gammas, mmses = np.empty(k), np.empty(k - 1)
+        g = delta / (sigma2 + prior.second_moment)
+        with np.errstate(over="ignore"):  # entered once per schedule, not per gamma
+            for i in range(k):
+                if not g < math.inf:  # also rejects nan
+                    raise DomainError(f"state-evolution gamma_{i + 1} = {float(g)!r} is not "
+                                      f"finite (sigma2 = {sigma2!r}, delta = {delta!r})")
+                gammas[i] = g
+                if i < k - 1:
+                    mmses[i] = mmse(prior, g)
+                    g = delta / (sigma2 + mmses[i])
+        gammas.setflags(write=False)
+        mmses.setflags(write=False)
+        schedule = prior._se_schedules[key] = (gammas, mmses)
+    return schedule
 
 
 @dataclass
@@ -98,16 +128,21 @@ def se_diagnostics(amp_state: AMPState, model: LinearModel, prior: Prior,
                    delta: float | None = None) -> dict:
     """Compare empirical covariances of the AMP error/residual trajectories
     with the state-evolution blocks K_h and delta*K_g."""
-    if k > len(amp_state.history):
-        raise ValueError("k exceeds the number of recorded iterations")
+    if not 1 <= k <= len(amp_state.history):
+        raise ValueError(f"k = {k!r} is not between 1 and the "
+                         f"{len(amp_state.history)} recorded iterations")
     if delta is None:
         delta = model.delta_hat
     p, n = model.p, model.n
     V = np.column_stack([amp_state.m_history[i] - truth for i in range(k)])
     R = np.column_stack([-amp_state.z_history[i] for i in range(k)])
-    se = se_covariance_blocks(prior, model.sigma2, delta, k)
-    dev_h = float(np.max(np.abs(V.T @ V / p - se.K_h)))
-    dev_g = float(np.max(np.abs(R.T @ R / n - delta * se.K_g)))
+    # K_g[i][j] = 1/gamma_{max(i,j)},  K_h[i][j] = delta/gamma_{max(i,j)} - sigma^2
+    gammas = _se_schedule(prior, model.sigma2, delta, k)[0]
+    gamma_ij = gammas[np.maximum.outer(np.arange(k), np.arange(k))]
+    K_g = 1.0 / gamma_ij
+    K_h = delta / gamma_ij - model.sigma2
+    dev_h = float(np.max(np.abs(V.T @ V / p - K_h)))
+    dev_g = float(np.max(np.abs(R.T @ R / n - delta * K_g)))
     return {"k": k, "max_dev_Kh": dev_h, "max_dev_Kg": dev_g,
-            "K_h": se.K_h, "K_g": se.K_g,
+            "K_h": K_h, "K_g": K_g,
             "emp_Kh": V.T @ V / p, "emp_Kg": R.T @ R / n}

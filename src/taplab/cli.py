@@ -23,6 +23,7 @@ from .amp import amp_run
 from .experiments import (
     MAX_REPLICATES,
     ExperimentConfig,
+    _feature_count,
     fit_free_energy,
     generate_instance,
     run_calibration,
@@ -31,7 +32,7 @@ from .experiments import (
     write_csv,
     write_manifest,
 )
-from .exceptions import TapLabError
+from .exceptions import DomainError, TapLabError
 from .free_energy import min_eigenvalue
 from .ngd import Objective
 from .oracle import enumerate_posterior, gaussian_posterior
@@ -259,9 +260,11 @@ def main(argv=None):
     except ValueError as exc:  # one line, as for a TapLabError below
         raise _error(f"invalid config: {exc}") from None
     # every subcommand with --delta but potential draws an n x floor(n/delta) design
-    if args.command != "potential" and getattr(args, "delta", None) is not None \
-            and cfg.n / args.delta < 1:
-        parser.error(f"argument --delta: must be at most n = {cfg.n}, got {args.delta:g}")
+    if args.command != "potential" and getattr(args, "delta", None) is not None:
+        try:
+            _feature_count(cfg.n, args.delta)
+        except DomainError as exc:
+            parser.error(f"argument --delta: {exc}")
     try:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # under a file, or on one

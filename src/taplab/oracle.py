@@ -1,7 +1,7 @@
 """Independent ground-truth computations used to validate everything else:
 Gaussian-prior closed forms, the Marchenko-Pastur variance fixed point, exact
-evidence/marginals by enumeration for tiny discrete instances, and a central
-finite-difference gradient checker.  The two exact posteriors import scipy on
+evidence/marginals by enumeration for tiny discrete instances, and a
+Monte Carlo evidence estimate.  The two exact posteriors import scipy on
 first use, so importing this module (as the CLI does) does not load it."""
 
 from __future__ import annotations
@@ -127,21 +127,3 @@ def mc_evidence(model: LinearModel, prior: Prior, n_samples: int,
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return est, se
-
-
-def fd_check(f, grad, point: np.ndarray, step: float = 1e-5,
-             tol: float = 1e-5) -> dict:
-    """Central-difference check of an analytic gradient at a point.
-
-    Returns a report with per-coordinate and max relative errors.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    g = np.asarray(grad(point), dtype=np.float64)
-    fd = np.empty_like(point)
-    for j in range(len(point)):
-        e = np.zeros_like(point)
-        e[j] = step
-        fd[j] = (f(point + e) - f(point - e)) / (2.0 * step)
-    rel = np.abs(fd - g) / (1.0 + np.abs(g))
-    return {"max_rel_error": float(rel.max()), "rel_errors": rel,
-            "fd": fd, "analytic": g, "passed": bool(rel.max() < tol)}

@@ -5,13 +5,10 @@ with i(gamma) the mutual information of the scalar channel
 lam = gamma*beta0 + sqrt(gamma)*z.  Its stationary points are the roots of
 mmse(gamma) = delta/gamma - sigma^2; the global minimizer gamma_stat sets the
 asymptotic evidence and Bayes risk, and the smallest local minimizer gamma_alg
-is the limit of the AMP signal-to-noise recursion.  That recursion is
-deterministic in (prior, sigma^2, delta): its schedule is computed once per
-(sigma^2, delta, length) and kept on the prior, and AMP reads its Onsager
-coefficients and denoiser strengths from it.  The state-evolution
-covariances of the recursion are the reference of the AMP diagnostics.
-``solve_gammas`` scans phi on a grid of gamma whose channel terms come from
-a few batched tilts of whole gammas (``scalar._channel_terms_grid``); the
+is the limit of the AMP signal-to-noise recursion, whose schedule ``amp``
+keeps.  ``_phi_terms`` states phi, phi' and phi'' once, on an array of gamma
+whose channel terms come from a few batched tilts of whole gammas
+(``scalar._channel_terms_grid``): ``solve_gammas`` scans it on a grid, and the
 pointwise ``phi``, ``phi_prime`` and ``phi_second`` are one-gamma calls of it.
 Each grid step where phi' changes sign is refined by the Illinois regula
 falsi (``_illinois``), started from the grid's own phi' at both ends, so the
@@ -30,7 +27,7 @@ import numpy as np
 
 from .exceptions import DomainError, NoBracketError, NoConvergenceError
 from .priors import Prior
-from .scalar import _channel_terms_grid, channel_terms, mmse
+from .scalar import _channel_terms_grid
 
 # solve_gammas scans phi' on GRID_POINTS log-spaced values of gamma between
 # GRID_LO and GRID_HI times delta/sigma^2
@@ -67,14 +64,6 @@ class PotentialProfile:
     regime: Regime
 
 
-def mutual_information(prior: Prior, gamma: float) -> float:
-    """i(gamma) = E[gamma*beta0^2/2 - log E_beta exp(-gamma*beta^2/2 + lam*beta)]
-    with lam = gamma*beta0 + sqrt(gamma)*z."""
-    if gamma == 0.0:
-        return 0.0
-    return channel_terms(prior, gamma)[0]
-
-
 def _check_args(sigma2: float, delta: float, *gammas: float) -> None:
     """Raise a DomainError naming sigma2 or delta unless both are positive
     and finite, or naming a gamma unless it and its square are normal
@@ -89,54 +78,31 @@ def _check_args(sigma2: float, delta: float, *gammas: float) -> None:
                               f"is a normal float")
 
 
+def _phi_terms(prior: Prior, sigma2: float, delta: float, gammas: np.ndarray):
+    """(phi, phi', phi'') arrays at the gammas, from one channel evaluation
+    of their rows (``scalar._channel_terms_grid``)."""
+    info, mse, e_var2 = _channel_terms_grid(prior, gammas)
+    return (0.5 * sigma2 * gammas - 0.5 * delta * np.log(gammas / (2.0 * np.pi * delta)) + info,
+            0.5 * (sigma2 - delta / gammas + mse),
+            0.5 * (delta / gammas**2 - e_var2))
+
+
 def phi(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
+    """The potential at one gamma."""
     _check_args(sigma2, delta, gamma)
-    return (0.5 * sigma2 * gamma - 0.5 * delta * np.log(gamma / (2.0 * np.pi * delta))
-            + mutual_information(prior, gamma))
+    return float(_phi_terms(prior, sigma2, delta, np.array([gamma], dtype=float))[0][0])
 
 
 def phi_prime(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """First derivative via the I-MMSE relation."""
     _check_args(sigma2, delta, gamma)
-    return 0.5 * (sigma2 - delta / gamma + mmse(prior, gamma))
+    return float(_phi_terms(prior, sigma2, delta, np.array([gamma], dtype=float))[1][0])
 
 
 def phi_second(prior: Prior, sigma2: float, delta: float, gamma: float) -> float:
     """Second derivative: (delta/gamma^2 - E[Var(beta0 | channel)^2]) / 2."""
     _check_args(sigma2, delta, gamma)
-    return 0.5 * (delta / gamma**2 - channel_terms(prior, gamma)[2])
-
-
-def _se_schedule(prior: Prior, sigma2: float, delta: float, k: int):
-    """Read-only (gamma_1..gamma_k, mmse(gamma_1)..mmse(gamma_{k-1})) of the
-    state-evolution recursion, computed on the first call for (sigma2, delta,
-    k) and kept on the prior: it depends on neither the data nor the
-    replicate.  A gamma that overflows (mmse underflows to 0 at a tiny
-    sigma2) is a DomainError naming sigma2 and delta."""
-    key = (sigma2, delta, k)
-    schedule = prior._se_schedules.get(key)
-    if schedule is None:
-        gammas, mmses = np.empty(k), np.empty(k - 1)
-        g = delta / (sigma2 + prior.second_moment)
-        with np.errstate(over="ignore"):  # entered once per schedule, not per gamma
-            for i in range(k):
-                if not g < math.inf:  # also rejects nan
-                    raise DomainError(f"state-evolution gamma_{i + 1} = {float(g)!r} is not "
-                                      f"finite (sigma2 = {sigma2!r}, delta = {delta!r})")
-                gammas[i] = g
-                if i < k - 1:
-                    mmses[i] = mmse(prior, g)
-                    g = delta / (sigma2 + mmses[i])
-        gammas.setflags(write=False)
-        mmses.setflags(write=False)
-        schedule = prior._se_schedules[key] = (gammas, mmses)
-    return schedule
-
-
-def gamma_sequence(prior: Prior, sigma2: float, delta: float, k: int) -> np.ndarray:
-    """State-evolution recursion gamma_{k+1} = delta/(sigma2 + mmse(gamma_k)),
-    started from gamma_1 = delta/(sigma2 + E[beta0^2])."""
-    return _se_schedule(prior, sigma2, delta, k)[0].copy()
+    return float(_phi_terms(prior, sigma2, delta, np.array([gamma], dtype=float))[2][0])
 
 
 def _illinois(f, a: float, fa: float, b: float, fb: float,
@@ -186,13 +152,7 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     scale = delta / sigma2
     _check_args(sigma2, delta, GRID_LO * scale, GRID_HI * scale)  # the grid's ends
     grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
-    # one channel evaluation of the whole grid, tilted in chunks of whole
-    # gammas, serves phi, phi' and phi''
-    info, mse, e_var2 = _channel_terms_grid(prior, grid)
-    phi_g = (0.5 * sigma2 * grid
-             - 0.5 * delta * np.log(grid / (2.0 * np.pi * delta)) + info)
-    dphi_g = 0.5 * (sigma2 - delta / grid + mse)
-    ddphi_g = 0.5 * (delta / grid**2 - e_var2)
+    phi_g, dphi_g, ddphi_g = _phi_terms(prior, sigma2, delta, grid)
 
     sign = np.sign(dphi_g)
     roots = []
@@ -226,24 +186,3 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
         gamma_grid=grid, phi=phi_g, phi_prime=dphi_g, phi_second=ddphi_g,
         gamma_stat=float(gamma_stat), gamma_alg=float(gamma_alg), regime=regime,
     )
-
-
-@dataclass(frozen=True)
-class SECovariances:
-    K_g: np.ndarray
-    K_h: np.ndarray
-
-
-def se_covariance_blocks(prior: Prior, sigma2: float, delta: float,
-                         k: int) -> SECovariances:
-    """Upper-left k x k blocks of the state-evolution covariances.
-
-    K_g[i][j] = 1/gamma_{max(i,j)};  K_h[i][j] = delta/gamma_{max(i,j)} - sigma^2.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seq = gamma_sequence(prior, sigma2, delta, k)
-    idx = np.maximum.outer(np.arange(k), np.arange(k))
-    K_g = 1.0 / seq[idx]
-    K_h = delta / seq[idx] - sigma2
-    return SECovariances(K_g=K_g, K_h=K_h)

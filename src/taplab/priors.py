@@ -7,7 +7,7 @@ quadrature itself, which is testable against Gaussian closed forms.
 
 A prior also holds what every fit under it shares: the two small matrices of
 the tilt kernels, built once here, and the channel quadrature rows and
-state-evolution schedules that ``scalar`` and ``potential`` compute on first
+state-evolution schedules that ``scalar`` and ``amp`` compute on first
 use and keep on the prior.
 """
 
@@ -55,7 +55,7 @@ class Prior:
     _tilt_basis: np.ndarray = field(init=False, repr=False, compare=False)
     _tilt_powers: np.ndarray = field(init=False, repr=False, compare=False)
     _tilt_bound: np.ndarray | None = field(init=False, repr=False, compare=False)
-    # state-evolution schedules by (sigma2, delta, k); see potential
+    # state-evolution schedules by (sigma2, delta, k); see amp
     _se_schedules: dict = field(init=False, repr=False, compare=False,
                                 default_factory=dict)
     # channel quadrature rows by Gauss-Hermite node count; see scalar

@@ -11,7 +11,7 @@ integrated by the QUAD_NODES-point Gauss-Hermite rule, and a dual solve has
 converged once its moment residual is below DUAL_RESIDUAL_TOL.  The
 channel quadrature rows a prior keeps are keyed by QUAD_NODES, so a new node
 count builds its own rows; the state-evolution schedules a prior keeps (see
-``potential``) are computed with the rule in force at the time and are not
+``amp``) are computed with the rule in force at the time and are not
 keyed by it.
 """
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from taplab.amp import amp_run
+from taplab.amp import _se_schedule, amp_run
 from taplab.experiments import (
     ExperimentConfig,
     fit_free_energy,
@@ -35,7 +35,6 @@ from taplab.ngd import NGDConfig, Objective, ngd_run
 from taplab.oracle import enumerate_posterior, gaussian_posterior, mc_evidence
 from taplab.potential import (
     Regime,
-    gamma_sequence,
     phi,
     phi_prime,
     phi_second,
@@ -307,7 +306,7 @@ def test_8_scalar_property_suite():
            - phi_prime(prior, SIGMA2, 1.0, 1.0 - h)) / (2 * h)
     curv = abs(fd2 - phi_second(prior, SIGMA2, 1.0, 1.0)) / abs(fd2)
 
-    seq = gamma_sequence(prior, SIGMA2, 1.0, 300)
+    seq = _se_schedule(prior, SIGMA2, 1.0, 300)[0]
     limit_gap = abs(seq[-1] - solve_gammas(prior, SIGMA2, 1.0).gamma_alg)
 
     ok = (roundtrip < 1e-8 and convex_ok and mono_ok and imms < 1e-6

@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from taplab import potential
+from taplab import amp
 from taplab.amp import amp_run, se_diagnostics
 from taplab.exceptions import DomainError
 from taplab.free_energy import LinearModel, tap_gradient
-from taplab.potential import gamma_sequence
 from taplab.priors import three_point
-from taplab.scalar import tilted_moments_vec
+from taplab.scalar import mmse, tilted_moments_vec
 
 SIGMA2 = 0.09
 
@@ -40,11 +39,11 @@ def test_first_step_unrolled(tp):
     assert np.array_equal(state.z_history[-1], model.y)
 
 
-def test_gamma_sequence_shared_with_recursion(tp):
+def test_se_schedule_shared_with_recursion(tp):
     rng = np.random.default_rng(1)
     model, _ = make_model(rng, 60, 60, tp)
     state, _ = amp_run(model, tp, 6, delta=1.0)
-    seq = gamma_sequence(tp, SIGMA2, 1.0, 6)
+    seq = amp._se_schedule(tp, SIGMA2, 1.0, 6)[0]
     got = np.array([row["gamma"] for row in state.history])
     assert np.array_equal(got, seq)
 
@@ -54,13 +53,12 @@ def test_state_evolution_schedule_is_computed_once(monkeypatch):
     rng = np.random.default_rng(6)
     model, truth = make_model(rng, 60, 60, prior)
     calls = []
-    mmse = potential.mmse
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return mmse(*args, **kwargs)
 
-    monkeypatch.setattr(potential, "mmse", counted)
+    monkeypatch.setattr(amp, "mmse", counted)
     first = amp_run(model, prior, 6, truth=truth, delta=1.0)
     assert len(calls) == 6
     again = amp_run(model, prior, 6, truth=truth, delta=1.0)
@@ -136,3 +134,44 @@ def test_se_deviations_shrink_with_n(tp):
         devs[n] = max(rep["max_dev_Kh"], rep["max_dev_Kg"])
     assert devs[2000] < devs[500]
     assert devs[2000] < 0.05
+
+
+def se_blocks(prior, k):
+    """se_diagnostics' state-evolution blocks (K_g, K_h) after k AMP
+    iterations at delta = 1."""
+    rng = np.random.default_rng(7)
+    model, truth = make_model(rng, 50, 50, prior)
+    state, _ = amp_run(model, prior, k, truth=truth, delta=1.0)
+    rep = se_diagnostics(state, model, prior, truth, k, delta=1.0)
+    return rep["K_g"], rep["K_h"]
+
+
+def test_se_blocks_k1_identities(tp):
+    K_g, K_h = se_blocks(tp, 1)
+    gamma1 = 1.0 / (SIGMA2 + tp.second_moment)
+    assert K_g[0, 0] == pytest.approx(1.0 / gamma1)
+    assert K_h[0, 0] == pytest.approx(tp.second_moment)
+
+
+def test_se_block_diagonal_is_lagged_mmse(tp):
+    K_g, K_h = se_blocks(tp, 6)
+    seq = amp._se_schedule(tp, SIGMA2, 1.0, 6)[0]
+    for k in range(1, 6):
+        assert K_h[k, k] == pytest.approx(mmse(tp, seq[k - 1]), rel=1e-10)
+    # entry (i, j) is that of gamma_{max(i, j)}
+    assert np.array_equal(K_g, 1.0 / seq[np.maximum.outer(np.arange(6), np.arange(6))])
+
+
+def test_se_blocks_positive_definite_k10(tp):
+    K_g, K_h = se_blocks(tp, 10)
+    np.linalg.cholesky(K_g)
+    np.linalg.cholesky(K_h)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_se_diagnostics_rejects_k_outside_the_run(tp, k):
+    rng = np.random.default_rng(7)
+    model, truth = make_model(rng, 50, 50, tp)
+    state, _ = amp_run(model, tp, 3, truth=truth, delta=1.0)
+    with pytest.raises(ValueError, match=f"k = {k} is not between 1 and the 3 recorded"):
+        se_diagnostics(state, model, tp, truth, k, delta=1.0)

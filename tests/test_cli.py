@@ -161,9 +161,7 @@ def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
      "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
     (["--config", "{low_noise}", "hessian", "--delta", "1.0"],
      "per-coordinate covariance singular in float64 on 204 of 300 coordinates"),
-    # n / delta overflows to inf, which has no floor
-    (["ngd", "--delta", "1e-320"], "delta = 1e-320 implies p = floor(n / delta) = inf"),
-], ids=["oracle", "calibrate", "hessian", "hessian-collapsed", "design-too-large"])
+], ids=["oracle", "calibrate", "hessian", "hessian-collapsed"])
 def test_library_error_is_one_line(tmp_path, capsys, argv, message):
     spikeless = tmp_path / "spikeless.txt"
     spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
@@ -460,10 +458,15 @@ def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
                                         (["ngd", "--delta", "inf"], "--delta"),
                                         (["oracle", "--mode", "gaussian", "--tau2", "inf"],
                                          "--tau2"),
-                                        (["amp", "--replicate", str(2**20)], "--replicate")])
+                                        (["amp", "--replicate", str(2**20)], "--replicate"),
+                                        # designs past the size cap; n / delta
+                                        # overflows to inf at 1e-320
+                                        (["ngd", "--delta", "1e-6"], "--delta"),
+                                        (["amp", "--delta", "1e-320"], "--delta")])
 def test_out_of_range_flag_rejected_before_running(cfg_file, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as info:
         run(cfg_file, out, *argv)
+    assert info.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()

@@ -5,7 +5,6 @@ from taplab.exceptions import DomainError
 from taplab.free_energy import LinearModel
 from taplab.oracle import (
     enumerate_posterior,
-    fd_check,
     gaussian_posterior,
     mc_evidence,
     mp_vstar,
@@ -105,20 +104,3 @@ class TestEnumeration:
         log_ev, _, _ = enumerate_posterior(model, tp)
         est, se = mc_evidence(model, tp, 200_000, np.random.default_rng(4))
         assert abs(np.exp(log_ev) - est) < 3.0 * se
-
-
-class TestFDCheck:
-    def test_quadratic_identity(self):
-        rep = fd_check(lambda x: 0.5 * float(x @ x), lambda x: x,
-                       np.array([1.0, -2.0, 3.0]))
-        assert rep["passed"]
-        assert rep["max_rel_error"] < 1e-10
-
-    def test_detects_corrupted_gradient(self):
-        def bad_grad(x):
-            g = x.copy()
-            g[0] += 1e-3
-            return g
-        rep = fd_check(lambda x: 0.5 * float(x @ x), bad_grad,
-                       np.array([1.0, -2.0, 3.0]))
-        assert not rep["passed"]
