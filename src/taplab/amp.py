@@ -7,7 +7,13 @@ started from gamma_1 = delta/(sigma^2 + E[beta0^2]), is deterministic in
 (prior, sigma^2, delta): ``_se_schedule`` computes it once per (sigma^2,
 delta, length) and keeps it on the prior, so every replicate fitted under one
 prior object shares it.  AMP reads its Onsager coefficients and denoiser
-strengths from it, and ``se_diagnostics`` its covariance blocks."""
+strengths from it, and ``se_diagnostics`` its covariance blocks.
+
+Each iteration k forms one residual z_k = y - X m_k + b_k z_{k-1}, with the
+Onsager coefficient b_k = gamma_{k-1} mmse(gamma_{k-1}) / delta and b_1 = 0,
+denoises m_k + X^T z_k / delta at gamma_k, and records one history row, a
+row of ``taplab amp``'s amp.csv.  A fit's warm start is
+``experiments.AMP_WARM_ITERS`` of these iterations."""
 
 from __future__ import annotations
 
@@ -52,13 +58,15 @@ def _se_schedule(prior: Prior, sigma2: float, delta: float, k: int):
 class AMPState:
     """Trajectory record of an AMP run of T iterations.
 
-    ``history`` holds one row per iteration k = 1..T, so T = len(history):
-    the signal-to-noise ``gamma`` of its denoise, the state-evolution MSE
-    ``mse_se`` and, when asked for, ``mse_empirical`` and
-    ``grad_norm_sq_per_p``.  ``m_history`` holds the first-moment iterates
-    m^1 = 0, m^2, ..., m^{T+1} and ``z_history`` the residuals z^1..z^T.  The
-    last iterate's second moments are those of the VariationalState that
-    ``amp_run`` returns beside this.
+    ``history`` holds one row per iteration k = 1..T, so T = len(history),
+    keyed by the columns of ``taplab amp``'s amp.csv in their order: ``k``,
+    the signal-to-noise ``gamma_k`` of its denoise, ``mse_empirical`` when
+    the truth is given, the state-evolution MSE ``mse_se``, and
+    ``grad_norm_sq_per_p`` when the gradient is tracked.  ``m_history``
+    holds the first-moment iterates m^1 = 0, m^2, ..., m^{T+1} and
+    ``z_history`` the residuals z^1..z^T, each the array the iteration made,
+    uncopied: m^{T+1} is the ``m`` of the VariationalState that ``amp_run``
+    returns beside this, which also holds the last iterate's second moments.
     """
 
     history: list = field(default_factory=list)
@@ -91,31 +99,31 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
     z_prev = np.zeros(n)
     m_k = np.zeros(p)
     history = []
-    m_hist = [m_k.copy()]
+    m_hist = [m_k]
     z_hist = []
     for k in range(1, T + 1):
         gamma_k = float(gammas[k - 1])
-        if k == 1:
-            z_k = y - X @ m_k  # the Onsager term vanishes
-        else:
-            # Onsager coefficient from deterministic state evolution
-            b = gammas[k - 2] * mmses[k - 2] / delta
-            z_k = y - X @ m_k + b * z_prev
+        # Onsager coefficient from deterministic state evolution; at k = 1,
+        # where m_k and z_prev are zeros, the term vanishes
+        b = gammas[k - 2] * mmses[k - 2] / delta if k > 1 else 0.0
+        z_k = y - X @ m_k + b * z_prev
         x = m_k + X.T @ z_k / delta
         # posterior-mean denoiser: the tilted law at (gamma_k*x, gamma_k)
         var_state = VariationalState.from_duals(prior, gamma_k * x,
                                                 np.full_like(x, gamma_k))
 
-        row = {"k": k, "gamma": gamma_k, "mse_se": float(mmses[k - 1])}
+        row = {"k": k, "gamma_k": gamma_k}
         if truth is not None:
             row["mse_empirical"] = float(np.sum((var_state.m - truth) ** 2)) / p
+        row["mse_se"] = float(mmses[k - 1])
         if track_gradient:
             gm, gs = tap_gradient(model, var_state)
             row["grad_norm_sq_per_p"] = _grad_norm_sq_per_p(gm, gs, k)
         history.append(row)
 
-        z_hist.append(z_k.copy())
-        m_hist.append(var_state.m.copy())
+        # z_k and var_state.m are new arrays that nothing writes to
+        z_hist.append(z_k)
+        m_hist.append(var_state.m)
         z_prev = z_k
         m_k = var_state.m
 

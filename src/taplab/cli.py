@@ -36,7 +36,7 @@ from .exceptions import DomainError, TapLabError
 from .free_energy import min_eigenvalue
 from .ngd import Objective
 from .oracle import enumerate_posterior, gaussian_posterior
-from .potential import solve_gammas
+from .potential import _grid, solve_gammas
 
 
 def _bounded(cast, ok, what):
@@ -130,12 +130,7 @@ def cmd_amp(cfg, args):
     model, truth = generate_instance(cfg, args.replicate, args.delta)
     state, _ = amp_run(model, prior, args.iters, truth=truth,
                        delta=args.delta, track_gradient=True)
-    rows = [{"k": r["k"], "gamma_k": r["gamma"],
-             "mse_empirical": r.get("mse_empirical", float("nan")),
-             "mse_se": r["mse_se"],
-             "grad_norm_sq_per_p": r.get("grad_norm_sq_per_p", float("nan"))}
-            for r in state.history]
-    write_csv(Path(cfg.output_dir) / "amp.csv", rows)
+    write_csv(Path(cfg.output_dir) / "amp.csv", state.history)
     return {"iterations": args.iters}
 
 
@@ -259,8 +254,14 @@ def main(argv=None):
         cfg = build_config(args)
     except ValueError as exc:  # one line, as for a TapLabError below
         raise _error(f"invalid config: {exc}") from None
-    # every subcommand with --delta but potential draws an n x floor(n/delta) design
-    if args.command != "potential" and getattr(args, "delta", None) is not None:
+    # potential scans a grid of gamma whose squares must be normal floats;
+    # every other subcommand with --delta draws an n x floor(n/delta) design
+    if args.command == "potential":
+        try:
+            _grid(cfg.sigma2, args.delta)
+        except DomainError as exc:  # as for a TapLabError below
+            parser.exit(1, f"{parser.prog}: error: {exc}\n")
+    elif getattr(args, "delta", None) is not None:
         try:
             _feature_count(cfg.n, args.delta)
         except DomainError as exc:

@@ -43,6 +43,8 @@ MAX_REPLICATES = 2**20
 # the largest n x p design an instance may draw: 2**24 entries are 128 MiB of
 # float64, four times the n = p = 2000 design of the largest test
 MAX_DESIGN_ENTRIES = 2**24
+# the AMP iterations of every fit's warm start
+AMP_WARM_ITERS = 8
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,6 @@ class ExperimentConfig:
     replicates: int = 20
     seed: int = 0
     output_dir: str = "out"
-    amp_warm_iters: int = 8
     max_iters: int = 20000
     grad_tol: float = 1e-10
 
@@ -70,8 +71,6 @@ class ExperimentConfig:
             raise ValueError("n must be positive")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
-        if self.amp_warm_iters < 1:
-            raise ValueError("amp_warm_iters must be >= 1")
         if not self.delta_grid:  # a sweep writes at least one row
             raise ValueError("delta_grid must hold at least one delta")
         for delta in self.delta_grid:
@@ -164,7 +163,7 @@ def _fit(model: LinearModel, prior: Prior, cfg: ExperimentConfig,
          objectives, delta: float | None) -> dict:
     """One AMP warm start, then each objective fitted from that start by
     ``newton_run`` (mean-field: NGD, then Newton)."""
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
     return {objective: newton_run(model, prior, warm, cfg.ngd_config(objective))
             for objective in objectives}
 

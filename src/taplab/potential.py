@@ -139,6 +139,16 @@ def _illinois(f, a: float, fa: float, b: float, fb: float,
     raise NoConvergenceError(f"regula falsi found no root in 100 iterations: {sorted((a, b))}")
 
 
+def _grid(sigma2: float, delta: float) -> np.ndarray:
+    """The GRID_POINTS log-spaced gammas from GRID_LO to GRID_HI times
+    delta/sigma2 that ``solve_gammas`` scans, after ``_check_args`` of sigma2
+    and delta and of the grid's ends."""
+    _check_args(sigma2, delta)
+    scale = delta / sigma2
+    _check_args(sigma2, delta, GRID_LO * scale, GRID_HI * scale)
+    return np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
+
+
 def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     """Locate all stationary points of phi on the grid and classify the regime.
 
@@ -148,10 +158,7 @@ def solve_gammas(prior: Prior, sigma2: float, delta: float) -> PotentialProfile:
     and GRID_HI times delta/sigma2) where a square is not a normal float are
     a DomainError.
     """
-    _check_args(sigma2, delta)
-    scale = delta / sigma2
-    _check_args(sigma2, delta, GRID_LO * scale, GRID_HI * scale)  # the grid's ends
-    grid = np.geomspace(GRID_LO * scale, GRID_HI * scale, GRID_POINTS)
+    grid = _grid(sigma2, delta)
     phi_g, dphi_g, ddphi_g = _phi_terms(prior, sigma2, delta, grid)
 
     sign = np.sign(dphi_g)

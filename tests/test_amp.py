@@ -44,7 +44,7 @@ def test_se_schedule_shared_with_recursion(tp):
     model, _ = make_model(rng, 60, 60, tp)
     state, _ = amp_run(model, tp, 6, delta=1.0)
     seq = amp._se_schedule(tp, SIGMA2, 1.0, 6)[0]
-    got = np.array([row["gamma"] for row in state.history])
+    got = np.array([row["gamma_k"] for row in state.history])
     assert np.array_equal(got, seq)
 
 
@@ -76,7 +76,7 @@ def test_gamma_monotone_and_determinism(tp):
     model, truth = make_model(rng, 80, 80, tp)
     s1, v1 = amp_run(model, tp, 8, truth=truth)
     s2, v2 = amp_run(model, tp, 8, truth=truth)
-    gammas = [row["gamma"] for row in s1.history]
+    gammas = [row["gamma_k"] for row in s1.history]
     assert np.all(np.diff(gammas) > -1e-10)
     assert np.array_equal(s1.m_history[-1], s2.m_history[-1])
     assert np.array_equal(v1.lam, v2.lam)

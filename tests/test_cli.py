@@ -161,7 +161,9 @@ def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
      "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
     (["--config", "{low_noise}", "hessian", "--delta", "1.0"],
      "per-coordinate covariance singular in float64 on 204 of 300 coordinates"),
-], ids=["oracle", "calibrate", "hessian", "hessian-collapsed"])
+    # the grid's lower end, 1e-4 delta / sigma^2, is subnormal
+    (["potential", "--delta", "1e-320"], "gamma = 1e-323 (sigma2 = 0.09, delta = 1e-320) leaves "),
+], ids=["oracle", "calibrate", "hessian", "hessian-collapsed", "potential-subnormal-delta"])
 def test_library_error_is_one_line(tmp_path, capsys, argv, message):
     spikeless = tmp_path / "spikeless.txt"
     spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
@@ -175,6 +177,8 @@ def test_library_error_is_one_line(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"taplab: error: {message}") and err.count("\n") == 1
     assert not (out / "manifest.json").exists()
+    if argv[0] == "potential":  # its grid is checked before --out is made
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, report", [(["hessian"], "hessian.json"),
@@ -352,6 +356,8 @@ def test_extreme_noise_stops_with_one_error_line(tmp_path, config, command, mess
     assert errors == [res.stderr.splitlines()[-1]]
     assert errors[0].startswith(f"taplab: error: {message}")
     assert res.stderr.count("\n") == 1  # nothing else: no numpy warning
+    if command == "potential":  # its grid is checked before --out is made
+        assert not (tmp_path / "out").exists()
 
 
 NO_SCIPY_SCRIPT = """
@@ -417,11 +423,12 @@ def test_config_bad_value_rejected(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("line, field", [("eta = 0", "eta"),  # no longer a key
+@pytest.mark.parametrize("line, field", [("eta = 0", "eta"),  # no longer keys
                                          ("eta = 1.5", "eta"),
+                                         ("amp_warm_iters = 8", "unknown config key: "
+                                          "'amp_warm_iters'"),
                                          ("max_iters = 0", "max_iters"),
                                          ("grad_tol = 0", "grad_tol"),
-                                         ("amp_warm_iters = 0", "amp_warm_iters"),
                                          ("delta_grid = 1.0, 0", "delta_grid"),
                                          ("delta_grid = nan", "delta_grid"),
                                          ("delta_grid = 1.0, inf", "delta_grid"),

@@ -6,7 +6,12 @@ import pytest
 from taplab import kernels, ngd
 from taplab.amp import amp_run
 from taplab.exceptions import DomainError
-from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
+from taplab.experiments import (
+    AMP_WARM_ITERS,
+    ExperimentConfig,
+    fit_free_energy,
+    generate_instance,
+)
 from taplab.free_energy import (
     LinearModel,
     VariationalState,
@@ -273,7 +278,7 @@ def test_newton_reaches_the_ngd_minimizer(desc, delta):
     cfg = ExperimentConfig(prior_descriptor=desc, n=300, seed=0, replicates=1)
     prior = cfg.prior()
     model, _ = generate_instance(cfg, 0, delta)
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
     newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
     reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
     assert newton.converged and reference.converged
@@ -305,7 +310,7 @@ def warm_start(sigma, delta):
     cfg = ExperimentConfig(sigma=sigma, n=300, seed=0, replicates=1)
     prior = cfg.prior()
     model, _ = generate_instance(cfg, 0, delta)
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
     return model, prior, warm
 
 
@@ -464,7 +469,7 @@ def test_low_noise_mf_fit_takes_newton_steps():
     cfg = ExperimentConfig(sigma=0.1, n=300, seed=0, replicates=1)
     prior = cfg.prior()
     model, _ = generate_instance(cfg, 0, 0.6)
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=0.6)
+    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=0.6)
     newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
     reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
     assert newton.converged and reference.converged
@@ -593,7 +598,7 @@ def test_gated_mf_handover_keeps_the_ngd_minimizer(n, delta, replicate):
     cfg = ExperimentConfig(sigma=0.3, n=n, seed=0, replicates=replicate + 1)
     prior = cfg.prior()
     model, _ = generate_instance(cfg, replicate, delta)
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
     newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
     reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
     assert newton.converged and reference.converged
@@ -635,7 +640,7 @@ def test_mf_newton_finish_keeps_the_ngd_minimizer(desc, delta):
     cfg = ExperimentConfig(prior_descriptor=desc, n=300, seed=0, replicates=1)
     prior = cfg.prior()
     model, _ = generate_instance(cfg, 0, delta)
-    _, warm = amp_run(model, prior, cfg.amp_warm_iters, delta=delta)
+    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
     newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
     reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
     assert newton.converged and reference.converged
