@@ -5,6 +5,11 @@ hessian, oracle.  Global flags: --config <file> (key = value lines mirroring
 ExperimentConfig), --seed, --out.  Outputs are versioned CSV files plus a
 JSON run manifest.  BLAS threads follow OMP_NUM_THREADS /
 OPENBLAS_NUM_THREADS, which take effect only when set before launch.
+
+Every refusal after the flags parse (a bad config file or value, an output
+directory that cannot be made, a TapLabError from a subcommand) is a
+TapLabError that ``main`` turns into one ``taplab: error:`` line and
+status 1; a bad flag is argparse's usage error, status 2.
 """
 
 from __future__ import annotations
@@ -59,25 +64,19 @@ _replicate = _bounded(int, lambda v: 0 <= v < MAX_REPLICATES, f"in [0, {MAX_REPL
 _seed = _bounded(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
-def _error(message) -> SystemExit:
-    """The exit of a bad config or output directory: one ``taplab: error:``
-    line and status 1, as ``main`` gives a ``TapLabError``."""
-    return SystemExit(f"taplab: error: {message}")
-
-
 def load_config(path) -> dict:
     """Parse a key = value config file; '#' starts a comment.
 
     Each value is typed by the ExperimentConfig field it sets: a tuple field
     is split on commas, any other value is cast to the type of the field's
     default, so a str value is never split.  A file that cannot be read, an
-    unknown key or a bad value stops with one error line.
+    unknown key or a bad value is a TapLabError.
     """
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise _error(f"cannot read config file {str(path)!r}: {reason}") from None
+        raise TapLabError(f"cannot read config file {str(path)!r}: {reason}") from None
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     out = {}
     for line in text.splitlines():
@@ -87,7 +86,7 @@ def load_config(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         if key not in defaults:
-            raise _error(f"unknown config key: {key!r}")
+            raise TapLabError(f"unknown config key: {key!r}")
         default = defaults[key]
         try:
             if isinstance(default, tuple):
@@ -95,7 +94,7 @@ def load_config(path) -> dict:
             else:
                 out[key] = type(default)(value.strip())
         except ValueError as exc:
-            raise _error(f"config key {key!r}: {exc}") from None
+            raise TapLabError(f"config key {key!r}: {exc}") from None
     return out
 
 
@@ -107,7 +106,10 @@ def build_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
-    return ExperimentConfig(**overrides)
+    try:
+        return ExperimentConfig(**overrides)
+    except ValueError as exc:
+        raise TapLabError(f"invalid config: {exc}") from None
 
 
 def cmd_potential(cfg, args):
@@ -252,27 +254,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-    except ValueError as exc:  # one line, as for a TapLabError below
-        raise _error(f"invalid config: {exc}") from None
-    # potential scans a grid of gamma whose squares must be normal floats;
-    # every other subcommand with --delta draws an n x floor(n/delta) design
-    if args.command == "potential":
-        try:
+        # potential scans a grid of gamma whose squares must be normal floats;
+        # every other subcommand with --delta draws an n x floor(n/delta) design
+        if args.command == "potential":
             _grid(cfg.sigma2, args.delta)
-        except DomainError as exc:  # as for a TapLabError below
-            parser.exit(1, f"{parser.prog}: error: {exc}\n")
-    elif getattr(args, "delta", None) is not None:
+        elif getattr(args, "delta", None) is not None:
+            try:
+                _feature_count(cfg.n, args.delta)
+            except DomainError as exc:  # a usage error, status 2
+                parser.error(f"argument --delta: {exc}")
         try:
-            _feature_count(cfg.n, args.delta)
-        except DomainError as exc:
-            parser.error(f"argument --delta: {exc}")
-    try:
-        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # under a file, or on one
-        raise _error(f"cannot create output directory {cfg.output_dir!r}: "
-                     f"{exc.strerror}") from None
-    t0 = time.perf_counter()
-    try:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # under a file, or on one
+            raise TapLabError(f"cannot create output directory {cfg.output_dir!r}: "
+                              f"{exc.strerror}") from None
+        t0 = time.perf_counter()
         extra = args.func(cfg, args)
     except TapLabError as exc:
         parser.exit(1, f"{parser.prog}: error: {exc}\n")

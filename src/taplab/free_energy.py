@@ -269,7 +269,7 @@ def tap_hessian_dense(model: LinearModel, state: VariationalState,
                       prior: Prior) -> np.ndarray:
     p = model.p
     if 2 * p > DENSE_HESSIAN_MAX_DIM:
-        raise ValueError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
+        raise DomainError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
     d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)[0]
     V = onsager_volume(model, state)
     ratio = model.n / model.p

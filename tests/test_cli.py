@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import taplab
+from taplab import free_energy
 from taplab.cli import load_config, main
+from taplab.exceptions import TapLabError
 from taplab.experiments import ExperimentConfig
 
 CFG = """
@@ -42,11 +44,28 @@ def test_load_config_parsing(tmp_path):
                    "design": "rademacher"}
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("bogus = 1\n")
-    with pytest.raises(SystemExit):
-        main(["--config", str(path), "potential"])
+@pytest.mark.parametrize("config, out, message", [
+    (None, "out", "cannot read config file {config!r}: No such file or directory"),
+    ("bogus = 1\n", "out", "unknown config key: 'bogus'"),
+    ("n = many\n", "out", "config key 'n': invalid literal for int() with base 10: 'many'"),
+    ("sigma = nan\n", "out", "invalid config: sigma must be positive and finite"),
+    ("n = 50\n", "file/out", "cannot create output directory {out!r}: "),
+], ids=["unreadable-file", "unknown-key", "bad-value", "invalid-config", "uncreatable-out"])
+def test_refusal_exits_1_in_process(tmp_path, capsys, config, out, message):
+    # the code a caller in the same process reads is the shell's status, and
+    # the refusal is one line on stderr before --out is made
+    path = tmp_path / "cfg"
+    if config is not None:
+        path.write_text(config)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / out
+    with pytest.raises(SystemExit) as info:
+        main(["--config", str(path), "--out", str(out), "potential"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("taplab: error: " + message.format(config=str(path), out=str(out)))
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_potential_subcommand(cfg_file, tmp_path, capsys):
@@ -154,6 +173,16 @@ def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
     assert report["method"] == method
 
 
+def test_dense_hessian_past_its_cap_is_one_line(cfg_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 99)  # 2p = 100 at n = 50
+    with pytest.raises(SystemExit) as info:
+        run(cfg_file, tmp_path, "hessian", "--method", "dense")
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "taplab: error: dense Hessian limited to 2p <= 99\n"
+    assert not (tmp_path / "hessian.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["oracle"], "enumeration guard exceeded: 3^300 states"),
     (["--config", "{spikeless}", "calibrate"], "calibration needs a prior with an atom at 0"),
@@ -248,7 +277,7 @@ def test_readme_config_example_runs(tmp_path, descriptor):
     assert manifest["config"]["prior_descriptor"] == (descriptor or "three-point")
 
 
-def test_config_string_values_are_not_split(tmp_path):
+def test_config_string_values_are_not_split(tmp_path, capsys):
     path = tmp_path / "c.txt"
     path.write_text("prior_descriptor = bernoulli-gaussian:0.5,1.0\n"
                     "delta_grid = 1\n")
@@ -259,8 +288,10 @@ def test_config_string_values_are_not_split(tmp_path):
     # two atoms give a degenerate (m, s) family; the descriptor reaches the
     # prior intact and is rejected there, with the config
     path.write_text("prior_descriptor = point-mass:-1,0.5;1,0.5\n")
-    with pytest.raises(SystemExit, match="prior_descriptor .*3 distinct support points"):
+    with pytest.raises(SystemExit) as info:
         main(["--config", str(path), "--out", str(tmp_path / "out"), "potential"])
+    assert info.value.code == 1
+    assert re.search("prior_descriptor .*3 distinct support points", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -419,7 +450,7 @@ def test_manifest_run_time_survives_a_clock_step_back(cfg_file, tmp_path, monkey
 def test_config_bad_value_rejected(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("n = many\n")
-    with pytest.raises(SystemExit, match="'n'"):
+    with pytest.raises(TapLabError, match="'n'"):
         load_config(path)
 
 
@@ -441,12 +472,14 @@ def test_config_bad_value_rejected(tmp_path):
                                          ("prior_descriptor = cauchy", "prior_descriptor"),
                                          ("prior_descriptor = point-mass:-1,nan;0,0.5;1,0.5",
                                           "prior_descriptor")])
-def test_config_out_of_range_rejected_before_running(tmp_path, line, field):
+def test_config_out_of_range_rejected_before_running(tmp_path, capsys, line, field):
     path = tmp_path / "c.txt"
     path.write_text(CFG + line + "\n")
     out = tmp_path / "out"
-    with pytest.raises(SystemExit, match=field):
+    with pytest.raises(SystemExit) as info:
         main(["--config", str(path), "--out", str(out), "ngd", "--objective", "mf"])
+    assert info.value.code == 1
+    assert re.search(field, capsys.readouterr().err)
     assert not out.exists()  # rejected before the instance is generated
 
 

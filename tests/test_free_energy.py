@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse.linalg
 
 from taplab.free_energy import (
+    DENSE_HESSIAN_MAX_DIM,
     LinearModel,
     _apply_blocks,
     _entropy_hessian_blocks,
@@ -218,6 +219,15 @@ class TestHessian:
             tracemalloc.stop()
         assert value == expected
         assert peak < 1.2 * 8 * dim * dim
+
+    def test_dense_past_its_cap_is_a_domain_error(self, tp):
+        rng = np.random.default_rng(5)
+        p = DENSE_HESSIAN_MAX_DIM // 2 + 1
+        model, _ = random_model(rng, 5, p)
+        state = random_state(tp, p, rng)
+        with pytest.raises(DomainError, match=f"dense Hessian limited to 2p <= "
+                                              f"{DENSE_HESSIAN_MAX_DIM}$"):
+            tap_hessian_dense(model, state, tp)
 
     def test_dense_symmetry(self, tp):
         rng = np.random.default_rng(4)

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "mf_gate.py"
+PAIRS = ROOT / "tools" / "bench_pairs.py"
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
 
@@ -18,8 +20,9 @@ def _compare(a, b):
 
 
 def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
-    # the gate's smoke run: two saves side by side hold every group and
-    # compare clean and bit-identical; an edited hash is reported without
+    # the gate's smoke run: two saves side by side hold every group, the
+    # low-noise and hard-regime sweeps included, and compare clean and
+    # bit-identical; an edited hash is reported without
     # failing the gate, a mean-field record whose m moved and whose energy
     # rose fails it, and a file with a record missing is not comparable
     a, b, edited = (tmp_path / name for name in ("a.json", "b.json", "edited.json"))
@@ -28,18 +31,20 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
     assert [run.wait(timeout=300) for run in runs] == [0, 0]
     records = json.loads(b.read_text())
     groups = Counter(r["group"] for r in records)
-    assert groups == {"fit": 22, "min_eigenvalue": 6, "potential": 21, "dual_solve": 2,
-                      "time": 4}
+    assert groups == {"fit": 44, "min_eigenvalue": 6, "potential": 21, "dual_solve": 2,
+                      "time": 7}
 
     clean = _compare(a, b)
     assert clean.returncode == 0, clean.stdout
     # every sweep and objective, TAP and MF, is bit-identical fit for fit
-    lines = re.findall(r"^(test_\d .+ n=30) (tap|mf): (\d+) fits, (\d+) bit-identical, "
+    lines = re.findall(r"^(\w+ .+ sigma=[\d.]+ n=30) (tap|mf): (\d+) fits, (\d+) bit-identical, "
                        r"(\d+) path-identical, 0 moved", clean.stdout, re.MULTILINE)
-    assert len({(sweep, objective) for sweep, objective, *_ in lines}) == len(lines) == 6
+    assert len({(sweep, objective) for sweep, objective, *_ in lines}) == len(lines) == 12
     assert all(fits == identical == path for _, _, fits, identical, path in lines), clean.stdout
-    assert sum(int(fits) for _, _, fits, *_ in lines) == 22
-    sweep = "test_5 three-point n=30"
+    assert sum(int(fits) for _, _, fits, *_ in lines) == 44
+    assert {sweep for sweep, *_ in lines} >= {"low_noise three-point sigma=0.1 n=30",
+                                             "test_10 three-point sigma=0.1 n=30"}
+    sweep = "test_5 three-point sigma=0.3 n=30"
     for line in ("potential: 21 records, 21 bit-identical", "dual_solve: 2 records, "
                  "2 bit-identical", "min_eigenvalue: 6 records, 6 bit-identical"):
         assert line in clean.stdout
@@ -48,7 +53,7 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
     times = re.findall(r"^save time, (.+): ([\d.]+) s -> ([\d.]+) s$", clean.stdout,
                        re.MULTILINE)
     assert [part for part, _, _ in times][-1] == "potential and dual_solve"
-    assert len(times) == 4 and f"{sweep}" in [part for part, _, _ in times]
+    assert len(times) == 7 and f"{sweep}" in [part for part, _, _ in times]
     # a file saved without times still compares, its times shown as "-"
     edited.write_text(json.dumps([r for r in records if r["group"] != "time"]))
     untimed = _compare(edited, b)
@@ -135,3 +140,62 @@ def test_mf_gate_tells_path_identical_from_bit_identical(tmp_path):
         result = _compare(files[name], files[name])
         assert result.returncode == 2, result.stdout + result.stderr
         assert result.stdout == f"not comparable: {reason}\n"
+
+
+def test_bench_pairs_runs_one_pair_of_one_checkout(tmp_path):
+    # both sides are one copy of src/ and perfbench/, so the runs write their
+    # results there and nothing under this checkout; a side with no
+    # perfbench/run.py stops the tool before it prints a comparison
+    checkout = tmp_path / "checkout"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, checkout / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    res = subprocess.run([sys.executable, str(PAIRS), str(checkout), str(checkout),
+                          "--workload", "sweep-bg", "--pairs", "1", "--seconds", "1"],
+                         capture_output=True, text=True, env=ENV, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    for metric in ("setup_s", "round_s", "peak_rss_mb"):
+        assert re.search(rf"^{metric} \((s|MB)\): parent median [\d.]+ IQR 0.0000, change "
+                         rf"median [\d.]+ IQR 0.0000, median change - parent [-+][\d.]+, "
+                         rf"change wins [01] of 1$", res.stdout, re.MULTILINE), res.stdout
+    for side in ("parent", "change"):
+        assert re.search(rf"^{side}: failed share 0/\d+ = 0.0000, correct 1 of 1 runs$",
+                         res.stdout, re.MULTILINE), res.stdout
+    assert (checkout / "perfbench" / "out" / "sweep-bg-seed1-trace0.json").is_file()
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    res = subprocess.run([sys.executable, str(PAIRS), str(empty), str(checkout),
+                          "--workload", "sweep-bg", "--pairs", "1"],
+                         capture_output=True, text=True, env=ENV, timeout=60)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("bench_pairs: ") and "run.py" in res.stderr
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(monkeypatch, capsys):
+    # runs stand in for run.py: the change is 0.1 s faster on seeds 1-3 and
+    # ties on seed 4, fails one operation in ten, and is not correct on seed 3
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        value = 1.0 + seed / 100 - (0.1 if checkout == "C" and seed < 4 else 0.0)
+        return {"correct": checkout == "P" or seed != 3, "attempted": 10,
+                "failed": int(checkout == "C"), "metrics": {"round_s": {"value": value,
+                                                                        "unit": "s"}}}
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "P", "C", "--workload", "w",
+                                      "--pairs", "4"])
+    assert tool.main() == 1
+    assert calls == [("P", 1), ("C", 1), ("C", 2), ("P", 2),
+                     ("P", 3), ("C", 3), ("C", 4), ("P", 4)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [
+        "round_s (s): parent median 1.0250 IQR 0.0150, change median 0.9250 IQR 0.0400, "
+        "median change - parent -0.1000, change wins 3 of 4",
+        "parent: failed share 0/40 = 0.0000, correct 4 of 4 runs",
+        "change: failed share 4/40 = 0.1000, correct 3 of 4 runs"]

@@ -12,11 +12,16 @@ writes four groups of records, as JSON, whose floats read back exactly:
 
 - ``fit``: one per TAP and per MF fit of the acceptance tests' instances,
   fitted through ``experiments._sweep`` (one AMP warm start per instance,
-  then TAP and MF by ``newton_run``): test_5's two sweeps (three-point and
-  ``bernoulli-gaussian:0.5,1.0``, n = 300, 20 replicates at each delta of
-  the default grid) and test_6's (three-point, n = 500, delta = 1, 10
-  replicates), 210 instances and 420 fits in all, at sigma = 0.3 and master
-  seed 0.  Each holds the final m, the final energy, the stop reason,
+  then TAP and MF by ``newton_run``), at master seed 0: at sigma = 0.3,
+  test_5's two sweeps (three-point and ``bernoulli-gaussian:0.5,1.0``,
+  n = 300, 20 replicates at each delta of the default grid) and test_6's
+  (three-point, n = 500, delta = 1, 10 replicates), 210 instances and 420
+  fits; at low noise, where TAP's CG meets negative curvature and fits stop
+  at the step floor, three-point at sigma = 0.2 and at sigma = 0.1 (n = 300,
+  4 replicates at each delta of the default grid) and test_10's hard regime
+  (three-point, sigma = 0.1, n = 500, delta = 0.6, 6 replicates), 46
+  instances and 92 fits.  A sweep is named by its test, prior, sigma and n.
+  Each holds the final m, the final energy, the stop reason,
   ``iterations``, ``ngd_iterations``, ``hessian_matvecs``,
   ``curvature_breaks`` (where the checkout's ``NGDTrace`` has it), the MSE,
   a SHA-256 over every ``NGDTrace`` field, final state included, and a
@@ -35,7 +40,10 @@ writes four groups of records, as JSON, whose floats read back exactly:
   widths that no fit uses;
 - ``min_eigenvalue``: the dense minimum eigenvalue of the TAP Hessian, and
   its SHA-256, at the final TAP state of replicate 0 of both test_5 sweeps
-  at each of PROBE_DELTAS, taken from the fits above.
+  at each of PROBE_DELTAS, taken from the fits above.  The low-noise sweeps
+  take none: where a TAP state's tilted laws collapse onto atoms, the
+  Hessian needs the inverse of a singular covariance and the probe raises
+  DomainError.
 
 It also records its own wall time: one ``time`` record per sweep (its fits
 and probes) and one for the potential and dual-solve records together.
@@ -89,11 +97,15 @@ from taplab.priors import parse_prior  # noqa: E402
 
 MOVE_TOL = 1e-3
 ENERGY_RISE_TOL = 1e-8
-# (test, prior, n, replicates, deltas): test_5's two sweeps and test_6's;
-# None is the default delta grid
-SWEEPS = (("test_5", "three-point", 300, 20, None),
-          ("test_5", "bernoulli-gaussian:0.5,1.0", 300, 20, None),
-          ("test_6", "three-point", 500, 10, (1.0,)))
+# (test, prior, sigma, n, replicates, deltas): test_5's two sweeps, test_6's,
+# three-point at low noise, and test_10's hard regime; None is the default
+# delta grid
+SWEEPS = (("test_5", "three-point", 0.3, 300, 20, None),
+          ("test_5", "bernoulli-gaussian:0.5,1.0", 0.3, 300, 20, None),
+          ("test_6", "three-point", 0.3, 500, 10, (1.0,)),
+          ("low_noise", "three-point", 0.2, 300, 4, None),
+          ("low_noise", "three-point", 0.1, 300, 4, None),
+          ("test_10", "three-point", 0.1, 500, 6, (0.6,)))
 COUNTS = ("iterations", "ngd_iterations", "hessian_matvecs", "curvature_breaks")
 POTENTIAL_PRIORS = ("three-point", "bernoulli-gaussian:0.5,1.0",
                     "point-mass:-2,0.25;-1,0.25;1,0.25;2,0.25",
@@ -128,11 +140,11 @@ def fit_records(n=None, replicates=None):
     ``replicates``, when given, replace every sweep's n and cap its
     replicates."""
     records = []
-    for test, desc, sweep_n, sweep_replicates, deltas in SWEEPS:
+    for test, desc, sigma, sweep_n, sweep_replicates, deltas in SWEEPS:
         start = time.perf_counter()
-        cfg = ExperimentConfig(prior_descriptor=desc, n=n or sweep_n,
+        cfg = ExperimentConfig(prior_descriptor=desc, sigma=sigma, n=n or sweep_n,
                                replicates=min(replicates or sweep_replicates, sweep_replicates))
-        sweep, prior = f"{test} {desc} n={cfg.n}", cfg.prior()
+        sweep, prior = f"{test} {desc} sigma={sigma:g} n={cfg.n}", cfg.prior()
         for delta, rep, model, truth, traces in _sweep(cfg, deltas or cfg.delta_grid):
             for objective, trace in traces.items():
                 records.append(dict(
