@@ -38,7 +38,7 @@ from .experiments import (
     write_manifest,
 )
 from .exceptions import DomainError, TapLabError
-from .free_energy import min_eigenvalue
+from .free_energy import check_dense_dim, min_eigenvalue
 from .ngd import Objective
 from .oracle import enumerate_posterior, gaussian_posterior
 from .potential import _grid, solve_gammas
@@ -255,14 +255,17 @@ def main(argv=None):
     try:
         cfg = build_config(args)
         # potential scans a grid of gamma whose squares must be normal floats;
-        # every other subcommand with --delta draws an n x floor(n/delta) design
+        # every other subcommand with --delta draws an n x floor(n/delta)
+        # design, whose 2p x 2p Hessian hessian --method dense forms
         if args.command == "potential":
             _grid(cfg.sigma2, args.delta)
         elif getattr(args, "delta", None) is not None:
             try:
-                _feature_count(cfg.n, args.delta)
+                p = _feature_count(cfg.n, args.delta)
             except DomainError as exc:  # a usage error, status 2
                 parser.error(f"argument --delta: {exc}")
+            if getattr(args, "method", None) == "dense":
+                check_dense_dim(p)
         try:
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # under a file, or on one

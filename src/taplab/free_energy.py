@@ -265,11 +265,16 @@ def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior
     return Kv + _apply_blocks(_blocks, v)
 
 
+def check_dense_dim(p: int) -> None:
+    """Refuse a dense 2p x 2p Hessian past DENSE_HESSIAN_MAX_DIM."""
+    if 2 * p > DENSE_HESSIAN_MAX_DIM:
+        raise DomainError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
+
+
 def tap_hessian_dense(model: LinearModel, state: VariationalState,
                       prior: Prior) -> np.ndarray:
     p = model.p
-    if 2 * p > DENSE_HESSIAN_MAX_DIM:
-        raise DomainError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
+    check_dense_dim(p)
     d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)[0]
     V = onsager_volume(model, state)
     ratio = model.n / model.p

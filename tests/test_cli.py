@@ -174,13 +174,16 @@ def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
 
 
 def test_dense_hessian_past_its_cap_is_one_line(cfg_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 99)  # 2p = 100 at n = 50
+    # 2p = 100 at n = 50 is known from the config, so nothing is fitted and
+    # no --out is made; lanczos has no cap
+    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 99)
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
-        run(cfg_file, tmp_path, "hessian", "--method", "dense")
+        run(cfg_file, out, "hessian", "--method", "dense")
     assert info.value.code == 1
     assert capsys.readouterr().err == "taplab: error: dense Hessian limited to 2p <= 99\n"
-    assert not (tmp_path / "hessian.json").exists()
-    assert not (tmp_path / "manifest.json").exists()
+    assert not out.exists()
+    assert run(cfg_file, out, "hessian", "--method", "lanczos") == 0
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -144,8 +144,9 @@ def test_mf_gate_tells_path_identical_from_bit_identical(tmp_path):
 
 def test_bench_pairs_runs_one_pair_of_one_checkout(tmp_path):
     # both sides are one copy of src/ and perfbench/, so the runs write their
-    # results there and nothing under this checkout; a side with no
-    # perfbench/run.py stops the tool before it prints a comparison
+    # results there and nothing under this checkout; a side with another
+    # benchmark stops the tool before any run, and a side whose run.py fails
+    # (no src/) stops it before it prints a comparison
     checkout = tmp_path / "checkout"
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, checkout / part,
@@ -166,6 +167,15 @@ def test_bench_pairs_runs_one_pair_of_one_checkout(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     res = subprocess.run([sys.executable, str(PAIRS), str(empty), str(checkout),
+                          "--workload", "sweep-bg", "--pairs", "1"],
+                         capture_output=True, text=True, env=ENV, timeout=60)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("bench_pairs: the checkouts' benchmarks differ in "
+                                 "perfbench/")
+
+    srcless = tmp_path / "srcless"
+    shutil.copytree(checkout / "perfbench", srcless / "perfbench")
+    res = subprocess.run([sys.executable, str(PAIRS), str(srcless), str(checkout),
                           "--workload", "sweep-bg", "--pairs", "1"],
                          capture_output=True, text=True, env=ENV, timeout=60)
     assert res.returncode == 1 and res.stdout == ""

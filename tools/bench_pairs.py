@@ -3,11 +3,15 @@ and compare their end-to-end metrics.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-3pt --pairs 10
 
-Pair i runs each checkout's own ``perfbench/run.py --trace 0``, from that
-checkout's root, as a subprocess with the seed ``--first-seed`` + i; the
-parent runs first in even pairs and the change first in odd ones.  Only the
-last line of a run's standard output is read: the JSON object with
-``correct``, ``attempted``, ``failed`` and the end-to-end ``metrics``.
+Both checkouts must hold the same ``perfbench/*.py`` and ``BENCHMARK.json``,
+so that only the program differs; the tool exits 1 before any run when they
+do not.  Pair i, for i = 1..N, runs each checkout's own
+``perfbench/run.py --trace 0``, from that checkout's root, as a subprocess
+with the seed i (perfbench's seed only relabels fixed instances, so every
+seed does the same work); the parent runs first in odd pairs and the change
+first in even ones.  Only the last line of a run's standard output is read:
+the JSON object with ``correct``, ``attempted``, ``failed`` and the
+end-to-end ``metrics``.
 ``--seconds`` is passed on to ``run.py`` when given.
 
 For each metric it prints both sides' medians and interquartile ranges, the
@@ -23,6 +27,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -44,26 +49,36 @@ def run(checkout, workload, seed, seconds):
              f"without a JSON last line\n{res.stderr}")
 
 
+def harness(checkout):
+    """The bytes of the benchmark files in ``checkout``, by name."""
+    root = Path(checkout)
+    files = sorted(root.glob("perfbench/*.py")) + [root / "BENCHMARK.json"]
+    return {f.relative_to(root).as_posix(): f.read_bytes() for f in files if f.is_file()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs=2, metavar=("PARENT_DIR", "CHANGE_DIR"))
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("argument --pairs: must be at least 1")
 
+    parent, change = (harness(c) for c in args.checkouts)
+    if parent != change:
+        differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+        sys.exit(f"bench_pairs: the checkouts' benchmarks differ in {', '.join(differ)}")
+
     results = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+    for seed in range(1, args.pairs + 1):
+        for side in SIDES if seed % 2 else SIDES[::-1]:
             checkout = args.checkouts[SIDES.index(side)]
             results[side].append(run(checkout, args.workload, seed, args.seconds))
 
-    print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.first_seed}.."
-          f"{args.first_seed + args.pairs - 1}; parent first in even pairs")
+    print(f"workload {args.workload}, {args.pairs} pairs, seeds 1..{args.pairs}; "
+          "parent first in odd pairs")
     for name, metric in results["parent"][0]["metrics"].items():
         values = {side: np.array([r["metrics"][name]["value"] for r in results[side]])
                   for side in SIDES}
