@@ -38,7 +38,7 @@ from .experiments import (
     write_manifest,
 )
 from .exceptions import DomainError, TapLabError
-from .free_energy import check_dense_dim, min_eigenvalue
+from .free_energy import _probe_method, min_eigenvalue
 from .ngd import Objective
 from .oracle import enumerate_posterior, gaussian_posterior
 from .potential import _grid, solve_gammas
@@ -180,9 +180,9 @@ def cmd_hessian(cfg, args):
     prior = cfg.prior()
     model, _ = generate_instance(cfg, args.replicate, args.delta)
     trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=args.delta)
-    res = min_eigenvalue(model, trace.final, prior, method=args.method)
-    report = {"min_eig": res.value, "method": args.method,
-              "converged": res.converged}
+    method = _probe_method(model.p)
+    report = {"min_eig": min_eigenvalue(model, trace.final, prior, method).value,
+              "method": method}
     (Path(cfg.output_dir) / "hessian.json").write_text(json.dumps(report))
     print(json.dumps(report))
     return report
@@ -242,7 +242,6 @@ def main(argv=None):
 
     sp = sub.add_parser("hessian", parents=[instance],
                         help="minimum Hessian eigenvalue at the minimizer")
-    sp.add_argument("--method", choices=["dense", "lanczos"], default="dense")
     sp.set_defaults(func=cmd_hessian)
 
     sp = sub.add_parser("oracle", parents=[instance], help="exact reference computations")
@@ -255,17 +254,14 @@ def main(argv=None):
     try:
         cfg = build_config(args)
         # potential scans a grid of gamma whose squares must be normal floats;
-        # every other subcommand with --delta draws an n x floor(n/delta)
-        # design, whose 2p x 2p Hessian hessian --method dense forms
+        # every other subcommand with --delta draws an n x floor(n/delta) design
         if args.command == "potential":
             _grid(cfg.sigma2, args.delta)
         elif getattr(args, "delta", None) is not None:
             try:
-                p = _feature_count(cfg.n, args.delta)
+                _feature_count(cfg.n, args.delta)
             except DomainError as exc:  # a usage error, status 2
                 parser.error(f"argument --delta: {exc}")
-            if getattr(args, "method", None) == "dense":
-                check_dense_dim(p)
         try:
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # under a file, or on one

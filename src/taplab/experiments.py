@@ -19,12 +19,7 @@ import numpy as np
 
 from .amp import amp_run
 from .exceptions import DomainError
-from .free_energy import (
-    DENSE_HESSIAN_MAX_DIM,
-    LinearModel,
-    VariationalState,
-    min_eigenvalue,
-)
+from .free_energy import LinearModel, VariationalState, _probe_method, min_eigenvalue
 from .ngd import NGDConfig, Objective, StopReason, newton_run
 from .priors import Prior, parse_prior
 
@@ -279,13 +274,12 @@ def run_universality(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         for delta, rep, model, truth, traces in sweep:
             _count_stops(stop_reasons, traces)
             tap = traces[Objective.TAP]
-            method = "dense" if 2 * model.p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
             rows.append({"scenario": design, "delta": float(delta),
                          "seed": replicate_seed(cfg.seed, rep),
                          "mse_tap": _mse(tap, truth),
                          "mse_mf": _mse(traces[Objective.MF], truth),
                          "min_eig": min_eigenvalue(model, tap.final, prior,
-                                                   method).value})
+                                                   _probe_method(model.p)).value})
     return rows, stop_reasons
 
 

@@ -50,6 +50,12 @@ EIG_RESIDUAL_MAX = 1e-8  # bound on ||Hx - theta x|| for the unit x LOBPCG retur
 EIG_MAXITER = 2000
 
 
+def _probe_method(p: int) -> str:
+    """The ``min_eigenvalue`` method for a 2p x 2p Hessian: dense while it is
+    within DENSE_HESSIAN_MAX_DIM, LOBPCG past it."""
+    return "dense" if 2 * p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
+
+
 @dataclass(frozen=True)
 class LinearModel:
     X: np.ndarray
@@ -265,16 +271,11 @@ def tap_hessian_matvec(model: LinearModel, state: VariationalState, prior: Prior
     return Kv + _apply_blocks(_blocks, v)
 
 
-def check_dense_dim(p: int) -> None:
-    """Refuse a dense 2p x 2p Hessian past DENSE_HESSIAN_MAX_DIM."""
-    if 2 * p > DENSE_HESSIAN_MAX_DIM:
-        raise DomainError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
-
-
 def tap_hessian_dense(model: LinearModel, state: VariationalState,
                       prior: Prior) -> np.ndarray:
     p = model.p
-    check_dense_dim(p)
+    if 2 * p > DENSE_HESSIAN_MAX_DIM:
+        raise DomainError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
     d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)[0]
     V = onsager_volume(model, state)
     ratio = model.n / model.p
@@ -315,11 +316,12 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
                    method: str = "dense") -> EigResult:
     """Smallest eigenvalue of the TAP Hessian.
 
-    'lanczos' runs LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001) on the
-    matrix-free Hessian, preconditioned by the tilted covariances, from a
-    fixed-seed vector, so repeated calls agree bit for bit.  It returns the
-    Rayleigh quotient theta of a unit x with ||Hx - theta x|| <=
-    EIG_RESIDUAL_MAX, within that of an eigenvalue, or raises NoConvergenceError.
+    The commands take ``method`` from ``_probe_method``.  'lanczos' runs
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001) on the matrix-free Hessian,
+    preconditioned by the tilted covariances, from a fixed-seed vector, so
+    repeated calls agree bit for bit.  It returns the Rayleigh quotient theta
+    of a unit x with ||Hx - theta x|| <= EIG_RESIDUAL_MAX, within that of an
+    eigenvalue, or raises NoConvergenceError.
     """
     if method not in ("dense", "lanczos"):
         raise ValueError("method must be 'dense' or 'lanczos'")

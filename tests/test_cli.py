@@ -165,38 +165,40 @@ def test_fits_stopped_at_max_iters_are_counted_in_the_manifest(tmp_path, command
         assert len(lines) == 2 + fits
 
 
-@pytest.mark.parametrize("method", ["dense", "lanczos"])
-def test_hessian_subcommand(cfg_file, tmp_path, capsys, method):
-    assert run(cfg_file, tmp_path, "hessian", "--method", method) == 0
+@pytest.mark.parametrize("cap, method", [(100, "dense"), (99, "lanczos")])
+def test_hessian_probe_is_dense_up_to_its_limit(cfg_file, tmp_path, capsys, monkeypatch,
+                                                cap, method):
+    # 2p = 100 at n = 50, delta = 1: the dense probe's own size limit decides
+    # when LOBPCG runs, as in the universality sweep
+    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", cap)
+    assert run(cfg_file, tmp_path, "hessian") == 0
     report = json.loads((tmp_path / "hessian.json").read_text())
-    assert set(report) == {"min_eig", "method", "converged"}
-    assert report["method"] == method
+    assert set(report) == {"min_eig", "method"} and report["method"] == method
+    assert json.loads(capsys.readouterr().out) == report
 
 
-def test_dense_hessian_past_its_cap_is_one_line(cfg_file, tmp_path, capsys, monkeypatch):
-    # 2p = 100 at n = 50 is known from the config, so nothing is fitted and
-    # no --out is made; lanczos has no cap
-    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 99)
+def test_hessian_method_is_not_a_flag(cfg_file, tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
         run(cfg_file, out, "hessian", "--method", "dense")
-    assert info.value.code == 1
-    assert capsys.readouterr().err == "taplab: error: dense Hessian limited to 2p <= 99\n"
+    assert info.value.code == 2
+    assert "unrecognized arguments: --method dense" in capsys.readouterr().err
     assert not out.exists()
-    assert run(cfg_file, out, "hessian", "--method", "lanczos") == 0
 
 
 @pytest.mark.parametrize("argv, message", [
     (["oracle"], "enumeration guard exceeded: 3^300 states"),
     (["--config", "{spikeless}", "calibrate"], "calibration needs a prior with an atom at 0"),
-    (["hessian", "--delta", "1.4", "--method", "lanczos"],
-     "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
+    (["hessian", "--delta", "1.4"], "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
     (["--config", "{low_noise}", "hessian", "--delta", "1.0"],
      "per-coordinate covariance singular in float64 on 204 of 300 coordinates"),
     # the grid's lower end, 1e-4 delta / sigma^2, is subnormal
     (["potential", "--delta", "1e-320"], "gamma = 1e-323 (sigma2 = 0.09, delta = 1e-320) leaves "),
 ], ids=["oracle", "calibrate", "hessian", "hessian-collapsed", "potential-subnormal-delta"])
-def test_library_error_is_one_line(tmp_path, capsys, argv, message):
+def test_library_error_is_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    # 2p = 428 at delta = 1.4 is past this cap, so the hessian case probes by
+    # LOBPCG; the collapsed case's covariances fail before either probe
+    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 427)
     spikeless = tmp_path / "spikeless.txt"
     spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
     low_noise = tmp_path / "low_noise.txt"

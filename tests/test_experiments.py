@@ -185,7 +185,7 @@ class TestSweeps:
 
     def test_universality_probe_is_dense_up_to_its_limit(self, monkeypatch):
         # the dense probe's own size limit decides when the iterative one runs
-        from taplab import experiments
+        from taplab import experiments, free_energy
         cfg = small_cfg(replicates=1)
         methods, probe = [], experiments.min_eigenvalue
 
@@ -195,9 +195,9 @@ class TestSweeps:
 
         monkeypatch.setattr(experiments, "min_eigenvalue", recorded)
         p = generate_instance(cfg, 0, 1.0)[0].p
-        monkeypatch.setattr(experiments, "DENSE_HESSIAN_MAX_DIM", 2 * p)
+        monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 2 * p)
         run_universality(cfg)
-        monkeypatch.setattr(experiments, "DENSE_HESSIAN_MAX_DIM", 2 * p - 1)
+        monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 2 * p - 1)
         run_universality(cfg)
         assert methods == ["dense"] * 4 + ["lanczos"] * 4
 

@@ -42,6 +42,14 @@ def test_mf_gate_passes_two_saves_and_flags_an_edit(tmp_path):
     assert len({(sweep, objective) for sweep, objective, *_ in lines}) == len(lines) == 12
     assert all(fits == identical == path for _, _, fits, identical, path in lines), clean.stdout
     assert sum(int(fits) for _, _, fits, *_ in lines) == 44
+    # each side's stop reasons per sweep and objective, which cover its fits
+    stops = re.findall(r"^(\w+ .+ sigma=[\d.]+ n=30) (tap|mf): stop reasons converged (\d+) -> "
+                       r"(\d+), step_floor (\d+) -> (\d+), max_iters (\d+) -> (\d+)$",
+                       clean.stdout, re.MULTILINE)
+    assert [(sweep, objective) for sweep, objective, *_ in stops] == \
+        [(sweep, objective) for sweep, objective, *_ in lines]
+    for (_, _, fits, _, _), (_, _, *counts) in zip(lines, stops):
+        assert counts[::2] == counts[1::2] and sum(map(int, counts[::2])) == int(fits)
     assert {sweep for sweep, *_ in lines} >= {"low_noise three-point sigma=0.1 n=30",
                                              "test_10 three-point sigma=0.1 n=30"}
     sweep = "test_5 three-point sigma=0.3 n=30"

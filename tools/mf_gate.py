@@ -58,14 +58,16 @@ field's name and value in order; floats are hashed as their float64 bytes
 bit-identical by their hash and how many path-identical by their path hash
 ("-" when either file lacks it), how many moved (max|m_B - m_A| > MOVE_TOL),
 the largest max|m_B - m_A|, the largest rise and the largest |change| of the
-final energy from A to B, the stop reasons that changed and the totals of
-iterations, NGD iterations, Hessian products and CG's curvature breaks ("-"
-when either file lacks a count); per sweep and delta, whether the mean TAP
-MSE is at most the mean MF MSE in A and in B; and per other group, how many
-records are bit-identical, the largest change of gamma_stat, gamma_alg and
-the minimum eigenvalue relative to A's, and every regime that changed; then
-each side's wall time per ``time`` record, so that a change that makes fits cheaper shows
-it in the same run that shows its bits.  Times do not enter the gate, and a
+final energy from A to B, the stop reasons that changed, each side's count
+of each stop reason (``converged``, ``step_floor``, ``max_iters``) and the
+totals of iterations, NGD iterations, Hessian products and CG's curvature
+breaks ("-" when either file lacks a count); per sweep and delta, whether
+the mean TAP MSE is at most the mean MF MSE in A and in B; and per other
+group, how many records are bit-identical, the largest change of
+gamma_stat, gamma_alg and the minimum eigenvalue relative to A's, and every
+regime that changed; then each side's wall time per ``time`` record, so
+that a change that makes fits cheaper shows it in the same run that shows
+its bits.  Times do not enter the gate, and a
 file saved without them compares with times shown as "-".  It exits 1 when
 a fit moved, a final energy rose by more than ENERGY_RISE_TOL, a stop reason
 changed or a dominance verdict flipped, and 2 when the two files do not hold
@@ -83,6 +85,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +94,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from taplab.experiments import ExperimentConfig, _mse, _sweep  # noqa: E402
 from taplab.free_energy import VariationalState, min_eigenvalue  # noqa: E402
-from taplab.ngd import Objective  # noqa: E402
+from taplab.ngd import Objective, StopReason  # noqa: E402
 from taplab.potential import solve_gammas  # noqa: E402
 from taplab.priors import parse_prior  # noqa: E402
 
@@ -258,6 +261,10 @@ def compare(a_records, b_records):
               f"{_count_equal(a, b, keys, 'path_sha256')} path-identical, "
               f"{moved} moved (max|dm| {max(dm):.2e}), largest energy rise {max(df):.2e}, "
               f"largest |dF| {max(map(abs, df)):.2e}, {stops} stop reasons changed")
+        stop_counts = [Counter(records[k]["stop"] for k in keys) for records in (a, b)]
+        print(f"{sweep} {objective}: stop reasons " + ", ".join(
+            f"{s.value} {stop_counts[0][s.value]} -> {stop_counts[1][s.value]}"
+            for s in StopReason))
         print(f"{sweep} {objective}: " + ", ".join(
             f"{name} {_total(a, keys, name)} -> {_total(b, keys, name)}" for name in COUNTS))
         failed |= moved > 0 or not max(df) <= ENERGY_RISE_TOL or stops > 0
