@@ -38,7 +38,7 @@ from .experiments import (
     write_manifest,
 )
 from .exceptions import DomainError, TapLabError
-from .free_energy import _probe_method, min_eigenvalue
+from .free_energy import min_eigenvalue
 from .ngd import Objective
 from .oracle import enumerate_posterior, gaussian_posterior
 from .potential import _grid, solve_gammas
@@ -180,9 +180,8 @@ def cmd_hessian(cfg, args):
     prior = cfg.prior()
     model, _ = generate_instance(cfg, args.replicate, args.delta)
     trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=args.delta)
-    method = _probe_method(model.p)
-    report = {"min_eig": min_eigenvalue(model, trace.final, prior, method).value,
-              "method": method}
+    probe = min_eigenvalue(model, trace.final, prior)
+    report = {"min_eig": probe.value, "method": probe.method}
     (Path(cfg.output_dir) / "hessian.json").write_text(json.dumps(report))
     print(json.dumps(report))
     return report
@@ -272,7 +271,7 @@ def main(argv=None):
     except TapLabError as exc:
         parser.exit(1, f"{parser.prog}: error: {exc}\n")
     write_manifest(cfg.output_dir, cfg, time.perf_counter() - t0,
-                   extra={"command": args.command, **(extra or {})})
+                   {"command": args.command, **extra})
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .amp import amp_run
 from .exceptions import DomainError
-from .free_energy import LinearModel, VariationalState, _probe_method, min_eigenvalue
+from .free_energy import LinearModel, VariationalState, min_eigenvalue
 from .ngd import NGDConfig, Objective, StopReason, newton_run
 from .priors import Prior, parse_prior
 
@@ -52,8 +52,8 @@ class ExperimentConfig:
     replicates: int = 20
     seed: int = 0
     output_dir: str = "out"
-    max_iters: int = 20000
-    grad_tol: float = 1e-10
+    max_iters: int = NGDConfig.max_iters
+    grad_tol: float = NGDConfig.grad_tol
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # the high 64 bits of a Philox key
@@ -197,7 +197,7 @@ def inclusion_probabilities(prior: Prior, state: VariationalState) -> np.ndarray
     dual cache (lam*, gam*)."""
     idx = np.flatnonzero(prior.locations == 0.0)
     if len(idx) == 0:
-        return np.ones(state.p)
+        return np.ones_like(state.m)
     p_zero_atom = np.exp(prior.log_weights[idx[0]] - state.logZ)
     frac = prior.zero_spike_fraction_of_atom()
     return 1.0 - p_zero_atom * frac
@@ -241,7 +241,7 @@ def run_mse_sweep(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     return rows, stop_reasons
 
 
-def run_calibration(cfg: ExperimentConfig, delta: float = 1.0) -> tuple[dict, dict]:
+def run_calibration(cfg: ExperimentConfig, delta: float) -> tuple[dict, dict]:
     """Calibration rows for TAP and MF at a single delta, keyed by
     ``Objective.name``, as (tables, stop_reasons); the stop reasons as for
     ``run_mse_sweep``.
@@ -278,8 +278,7 @@ def run_universality(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
                          "seed": replicate_seed(cfg.seed, rep),
                          "mse_tap": _mse(tap, truth),
                          "mse_mf": _mse(traces[Objective.MF], truth),
-                         "min_eig": min_eigenvalue(model, tap.final, prior,
-                                                   _probe_method(model.p)).value})
+                         "min_eig": min_eigenvalue(model, tap.final, prior).value})
     return rows, stop_reasons
 
 
@@ -304,17 +303,15 @@ def _fmt(v):
     return str(v)
 
 
-def write_manifest(out_dir, cfg: ExperimentConfig, wall_time_s: float,
-                   extra: dict | None = None):
+def write_manifest(out_dir, cfg: ExperimentConfig, wall_time_s: float, extra: dict):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": asdict(cfg),
         "git_describe": _git_describe(),
         "wall_time_s": wall_time_s,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 

@@ -50,12 +50,6 @@ EIG_RESIDUAL_MAX = 1e-8  # bound on ||Hx - theta x|| for the unit x LOBPCG retur
 EIG_MAXITER = 2000
 
 
-def _probe_method(p: int) -> str:
-    """The ``min_eigenvalue`` method for a 2p x 2p Hessian: dense while it is
-    within DENSE_HESSIAN_MAX_DIM, LOBPCG past it."""
-    return "dense" if 2 * p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
-
-
 @dataclass(frozen=True)
 class LinearModel:
     X: np.ndarray
@@ -106,10 +100,6 @@ class VariationalState:
         p = len(self.m)
         object.__setattr__(self, "_sq", float(np.add.reduce(self.s) / p
                                               - np.add.reduce(self.m**2) / p))
-
-    @property
-    def p(self) -> int:
-        return len(self.m)
 
     @classmethod
     def from_duals(cls, prior: Prior, lam, gam) -> "VariationalState":
@@ -230,19 +220,24 @@ def _apply_blocks(blocks, v: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _volume_constants(model: LinearModel, state: VariationalState, tap: bool):
+    """K's volume constants at ``state``, (n/(pV), n/(p^2 V^2)): the diagonal
+    and TAP's rank-one weight, with V the Onsager volume, or sigma^2 for
+    mean-field."""
+    V = onsager_volume(model, state) if tap else model.sigma2
+    ratio = model.n / model.p
+    return ratio / V, ratio / (model.p * V * V)
+
+
 def _k_product(model: LinearModel, state: VariationalState, tap: bool):
     """The product with K, the Hessian's data-fit and volume part (H = D + K),
     at ``state``, as ``product(v, out)``: it writes K v into the 2p-vector
-    ``out`` and returns it.  The state's constants, the Onsager volume V,
-    n/(pV) and TAP's rank-one weight n/(p^2 V^2), are formed here once.
-    TAP's rank-one volume terms are never materialized; mean-field fixes V at
-    sigma^2, so it has none."""
+    ``out`` and returns it.  The state's volume constants are formed here
+    once.  TAP's rank-one volume terms are never materialized; mean-field
+    fixes V at sigma^2, so it has none."""
     X, sigma2, m = model.X, model.sigma2, state.m
     p = model.p
-    V = onsager_volume(model, state) if tap else sigma2
-    ratio = model.n / model.p
-    diag = ratio / V
-    w = ratio / (p * V * V)
+    diag, w = _volume_constants(model, state, tap)
     Xv = np.empty(model.n)
 
     def product(v, out):
@@ -277,8 +272,7 @@ def tap_hessian_dense(model: LinearModel, state: VariationalState,
     if 2 * p > DENSE_HESSIAN_MAX_DIM:
         raise DomainError(f"dense Hessian limited to 2p <= {DENSE_HESSIAN_MAX_DIM}")
     d_mm, d_ms, d_ss = _entropy_hessian_blocks(prior, state)[0]
-    V = onsager_volume(model, state)
-    ratio = model.n / model.p
+    diag, w = _volume_constants(model, state, True)
     m = state.m
     # one Fortran-ordered array, filled block by block in place, so that
     # eigvalsh can overwrite it instead of copying it; each entry gets the
@@ -289,15 +283,15 @@ def tap_hessian_dense(model: LinearModel, state: VariationalState,
     H_mm, H_ms, H_ss = H[:p, :p], H[:p, p:], H[p:, p:]
     np.matmul(model.X.T, model.X, out=H_mm)
     H_mm /= model.sigma2
-    np.einsum("ii->i", H_mm)[:] -= ratio / V
+    np.einsum("ii->i", H_mm)[:] -= diag
     # the rank-one m-m term is formed in the m-s block, which is filled next
     np.multiply.outer(m, m, out=H_ms)
-    H_ms *= 2.0 * ratio / (p * V * V)
+    H_ms *= 2.0 * w
     H_mm -= H_ms
     np.einsum("ii->i", H_mm)[:] += d_mm
-    H_ms[:] = ((ratio / (p * V * V)) * m)[:, None]
+    H_ms[:] = (w * m)[:, None]
     np.einsum("ii->i", H_ms)[:] += d_ms
-    H_ss[:] = -(0.5 * ratio / (p * V * V))
+    H_ss[:] = -(0.5 * w)
     np.einsum("ii->i", H_ss)[:] += d_ss
     H[p:, :p] = H_ms.T
     return H
@@ -305,24 +299,29 @@ def tap_hessian_dense(model: LinearModel, state: VariationalState,
 
 @dataclass(frozen=True)
 class EigResult:
-    """The smallest eigenvalue of the TAP Hessian; ``converged`` is True for
-    every result returned (a probe that misses raises)."""
+    """The smallest eigenvalue of the TAP Hessian and the ``method`` that
+    found it; ``converged`` is True for every result returned (a probe that
+    misses raises)."""
 
     value: float
     converged: bool
+    method: str
 
 
 def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
-                   method: str = "dense") -> EigResult:
+                   method: str | None = None) -> EigResult:
     """Smallest eigenvalue of the TAP Hessian.
 
-    The commands take ``method`` from ``_probe_method``.  'lanczos' runs
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001) on the matrix-free Hessian,
-    preconditioned by the tilted covariances, from a fixed-seed vector, so
-    repeated calls agree bit for bit.  It returns the Rayleigh quotient theta
-    of a unit x with ||Hx - theta x|| <= EIG_RESIDUAL_MAX, within that of an
-    eigenvalue, or raises NoConvergenceError.
+    With no ``method``, it probes 'dense' while 2p <= DENSE_HESSIAN_MAX_DIM
+    and 'lanczos' past it.  'lanczos' runs LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 2001) on the matrix-free Hessian, preconditioned by the tilted
+    covariances, from a fixed-seed vector, so repeated calls agree bit for
+    bit.  It returns the Rayleigh quotient theta of a unit x with
+    ||Hx - theta x|| <= EIG_RESIDUAL_MAX, within that of an eigenvalue, or
+    raises NoConvergenceError.
     """
+    if method is None:
+        method = "dense" if 2 * model.p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError("method must be 'dense' or 'lanczos'")
     # scipy is imported where it is called, so that a fit never loads it and
@@ -333,7 +332,7 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
 
         H = tap_hessian_dense(model, state, prior)  # ours to overwrite
         val = scipy.linalg.eigvalsh(H, overwrite_a=True, subset_by_index=[0, 0])[0]
-        return EigResult(value=float(val), converged=True)
+        return EigResult(value=float(val), converged=True, method=method)
     import scipy.sparse.linalg
 
     dim = 2 * model.p
@@ -359,4 +358,4 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
         raise NoConvergenceError(f"LOBPCG found no eigenpair of the {dim}-dimensional "
                                  f"Hessian in {EIG_MAXITER} iterations "
                                  f"(residual {residual:.1e})")
-    return EigResult(value=theta, converged=True)
+    return EigResult(value=theta, converged=True, method=method)

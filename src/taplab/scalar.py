@@ -215,6 +215,4 @@ def _channel_terms_grid(prior: Prior, gammas: np.ndarray) -> np.ndarray:
 
 def mmse(prior: Prior, gamma: float) -> float:
     """Bayes risk in the channel lam = gamma*beta0 + sqrt(gamma)*z."""
-    if gamma == 0.0:
-        return prior.variance
     return channel_terms(prior, gamma)[1]

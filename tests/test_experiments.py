@@ -189,9 +189,10 @@ class TestSweeps:
         cfg = small_cfg(replicates=1)
         methods, probe = [], experiments.min_eigenvalue
 
-        def recorded(model, state, prior, method):
-            methods.append(method)
-            return probe(model, state, prior, method)
+        def recorded(*args, **kwargs):
+            result = probe(*args, **kwargs)
+            methods.append(result.method)
+            return result
 
         monkeypatch.setattr(experiments, "min_eigenvalue", recorded)
         p = generate_instance(cfg, 0, 1.0)[0].p
@@ -265,6 +266,10 @@ class TestCalibration:
         state = VariationalState.from_duals(tp, np.zeros(4), np.zeros(4))
         pips = inclusion_probabilities(tp, state)
         assert np.allclose(pips, 2.0 / 3.0)
+        # with no atom at 0, every coordinate is nonzero
+        no_zero = small_cfg(prior_descriptor="point-mass:-1,0.5;1,0.25;2,0.25").prior()
+        state = VariationalState.from_duals(no_zero, np.zeros(4), np.zeros(4))
+        assert np.array_equal(inclusion_probabilities(no_zero, state), np.ones(4))
 
     def test_binning(self):
         pips = np.array([0.05, 0.15, 0.95, 0.999, 1.0])
@@ -279,7 +284,7 @@ class TestCalibration:
     def test_rejects_prior_without_spike(self):
         cfg = small_cfg(prior_descriptor="point-mass:-1,0.5;1,0.25;2,0.25")
         with pytest.raises(ValueError):
-            run_calibration(cfg)
+            run_calibration(cfg, delta=1.0)
 
 
 class TestPersistence:
@@ -315,7 +320,7 @@ class TestPersistence:
         other = subprocess.run([*git, "rev-parse", "HEAD"], check=True,
                                capture_output=True, text=True).stdout.strip()
         monkeypatch.chdir(repo)
-        write_manifest(tmp_path / "out", small_cfg(), 0.0)
+        write_manifest(tmp_path / "out", small_cfg(), 0.0, {})
         data = json.loads((tmp_path / "out" / "manifest.json").read_text())
         described = data["git_describe"]
         assert described is None or not other.startswith(described.split("-")[0])

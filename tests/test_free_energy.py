@@ -309,6 +309,21 @@ class TestHessian:
         assert a.value == pytest.approx(b.value, abs=1e-6)
         assert min_eigenvalue(model, state, tp, method="lanczos").value == b.value
 
+    @pytest.mark.parametrize("cap, method", [(100, "dense"), (99, "lanczos")])
+    def test_probe_picks_its_method_by_size(self, tp, monkeypatch, cap, method):
+        # with no method, dense while 2p is within DENSE_HESSIAN_MAX_DIM and
+        # LOBPCG past it, with the bits of the method named explicitly
+        from taplab import free_energy
+        rng = np.random.default_rng(8)
+        model, _ = random_model(rng, 50, 50)
+        state = random_state(tp, 50, rng)
+        monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", cap)
+        res = min_eigenvalue(model, state, tp)
+        assert res.method == method
+        explicit = min_eigenvalue(model, state, tp, method=method)
+        assert explicit.method == method
+        assert np.float64(res.value).tobytes() == np.float64(explicit.value).tobytes()
+
     def test_lanczos_without_an_eigenvalue_raises(self, tp, monkeypatch):
         rng = np.random.default_rng(8)
         model, _ = random_model(rng, 30, 20)
