@@ -88,7 +88,7 @@ def amp_run(model: LinearModel, prior: Prior, T: int,
     is a DomainError naming its iteration k.
     """
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise DomainError("T must be >= 1")
     if delta is None:
         delta = model.delta_hat
     X, y, sigma2 = model.X, model.y, model.sigma2
@@ -137,8 +137,8 @@ def se_diagnostics(amp_state: AMPState, model: LinearModel, prior: Prior,
     """Compare empirical covariances of the AMP error/residual trajectories
     with the state-evolution blocks K_h and delta*K_g."""
     if not 1 <= k <= len(amp_state.history):
-        raise ValueError(f"k = {k!r} is not between 1 and the "
-                         f"{len(amp_state.history)} recorded iterations")
+        raise DomainError(f"k = {k!r} is not between 1 and the "
+                          f"{len(amp_state.history)} recorded iterations")
     if delta is None:
         delta = model.delta_hat
     p, n = model.p, model.n

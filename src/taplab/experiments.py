@@ -57,27 +57,27 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:  # the high 64 bits of a Philox key
-            raise ValueError("seed must be in [0, 2**64)")
+            raise DomainError("seed must be in [0, 2**64)")
         if not 1 <= self.replicates <= MAX_REPLICATES:
-            raise ValueError(f"replicates must be in [1, {MAX_REPLICATES}]")
+            raise DomainError(f"replicates must be in [1, {MAX_REPLICATES}]")
         if not 0 < self.sigma < math.inf:  # also rejects nan
-            raise ValueError("sigma must be positive and finite")
+            raise DomainError("sigma must be positive and finite")
         if self.n < 1:
-            raise ValueError("n must be positive")
+            raise DomainError("n must be positive")
         if self.design not in DESIGNS:
-            raise ValueError(f"design must be one of {DESIGNS}")
+            raise DomainError(f"design must be one of {DESIGNS}")
         if not self.delta_grid:  # a sweep writes at least one row
-            raise ValueError("delta_grid must hold at least one delta")
+            raise DomainError("delta_grid must hold at least one delta")
         for delta in self.delta_grid:
             try:
                 _feature_count(self.n, delta)
             except DomainError as exc:
-                raise ValueError(f"delta_grid entry {delta!r}: {exc}") from None
+                raise DomainError(f"delta_grid entry {delta!r}: {exc}") from None
         try:
             self.prior()
         except DomainError as exc:  # parse_prior's, raised from the cause
-            raise ValueError(f"prior_descriptor {self.prior_descriptor!r}: "
-                             f"{exc.__cause__}") from None
+            raise DomainError(f"prior_descriptor {self.prior_descriptor!r}: "
+                              f"{exc.__cause__}") from None
         self.ngd_config(Objective.TAP)  # range-checks max_iters and grad_tol
 
     @property
@@ -196,11 +196,11 @@ def inclusion_probabilities(prior: Prior, state: VariationalState) -> np.ndarray
     """PIP_j = tilted probability of a nonzero coordinate, from the converged
     dual cache (lam*, gam*)."""
     idx = np.flatnonzero(prior.locations == 0.0)
-    if len(idx) == 0:
+    if len(idx) == 0:  # no coordinate can be 0: a PIP of 1 is the answer
         return np.ones_like(state.m)
     p_zero_atom = np.exp(prior.log_weights[idx[0]] - state.logZ)
-    frac = prior.zero_spike_fraction_of_atom()
-    return 1.0 - p_zero_atom * frac
+    # scaled by the spike's share of the atom at 0: a quadrature prior adds a node there
+    return 1.0 - p_zero_atom * (prior.zero_spike_weight / float(prior.weights[idx[0]]))
 
 
 def calibration_table(pips: np.ndarray, nonzero: np.ndarray) -> list[dict]:

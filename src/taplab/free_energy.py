@@ -62,9 +62,9 @@ class LinearModel:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be n x p and y length n")
+            raise DomainError("X must be n x p and y length n")
         if not 0 < self.sigma2 < np.inf:  # also rejects nan
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
+            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "_log_norm",
@@ -323,7 +323,7 @@ def min_eigenvalue(model: LinearModel, state: VariationalState, prior: Prior,
     if method is None:
         method = "dense" if 2 * model.p <= DENSE_HESSIAN_MAX_DIM else "lanczos"
     if method not in ("dense", "lanczos"):
-        raise ValueError("method must be 'dense' or 'lanczos'")
+        raise DomainError("method must be 'dense' or 'lanczos'")
     # scipy is imported where it is called, so that a fit never loads it and
     # the dense probe loads no scipy.sparse
     # (guarded by tests/test_cli.py::test_fit_commands_never_load_scipy)

@@ -97,6 +97,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DomainError
 from .free_energy import (
     LinearModel,
     VariationalState,
@@ -145,9 +146,9 @@ class NGDConfig:
 
     def __post_init__(self):
         if not self.grad_tol > 0:  # also rejects nan
-            raise ValueError("grad_tol must be positive")
+            raise DomainError("grad_tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise DomainError("max_iters must be at least 1")
 
 
 class StopReason(enum.Enum):

@@ -66,18 +66,18 @@ class Prior:
         locs = np.asarray(self.locations, dtype=np.float64)
         w = np.asarray(self.weights, dtype=np.float64)
         if locs.ndim != 1 or w.shape != locs.shape:
-            raise ValueError("locations and weights must be 1-d arrays of equal length")
+            raise DomainError("locations and weights must be 1-d arrays of equal length")
         if not np.all(np.isfinite(locs)):
-            raise ValueError("prior locations must be finite")
+            raise DomainError("prior locations must be finite")
         if not np.all(w > 0):  # also rejects nan
-            raise ValueError("prior weights must be strictly positive")
+            raise DomainError("prior weights must be strictly positive")
         # sort the locations and merge duplicates, adding their weights
         locs, inverse = np.unique(locs, return_inverse=True)
         w = np.bincount(inverse, weights=w)
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"prior weights must sum to 1, got {w.sum()!r}")
+            raise DomainError(f"prior weights must sum to 1, got {w.sum()!r}")
         if len(locs) < 3:
-            raise ValueError("prior needs at least 3 distinct support points")
+            raise DomainError("prior needs at least 3 distinct support points")
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
         logw = np.log(w)
@@ -109,13 +109,6 @@ class Prior:
     def variance(self) -> float:
         return self.second_moment - self.mean**2
 
-    def zero_spike_fraction_of_atom(self) -> float:
-        """Fraction of the weight of the atom at 0 attributable to the spike."""
-        idx = np.flatnonzero(self.locations == 0.0)
-        if len(idx) == 0 or self.zero_spike_weight == 0.0:
-            return 0.0
-        return self.zero_spike_weight / float(self.weights[idx[0]])
-
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw iid signal coordinates, sampling continuous parts exactly."""
         if self.sampler[0] == "bernoulli-gaussian":
@@ -142,9 +135,9 @@ def point_mass_prior(pairs) -> Prior:
 def bernoulli_gaussian(sparsity: float, variance: float) -> Prior:
     """(1 - sparsity) * delta_0 + sparsity * N(0, variance), via quadrature."""
     if not 0.0 < sparsity <= 1.0:
-        raise ValueError("sparsity must be in (0, 1]")
+        raise DomainError("sparsity must be in (0, 1]")
     if not variance > 0:  # also rejects nan
-        raise ValueError("variance must be positive")
+        raise DomainError("variance must be positive")
     nodes, w = _gauss_hermite_standard_normal(DEFAULT_QUAD_NODES)
     locs = nodes * np.sqrt(variance)
     weights = w * sparsity
@@ -187,6 +180,6 @@ def parse_prior(descriptor: str) -> Prior:
             body = text[len("bernoulli-gaussian:"):]
             sparsity, variance = (float(x) for x in body.split(","))
             return bernoulli_gaussian(sparsity, variance)
-        raise ValueError("unrecognized prior kind")
+        raise DomainError("unrecognized prior kind")
     except ValueError as err:
         raise DomainError(f"prior descriptor {descriptor!r}: {err}") from err

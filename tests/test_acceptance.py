@@ -19,7 +19,6 @@ from taplab.experiments import (
     inclusion_probabilities,
     run_calibration,
     run_mse_sweep,
-    run_universality,
 )
 from taplab.free_energy import (
     LinearModel,
@@ -40,10 +39,10 @@ from taplab.potential import (
     phi_second,
     solve_gammas,
 )
-from taplab.priors import bernoulli_gaussian, gaussian_prior, three_point
+from taplab.priors import gaussian_prior, three_point
 from taplab.scalar import mmse, tilted_moments_vec, dual_solve_vec
 
-SIGMA2 = 0.09
+from helpers import SIGMA2, make_model, neg_entropy
 
 
 def report(name, passed, detail, t0, budget):
@@ -54,13 +53,6 @@ def report(name, passed, detail, t0, budget):
     assert elapsed < budget, f"{name} exceeded {budget}s budget: {elapsed:.1f}s"
 
 
-def gaussian_design_model(rng, n, p, sigma2, prior):
-    X = rng.normal(0.0, 1.0 / np.sqrt(p), size=(n, p))
-    beta = prior.sample(p, rng)
-    y = X @ beta + rng.normal(0.0, np.sqrt(sigma2), size=n)
-    return LinearModel(X=X, y=y, sigma2=sigma2), beta
-
-
 def test_1_gaussian_prior_exactness():
     """Gaussian prior, tau2=sigma2=delta=1, p=800: the TAP minimizer recovers
     the exact posterior variance v* and the evidence per coordinate."""
@@ -68,7 +60,7 @@ def test_1_gaussian_prior_exactness():
     p = 800
     prior = gaussian_prior(1.0)
     rng = np.random.default_rng(0)
-    model, _ = gaussian_design_model(rng, p, p, 1.0, prior)
+    model, _ = make_model(rng, p, p, prior, 1.0)
     oracle = gaussian_posterior(model, 1.0)
     v_star = (np.sqrt(5.0) - 1.0) / 2.0
     assert oracle.v_star == pytest.approx(v_star, abs=1e-12)
@@ -91,7 +83,7 @@ def test_2_state_evolution():
     t0 = time.time()
     prior = three_point()
     rng = np.random.default_rng(0)
-    model, truth = gaussian_design_model(rng, 2000, 2000, SIGMA2, prior)
+    model, truth = make_model(rng, 2000, 2000, prior, SIGMA2)
     state, _ = amp_run(model, prior, 8, truth=truth, delta=1.0)
     rel = [abs(row["mse_empirical"] - row["mse_se"]) / row["mse_se"]
            for row in state.history if 3 <= row["k"] <= 8]
@@ -109,7 +101,7 @@ def test_3_gradient_hessian_oracles():
     worst_g, worst_h = 0.0, 0.0
     for _ in range(20):
         p = int(rng.integers(10, 31))
-        model, _ = gaussian_design_model(rng, int(1.5 * p), p, SIGMA2, prior)
+        model, _ = make_model(rng, int(1.5 * p), p, prior, SIGMA2)
         state = VariationalState.from_duals(
             prior, rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
         gm, gs = tap_gradient(model, state)
@@ -150,7 +142,7 @@ def test_4_amp_ngd_pipeline():
     t0 = time.time()
     prior = three_point()
     rng = np.random.default_rng(0)
-    model, _ = gaussian_design_model(rng, 500, 500, SIGMA2, prior)
+    model, _ = make_model(rng, 500, 500, prior, SIGMA2)
     _, warm = amp_run(model, prior, 8, delta=1.0)
     trace = ngd_run(model, prior, warm, NGDConfig(grad_tol=1e-13))
     f = np.array(trace.f_values)
@@ -196,7 +188,7 @@ def test_5_mse_dominance():
 
     prior = three_point()
     rng = np.random.default_rng(0)
-    model, truth = gaussian_design_model(rng, 2000, 2000, SIGMA2, prior)
+    model, truth = make_model(rng, 2000, 2000, prior, SIGMA2)
     cfg2 = ExperimentConfig(n=2000)
     trace = fit_free_energy(model, prior, cfg2, Objective.TAP, delta=1.0)
     mse = float(np.sum((trace.final.m - truth) ** 2)) / 2000
@@ -246,7 +238,7 @@ def test_7_landscape():
     # global convexity regime sigma2 = 100: positive at random interior states
     prior = three_point()
     rng = np.random.default_rng(5)
-    model, _ = gaussian_design_model(rng, 300, 300, 100.0, prior)
+    model, _ = make_model(rng, 300, 300, prior, 100.0)
     rand_eigs = []
     for _ in range(5):
         state = VariationalState.from_duals(
@@ -256,13 +248,6 @@ def test_7_landscape():
     report("landscape", converged_ok and random_ok,
            f"min eig over 8 converged states {min(eigs):.3f} (>0), "
            f"over 5 random low-SNR states {min(rand_eigs):.3f} (>0)", t0, 600)
-
-
-def neg_entropy(prior, m, s):
-    """KL divergence from the prior to the tilted law with moments (m, s)."""
-    lam, gam, _, _, _ = dual_solve_vec(prior, [m], [s])
-    logZ = tilted_moments_vec(prior, lam[0], gam[0])[2][0]
-    return float(-0.5 * gam[0] * s + lam[0] * m - logZ)
 
 
 def test_8_scalar_property_suite():

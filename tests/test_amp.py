@@ -6,23 +6,11 @@ import pytest
 from taplab import amp
 from taplab.amp import amp_run, se_diagnostics
 from taplab.exceptions import DomainError
-from taplab.free_energy import LinearModel, tap_gradient
+from taplab.free_energy import LinearModel
 from taplab.priors import three_point
 from taplab.scalar import mmse, tilted_moments_vec
 
-SIGMA2 = 0.09
-
-
-@pytest.fixture(scope="module")
-def tp():
-    return three_point()
-
-
-def make_model(rng, n, p, prior):
-    X = rng.normal(0.0, 1.0 / np.sqrt(p), size=(n, p))
-    beta = prior.sample(p, rng)
-    y = X @ beta + rng.normal(0.0, np.sqrt(SIGMA2), size=n)
-    return LinearModel(X=X, y=y, sigma2=SIGMA2), beta
+from helpers import SIGMA2, make_model
 
 
 def test_first_step_unrolled(tp):

@@ -7,14 +7,23 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import taplab
 from taplab import free_energy
+from taplab.amp import amp_run
 from taplab.cli import load_config, main
 from taplab.exceptions import TapLabError
 from taplab.experiments import ExperimentConfig
+from taplab.free_energy import LinearModel, VariationalState, min_eigenvalue
+from taplab.ngd import NGDConfig
+from taplab.priors import Prior, bernoulli_gaussian
 
+from helpers import make_model
+
+# a child interpreter imports this checkout's taplab
+PYTHON_ENV = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
 CFG = """
 n = 50
 replicates = 1
@@ -44,28 +53,159 @@ def test_load_config_parsing(tmp_path):
                    "design": "rademacher"}
 
 
-@pytest.mark.parametrize("config, out, message", [
-    (None, "out", "cannot read config file {config!r}: No such file or directory"),
-    ("bogus = 1\n", "out", "unknown config key: 'bogus'"),
-    ("n = many\n", "out", "config key 'n': invalid literal for int() with base 10: 'many'"),
-    ("sigma = nan\n", "out", "invalid config: sigma must be positive and finite"),
-    ("n = 50\n", "file/out", "cannot create output directory {out!r}: "),
-], ids=["unreadable-file", "unknown-key", "bad-value", "invalid-config", "uncreatable-out"])
-def test_refusal_exits_1_in_process(tmp_path, capsys, config, out, message):
-    # the code a caller in the same process reads is the shell's status, and
-    # the refusal is one line on stderr before --out is made
-    path = tmp_path / "cfg"
+# Every refusal that exits 1, by id: the config file's text (None: none is
+# written), the command line, the start of the one stderr line after
+# "taplab: error: ", and whether --out is made before the refusal.  In the
+# command line {cfg} is the config file and {tmp} the test's directory, which
+# also holds an empty file; in the message {out} is the command line's --out.
+REFUSALS = {
+    # the config file cannot be read, or holds an unknown key or a bad value
+    "unreadable-file": (None, "--config {cfg} --out {tmp}/out potential",
+                        "cannot read config file {cfg!r}: No such file or directory", False),
+    "directory": (None, "--config {tmp} --out {tmp}/out potential",
+                  "cannot read config file {tmp!r}: ", False),
+    "not-utf8": (b"n = \xff\n", "--config {cfg} --out {tmp}/out potential",
+                 "cannot read config file {cfg!r}: ", False),
+    "unknown-key": ("bogus = 1\n", "--config {cfg} --out {tmp}/out potential",
+                    "unknown config key: 'bogus'", False),
+    "bad-value": ("n = many\n", "--config {cfg} --out {tmp}/out potential",
+                  "config key 'n': invalid literal for int() with base 10: 'many'", False),
+    "invalid-config": ("sigma = nan\n", "--config {cfg} --out {tmp}/out potential",
+                       "invalid config: sigma must be positive and finite", False),
+    # two atoms give a degenerate (m, s) family: the descriptor reaches the
+    # prior intact and is refused there
+    "two-atom-prior": ("prior_descriptor = point-mass:-1,0.5;1,0.5\n",
+                       "--config {cfg} --out {tmp}/out potential",
+                       "invalid config: prior_descriptor 'point-mass:-1,0.5;1,0.5': "
+                       "prior needs at least 3 distinct support points", False),
+    # an infinite delta leaves no features
+    "infinite-delta-grid": ("n = 50\ndelta_grid = inf\n",
+                            "--config {cfg} --out {tmp}/out mse-sweep",
+                            "invalid config: delta_grid entry inf: ", False),
+    "out-on-a-file": (None, "--out {tmp}/file potential",
+                      "cannot create output directory {out!r}: ", False),
+    "out-under-a-file": ("n = 50\n", "--config {cfg} --out {tmp}/file/out potential",
+                         "cannot create output directory {out!r}: ", False),
+    # the potential's grid would square gammas beyond the normal floats; it
+    # is checked before --out is made
+    "potential-subnormal-delta": (None, "--out {tmp}/out potential --delta 1e-320",
+                                  "gamma = 1e-323 (sigma2 = 0.09, delta = 1e-320) leaves ", False),
+    "potential-tiny-noise": ("sigma = 1e-100\n", "--config {cfg} --out {tmp}/out potential",
+                             "gamma = 1e+196 (sigma2 = 1e-200, delta = 1.0) leaves ", False),
+    "potential-huge-noise": ("sigma = 1e100\n", "--config {cfg} --out {tmp}/out potential",
+                             "gamma = 1e-204 (sigma2 = 1e+200, delta = 1.0) leaves ", False),
+    # a subcommand's own refusal
+    "oracle": (None, "--out {tmp}/out oracle", "enumeration guard exceeded: 3^300 states", True),
+    "calibrate": ("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n",
+                  "--config {cfg} --out {tmp}/out calibrate",
+                  "calibration needs a prior with an atom at 0", True),
+    # 2p = 428 is past the cap the test sets, so this probe is LOBPCG's
+    "hessian": (None, "--out {tmp}/out hessian --delta 1.4",
+                "LOBPCG found no eigenpair of the 428-dimensional Hessian", True),
+    # the covariances fail before either probe
+    "hessian-collapsed": ("sigma = 0.1\n", "--config {cfg} --out {tmp}/out hessian --delta 1.0",
+                          "per-coordinate covariance singular in float64 on 204 of 300 "
+                          "coordinates", True),
+    # the first gradient of the descent, or of AMP's diagnostics, overflows;
+    # at a subnormal sigma^2 the state-evolution schedule does
+    "ngd-tiny-noise": ("sigma = 1e-100\nn = 40\n", "--config {cfg} --out {tmp}/out ngd",
+                       "free-energy gradient is not finite at iteration 0", True),
+    "hessian-tiny-noise": ("sigma = 1e-100\nn = 40\n", "--config {cfg} --out {tmp}/out hessian",
+                           "free-energy gradient is not finite at iteration 0", True),
+    "amp-tiny-noise": ("sigma = 1e-100\nn = 40\n", "--config {cfg} --out {tmp}/out amp",
+                       "free-energy gradient is not finite at iteration 1", True),
+    "amp-subnormal-noise": ("sigma = 1e-160\nn = 40\n", "--config {cfg} --out {tmp}/out amp",
+                            "state-evolution gamma_9 = inf is not finite (sigma2 = 1e-320, "
+                            "delta = 1.0)", True),
+    # a value out of range stops a fit before its instance is drawn
+    **{line: (CFG + line + "\n", "--config {cfg} --out {tmp}/out ngd --objective mf", message,
+              False) for line, message in [
+        ("eta = 0", "unknown config key: 'eta'"),  # no longer a key
+        ("amp_warm_iters = 8", "unknown config key: 'amp_warm_iters'"),
+        ("max_iters = 0", "invalid config: max_iters must be at least 1"),
+        ("grad_tol = 0", "invalid config: grad_tol must be positive"),
+        ("delta_grid = 1.0, 0", "invalid config: delta_grid entry 0.0: delta must be positive"),
+        ("delta_grid = nan", "invalid config: delta_grid entry nan: delta must be positive"),
+        ("delta_grid = 1.0, inf", "invalid config: delta_grid entry inf: delta = inf leaves "),
+        ("delta_grid = 1e-300",
+         "invalid config: delta_grid entry 1e-300: delta = 1e-300 implies "),
+        ("seed = -1", "invalid config: seed must be in [0, 2**64)"),
+        ("seed = 18446744073709551616", "invalid config: seed must be in [0, 2**64)"),
+        ("sigma = nan", "invalid config: sigma must be positive and finite"),
+        ("sigma = inf", "invalid config: sigma must be positive and finite"),
+        ("replicates = 1048577", "invalid config: replicates must be in [1, 1048576]"),
+        ("prior_descriptor = cauchy",
+         "invalid config: prior_descriptor 'cauchy': unrecognized prior kind"),
+        ("prior_descriptor = point-mass:-1,nan;0,0.5;1,0.5", "invalid config: prior_descriptor "
+         "'point-mass:-1,nan;0,0.5;1,0.5': prior weights must be strictly positive"),
+    ]},
+}
+
+
+def refusal_argv(tmp_path, config, command):
+    """Write the row's config file and the empty file; return the argv and
+    its --out."""
     if config is not None:
-        path.write_text(config)
+        (tmp_path / "cfg").write_bytes(config if isinstance(config, bytes) else config.encode())
     (tmp_path / "file").write_text("")
-    out = tmp_path / out
+    argv = [a.format(cfg=tmp_path / "cfg", tmp=tmp_path) for a in command.split()]
+    return argv, argv[argv.index("--out") + 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config, command, message, made", list(REFUSALS.values()),
+                         ids=list(REFUSALS))
+def test_refusal_is_one_line_and_status_1(tmp_path, capsys, monkeypatch, config, command,
+                                          message, made):
+    # the code a caller in the same process reads is the shell's status; a
+    # numpy warning would be a second line, so warnings are errors here
+    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 427)
+    argv, out = refusal_argv(tmp_path, config, command)
     with pytest.raises(SystemExit) as info:
-        main(["--config", str(path), "--out", str(out), "potential"])
+        main(argv)
     assert info.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("taplab: error: " + message.format(config=str(path), out=str(out)))
-    assert err.count("\n") == 1
-    assert not out.exists()
+    expected = message.format(cfg=str(tmp_path / "cfg"), tmp=str(tmp_path), out=out)
+    assert err.startswith(f"taplab: error: {expected}") and err.count("\n") == 1
+    # the empty file is untouched, and nothing is made but an --out made
+    # first, which holds no manifest
+    assert (tmp_path / "file").read_text() == ""
+    assert {p.name for p in tmp_path.iterdir()} - {"cfg", "file"} == ({"out"} if made else set())
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_module_refusal_is_one_line_and_status_1(tmp_path):
+    # python -m taplab.cli: a fresh interpreter exits 1 with the one line
+    config, command, message, _ = REFUSALS["potential-tiny-noise"]
+    argv, _ = refusal_argv(tmp_path, config, command)
+    res = subprocess.run([sys.executable, "-m", "taplab.cli", *argv], capture_output=True,
+                         text=True, env=PYTHON_ENV, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"taplab: error: {message}") and res.stderr.count("\n") == 1
+    assert {p.name for p in tmp_path.iterdir()} == {"cfg", "file"}
+
+
+# a call the library refuses, given a 3 x 3 model and the three-point prior
+LIBRARY_REFUSALS = {
+    "amp-no-iterations": lambda model, tp: amp_run(model, tp, 0),
+    "eig-method": lambda model, tp: min_eigenvalue(
+        model, VariationalState.from_duals(tp, np.zeros(3), np.zeros(3)), tp, method="x"),
+    "ngd-grad-tol": lambda model, tp: NGDConfig(grad_tol=0),
+    "zero-noise": lambda model, tp: LinearModel(X=model.X, y=model.y, sigma2=0.0),
+    "two-atom-prior": lambda model, tp: Prior(locations=np.array([-1.0, 1.0]),
+                                              weights=np.array([0.5, 0.5])),
+    "no-slab": lambda model, tp: bernoulli_gaussian(0, 1),
+    "no-rows": lambda model, tp: ExperimentConfig(n=0),
+}
+
+
+@pytest.mark.parametrize("refuse", list(LIBRARY_REFUSALS.values()), ids=list(LIBRARY_REFUSALS))
+def test_library_refusal_is_a_taplab_error(tp, refuse):
+    # main turns a TapLabError into its one line; anything else would leave
+    # it as a traceback
+    model, _ = make_model(np.random.default_rng(0), 3, 3, tp)
+    with pytest.raises(TapLabError):
+        refuse(model, tp)
 
 
 def test_potential_subcommand(cfg_file, tmp_path, capsys):
@@ -186,35 +326,6 @@ def test_hessian_method_is_not_a_flag(cfg_file, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["oracle"], "enumeration guard exceeded: 3^300 states"),
-    (["--config", "{spikeless}", "calibrate"], "calibration needs a prior with an atom at 0"),
-    (["hessian", "--delta", "1.4"], "LOBPCG found no eigenpair of the 428-dimensional Hessian"),
-    (["--config", "{low_noise}", "hessian", "--delta", "1.0"],
-     "per-coordinate covariance singular in float64 on 204 of 300 coordinates"),
-    # the grid's lower end, 1e-4 delta / sigma^2, is subnormal
-    (["potential", "--delta", "1e-320"], "gamma = 1e-323 (sigma2 = 0.09, delta = 1e-320) leaves "),
-], ids=["oracle", "calibrate", "hessian", "hessian-collapsed", "potential-subnormal-delta"])
-def test_library_error_is_one_line(tmp_path, capsys, monkeypatch, argv, message):
-    # 2p = 428 at delta = 1.4 is past this cap, so the hessian case probes by
-    # LOBPCG; the collapsed case's covariances fail before either probe
-    monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", 427)
-    spikeless = tmp_path / "spikeless.txt"
-    spikeless.write_text("prior_descriptor = point-mass:-1,0.5;1,0.25;2,0.25\n")
-    low_noise = tmp_path / "low_noise.txt"
-    low_noise.write_text("sigma = 0.1\n")
-    out = tmp_path / "out"
-    argv = [a.format(spikeless=spikeless, low_noise=low_noise) for a in argv]
-    with pytest.raises(SystemExit) as info:
-        main(["--out", str(out), *argv])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"taplab: error: {message}") and err.count("\n") == 1
-    assert not (out / "manifest.json").exists()
-    if argv[0] == "potential":  # its grid is checked before --out is made
-        assert not out.exists()
-
-
 @pytest.mark.parametrize("argv, report", [(["hessian"], "hessian.json"),
                                           (["oracle", "--mode", "gaussian"], "oracle.json")])
 def test_output_directory_is_created(cfg_file, tmp_path, argv, report):
@@ -282,7 +393,7 @@ def test_readme_config_example_runs(tmp_path, descriptor):
     assert manifest["config"]["prior_descriptor"] == (descriptor or "three-point")
 
 
-def test_config_string_values_are_not_split(tmp_path, capsys):
+def test_config_string_values_are_not_split(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("prior_descriptor = bernoulli-gaussian:0.5,1.0\n"
                     "delta_grid = 1\n")
@@ -290,110 +401,6 @@ def test_config_string_values_are_not_split(tmp_path, capsys):
     assert cfg == {"prior_descriptor": "bernoulli-gaussian:0.5,1.0",
                    "delta_grid": (1.0,)}
     assert ExperimentConfig(**cfg).prior().zero_spike_weight == 0.5
-    # two atoms give a degenerate (m, s) family; the descriptor reaches the
-    # prior intact and is rejected there, with the config
-    path.write_text("prior_descriptor = point-mass:-1,0.5;1,0.5\n")
-    with pytest.raises(SystemExit) as info:
-        main(["--config", str(path), "--out", str(tmp_path / "out"), "potential"])
-    assert info.value.code == 1
-    assert re.search("prior_descriptor .*3 distinct support points", capsys.readouterr().err)
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir(),
-                                  lambda p: p.write_bytes(b"n = \xff\n")],
-                         ids=["missing", "directory", "not-utf8"])
-def test_unreadable_config_stops_with_one_line(tmp_path, make):
-    path = tmp_path / "cfg"
-    make(path)
-    out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
-                          "--out", str(out), "potential"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 1
-    assert res.stderr.startswith(f"taplab: error: cannot read config file {str(path)!r}: ")
-    assert res.stderr.count("\n") == 1  # no traceback
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("under", [False, True], ids=["on-a-file", "under-a-file"])
-def test_output_directory_that_cannot_be_made_stops_with_one_line(tmp_path, under):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = blocker / "out" if under else blocker
-    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--out", str(out), "potential"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 1
-    assert res.stderr.startswith(f"taplab: error: cannot create output directory {str(out)!r}: ")
-    assert res.stderr.count("\n") == 1  # no traceback
-    assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker]
-
-
-@pytest.mark.parametrize("text, message", [
-    ("bogus = 1\n", "unknown config key: 'bogus'"),
-    ("n = many\n", "config key 'n': "),
-], ids=["unknown-key", "bad-value"])
-def test_config_file_error_stops_with_one_line(tmp_path, text, message):
-    # the same one line as every other error
-    path = tmp_path / "cfg"
-    path.write_text(text)
-    out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
-                          "--out", str(out), "potential"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 1
-    assert res.stderr.startswith(f"taplab: error: {message}")
-    assert res.stderr.count("\n") == 1
-    assert not out.exists()
-
-
-def test_infinite_delta_grid_stops_with_one_line(tmp_path):
-    # an infinite delta leaves no features: the config check names the key,
-    # in one line, before --out is created
-    path = tmp_path / "cfg"
-    path.write_text("n = 50\ndelta_grid = inf\n")
-    out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
-                          "--out", str(out), "mse-sweep"],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 1
-    assert res.stderr.startswith("taplab: error: invalid config: delta_grid ")
-    assert res.stderr.count("\n") == 1  # no traceback
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("config, command, message", [
-    ("sigma = 1e-100\n", "potential", "gamma = 1e+196 (sigma2 = 1e-200, delta = 1.0) leaves "),
-    ("sigma = 1e100\n", "potential", "gamma = 1e-204 (sigma2 = 1e+200, delta = 1.0) leaves "),
-    ("sigma = 1e-100\nn = 40\n", "ngd", "free-energy gradient is not finite at iteration 0"),
-    ("sigma = 1e-100\nn = 40\n", "hessian", "free-energy gradient is not finite at iteration 0"),
-    ("sigma = 1e-100\nn = 40\n", "amp", "free-energy gradient is not finite at iteration 1"),
-    ("sigma = 1e-160\nn = 40\n", "amp", "state-evolution gamma_9 = inf is not "
-     "finite (sigma2 = 1e-320, delta = 1.0)"),
-], ids=["potential-tiny-noise", "potential-huge-noise", "ngd-tiny-noise", "hessian-tiny-noise",
-        "amp-tiny-noise", "amp-subnormal-noise"])
-def test_extreme_noise_stops_with_one_error_line(tmp_path, config, command, message):
-    # the potential's grid would square gammas beyond the normal floats, the
-    # first gradient of the descent (or of AMP's diagnostics) overflows, and
-    # at a subnormal sigma^2 the state-evolution schedule overflows
-    path = tmp_path / "cfg"
-    path.write_text(config)
-    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-m", "taplab.cli", "--config", str(path),
-                          "--out", str(tmp_path / "out"), command],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 1
-    assert "Traceback" not in res.stderr
-    errors = [line for line in res.stderr.splitlines() if line.startswith("taplab: error:")]
-    assert errors == [res.stderr.splitlines()[-1]]
-    assert errors[0].startswith(f"taplab: error: {message}")
-    assert res.stderr.count("\n") == 1  # nothing else: no numpy warning
-    if command == "potential":  # its grid is checked before --out is made
-        assert not (tmp_path / "out").exists()
 
 
 NO_SCIPY_SCRIPT = """
@@ -431,10 +438,9 @@ def test_fit_commands_never_load_scipy(tmp_path):
     # Hessian probe needs scipy.linalg alone
     config = tmp_path / "cfg.txt"
     config.write_text("n = 60\nreplicates = 1\ndelta_grid = 0.8, 1.2\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(taplab.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(config),
                           str(tmp_path / "out")],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=PYTHON_ENV, timeout=120)
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout.splitlines()[-1])
     assert report["after_commands"] == []
@@ -450,42 +456,6 @@ def test_manifest_run_time_survives_a_clock_step_back(cfg_file, tmp_path, monkey
     monkeypatch.setattr("taplab.cli.time.time", lambda: float(next(readings)))
     assert run(cfg_file, tmp_path, "amp", "--iters", "2") == 0
     assert json.loads((tmp_path / "manifest.json").read_text())["wall_time_s"] >= 0
-
-
-def test_config_bad_value_rejected(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("n = many\n")
-    with pytest.raises(TapLabError, match="'n'"):
-        load_config(path)
-
-
-@pytest.mark.parametrize("line, field", [("eta = 0", "eta"),  # no longer keys
-                                         ("eta = 1.5", "eta"),
-                                         ("amp_warm_iters = 8", "unknown config key: "
-                                          "'amp_warm_iters'"),
-                                         ("max_iters = 0", "max_iters"),
-                                         ("grad_tol = 0", "grad_tol"),
-                                         ("delta_grid = 1.0, 0", "delta_grid"),
-                                         ("delta_grid = nan", "delta_grid"),
-                                         ("delta_grid = 1.0, inf", "delta_grid"),
-                                         ("delta_grid = 1e-300", "delta_grid"),
-                                         ("seed = -1", "seed"),
-                                         ("seed = 18446744073709551616", "seed"),
-                                         ("sigma = nan", "sigma"),
-                                         ("sigma = inf", "sigma"),
-                                         ("replicates = 1048577", "replicates"),
-                                         ("prior_descriptor = cauchy", "prior_descriptor"),
-                                         ("prior_descriptor = point-mass:-1,nan;0,0.5;1,0.5",
-                                          "prior_descriptor")])
-def test_config_out_of_range_rejected_before_running(tmp_path, capsys, line, field):
-    path = tmp_path / "c.txt"
-    path.write_text(CFG + line + "\n")
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        main(["--config", str(path), "--out", str(out), "ngd", "--objective", "mf"])
-    assert info.value.code == 1
-    assert re.search(field, capsys.readouterr().err)
-    assert not out.exists()  # rejected before the instance is generated
 
 
 @pytest.mark.parametrize("argv, flag", [(["ngd", "--delta", "0"], "--delta"),

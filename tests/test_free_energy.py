@@ -26,30 +26,10 @@ from taplab.exceptions import DomainError, NoConvergenceError
 from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.ngd import Objective
 from taplab.oracle import gaussian_posterior
-from taplab.priors import gaussian_prior, parse_prior, three_point
+from taplab.priors import gaussian_prior, parse_prior
 from taplab.scalar import DUAL_CAP, tilted_cov_vec
 
-
-@pytest.fixture(scope="module")
-def tp():
-    return three_point()
-
-
-def random_model(rng, n, p, sigma2=0.09, prior=None):
-    prior = prior or three_point()
-    X = rng.normal(0.0, 1.0 / np.sqrt(p), size=(n, p))
-    beta = prior.sample(p, rng)
-    y = X @ beta + rng.normal(0.0, np.sqrt(sigma2), size=n)
-    return LinearModel(X=X, y=y, sigma2=sigma2), beta
-
-
-def converged_tap_state(prior, delta):
-    """The model (n=300, seed 0, replicate 0) and its converged TAP state."""
-    cfg = ExperimentConfig(n=300, seed=0, replicates=1)
-    model, _ = generate_instance(cfg, 0, delta)
-    trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=delta)
-    assert trace.converged
-    return model, trace.final
+from helpers import converged_tap_state, instance, make_model
 
 
 def random_state(prior, p, rng, scale=2.0):
@@ -61,7 +41,7 @@ def random_state(prior, p, rng, scale=2.0):
 class TestEnergies:
     def test_null_state_closed_form(self, tp):
         rng = np.random.default_rng(0)
-        model, _ = random_model(rng, 30, 20)
+        model, _ = make_model(rng, 30, 20, tp)
         state = VariationalState.from_duals(tp, np.zeros(20), np.zeros(20))  # untilted
         n, s2 = model.n, model.sigma2
         expect = (0.5 * n * np.log(2 * np.pi * s2)
@@ -71,7 +51,7 @@ class TestEnergies:
 
     def test_onsager_gap_formula_and_ordering(self, tp):
         rng = np.random.default_rng(1)
-        model, _ = random_model(rng, 25, 18)
+        model, _ = make_model(rng, 25, 18, tp)
         for _ in range(10):
             state = random_state(tp, 18, rng)
             gap = tap_energy(model, state) - mf_energy(model, state)
@@ -120,7 +100,7 @@ class TestGradients:
         rng = np.random.default_rng(42)
         for _ in range(5):
             p = int(rng.integers(10, 21))
-            model, _ = random_model(rng, 2 * p, p)
+            model, _ = make_model(rng, 2 * p, p, tp)
             state = random_state(tp, p, rng)
             gm, gs = tap_gradient(model, state)
             h = 1e-6
@@ -141,7 +121,7 @@ class TestGradients:
     def test_mf_gradient_finite_difference(self, tp):
         rng = np.random.default_rng(9)
         p = 12
-        model, _ = random_model(rng, 18, p)
+        model, _ = make_model(rng, 18, p, tp)
         state = random_state(tp, p, rng)
         gm, gs = mf_gradient(model, state)
         h = 1e-6
@@ -159,7 +139,7 @@ class TestGradients:
         g = gaussian_prior(1.0)
         rng = np.random.default_rng(2)
         p = 200
-        model, _ = random_model(rng, p, p, sigma2=1.0, prior=g)
+        model, _ = make_model(rng, p, p, g, sigma2=1.0)
         oracle = gaussian_posterior(model, 1.0)
         m = oracle.post_mean
         s = m**2 + oracle.v_star
@@ -173,7 +153,7 @@ class TestHessian:
     def test_dense_matches_matvec(self, tp):
         rng = np.random.default_rng(3)
         p = 30
-        model, _ = random_model(rng, 40, p)
+        model, _ = make_model(rng, 40, p, tp)
         state = random_state(tp, p, rng)
         H = tap_hessian_dense(model, state, tp)
         for _ in range(10):
@@ -223,7 +203,7 @@ class TestHessian:
     def test_dense_past_its_cap_is_a_domain_error(self, tp):
         rng = np.random.default_rng(5)
         p = DENSE_HESSIAN_MAX_DIM // 2 + 1
-        model, _ = random_model(rng, 5, p)
+        model, _ = make_model(rng, 5, p, tp)
         state = random_state(tp, p, rng)
         with pytest.raises(DomainError, match=f"dense Hessian limited to 2p <= "
                                               f"{DENSE_HESSIAN_MAX_DIM}$"):
@@ -232,7 +212,7 @@ class TestHessian:
     def test_dense_symmetry(self, tp):
         rng = np.random.default_rng(4)
         p = 20
-        model, _ = random_model(rng, 30, p)
+        model, _ = make_model(rng, 30, p, tp)
         state = random_state(tp, p, rng)
         H = tap_hessian_dense(model, state, tp)
         assert np.max(np.abs(H - H.T)) < 1e-10
@@ -240,7 +220,7 @@ class TestHessian:
     def test_dense_matches_gradient_finite_difference(self, tp):
         rng = np.random.default_rng(6)
         p, n = 10, 15
-        model, _ = random_model(rng, n, p)
+        model, _ = make_model(rng, n, p, tp)
         state = random_state(tp, p, rng, scale=1.0)
         H = tap_hessian_dense(model, state, tp)
         h = 1e-5
@@ -270,7 +250,7 @@ class TestHessian:
         # the Hessian is K + D, the data-and-volume product plus the entropy blocks
         rng = np.random.default_rng(6)
         p, n = 10, 15
-        model, _ = random_model(rng, n, p)
+        model, _ = make_model(rng, n, p, tp)
         state = random_state(tp, p, rng, scale=1.0)
         D = _entropy_hessian_blocks(tp, state)[0]
         K = _k_product(model, state, False)
@@ -302,7 +282,7 @@ class TestHessian:
     def test_dense_and_lanczos_agree(self, tp):
         rng = np.random.default_rng(8)
         p = 100
-        model, _ = random_model(rng, 100, p)
+        model, _ = make_model(rng, 100, p, tp)
         state = random_state(tp, p, rng)
         a = min_eigenvalue(model, state, tp, method="dense")
         b = min_eigenvalue(model, state, tp, method="lanczos")
@@ -315,7 +295,7 @@ class TestHessian:
         # LOBPCG past it, with the bits of the method named explicitly
         from taplab import free_energy
         rng = np.random.default_rng(8)
-        model, _ = random_model(rng, 50, 50)
+        model, _ = make_model(rng, 50, 50, tp)
         state = random_state(tp, 50, rng)
         monkeypatch.setattr(free_energy, "DENSE_HESSIAN_MAX_DIM", cap)
         res = min_eigenvalue(model, state, tp)
@@ -326,7 +306,7 @@ class TestHessian:
 
     def test_lanczos_without_an_eigenvalue_raises(self, tp, monkeypatch):
         rng = np.random.default_rng(8)
-        model, _ = random_model(rng, 30, 20)
+        model, _ = make_model(rng, 30, 20, tp)
         state = random_state(tp, 20, rng)
 
         def no_eigenpair(A, X, **kwargs):  # returns its start vector
@@ -350,7 +330,7 @@ class TestHessian:
         # (n/p)/sigma2 small: the Hessian is positive definite everywhere
         rng = np.random.default_rng(12)
         p = 40
-        model, _ = random_model(rng, 40, p, sigma2=100.0)
+        model, _ = make_model(rng, 40, p, tp, sigma2=100.0)
         for _ in range(5):
             state = random_state(tp, p, rng)
             res = min_eigenvalue(model, state, tp, method="dense")
@@ -383,8 +363,7 @@ class TestHessian:
         # state is interior, but most tilted laws sit on one or two atoms, so
         # det C is 0 in float64 and D = C^-1, which both probes form, does not
         # exist; the error counts those coordinates and names the cause
-        cfg = ExperimentConfig(sigma=0.1, n=300, seed=0, replicates=1)
-        model, _ = generate_instance(cfg, 0, 1.0)
+        cfg, model = instance(1.0, sigma=0.1)
         state = fit_free_energy(model, tp, cfg, Objective.TAP, delta=1.0).final
         with pytest.raises(DomainError, match=r"singular in float64 on 204 of 300 "
                            r"coordinates \(tilted laws collapsed onto one or two atoms\)"):

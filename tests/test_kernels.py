@@ -7,9 +7,7 @@ import pytest
 
 from taplab import kernels, scalar
 from taplab.exceptions import DegenerateTiltError
-from taplab.experiments import ExperimentConfig, fit_free_energy, generate_instance
 from taplab.free_energy import VariationalState
-from taplab.ngd import Objective
 from taplab.priors import (
     _gauss_hermite_standard_normal,
     bernoulli_gaussian,
@@ -18,6 +16,8 @@ from taplab.priors import (
     three_point,
 )
 from taplab.scalar import DUAL_CAP, DUAL_RESIDUAL_TOL, channel_terms
+
+from helpers import converged_tap_state
 
 
 @pytest.fixture(scope="module")
@@ -487,13 +487,9 @@ def test_from_moments_reproduces_converged_tap_states():
     # at delta=1.4 the state is ill-conditioned: the solved duals differ from
     # the NGD state's by O(1) in lam while matching its moments, so the check
     # is on the moment residual, not on recovering lam
-    cfg = ExperimentConfig(n=300, seed=0, replicates=1)
-    prior = cfg.prior()
+    prior = three_point()
     for delta in (0.6, 1.0, 1.4):
-        model, _ = generate_instance(cfg, 0, delta)
-        trace = fit_free_energy(model, prior, cfg, Objective.TAP, delta=delta)
-        assert trace.converged
-        state = trace.final
+        _, state = converged_tap_state(prior, delta)
         solved = VariationalState.from_moments(prior, state.m, state.s)
         assert np.max(np.abs(solved.m - state.m)) <= 1e-12
         assert np.max(np.abs(solved.s - state.s)) <= 1e-12

@@ -27,22 +27,10 @@ from taplab.free_energy import (
 )
 from taplab.ngd import NGDConfig, Objective, StopReason, newton_run, ngd_run
 from taplab.oracle import gaussian_posterior
-from taplab.priors import gaussian_prior, three_point
+from taplab.priors import gaussian_prior
 from taplab.scalar import tilted_cov_vec, tilted_moments_vec
 
-SIGMA2 = 0.09
-
-
-@pytest.fixture(scope="module")
-def tp():
-    return three_point()
-
-
-def make_model(rng, n, p, prior, sigma2=SIGMA2):
-    X = rng.normal(0.0, 1.0 / np.sqrt(p), size=(n, p))
-    beta = prior.sample(p, rng)
-    y = X @ beta + rng.normal(0.0, np.sqrt(sigma2), size=n)
-    return LinearModel(X=X, y=y, sigma2=sigma2), beta
+from helpers import make_model, warm_start
 
 
 def test_starts_converged_at_stationary_point():
@@ -275,12 +263,9 @@ def test_flat_energy_stops_at_the_step_floor(tp, warm3):
 @pytest.mark.parametrize("delta", [0.6, 1.0, 1.4])
 @pytest.mark.parametrize("desc", ["three-point", "bernoulli-gaussian:0.5,1.0"])
 def test_newton_reaches_the_ngd_minimizer(desc, delta):
-    cfg = ExperimentConfig(prior_descriptor=desc, n=300, seed=0, replicates=1)
-    prior = cfg.prior()
-    model, _ = generate_instance(cfg, 0, delta)
-    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
-    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
-    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.TAP))
+    model, prior, warm = warm_start(0.3, delta, desc)
+    newton = newton_run(model, prior, warm, NGDConfig(objective=Objective.TAP))
+    reference = ngd_run(model, prior, warm, NGDConfig(objective=Objective.TAP))
     assert newton.converged and reference.converged
     assert newton.iterations <= 8  # NGD takes 74-175 on these six
     assert np.all(np.diff(newton.f_values) <= 0.0)
@@ -303,15 +288,6 @@ def test_negative_curvature_takes_the_ngd_direction(tp, warm3, monkeypatch):
     trace = newton_run(model, tp, warm, NGDConfig(max_iters=30))
     assert trace.hessian_matvecs == trace.curvature_breaks == trace.iterations == 30
     assert np.all(np.diff(trace.f_values) < 0.0)
-
-
-def warm_start(sigma, delta):
-    """Three-point model (n=300, seed 0, replicate 0) and its AMP warm start."""
-    cfg = ExperimentConfig(sigma=sigma, n=300, seed=0, replicates=1)
-    prior = cfg.prior()
-    model, _ = generate_instance(cfg, 0, delta)
-    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
-    return model, prior, warm
 
 
 def test_candidates_outside_the_dual_cap_are_clipped(monkeypatch):
@@ -466,12 +442,9 @@ def test_cg_products_are_the_hessian_matvec(monkeypatch, objective, sigma, delta
 def test_low_noise_mf_fit_takes_newton_steps():
     # sigma = 0.1, delta = 0.6: C is singular on most coordinates at the
     # handover state, and Newton still finishes the fit in NGD's basin
-    cfg = ExperimentConfig(sigma=0.1, n=300, seed=0, replicates=1)
-    prior = cfg.prior()
-    model, _ = generate_instance(cfg, 0, 0.6)
-    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=0.6)
-    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
-    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    model, prior, warm = warm_start(0.1, 0.6)
+    newton = newton_run(model, prior, warm, NGDConfig(objective=Objective.MF))
+    reference = ngd_run(model, prior, warm, NGDConfig(objective=Objective.MF))
     assert newton.converged and reference.converged
     assert newton.hessian_matvecs > 0 and newton.ngd_iterations < newton.iterations
     assert np.all(np.diff(newton.f_values) < 0.0)
@@ -637,12 +610,9 @@ def test_newton_directions_read_the_covariances_of_their_iterate(tp, warm3, monk
 @pytest.mark.parametrize("desc", ["three-point", "bernoulli-gaussian:0.5,1.0"])
 def test_mf_newton_finish_keeps_the_ngd_minimizer(desc, delta):
     # NGD chooses the mean-field basin; Newton only finishes the fit there
-    cfg = ExperimentConfig(prior_descriptor=desc, n=300, seed=0, replicates=1)
-    prior = cfg.prior()
-    model, _ = generate_instance(cfg, 0, delta)
-    _, warm = amp_run(model, prior, AMP_WARM_ITERS, delta=delta)
-    newton = newton_run(model, prior, warm, cfg.ngd_config(Objective.MF))
-    reference = ngd_run(model, prior, warm, cfg.ngd_config(Objective.MF))
+    model, prior, warm = warm_start(0.3, delta, desc)
+    newton = newton_run(model, prior, warm, NGDConfig(objective=Objective.MF))
+    reference = ngd_run(model, prior, warm, NGDConfig(objective=Objective.MF))
     assert newton.converged and reference.converged
     assert np.all(np.diff(newton.f_values) < 0.0)
     assert newton.f_values[-1] <= reference.f_values[-1]

@@ -32,11 +32,6 @@ FIVE_PRIORS = [
 FIVE_PRIOR_IDS = ["3pt", "4pt-even", "3pt-asym", "gaussian", "bg"]
 
 
-@pytest.fixture(scope="module")
-def tp():
-    return three_point()
-
-
 def mutual_information(prior, gamma):
     """i(gamma) of the scalar channel, the first of its channel terms."""
     return channel_terms(prior, gamma)[0]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from taplab.exceptions import DomainError
+from taplab.experiments import inclusion_probabilities
+from taplab.free_energy import VariationalState
 from taplab.priors import (
     Prior,
     bernoulli_gaussian,
@@ -18,7 +20,8 @@ def test_three_point_moments():
     assert tp.second_moment == pytest.approx(2.0 / 3.0)
     assert tp.support_lo == -1.0 and tp.support_hi == 1.0
     assert tp.zero_spike_weight == pytest.approx(1.0 / 3.0)
-    assert tp.zero_spike_fraction_of_atom() == pytest.approx(1.0)
+    untilted = VariationalState.from_duals(tp, np.zeros(1), np.zeros(1))
+    assert inclusion_probabilities(tp, untilted) == pytest.approx(1.0 - tp.zero_spike_weight)
 
 
 def test_weights_must_sum_to_one():
@@ -42,9 +45,11 @@ def test_bernoulli_gaussian_structure():
     bg = bernoulli_gaussian(0.5, 1.0)
     assert bg.zero_spike_weight == pytest.approx(0.5)
     assert bg.second_moment == pytest.approx(0.5, abs=1e-10)
-    # the atom at 0 carries the spike plus one quadrature node
-    frac = bg.zero_spike_fraction_of_atom()
-    assert 0.0 < frac < 1.0
+    # the atom at 0 carries the spike plus one quadrature node, and the PIP
+    # counts the node as nonzero
+    assert bg.weights[bg.locations == 0.0][0] > bg.zero_spike_weight
+    untilted = VariationalState.from_duals(bg, np.zeros(1), np.zeros(1))
+    assert inclusion_probabilities(bg, untilted) == pytest.approx(1.0 - bg.zero_spike_weight)
     assert bg.sampler[0] == "bernoulli-gaussian"
 
 

@@ -6,7 +6,7 @@ import pytest
 from taplab import kernels
 from taplab.exceptions import DegenerateTiltError, DomainError
 from taplab.free_energy import VariationalState
-from taplab.priors import bernoulli_gaussian, gaussian_prior, parse_prior, three_point
+from taplab.priors import bernoulli_gaussian, gaussian_prior, parse_prior
 from taplab.scalar import (
     DUAL_RESIDUAL_TOL,
     channel_terms,
@@ -18,10 +18,7 @@ from taplab.scalar import (
     tilted_moments_vec,
 )
 
-
-@pytest.fixture(scope="module")
-def tp():
-    return three_point()
+from helpers import neg_entropy
 
 
 def tilt(prior, lam, gam):
@@ -38,13 +35,6 @@ def dual(prior, m, s):
     """(lam, gam) of the tilted law with moments (m, s), as floats."""
     lam, gam, _, _, _ = dual_solve_vec(prior, [m], [s])
     return float(lam[0]), float(gam[0])
-
-
-def neg_entropy(prior, m, s):
-    """KL divergence from the prior to the tilted law with moments (m, s)."""
-    lam, gam = dual(prior, m, s)
-    logZ = tilted_moments_vec(prior, lam, gam)[2][0]
-    return float(-0.5 * gam * s + lam * m - logZ)
 
 
 def envelopes(prior, m):
