@@ -43,7 +43,7 @@ import numpy as np
 
 from .exceptions import DomainError, NoConvergenceError
 from .priors import Prior
-from .scalar import dual_solve_vec, project_interior, tilted_cov_vec, tilted_moments_vec
+from .scalar import dual_solve_vec, tilted_cov_vec, tilted_moments_vec
 
 DENSE_HESSIAN_MAX_DIM = 8000
 EIG_RESIDUAL_MAX = 1e-8  # bound on ||Hx - theta x|| for the unit x LOBPCG returns
@@ -110,11 +110,13 @@ class VariationalState:
 
     @classmethod
     def from_moments(cls, prior: Prior, m, s) -> "VariationalState":
-        """Solve the duals for given moments, first projected into the
-        interior of the moment space (``project_interior``): the duals diverge
-        on its boundary, where fitted laws collapse onto one or two atoms.
-        Every coordinate must solve to DUAL_RESIDUAL_TOL."""
-        m, s = project_interior(prior, m, s)
+        """Solve the duals for exactly the given moments.  Every coordinate
+        must solve to DUAL_RESIDUAL_TOL, else DomainError: a point outside
+        the moment space has no duals, and one on or near its boundary,
+        where a law collapses onto one or two atoms, solves at large duals
+        or not at all."""
+        m = np.asarray(m, dtype=np.float64)
+        s = np.asarray(s, dtype=np.float64)
         lam, gam, logZ, conv, res = dual_solve_vec(prior, m, s)
         if not np.all(conv):
             worst = float(np.max(res))

@@ -201,16 +201,17 @@ def _descend(model, prior, cfg, state, entry, probes=()):
     probe passes, Newton directions from the full step.  Each direction is
     followed by a backtracking line search."""
     tap = cfg.objective is Objective.TAP
+    energy, gradient = (tap_energy, tap_gradient) if tap else (mf_energy, mf_gradient)
     trace = NGDTrace()
     # the data residual y - X m, formed once per candidate for its energy;
     # the accepted candidate's goes on to its gradient
     resid = model.y - model.X @ state.m
-    f_cur = tap_energy(model, state, resid) if tap else mf_energy(model, state, resid)
+    f_cur = energy(model, state, resid)
     newton = False
     cov = None  # ``state``'s tilted covariances, once a Newton candidate gave them
     step = FIRST_STEP
     for _ in range(cfg.max_iters):
-        gm, gs = tap_gradient(model, state, resid) if tap else mf_gradient(model, state, resid)
+        gm, gs = gradient(model, state, resid)
         # no step can follow an overflowed or NaN gradient
         gn = _grad_norm_sq_per_p(gm, gs, trace.iterations)
         trace.f_values.append(f_cur)
@@ -229,8 +230,6 @@ def _descend(model, prior, cfg, state, entry, probes=()):
                                           PROBE_CG_ITERS if probe else 1)
             # a probe that met non-positive curvature keeps NGD's direction
             newton = direction is not None or not probe
-            if newton:
-                trace.ngd_iterations = trace.iterations
         if newton:
             step = 1.0
         dm, ds = (gm, gs) if direction is None else direction
@@ -248,8 +247,7 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             m, s, logZ, *cand_cov = tilted_moments_vec(prior, lam, gam, cov=newton)
             cand = VariationalState(m, s, lam, gam, logZ)
             cand_resid = model.y - model.X @ m
-            f_new = (tap_energy(model, cand, cand_resid) if tap
-                     else mf_energy(model, cand, cand_resid))
+            f_new = energy(model, cand, cand_resid)
             if f_new < f_cur:
                 break
             trace.backtracks += 1
@@ -259,6 +257,8 @@ def _descend(model, prior, cfg, state, entry, probes=()):
             trace.steps_used.append(0.0)
             break
         trace.steps_used.append(step)
+        if not newton:
+            trace.ngd_iterations += 1
         state, resid, f_cur = cand, cand_resid, f_new
         cov = cand_cov[0] if cand_cov else None
         if tries == 0:
@@ -266,8 +266,6 @@ def _descend(model, prior, cfg, state, entry, probes=()):
     trace.f_values, trace.grad_norm_sq_per_p, trace.steps_used = (
         np.array(x, dtype=np.float64)
         for x in (trace.f_values, trace.grad_norm_sq_per_p, trace.steps_used))
-    if not newton:  # every step taken was NGD's
-        trace.ngd_iterations = int(np.count_nonzero(trace.steps_used))
     trace.final = state
     return trace
 

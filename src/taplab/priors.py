@@ -90,14 +90,6 @@ class Prior:
         object.__setattr__(self, "_tilt_bound", kernels._bound_rows(basis))
 
     @property
-    def support_lo(self) -> float:
-        return float(self.locations[0])
-
-    @property
-    def support_hi(self) -> float:
-        return float(self.locations[-1])
-
-    @property
     def mean(self) -> float:
         return float(self.weights @ self.locations)
 

@@ -2,9 +2,10 @@
 
 The tilted law at natural parameters (lam, gam) reweights the prior by
 exp(-gam*beta^2/2 + lam*beta).  This module provides the batched moment map
-and its inverse (dual solve), the envelopes of the moment space and the
-projection into its interior, and the scalar-channel quadrature behind the
-MMSE and the mutual information.
+and its inverse (dual solve), and the scalar-channel quadrature behind the
+MMSE and the mutual information.  The dual solve takes the moments as
+given: a row outside the moment space, where no tilted law has those
+moments, reports no convergence.
 
 Two accuracies are fixed here and read at call time: the channel noise is
 integrated by the QUAD_NODES-point Gauss-Hermite rule, and a dual solve has
@@ -25,7 +26,6 @@ from .priors import Prior, _gauss_hermite_standard_normal
 
 DUAL_CAP = 1e6
 DUAL_RESIDUAL_TOL = 1e-10
-INTERIOR_EPS_FRAC = 1e-9  # relative nudge of project_interior
 QUAD_NODES = 61  # Gauss-Hermite nodes over the channel noise z ~ N(0,1)
 # channel quadrature rows lighter than this are dropped: the dropped mass is
 # below 4e-29 on the priors here, and every summand is bounded by a power of
@@ -56,51 +56,6 @@ def tilted_cov_vec(prior: Prior, lam, gam):
     """Batched covariance entries of (beta, beta^2): a (3, rows) array of
     c11, c12, c22."""
     return tilted_moments_vec(prior, lam, gam, cov=True)[3]
-
-
-# ---------------------------------------------------------------------------
-# moment space
-# ---------------------------------------------------------------------------
-
-def gamma_envelopes(prior: Prior, m):
-    """Lower/upper envelopes of admissible s at first moment m.
-
-    Lower: (a(m)+b(m))*m - a(m)*b(m) with a(m), b(m) the neighboring support
-    atoms; upper: same expression with the global support endpoints.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    locs = prior.locations
-    lo, hi = prior.support_lo, prior.support_hi
-    idx_b = np.searchsorted(locs, m, side="left")  # smallest atom >= m
-    idx_a = np.searchsorted(locs, m, side="right") - 1  # largest atom <= m
-    idx_b = np.clip(idx_b, 0, len(locs) - 1)
-    idx_a = np.clip(idx_a, 0, len(locs) - 1)
-    a = locs[idx_a]
-    b = locs[idx_b]
-    lower = (a + b) * m - a * b
-    upper = (lo + hi) * m - lo * hi
-    return lower, upper
-
-
-def _clip_inside(x, lo, hi):
-    """x clipped into (lo, hi), INTERIOR_EPS_FRAC of the width and at least
-    one ulp away from each end."""
-    eps = INTERIOR_EPS_FRAC * (hi - lo)
-    return np.clip(x, np.maximum(lo + eps, np.nextafter(lo, np.inf)),
-                   np.minimum(hi - eps, np.nextafter(hi, -np.inf)))
-
-
-def project_interior(prior: Prior, m, s):
-    """Project (m, s) vectors onto the interior of the moment space.
-
-    Moves m inside the support and then s inside the envelope gap at that m,
-    each by a relative nudge of INTERIOR_EPS_FRAC and by at least one ulp:
-    the boundary policy of ``VariationalState.from_moments``.
-    """
-    m = _clip_inside(np.asarray(m, dtype=np.float64), prior.support_lo, prior.support_hi)
-    lower, upper = gamma_envelopes(prior, m)
-    s = _clip_inside(np.asarray(s, dtype=np.float64), lower, upper)
-    return m, s
 
 
 # ---------------------------------------------------------------------------

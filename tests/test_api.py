@@ -69,23 +69,58 @@ def defaulted_parameters(fn, method):
             yield arg.arg, None
 
 
+def _last_name(node):
+    """The last name of ``f`` or ``a.f``; None for any other expression."""
+    return node.id if isinstance(node, ast.Name) \
+        else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _passed(call):
+    """(positional count, keyword names) of ``call``; (inf, None) when it
+    spreads *args or **kwargs, which pass everything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return float("inf"), None
+    return len(call.args), {k.arg for k in call.keywords}
+
+
+def _aliases(target, value):
+    """(local name, last name) of each name that ``target = value`` binds to
+    a named function: ``x = f``, ``x = f if c else g`` and tuple unpacking
+    of such values."""
+    if isinstance(value, ast.IfExp):
+        for branch in (value.body, value.orelse):
+            yield from _aliases(target, branch)
+    elif isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        for t, v in zip(target.elts, value.elts):
+            yield from _aliases(t, v)
+    elif isinstance(target, ast.Name) and (name := _last_name(value)) is not None:
+        yield target.id, name
+
+
 def calls():
-    """Last name of each called expression -> list of (positional count,
-    keyword names); a call with *args or **kwargs passes everything, which
-    reads as (inf, None)."""
+    """Last name of each called expression -> list of ``_passed`` of its
+    calls.  A call through a local name that the same function binds to
+    functions (see ``_aliases``) is also a call of each of them."""
     out = {}
     for path in USERS:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                out.setdefault(_last_name(node.func), []).append(_passed(node))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) \
-                else func.attr if isinstance(func, ast.Attribute) else None
-            spread = any(isinstance(a, ast.Starred) for a in node.args) \
-                or any(k.arg is None for k in node.keywords)
-            out.setdefault(name, []).append(
-                (float("inf"), None) if spread
-                else (len(node.args), {k.arg for k in node.keywords}))
+            bound = {}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        for local, name in _aliases(target, node.value):
+                            bound.setdefault(local, set()).add(name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    for name in bound.get(node.func.id, ()):
+                        out.setdefault(name, []).append(_passed(node))
     return out
 
 
@@ -192,6 +227,9 @@ def test_every_parameter_default_is_overridden_outside_the_tests():
     assert ("delta", 4) in defaulted_parameters(*found["amp.amp_run"])
     made = calls()
     assert (3, {"delta"}) in made["amp_run"]
+    # and follows a call through a local name bound to functions: ngd._descend
+    # calls mf_energy with its resid only as ``energy``
+    assert (3, set()) in made["mf_energy"]
     unset = []
     for full, (fn, method) in found.items():
         if full in EXEMPT_NAMES:

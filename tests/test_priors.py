@@ -18,7 +18,6 @@ def test_three_point_moments():
     tp = three_point()
     assert tp.mean == 0.0
     assert tp.second_moment == pytest.approx(2.0 / 3.0)
-    assert tp.support_lo == -1.0 and tp.support_hi == 1.0
     assert tp.zero_spike_weight == pytest.approx(1.0 / 3.0)
     untilted = VariationalState.from_duals(tp, np.zeros(1), np.zeros(1))
     assert inclusion_probabilities(tp, untilted) == pytest.approx(1.0 - tp.zero_spike_weight)

@@ -11,9 +11,7 @@ from taplab.scalar import (
     DUAL_RESIDUAL_TOL,
     channel_terms,
     dual_solve_vec,
-    gamma_envelopes,
     mmse,
-    project_interior,
     tilted_cov_vec,
     tilted_moments_vec,
 )
@@ -35,11 +33,6 @@ def dual(prior, m, s):
     """(lam, gam) of the tilted law with moments (m, s), as floats."""
     lam, gam, _, _, _ = dual_solve_vec(prior, [m], [s])
     return float(lam[0]), float(gam[0])
-
-
-def envelopes(prior, m):
-    lower, upper = gamma_envelopes(prior, m)
-    return float(lower), float(upper)
 
 
 class TestTiltedMoments:
@@ -76,47 +69,6 @@ class TestTiltedMoments:
             entry(tp, [np.nan], [1.0])
 
 
-class TestGammaRegion:
-    def test_interior_point(self, tp):
-        lower, upper = envelopes(tp, 0.5)
-        assert tp.support_lo < 0.5 < tp.support_hi
-        assert lower < 0.7 < upper
-
-    def test_upper_envelope_is_boundary(self, tp):
-        # the chord through the support endpoints: s = 1 on {-1, 0, 1}
-        assert envelopes(tp, 0.5)[1] == 1.0
-
-    def test_mean_outside_support(self, tp):
-        # past the support the envelopes cross: no s is admissible at m = 1.5
-        lower, upper = envelopes(tp, 1.5)
-        assert 1.5 > tp.support_hi
-        assert lower > upper
-
-    def test_lower_envelope_between_atoms(self, tp):
-        # for support {-1,0,1} and m in (0,1) the lower envelope is s = m
-        lower, _ = envelopes(tp, 0.5)
-        assert lower == 0.5  # (0.5, 0.5) is on the boundary
-        assert 0.49 < lower  # (0.5, 0.49) is outside
-
-    def test_project_interior_restores_membership(self, tp):
-        m, s = project_interior(tp, [0.5, 0.9], [1.3, 0.1])
-        lower, upper = gamma_envelopes(tp, m)
-        assert np.all((tp.support_lo < m) & (m < tp.support_hi))
-        assert np.all((lower < s) & (s < upper))
-
-    def test_project_interior_moves_at_least_one_ulp(self, tp):
-        # at m = 1 - 2e-9 the envelope gap is 2e-9, and a relative nudge of it
-        # (4e-18) is below one ulp of s = 1: s must still leave the upper
-        # envelope, and the duals there must solve
-        m, s = project_interior(tp, [1.5], [1.0])
-        lower, upper = gamma_envelopes(tp, m)
-        assert (tp.support_lo < m) & (m < tp.support_hi)
-        assert (lower < s) & (s < upper)
-        state = VariationalState.from_moments(tp, [1.5], [1.0])
-        assert np.array_equal(state.m, m) and np.array_equal(state.s, s)
-        assert np.all(np.isfinite(state.lam)) and np.all(np.isfinite(state.gam))
-
-
 class TestDualSolve:
     def test_roundtrip_single(self, tp):
         m, s, _ = tilt(tp, 0.3, 1.2)
@@ -134,27 +86,20 @@ class TestDualSolve:
         g99 = dual(tp, 0.0, 0.99)[1]
         assert g99 < g90 < 0.0
 
-    def _assert_solved_inside(self, tp, st):
-        assert np.all((tp.support_lo < st.m) & (st.m < tp.support_hi))
-        assert np.all(np.isfinite(st.lam)) and np.all(np.isfinite(st.gam))
-        m, s, logZ = tilted_moments_vec(tp, st.lam, st.gam)
-        assert np.hypot(m - st.m, s - st.s)[0] < DUAL_RESIDUAL_TOL
-        assert logZ[0] == st.logZ[0]
-
-    def test_rejects_boundary(self, tp):
-        # (0.5, 1.0) lies on the upper envelope, where the duals diverge:
-        # from_moments does not keep it but solves at a point moved inside
+    def test_solves_a_boundary_point_as_given(self, tp):
+        # (0.5, 1.0) lies on the upper envelope s = 1 of {-1, 0, 1}: the law
+        # there has mass on the two atoms 0 and 1 only, and its duals are
+        # finite but large (gam near -45.5)
         st = VariationalState.from_moments(tp, [0.5], [1.0])
-        assert st.s[0] < 1.0
-        self._assert_solved_inside(tp, st)
+        assert st.m[0] == 0.5 and st.s[0] == 1.0
+        assert np.all(np.isfinite(st.lam)) and np.all(np.isfinite(st.gam))
+        m, s, _ = tilted_moments_vec(tp, st.lam, st.gam)
+        assert np.hypot(m - 0.5, s - 1.0)[0] < DUAL_RESIDUAL_TOL
 
-    def test_rejects_exterior(self, tp):
-        # (1.5, 1.0) lies outside the support: no tilted law has these
-        # moments, so the raw dual solve fails and from_moments moves m inside
-        assert not dual_solve_vec(tp, [1.5], [1.0])[3][0]
-        st = VariationalState.from_moments(tp, [1.5], [1.0])
-        assert st.m[0] < 1.0
-        self._assert_solved_inside(tp, st)
+    def test_rejects_a_point_outside_the_support(self, tp):
+        # (1.5, 1.0): no tilted law of {-1, 0, 1} has mean 1.5
+        with pytest.raises(DomainError, match="dual solve failed on 1 coordinates"):
+            VariationalState.from_moments(tp, [1.5], [1.0])
 
     def test_roundtrip_random_batch(self, tp, monkeypatch):
         rng = np.random.default_rng(7)

@@ -23,10 +23,10 @@ writes four groups of records, as JSON, whose floats read back exactly:
   instances and 92 fits.  A sweep is named by its test, prior, sigma and n.
   Each holds the final m, the final energy, the stop reason,
   ``iterations``, ``ngd_iterations``, ``hessian_matvecs``,
-  ``curvature_breaks`` (where the checkout's ``NGDTrace`` has it), the MSE,
-  a SHA-256 over every ``NGDTrace`` field, final state included, and a
-  ``path_sha256`` over ``steps_used``, ``grad_norm_sq_per_p`` and the final
-  state: the descent's path without its energies;
+  ``curvature_breaks``, the MSE, a SHA-256 over every ``NGDTrace`` field,
+  final state included, and a ``path_sha256`` over ``steps_used``,
+  ``grad_norm_sq_per_p`` and the final state: the descent's path without
+  its energies;
 - ``potential``: gamma_stat, gamma_alg, regime and a SHA-256 of every
   field of the profile (grid, phi, phi', phi'', both gammas and the regime)
   that ``solve_gammas`` returns at sigma^2 = 0.09 on POTENTIAL_PRIORS at
@@ -55,20 +55,19 @@ field's name and value in order; floats are hashed as their float64 bytes
 ``repr``, each item followed by a separator byte.
 
 ``compare A B`` prints, per sweep and objective, how many fits are
-bit-identical by their hash and how many path-identical by their path hash
-("-" when either file lacks it), how many moved (max|m_B - m_A| > MOVE_TOL),
-the largest max|m_B - m_A|, the largest rise and the largest |change| of the
-final energy from A to B, the stop reasons that changed, each side's count
-of each stop reason (``converged``, ``step_floor``, ``max_iters``) and the
-totals of iterations, NGD iterations, Hessian products and CG's curvature
-breaks ("-" when either file lacks a count); per sweep and delta, whether
-the mean TAP MSE is at most the mean MF MSE in A and in B; and per other
-group, how many records are bit-identical, the largest change of
-gamma_stat, gamma_alg and the minimum eigenvalue relative to A's, and every
-regime that changed; then each side's wall time per ``time`` record, so
-that a change that makes fits cheaper shows it in the same run that shows
-its bits.  Times do not enter the gate, and a
-file saved without them compares with times shown as "-".  It exits 1 when
+bit-identical by their hash and how many path-identical by their path hash,
+how many moved (max|m_B - m_A| > MOVE_TOL), the largest max|m_B - m_A|, the
+largest rise and the largest |change| of the final energy from A to B, the
+stop reasons that changed, each side's count of each stop reason
+(``converged``, ``step_floor``, ``max_iters``) and the totals of
+iterations, NGD iterations, Hessian products and CG's curvature breaks; per
+sweep and delta, whether the mean TAP MSE is at most the mean MF MSE in A
+and in B; and per other group, how many records are bit-identical, the
+largest change of gamma_stat, gamma_alg and the minimum eigenvalue relative
+to A's, and every regime that changed; then each side's wall time per
+``time`` record, so that a change that makes fits cheaper shows it in the
+same run that shows its bits.  Times do not enter the gate, and a file
+saved without them compares with times shown as "-".  It exits 1 when
 a fit moved, a final energy rose by more than ENERGY_RISE_TOL, a stop reason
 changed or a dominance verdict flipped, and 2 when the two files do not hold
 the same records, or when they lack a group or, at some sweep and delta,
@@ -154,7 +153,7 @@ def fit_records(n=None, replicates=None):
                     group="fit", sweep=sweep, delta=float(delta), replicate=rep,
                     objective=objective.value, energy=float(trace.f_values[-1]),
                     stop=trace.stop_reason.value,
-                    **{c: getattr(trace, c) for c in COUNTS if hasattr(trace, c)},
+                    **{c: getattr(trace, c) for c in COUNTS},
                     mse=_mse(trace, truth), sha256=_digest(trace),
                     path_sha256=_sha256(trace.steps_used, trace.grad_norm_sq_per_p,
                                         trace.final),
@@ -222,21 +221,6 @@ def _dominance(records):
     return {k: bool(np.mean(v["tap"]) <= np.mean(v["mf"])) for k, v in mse.items()}
 
 
-def _count_equal(a, b, keys, name):
-    """How many of ``keys`` have equal ``name`` in A and B; "-" when a
-    record of either lacks it."""
-    if not all(name in r[k] for r in (a, b) for k in keys):
-        return "-"
-    return sum(a[k][name] == b[k][name] for k in keys)
-
-
-def _total(records, keys, name):
-    """The sum of ``name`` over ``keys``; "-" when a record lacks it."""
-    if not all(name in records[k] for k in keys):
-        return "-"
-    return sum(records[k][name] for k in keys)
-
-
 def compare(a_records, b_records):
     """Print the comparison of B against A and return the exit status."""
     a = {_key(r): r for r in a_records if r["group"] != "time"}
@@ -253,12 +237,13 @@ def compare(a_records, b_records):
     for sweep, objective in dict.fromkeys((k[1], k[5]) for k in fits):  # in saved order
         keys = [k for k in fits if k[1] == sweep and k[5] == objective]
         dm = [float(np.max(np.abs(np.subtract(b[k]["m"], a[k]["m"])))) for k in keys]
-        identical = sum(a[k]["sha256"] == b[k]["sha256"] for k in keys)
+        identical, path_identical = (sum(a[k][h] == b[k][h] for k in keys)
+                                     for h in ("sha256", "path_sha256"))
         moved = sum(not d <= MOVE_TOL for d in dm)  # nan counts as moved
         df = [b[k]["energy"] - a[k]["energy"] for k in keys]
         stops = sum(a[k]["stop"] != b[k]["stop"] for k in keys)
         print(f"{sweep} {objective}: {len(keys)} fits, {identical} bit-identical, "
-              f"{_count_equal(a, b, keys, 'path_sha256')} path-identical, "
+              f"{path_identical} path-identical, "
               f"{moved} moved (max|dm| {max(dm):.2e}), largest energy rise {max(df):.2e}, "
               f"largest |dF| {max(map(abs, df)):.2e}, {stops} stop reasons changed")
         stop_counts = [Counter(records[k]["stop"] for k in keys) for records in (a, b)]
@@ -266,7 +251,8 @@ def compare(a_records, b_records):
             f"{s.value} {stop_counts[0][s.value]} -> {stop_counts[1][s.value]}"
             for s in StopReason))
         print(f"{sweep} {objective}: " + ", ".join(
-            f"{name} {_total(a, keys, name)} -> {_total(b, keys, name)}" for name in COUNTS))
+            f"{name} {sum(a[k][name] for k in keys)} -> {sum(b[k][name] for k in keys)}"
+            for name in COUNTS))
         failed |= moved > 0 or not max(df) <= ENERGY_RISE_TOL or stops > 0
     dom_a, dom_b = (_dominance(records[k] for k in fits) for records in (a, b))
     for (sweep, delta), before in dom_a.items():
