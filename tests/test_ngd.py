@@ -488,6 +488,20 @@ def test_mf_newton_within_max_iters_and_ngd_stops_as_is(tp, warm3):
     assert np.array_equal(stopped.f_values, reference.f_values) and stopped.iterations == 5
 
 
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("max_iters", [5, NGDConfig().max_iters])
+def test_ngd_run_counts_each_accepted_step(tp, warm3, objective, max_iters):
+    # every step ngd_run takes follows an NGD direction: its count is that of
+    # the records that took a step, all of them when the fit hits the cap
+    # and all but the last (which stopped) otherwise
+    model, warm = warm3
+    trace = ngd_run(model, tp, warm, NGDConfig(objective=objective, max_iters=max_iters))
+    assert trace.ngd_iterations == np.count_nonzero(trace.steps_used) > 0
+    stopped = trace.stop_reason is not StopReason.MAX_ITERS
+    assert trace.ngd_iterations == trace.iterations - stopped
+    assert stopped == (max_iters > 5)
+
+
 @pytest.mark.parametrize("grad_tol", [1e-6, 1e-4, 1e-2])
 def test_mf_newton_is_ngd_above_the_entry_gradient(tp, warm3, grad_tol):
     # a mean-field fit is ngd_run's, bit for bit, until a curvature probe

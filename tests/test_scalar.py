@@ -86,20 +86,38 @@ class TestDualSolve:
         g99 = dual(tp, 0.0, 0.99)[1]
         assert g99 < g90 < 0.0
 
-    def test_solves_a_boundary_point_as_given(self, tp):
-        # (0.5, 1.0) lies on the upper envelope s = 1 of {-1, 0, 1}: the law
-        # there has mass on the two atoms 0 and 1 only, and its duals are
-        # finite but large (gam near -45.5)
-        st = VariationalState.from_moments(tp, [0.5], [1.0])
-        assert st.m[0] == 0.5 and st.s[0] == 1.0
+    # points on the boundary of the moment space of {-1, 0, 1}: the chord
+    # s = 1 (no mass on 0), the chords s = |m| (no mass on the far atom) and
+    # the atoms themselves; each law there solves at finite but large duals
+    # (|gam| above 20)
+    @pytest.mark.parametrize("m, s", [(0.5, 1.0), (-0.5, 1.0), (0.0, 1.0), (0.5, 0.5),
+                                      (-0.5, 0.5), (1.0, 1.0), (0.0, 0.0)])
+    def test_solves_a_boundary_point_as_given(self, tp, m, s):
+        st = VariationalState.from_moments(tp, [m], [s])
+        assert st.m[0] == m and st.s[0] == s
         assert np.all(np.isfinite(st.lam)) and np.all(np.isfinite(st.gam))
-        m, s, _ = tilted_moments_vec(tp, st.lam, st.gam)
-        assert np.hypot(m - 0.5, s - 1.0)[0] < DUAL_RESIDUAL_TOL
+        assert abs(st.gam[0]) > 20.0
+        m_back, s_back, _ = tilted_moments_vec(tp, st.lam, st.gam)
+        assert np.hypot(m_back - m, s_back - s)[0] < DUAL_RESIDUAL_TOL
 
     def test_rejects_a_point_outside_the_support(self, tp):
         # (1.5, 1.0): no tilted law of {-1, 0, 1} has mean 1.5
         with pytest.raises(DomainError, match="dual solve failed on 1 coordinates"):
             VariationalState.from_moments(tp, [1.5], [1.0])
+
+    # means inside the support whose second moment no law of the prior's
+    # support has: above the chord s = 1 or below s = |m| of {-1, 0, 1}, a
+    # negative s, and on Bernoulli-Gaussian a variance s - m^2 below zero
+    @pytest.mark.parametrize("desc, m, s", [
+        ("three-point", 0.5, 1.2),
+        ("three-point", 0.5, 0.3),
+        ("three-point", 0.0, -0.1),
+        ("bernoulli-gaussian:0.5,1.0", 1.0, 0.5),
+        ("bernoulli-gaussian:0.5,1.0", 0.0, -0.1),
+    ])
+    def test_rejects_a_point_outside_the_moment_space(self, desc, m, s):
+        with pytest.raises(DomainError, match="dual solve failed on 1 coordinates"):
+            VariationalState.from_moments(parse_prior(desc), [m], [s])
 
     def test_roundtrip_random_batch(self, tp, monkeypatch):
         rng = np.random.default_rng(7)
